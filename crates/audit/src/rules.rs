@@ -131,15 +131,18 @@ pub const NO_UNWRAP_SCOPES: [&str; 4] = [
     "crates/forensics/src",
 ];
 
-/// Crates allowed to read the wall clock.
-pub const WALL_CLOCK_EXEMPT: [&str; 2] = ["crates/obs", "crates/bench"];
+/// Trees allowed to read the wall clock: the observability crate, the
+/// figure harness, and the repo benchmark (`benchmark/`, which exists to
+/// time the simulator on the host clock).
+pub const WALL_CLOCK_EXEMPT: [&str; 3] = ["crates/obs", "crates/bench", "benchmark"];
 
 /// Observatory analysis files held to the strict rules despite living in
 /// the otherwise-exempt `crates/obs`.
-pub const STRICT_OBS_FILES: [&str; 6] = [
+pub const STRICT_OBS_FILES: [&str; 7] = [
     "crates/obs/src/bundle.rs",
     "crates/obs/src/diff.rs",
     "crates/obs/src/fairness.rs",
+    "crates/obs/src/intern.rs",
     "crates/obs/src/meter.rs",
     "crates/obs/src/queue.rs",
     "crates/obs/src/slo.rs",
@@ -198,7 +201,7 @@ pub const SOURCE_PATHS: [&str; 10] = [
 ];
 
 /// Functions whose arguments become normal-world observable.
-pub const SINK_PATHS: [&str; 23] = [
+pub const SINK_PATHS: [&str; 46] = [
     // Recorder / metrics labels and values.
     "FlightRecorder::counter_add",
     "MetricsRegistry::counter_add",
@@ -211,6 +214,30 @@ pub const SINK_PATHS: [&str; 23] = [
     "FlightRecorder::complete_span",
     "FlightRecorder::charge_detail",
     "TimeProfiler::charge_detail",
+    // The same stores entered by handle: resolving an id takes the label
+    // or name text, updating through one takes the value.
+    "MetricsRegistry::counter_id",
+    "MetricsRegistry::gauge_id",
+    "MetricsRegistry::histogram_id",
+    "MetricsRegistry::counter_bump",
+    "MetricsRegistry::gauge_store",
+    "MetricsRegistry::histogram_record",
+    "Interner::intern",
+    "SpanTracer::intern",
+    "SpanTracer::begin",
+    "SpanTracer::complete",
+    "RecorderInner::begin_span",
+    "RecorderInner::complete_span",
+    "TimeProfiler::frame",
+    "TimeProfiler::charge_frame",
+    "RecorderInner::charge_frame",
+    // The sRPC path's one-step-per-phase reporters.
+    "StreamObs::open",
+    "StreamObs::enqueued",
+    "StreamObs::ring_full",
+    "StreamObs::drained",
+    "StreamObs::call_completed",
+    "StreamObs::synced",
     // Ledger records and black-box snapshots.
     "Ledger::append",
     "LedgerInner::append",
@@ -227,6 +254,8 @@ pub const SINK_PATHS: [&str; 23] = [
     "ResourceMeter::add_count",
     "ResourceMeter::record_occupancy",
     "ResourceMeter::record_wait",
+    "RecorderInner::meter_occupy",
+    "RecorderInner::meter_wait",
 ];
 
 /// Functions that launder taint: one-way measurement / redaction.

@@ -8,8 +8,6 @@
 //! `fig_interference [seed] [rounds]` (defaults 42, 24).
 use cronus_bench::experiments::interference;
 use cronus_bench::{artifacts, baseline};
-use cronus_obs::LabelSet;
-use cronus_sim::SimNs;
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -17,35 +15,19 @@ fn main() {
     let rounds: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(24);
     let run = interference::run_recorded(seed, rounds);
     let rec = &run.recorder;
-
-    let stream_lbl = run.victim_stream.as_u64().to_string();
-    let victim_p99 = rec
-        .with(|r| {
-            r.metrics
-                .histogram(
-                    "srpc.request_latency",
-                    &LabelSet::from_pairs(&[("stream", &stream_lbl)]),
-                )
-                .map(|h| h.p99())
-        })
-        .unwrap_or(SimNs::ZERO);
-    let fairness = rec.fairness_report();
-    let jain_cpu = fairness.jain_of("cpu_ns").unwrap_or(1.0);
-    let jain_sm = fairness.jain_of("sm_ns").unwrap_or(1.0);
-    let matrix = rec.interference_matrix();
-    let top = matrix
-        .top_interferer_of(run.victim)
-        .map(|(p, _)| p.to_string())
-        .unwrap_or_else(|| "none".to_string());
+    let headlines = run.headlines();
 
     println!(
         "fig_interference: victim={} noisy={}",
         run.victim, run.noisy
     );
-    println!("  victim_p99_ns   {}", victim_p99.as_nanos());
-    println!("  jain_cpu        {jain_cpu:.4}");
-    println!("  jain_sm         {jain_sm:.4}");
-    println!("  top_interferer  {top}");
+    for h in &headlines {
+        match h.unit.as_str() {
+            "ns" => println!("  {:<15} {}", h.key, h.value),
+            _ => println!("  {:<15} {:.4}", h.key, h.value),
+        }
+    }
+    println!("  {:<15} {}", "top_interferer", run.top_interferer());
 
     if let Err(e) = rec.meter_conservation() {
         eprintln!("fig_interference: conservation self-test failed: {e}");
@@ -53,20 +35,5 @@ fn main() {
     }
 
     artifacts::dump_and_report("fig_interference", rec);
-    baseline::emit(
-        "fig_interference",
-        vec![
-            baseline::Headline::ns("victim_p99_ns", victim_p99),
-            baseline::Headline::higher("jain_cpu", jain_cpu, "frac"),
-            baseline::Headline::higher("jain_sm", jain_sm, "frac"),
-        ],
-        vec![
-            ("seed".to_string(), seed.to_string()),
-            ("rounds".to_string(), rounds.to_string()),
-            ("victim".to_string(), run.victim.to_string()),
-            ("noisy".to_string(), run.noisy.to_string()),
-            ("top_interferer".to_string(), top),
-        ],
-        rec,
-    );
+    baseline::emit("fig_interference", headlines, run.meta(seed, rounds), rec);
 }

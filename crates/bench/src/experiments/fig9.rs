@@ -254,7 +254,7 @@ mod tests {
             .spans
             .spans()
             .iter()
-            .map(|s| s.name.as_str())
+            .map(|s| inner.spans.name(s.name))
             .collect();
         for phase in ["invalidate", "clear", "reload", "trap"] {
             assert!(

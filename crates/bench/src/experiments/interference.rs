@@ -16,7 +16,7 @@ use std::collections::BTreeMap;
 use cronus_core::{Actor, CronusSystem, StreamId};
 use cronus_devices::DeviceKind;
 use cronus_mos::manifest::{Manifest, McallDecl};
-use cronus_obs::{FlightRecorder, Principal};
+use cronus_obs::{FlightRecorder, LabelSet, Principal};
 use cronus_sim::{CostModel, SimNs};
 use cronus_spm::spm::{BootConfig, DeviceSpec, PartitionSpec};
 
@@ -184,6 +184,60 @@ pub fn run_recorded(seed: u64, rounds: u64) -> InterferenceRun {
         victim: Principal(victim_cpu.asid.as_u32()),
         noisy: Principal(noisy_cpu.asid.as_u32()),
         victim_stream,
+    }
+}
+
+impl InterferenceRun {
+    /// The victim stream's p99 request latency.
+    pub fn victim_p99(&self) -> SimNs {
+        let stream = self.victim_stream.as_u64().to_string();
+        self.recorder
+            .with(|r| {
+                r.metrics
+                    .histogram(
+                        "srpc.request_latency",
+                        &LabelSet::from_pairs(&[("stream", &stream)]),
+                    )
+                    .map(|h| h.p99())
+            })
+            .unwrap_or(SimNs::ZERO)
+    }
+
+    /// The partition the interference matrix convicts of delaying the
+    /// victim the most (`"none"` when the victim never waited).
+    pub fn top_interferer(&self) -> String {
+        self.recorder
+            .interference_matrix()
+            .top_interferer_of(self.victim)
+            .map(|(p, _)| p.to_string())
+            .unwrap_or_else(|| "none".to_string())
+    }
+
+    /// The gated headlines: the victim's p99 and the Jain fairness indices
+    /// over CPU and SM time.
+    pub fn headlines(&self) -> Vec<crate::baseline::Headline> {
+        use crate::baseline::Headline;
+        let fairness = self.recorder.fairness_report();
+        vec![
+            Headline::ns("victim_p99_ns", self.victim_p99()),
+            Headline::higher(
+                "jain_cpu",
+                fairness.jain_of("cpu_ns").unwrap_or(1.0),
+                "frac",
+            ),
+            Headline::higher("jain_sm", fairness.jain_of("sm_ns").unwrap_or(1.0), "frac"),
+        ]
+    }
+
+    /// The report meta of a run made with `(seed, rounds)`.
+    pub fn meta(&self, seed: u64, rounds: u64) -> Vec<(String, String)> {
+        vec![
+            ("seed".to_string(), seed.to_string()),
+            ("rounds".to_string(), rounds.to_string()),
+            ("victim".to_string(), self.victim.to_string()),
+            ("noisy".to_string(), self.noisy.to_string()),
+            ("top_interferer".to_string(), self.top_interferer()),
+        ]
     }
 }
 

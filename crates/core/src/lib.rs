@@ -82,6 +82,7 @@ pub mod reliability;
 pub mod ring;
 pub mod srpc;
 pub mod stream;
+mod stream_obs;
 pub mod system;
 
 pub use call::Call;

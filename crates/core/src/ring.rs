@@ -242,15 +242,31 @@ impl std::error::Error for CodecError {}
 /// [`CodecError::TooLarge`] when the message exceeds the slot capacity —
 /// large transfers use dedicated data buffers, not ring slots.
 pub fn encode_request(req: &Request) -> Result<Vec<u8>, CodecError> {
-    let total = req.name.len() + req.payload.len();
+    encode_request_slot(&req.name, &req.payload).map(|slot| slot.to_vec())
+}
+
+/// [`encode_request`] from borrowed parts into a slot-sized array: what the
+/// enqueue path uses, so a call costs no `Request` and no heap buffer.
+///
+/// # Errors
+///
+/// [`CodecError::TooLarge`], as [`encode_request`].
+pub fn encode_request_slot(name: &str, payload: &[u8]) -> Result<[u8; SLOT_SIZE], CodecError> {
+    encode_slot(name, payload.len() as u32, payload)
+}
+
+/// Lays out one request slot: the name length, `payload_word` verbatim
+/// (a length, or a length with [`GRANT_FLAG`]), the name and `body`.
+fn encode_slot(name: &str, payload_word: u32, body: &[u8]) -> Result<[u8; SLOT_SIZE], CodecError> {
+    let total = name.len() + body.len();
     if total > SLOT_PAYLOAD {
         return Err(CodecError::TooLarge { size: total });
     }
-    let mut out = vec![0u8; SLOT_SIZE];
-    out[0..4].copy_from_slice(&(req.name.len() as u32).to_le_bytes());
-    out[4..8].copy_from_slice(&(req.payload.len() as u32).to_le_bytes());
-    out[8..8 + req.name.len()].copy_from_slice(req.name.as_bytes());
-    out[8 + req.name.len()..8 + total].copy_from_slice(&req.payload);
+    let mut out = [0u8; SLOT_SIZE];
+    out[0..4].copy_from_slice(&(name.len() as u32).to_le_bytes());
+    out[4..8].copy_from_slice(&payload_word.to_le_bytes());
+    out[8..8 + name.len()].copy_from_slice(name.as_bytes());
+    out[8 + name.len()..8 + total].copy_from_slice(body);
     Ok(out)
 }
 
@@ -314,17 +330,21 @@ pub enum SlotRequest {
 /// [`CodecError::TooLarge`] when the name plus the 16-byte descriptor
 /// exceed the slot capacity.
 pub fn encode_grant_request(name: &str, grant: GrantRef) -> Result<Vec<u8>, CodecError> {
-    let total = name.len() + 16;
-    if total > SLOT_PAYLOAD {
-        return Err(CodecError::TooLarge { size: total });
-    }
-    let mut out = vec![0u8; SLOT_SIZE];
-    out[0..4].copy_from_slice(&(name.len() as u32).to_le_bytes());
-    out[4..8].copy_from_slice(&(16u32 | GRANT_FLAG).to_le_bytes());
-    out[8..8 + name.len()].copy_from_slice(name.as_bytes());
-    out[8 + name.len()..8 + name.len() + 8].copy_from_slice(&grant.offset.to_le_bytes());
-    out[8 + name.len() + 8..8 + total].copy_from_slice(&grant.len.to_le_bytes());
-    Ok(out)
+    encode_grant_slot(name, grant).map(|slot| slot.to_vec())
+}
+
+/// [`encode_grant_request`] into a slot-sized array (see
+/// [`encode_request_slot`]).
+///
+/// # Errors
+///
+/// [`CodecError::TooLarge`], as [`encode_grant_request`].
+pub fn encode_grant_slot(name: &str, grant: GrantRef) -> Result<[u8; SLOT_SIZE], CodecError> {
+    let mut descriptor = [0u8; 16];
+    let (offset, len) = descriptor.split_at_mut(8);
+    offset.copy_from_slice(&grant.offset.to_le_bytes());
+    len.copy_from_slice(&grant.len.to_le_bytes());
+    encode_slot(name, 16 | GRANT_FLAG, &descriptor)
 }
 
 /// Decodes a request slot into either form. Inline slots decode exactly as

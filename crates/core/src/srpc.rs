@@ -34,6 +34,7 @@ use cronus_spm::spm::{ShareHandle, SpmError};
 
 use crate::error::CronusError;
 use crate::ring::{CodecError, MultiRingLayout};
+use crate::stream_obs::StreamObs;
 
 /// Handle to an open sRPC stream.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -331,6 +332,9 @@ pub struct StreamState {
     pub last_finished: SimNs,
     /// Counters.
     pub stats: StreamStats,
+    /// Resolved telemetry handles; `None` when the system runs without a
+    /// flight recorder.
+    pub(crate) obs: Option<StreamObs>,
 }
 
 impl StreamState {

@@ -33,13 +33,14 @@ use crate::inject::{ArmedFault, FaultAction, FiredFault, Injector, SrpcPhase};
 use crate::pipe::{PipeId, PipeState};
 use crate::reliability::{retryable, RetryPolicy, StallWarning};
 use crate::ring::{
-    decode_result, decode_slot_request, encode_grant_request, encode_request, encode_result,
+    decode_result, decode_slot_request, encode_grant_slot, encode_request_slot, encode_result,
     GrantRef, Request, ResultStatus, SlotRequest, CLOSED_OFFSET, DCHECK_OFFSET,
 };
 use crate::srpc::{
     GrantArena, LaneState, PendingRequest, SrpcError, StreamId, StreamState, StreamStats,
 };
 use crate::stream::{StreamBuilder, StreamConfig};
+use crate::stream_obs::{self, StreamObs};
 
 /// A handle to a created mEnclave.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -183,7 +184,8 @@ pub struct CronusSystem {
     clocks: HashMap<Eid, SimClock>,
     app_clocks: HashMap<AppId, SimClock>,
     owner_secrets: HashMap<Eid, [u8; 32]>,
-    handlers: HashMap<(Eid, String), McallHandler>,
+    /// mECall handlers, by enclave then name.
+    handlers: HashMap<Eid, HashMap<String, McallHandler>>,
     streams: HashMap<StreamId, StreamState>,
     exec_pools: BTreeMap<AsId, ExecPool>,
     pub(crate) pipes: HashMap<PipeId, PipeState>,
@@ -324,6 +326,39 @@ impl CronusSystem {
             }
         }
         out
+    }
+
+    /// Enters a request phase in one recorder step: makes `req` the ambient
+    /// request (allocating the id when the caller brought none) and `scope`,
+    /// when given, the ambient meter scope. Returns the request id and the
+    /// ambient context it displaced, for [`CronusSystem::leave_request`].
+    fn enter_request(&self, req: Option<ReqId>, scope: Option<MeterScope>) -> (ReqId, Ambient) {
+        let Some(rec) = self.spm.recorder() else {
+            return (req.unwrap_or(ReqId(0)), Ambient::default());
+        };
+        rec.with(|r| {
+            let req = req.unwrap_or_else(|| r.alloc_req());
+            let displaced = Ambient {
+                req: r.spans.current_req(),
+                scope: scope.map(|sc| r.meter.set_scope(sc)),
+            };
+            r.spans.set_current_req(Some(req));
+            (req, displaced)
+        })
+    }
+
+    /// Leaves a request phase in one recorder step: puts back the meter
+    /// scope `enter_request` displaced, if it displaced one, and makes
+    /// `restore.req` the ambient request.
+    fn leave_request(&self, restore: Ambient) {
+        if let Some(rec) = self.spm.recorder() {
+            rec.with(|r| {
+                if let Some(sc) = restore.scope {
+                    r.meter.set_scope(sc);
+                }
+                r.spans.set_current_req(restore.req);
+            });
+        }
     }
 
     /// The executor class a partition's kernel time belongs to, from its
@@ -612,7 +647,7 @@ impl CronusSystem {
             .map_err(|err| SystemError::Spm(SpmError::Mos(err)))?;
         self.clocks.remove(&e.eid);
         self.owner_secrets.remove(&e.eid);
-        self.handlers.retain(|(eid, _), _| *eid != e.eid);
+        self.handlers.remove(&e.eid);
         self.spm.ledger().append(
             e.asid.as_u32(),
             self.ledger_now(),
@@ -626,7 +661,10 @@ impl CronusSystem {
 
     /// Registers an mECall handler (the execution-model runtime's job).
     pub fn register_handler(&mut self, e: EnclaveRef, name: &str, handler: McallHandler) {
-        self.handlers.insert((e.eid, name.to_string()), handler);
+        self.handlers
+            .entry(e.eid)
+            .or_default()
+            .insert(name.to_string(), handler);
     }
 
     /// Produces the signed remote-attestation report for an enclave's
@@ -726,19 +764,17 @@ impl CronusSystem {
         name: &str,
         payload: &[u8],
     ) -> Result<(Vec<u8>, SimNs), SrpcError> {
-        let key = (target.eid, name.to_string());
-        let mut handler = self
+        let handler = self
             .handlers
-            .remove(&key)
+            .get_mut(&target.eid)
+            .and_then(|of_enclave| of_enclave.get_mut(name))
             .ok_or_else(|| SrpcError::NoHandler(name.to_string()))?;
         let mut ctx = ServerCtx {
             spm: &mut self.spm,
             asid: target.asid,
             eid: target.eid,
         };
-        let result = handler(&mut ctx, payload);
-        self.handlers.insert(key, handler);
-        result.map_err(SrpcError::Handler)
+        handler(&mut ctx, payload).map_err(SrpcError::Handler)
     }
 
     // ---- sRPC ---------------------------------------------------------------
@@ -911,25 +947,14 @@ impl CronusSystem {
         let c = self.clock_mut(caller.eid);
         c.advance(setup);
         let opened = c.now();
-        if let Some(rec) = self.spm.recorder() {
+        let obs = self.spm.recorder().map(|rec| {
             let cm = self.spm.machine().cost();
             // The page_map share is charged by the SPM's share_memory.
             rec.charge_detail(TimeCategory::Crypto, "local_attest", cm.local_attest);
             rec.charge_detail(TimeCategory::Ring, "stream_setup", cm.srpc_stream_setup);
             rec.counter_add("srpc.streams_opened", &[], 1);
-            let track = rec.track(&format!("stream:{}", id.0));
-            rec.complete_span(track, "open", "srpc", opened.saturating_sub(setup), opened);
-            // One queue station per lane: per-stream (and per-lane)
-            // attribution is what lets obs-report name the bounding stream
-            // instead of one aggregate `srpc.ring:1`.
-            for lane in 0..layout.lanes {
-                rec.queue_declare(
-                    &lane_station(id, lane),
-                    QueueKind::Ring,
-                    layout.slots_per_lane(),
-                );
-            }
-        }
+            rec.with(|r| StreamObs::open(r, id, caller.eid, &layout, setup, opened))
+        });
 
         let lanes = (0..layout.lanes)
             .map(|_| LaneState {
@@ -961,6 +986,7 @@ impl CronusSystem {
                 class: self.exec_class_of(callee.asid),
                 last_finished: opened,
                 stats: StreamStats::default(),
+                obs,
             },
         );
         // Shared-pool streams drain on the callee partition's worker pool;
@@ -1172,15 +1198,12 @@ impl CronusSystem {
             self.trap_convert(accessor, fallback, err)
         };
         if matches!(converted, SrpcError::PeerFailed { .. }) {
-            let lane_count = if let Some(s) = self.streams.get_mut(&id) {
+            if let Some(s) = self.streams.get_mut(&id) {
                 s.open = false;
                 s.quarantined = true;
                 s.pending.clear();
                 s.doorbell_pending = false;
-                s.lanes.len()
-            } else {
-                0
-            };
+            }
             let at = self.ledger_now();
             let channel = crate::reliability::detection_channel(&converted);
             if let Some(rec) = self.spm.recorder() {
@@ -1188,9 +1211,8 @@ impl CronusSystem {
                 // Quarantine discards everything in flight: reflect that in
                 // every lane's queue station so drained-to-zero stays
                 // checkable.
-                let dropped: u64 = (0..lane_count)
-                    .map(|lane| rec.queue_flush(&lane_station(id, lane), at))
-                    .sum();
+                let obs = self.streams.get(&id).and_then(|s| s.obs.as_ref());
+                let dropped = obs.map_or(0, |obs| rec.with(|r| obs.flush(r, at)));
                 rec.counter_add("srpc.requests_flushed", &[], dropped);
                 // The marker is the span-stream's witness of the detection;
                 // the timeline reconstructor cross-checks it against the
@@ -1347,8 +1369,9 @@ impl CronusSystem {
                 let caller_eid = s.caller.1;
                 // The slot frees the moment its request finishes executing.
                 self.clock_mut(caller_eid).advance_to(drained.finished);
-                if let Some(rec) = self.spm.recorder() {
-                    rec.queue_error(&lane_station(id, drained.lane), drained.finished);
+                let obs = self.streams.get(&id).and_then(|s| s.obs.as_ref());
+                if let (Some(rec), Some(obs)) = (self.spm.recorder(), obs) {
+                    rec.with(|r| obs.ring_full(r, drained.lane, drained.finished));
                 }
                 drained.lane
             }
@@ -1400,12 +1423,9 @@ impl CronusSystem {
             if let Some(rec) = self.spm.recorder() {
                 rec.meter_count(CountResource::ArenaBytes, grant.len);
             }
-            encode_grant_request(name, grant)?
+            encode_grant_slot(name, grant)?
         } else {
-            encode_request(&Request {
-                name: name.to_string(),
-                payload: payload.to_vec(),
-            })?
+            encode_request_slot(name, payload)?
         };
 
         let (caller, caller_va, lane_rid, slot_off, rid_off) = {
@@ -1474,28 +1494,17 @@ impl CronusSystem {
         }
         s.stats.calls += 1;
         s.stats.request_bytes += payload.len() as u64;
-        let callee_asid = s.callee.0;
         let occupancy = s.backlog() as i64;
-        self.dispatcher.note_enqueue(callee_asid);
-        if let Some(rec) = self.spm.recorder() {
-            rec.charge_detail(TimeCategory::Ring, "enqueue", enqueue_cost);
-            if doorbell_cost > SimNs::ZERO {
-                rec.charge_detail(TimeCategory::Ring, "doorbell", doorbell_cost);
-            }
-            rec.queue_enqueue(&lane_station(id, lane_idx), now);
-            rec.gauge_set(
-                "srpc.ring_occupancy",
-                &[("stream", &id.0.to_string())],
-                occupancy,
-            );
-            let track = rec.track(&format!("enclave:{}", caller.1));
-            rec.complete_span(
-                track,
-                format!("enqueue:{name}"),
-                "ring",
-                now - (enqueue_cost + doorbell_cost),
+        self.dispatcher.note_enqueue(s.callee.0);
+        if let (Some(rec), Some(obs)) = (self.spm.recorder(), s.obs.as_mut()) {
+            let enqueued = stream_obs::Enqueued {
+                lane: lane_idx,
                 now,
-            );
+                enqueue_cost,
+                doorbell_cost,
+                occupancy,
+            };
+            rec.with(|r| obs.enqueued(r, name, enqueued));
         }
         Ok(())
     }
@@ -1516,17 +1525,15 @@ impl CronusSystem {
     /// kernels, recovery on a trap) are attributed to the request that
     /// caused them; the previous ambient request is restored afterwards.
     fn drain_one(&mut self, id: StreamId) -> Result<Option<Drained>, SrpcError> {
-        let req = self
-            .streams
-            .get(&id)
-            .and_then(|s| s.pending.front().map(|p| p.req));
-        let prev = self.spm.recorder().and_then(|r| r.current_req());
-        self.set_current_req(req);
+        let Some(req) = self.stream_ref(id)?.pending.front().map(|p| p.req) else {
+            return Ok(None);
+        };
         // Executor-side costs (dequeue, kernel, result write) are metered
         // against the caller principal under the callee's executor class.
         let scope = self.drain_scope(id);
-        let result = self.metered(scope, |sys| sys.drain_one_inner(id));
-        self.set_current_req(prev);
+        let (_, displaced) = self.enter_request(Some(req), scope);
+        let result = self.drain_one_inner(id);
+        self.leave_request(displaced);
         result
     }
 
@@ -1547,7 +1554,7 @@ impl CronusSystem {
         self.injection_point(id, SrpcPhase::Dispatch, lane_idx, slot_idx);
 
         // Fetch + decode the request on the callee side.
-        let mut slot = vec![0u8; crate::ring::SLOT_SIZE];
+        let mut slot = [0u8; crate::ring::SLOT_SIZE];
         {
             let (mos, machine) = self.spm.mos_and_machine(callee.0)?;
             if let Err(e) = mos.enclave_read(machine, callee.1, callee_va.add(slot_off), &mut slot)
@@ -1715,48 +1722,20 @@ impl CronusSystem {
             s.doorbell_pending = false;
         }
         s.stats.result_bytes += result_bytes.len() as u64;
-        let callee_asid = s.callee.0;
         let occupancy = s.backlog() as i64;
-        self.dispatcher.note_complete(callee_asid);
-        if let Some(rec) = self.spm.recorder() {
-            let stream_lbl = id.0.to_string();
-            rec.observe(
-                "srpc.enqueue_to_dispatch",
-                &[("stream", &stream_lbl)],
-                started - enq_t,
-            );
-            rec.gauge_set("srpc.ring_occupancy", &[("stream", &stream_lbl)], occupancy);
-            rec.charge_detail(TimeCategory::Ring, "dequeue", dequeue_cost);
-            rec.charge_detail(TimeCategory::Kernel, &request.name, exec_time);
-            let track = rec.track(&format!("stream:{}", id.0));
-            // Time between enqueue and the worker picking the request up is
-            // executor *backlog* (the device was busy with earlier work),
-            // not a protocol queue bottleneck: cover it with its own span so
-            // the causal report attributes it as "backlog" instead of
-            // falling through to the coarse "queue" gap category.
-            if started > enq_t {
-                rec.complete_span(track, "await-executor", "backlog", enq_t, started);
-            }
-            let call = rec.begin_span(track, request.name.clone(), "srpc", started);
-            rec.complete_span(track, "exec", "kernel", started + dequeue_cost, finished);
-            rec.end_span(track, call, finished);
-            rec.observe(
-                "srpc.request_latency",
-                &[("stream", &stream_lbl)],
-                finished - enq_t,
-            );
-            rec.queue_dequeue(
-                &lane_station(id, lane_idx),
+        self.dispatcher.note_complete(s.callee.0);
+        if let (Some(rec), Some(obs)) = (self.spm.recorder(), s.obs.as_mut()) {
+            let drained = stream_obs::Drained {
+                lane: lane_idx,
+                enqueued_at: enq_t,
+                started,
                 finished,
-                started - enq_t,
-                dequeue_cost + exec_time,
-            );
-            // Meter the ring-slot occupancy (enqueue → finish), the wait
-            // behind the executor, and the worker occupancy interval the
-            // interference matrix attributes waits against.
-            rec.meter_count(CountResource::RingSlotNs, (finished - enq_t).as_nanos());
-            rec.meter_wait(worker_meter, enq_t, started);
-            rec.meter_occupy(worker_meter, started, finished);
+                dequeue_cost,
+                exec_time,
+                worker: worker_meter,
+                occupancy,
+            };
+            rec.with(|r| obs.drained(r, &request.name, drained));
         }
         Ok(Some(Drained {
             lane: lane_idx,
@@ -1792,11 +1771,15 @@ impl CronusSystem {
         payload: &[u8],
         req: Option<ReqId>,
     ) -> Result<ReqId, SrpcError> {
-        let req = req.unwrap_or_else(|| self.alloc_req());
-        self.set_current_req(Some(req));
         let scope = self.caller_scope(id);
-        let result = self.metered(scope, |sys| sys.enqueue(id, name, payload, req));
-        self.set_current_req(None);
+        let (req, displaced) = self.enter_request(req, scope);
+        let result = self.enqueue(id, name, payload, req);
+        // A committed call leaves no ambient request behind, whatever was
+        // ambient before it.
+        self.leave_request(Ambient {
+            req: None,
+            ..displaced
+        });
         result.map(|()| req)
     }
 
@@ -1829,7 +1812,6 @@ impl CronusSystem {
         retry: Option<RetryPolicy>,
     ) -> Result<Vec<u8>, SrpcError> {
         let Some(policy) = retry else {
-            let req = req.unwrap_or_else(|| self.alloc_req());
             return self.call_sync_attempt(id, name, payload, req, deadline);
         };
 
@@ -1865,10 +1847,9 @@ impl CronusSystem {
                     rec.charge_detail(TimeCategory::Ring, "retry_backoff", backoff);
                 }
             }
-            let attempt_req = match (attempt, req) {
-                (0, Some(r)) => r,
-                _ => self.alloc_req(),
-            };
+            // The first attempt runs under the caller's request id, when it
+            // brought one; every other attempt is a request of its own.
+            let attempt_req = if attempt == 0 { req } else { None };
             match self.call_sync_attempt(id, name, payload, attempt_req, deadline) {
                 Ok(out) => return Ok(out),
                 Err(e) if retryable(&e) && attempt + 1 < attempts => {
@@ -1883,17 +1864,19 @@ impl CronusSystem {
         Err(last_err.expect("loop ran at least once"))
     }
 
+    /// One attempt of a synchronous call, traced as `req` (a fresh request
+    /// id when `None`).
     fn call_sync_attempt(
         &mut self,
         id: StreamId,
         name: &str,
         payload: &[u8],
-        req: ReqId,
+        req: Option<ReqId>,
         deadline: Option<SimNs>,
     ) -> Result<Vec<u8>, SrpcError> {
-        self.set_current_req(Some(req));
+        let (req, _) = self.enter_request(req, None);
         let result = self.call_sync_inner(id, name, payload, req, deadline);
-        self.set_current_req(None);
+        self.leave_request(Ambient::default());
         result
     }
 
@@ -1946,16 +1929,9 @@ impl CronusSystem {
         self.spm
             .machine_mut()
             .record(EventKind::RpcSync { stream: id.0 });
-        if let Some(rec) = self.spm.recorder() {
-            rec.charge_detail(TimeCategory::Ring, "sync_wakeup", wakeup);
-            let track = rec.track(&format!("enclave:{}", caller.1));
-            rec.complete_span(
-                track,
-                format!("complete:{name}"),
-                "ring",
-                woke - wakeup,
-                woke,
-            );
+        let obs = self.streams.get_mut(&id).and_then(|s| s.obs.as_mut());
+        if let (Some(rec), Some(obs)) = (self.spm.recorder(), obs) {
+            rec.with(|r| obs.call_completed(r, name, wakeup, woke));
         }
 
         // Deadline enforcement on the virtual clock: the per-call override
@@ -1976,7 +1952,7 @@ impl CronusSystem {
 
         self.injection_point(id, SrpcPhase::SyncWakeup, result_lane, result_slot);
 
-        let mut slot = vec![0u8; crate::ring::RESULT_SLOT_SIZE];
+        let mut slot = [0u8; crate::ring::RESULT_SLOT_SIZE];
         {
             let (mos, machine) = self.spm.mos_and_machine(caller.0)?;
             if let Err(e) =
@@ -2069,10 +2045,10 @@ impl CronusSystem {
         self.spm
             .machine_mut()
             .record(EventKind::RpcSync { stream: id.0 });
-        if let Some(rec) = self.spm.recorder() {
-            rec.charge_detail(TimeCategory::Ring, "sync_wakeup", wakeup);
-        }
         let s = self.streams.get_mut(&id).expect("checked");
+        if let (Some(rec), Some(obs)) = (self.spm.recorder(), s.obs.as_ref()) {
+            rec.with(|r| obs.synced(r, wakeup));
+        }
         s.stats.sync_points += 1;
         Ok(())
     }
@@ -2174,7 +2150,6 @@ impl CronusSystem {
             eid: s.caller.1,
         };
         cfg.deadline = cfg.deadline.or(s.deadline);
-        let old_lanes = s.lanes.len();
         // Reclaim the old ring's (and arena's) pages: for a quarantined
         // stream they were poisoned by failover and scrubbed during
         // partition clear, so this returns them to the allocator; for a
@@ -2193,9 +2168,10 @@ impl CronusSystem {
             // going through quarantine). Flush every lane's station so depth
             // returns to 0 and the Little check knows the residuals were
             // discarded.
-            let dropped: u64 = (0..old_lanes)
-                .map(|lane| rec.queue_flush(&lane_station(old, lane), at))
-                .sum();
+            let dropped = s
+                .obs
+                .as_ref()
+                .map_or(0, |obs| rec.with(|r| obs.flush(r, at)));
             if dropped > 0 {
                 rec.counter_add("srpc.requests_flushed", &[], dropped);
             }
@@ -2434,9 +2410,13 @@ impl CronusSystem {
     }
 }
 
-/// Queue-station name for one ring lane: `srpc.ring:<stream>.<lane>`.
-fn lane_station(id: StreamId, lane: usize) -> String {
-    format!("srpc.ring:{}.{}", id.0, lane)
+/// The recorder's ambient attribution context, as one phase saves it for the
+/// next to restore: the request new spans belong to and the meter scope
+/// charges go to (`None`: leave the scope alone).
+#[derive(Clone, Copy, Debug, Default)]
+struct Ambient {
+    req: Option<ReqId>,
+    scope: Option<MeterScope>,
 }
 
 /// What one `drain_one` step executed: the lane whose slot it freed and the

@@ -159,7 +159,7 @@ pub fn reconstruct(
             .iter()
             .filter(|s| s.cat == "recovery")
             .map(|s| RecoverySpan {
-                name: s.name.clone(),
+                name: r.spans.name(s.name).to_string(),
                 start: s.start,
                 end: s.end.unwrap_or(s.start).max(s.start),
             })

@@ -142,7 +142,7 @@ impl CausalReport {
                 .iter()
                 .find(|(_, s)| s.cat == "srpc")
                 .or_else(|| spans.first())
-                .map(|(_, s)| s.name.clone())
+                .map(|(_, s)| tracer.name(s.name).to_string())
                 .unwrap_or_default();
             let stream = spans.iter().find_map(|(_, s)| {
                 tracer

@@ -38,6 +38,9 @@
 //!   ledgers, plus the deterministic noisy-neighbor interference matrix
 //!   (backlog waits attributed to the principals occupying the contended
 //!   executor, with exemplar ReqIds).
+//! - [`intern`]: the name table behind span and track names, so a span
+//!   stores an id and a hot site that resolved its names once records
+//!   without allocating.
 //! - [`json`]: the offline (serde-free) JSON emission and parsing all
 //!   exports and the bench baselines use.
 //!
@@ -49,6 +52,7 @@ pub mod bundle;
 pub mod causal;
 pub mod diff;
 pub mod fairness;
+pub mod intern;
 pub mod json;
 pub mod meter;
 pub mod metrics;
@@ -71,16 +75,19 @@ pub use fairness::{
     jain_index, DominantShare, FairnessReport, InterferenceCell, InterferenceExemplar,
     InterferenceMatrix,
 };
+pub use intern::{Interner, IntoName, NameId};
 pub use json::{is_well_formed, parse, report_document, Json, REPORT_SCHEMA};
 pub use meter::{
     ConservationRow, CountResource, ExecClass, MeterError, MeterScope, Principal, ResourceMeter,
     WorkerId,
 };
-pub use metrics::{bucket_index, labels, Histogram, LabelSet, MetricsRegistry};
-pub use profile::{TimeCategory, TimeProfiler};
+pub use metrics::{
+    bucket_index, labels, CounterId, GaugeId, Histogram, HistogramId, LabelSet, MetricsRegistry,
+};
+pub use profile::{FrameId, TimeCategory, TimeProfiler};
 pub use queue::{
     LittleCheck, QueueKind, QueueObservatory, QueueReport, QueueSample, QueueStation, QueueUse,
-    WaitExemplar, MAX_EXEMPLARS,
+    StationId, WaitExemplar, MAX_EXEMPLARS,
 };
 pub use recorder::{charge_opt, FlightRecorder, RecorderInner, RecorderSink};
 pub use slo::{SloEval, SloObjective, SloPolicy, SloReport};

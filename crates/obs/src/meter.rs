@@ -320,6 +320,18 @@ pub struct ResourceMeter {
     waits: Vec<WaitRecord>,
 }
 
+/// Adds `amount` to `ledger[key]`. A ledger has a handful of keys and is
+/// written on every charge, so the existing entry is looked up before an
+/// `Entry` is paid for.
+fn add_to<K: Ord>(ledger: &mut BTreeMap<K, u64>, key: K, amount: u64) {
+    match ledger.get_mut(&key) {
+        Some(total) => *total += amount,
+        None => {
+            ledger.insert(key, amount);
+        }
+    }
+}
+
 impl ResourceMeter {
     /// Creates an empty meter scoped to [`MeterScope::SYSTEM`].
     pub fn new() -> Self {
@@ -342,16 +354,17 @@ impl ResourceMeter {
     pub fn charge_time(&mut self, cat: TimeCategory, d: SimNs) {
         debug_assert!(cat != TimeCategory::Idle, "idle is derived, not charged");
         let s = self.scope;
-        *self
-            .time
-            .entry((s.principal, s.stream, s.class, cat))
-            .or_insert(0) += d.as_nanos();
+        add_to(
+            &mut self.time,
+            (s.principal, s.stream, s.class, cat),
+            d.as_nanos(),
+        );
     }
 
     /// Adds `amount` of a count resource to the ambient scope.
     pub fn add_count(&mut self, res: CountResource, amount: u64) {
         let s = self.scope;
-        *self.counts.entry((s.principal, s.stream, res)).or_insert(0) += amount;
+        add_to(&mut self.counts, (s.principal, s.stream, res), amount);
     }
 
     /// Records that the ambient scope's request occupied `worker` for
@@ -367,16 +380,21 @@ impl ResourceMeter {
             return;
         }
         let s = self.scope;
-        self.occupancy
-            .entry(worker)
-            .or_default()
-            .push(OccupancySlice {
-                principal: s.principal,
-                stream: s.stream,
-                req,
-                start,
-                end,
-            });
+        let slice = OccupancySlice {
+            principal: s.principal,
+            stream: s.stream,
+            req,
+            start,
+            end,
+        };
+        // A worker's journal exists after its first slice; look it up
+        // before paying for an `Entry`.
+        match self.occupancy.get_mut(&worker) {
+            Some(slices) => slices.push(slice),
+            None => {
+                self.occupancy.insert(worker, vec![slice]);
+            }
+        }
     }
 
     /// Records that the ambient scope's request waited on `worker` from

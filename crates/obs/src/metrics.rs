@@ -9,6 +9,7 @@
 //! registry exposes the total populated-bucket footprint as the synthetic
 //! `obs.histogram_buckets` gauge in every snapshot.
 
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
 use cronus_sim::SimNs;
@@ -257,12 +258,225 @@ pub fn overflow_labels() -> LabelSet {
     LabelSet::from_pairs(&[("__overflow", "true")])
 }
 
+/// Handle to one counter series, resolved by [`MetricsRegistry::counter_id`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct CounterId(u32);
+
+/// Handle to one gauge series, resolved by [`MetricsRegistry::gauge_id`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct GaugeId(u32);
+
+/// Handle to one histogram series, resolved by
+/// [`MetricsRegistry::histogram_id`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct HistogramId(u32);
+
+/// Where updates through one series id land.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Admission {
+    /// Resolved but never written: the series does not exist yet (it is in
+    /// no snapshot and does not count against the cap). The cap is applied
+    /// on the first write, as it always was.
+    Pending,
+    /// The series exists.
+    Live,
+    /// The metric was at its cap on the first write: every write lands on
+    /// the slot of the metric's `__overflow` series and counts as an
+    /// overflow.
+    Overflow(u32),
+}
+
+#[derive(Clone, Debug)]
+struct Slot<V> {
+    family: u32,
+    admission: Admission,
+    value: V,
+}
+
+/// All series of one metric name.
+#[derive(Clone, Debug)]
+struct Family {
+    /// `(labels, slot)` sorted by labels.
+    series: Vec<(LabelSet, u32)>,
+    /// Series that exist (`Admission::Live`), the count the cap bounds.
+    live: usize,
+}
+
+/// The series of one metric kind: values in an arena addressed by id, found
+/// through a sorted `name -> labels` index so a lookup by borrowed name and
+/// label pairs allocates nothing and a snapshot comes out in name-then-label
+/// order.
+#[derive(Clone, Debug, Default)]
+struct SeriesTable<V> {
+    slots: Vec<Slot<V>>,
+    families: Vec<Family>,
+    by_name: BTreeMap<String, u32>,
+}
+
+/// Orders a stored label set against borrowed, already sorted pairs.
+fn cmp_pairs(stored: &LabelSet, pairs: &[(&str, &str)]) -> Ordering {
+    stored
+        .0
+        .iter()
+        .map(|(k, v)| (k.as_str(), v.as_str()))
+        .cmp(pairs.iter().copied())
+}
+
+impl<V: Default> SeriesTable<V> {
+    /// Resolves `name{pairs}` to its slot, creating a pending one on first
+    /// sight. Allocation-free when the series was resolved before and the
+    /// pairs arrive sorted (as every call site writes them).
+    fn resolve(&mut self, name: &str, pairs: &[(&str, &str)]) -> u32 {
+        if pairs.is_sorted() {
+            self.resolve_with(
+                name,
+                |l| cmp_pairs(l, pairs),
+                || LabelSet::from_pairs(pairs),
+            )
+        } else {
+            self.resolve_labels(name, LabelSet::from_pairs(pairs))
+        }
+    }
+
+    fn resolve_labels(&mut self, name: &str, labels: LabelSet) -> u32 {
+        self.resolve_with(name, |l| l.cmp(&labels), || labels.clone())
+    }
+
+    fn resolve_with(
+        &mut self,
+        name: &str,
+        cmp: impl Fn(&LabelSet) -> Ordering,
+        labels: impl FnOnce() -> LabelSet,
+    ) -> u32 {
+        let family = match self.by_name.get(name) {
+            Some(&f) => f,
+            None => {
+                let f = self.families.len() as u32;
+                self.families.push(Family {
+                    series: Vec::new(),
+                    live: 0,
+                });
+                self.by_name.insert(name.to_string(), f);
+                f
+            }
+        };
+        self.slot_in(family, cmp, labels)
+    }
+
+    /// The slot of the series of `family` that `cmp` finds, created pending
+    /// (under `labels()`) when there is none yet.
+    fn slot_in(
+        &mut self,
+        family: u32,
+        cmp: impl Fn(&LabelSet) -> Ordering,
+        labels: impl FnOnce() -> LabelSet,
+    ) -> u32 {
+        let series = &mut self.families[family as usize].series;
+        match series.binary_search_by(|(l, _)| cmp(l)) {
+            Ok(at) => series[at].1,
+            Err(at) => {
+                let slot = self.slots.len() as u32;
+                series.insert(at, (labels(), slot));
+                self.slots.push(Slot {
+                    family,
+                    admission: Admission::Pending,
+                    value: V::default(),
+                });
+                slot
+            }
+        }
+    }
+
+    /// The value a write through `slot` lands on, applying the cardinality
+    /// cap on a series' first write: an existing series or a metric under
+    /// its cap keeps its own value, anything else is redirected to the
+    /// `__overflow` series and bumps `label_overflow` on every write.
+    fn admit(&mut self, slot: u32, cap: usize, label_overflow: &mut u64) -> &mut V {
+        let target = match self.slots[slot as usize].admission {
+            Admission::Live => slot,
+            Admission::Overflow(to) => {
+                *label_overflow += 1;
+                to
+            }
+            Admission::Pending => {
+                let family = self.slots[slot as usize].family;
+                if self.families[family as usize].live < cap {
+                    self.make_live(slot);
+                    slot
+                } else {
+                    *label_overflow += 1;
+                    let overflow = overflow_labels();
+                    let to = self.slot_in(family, |l| l.cmp(&overflow), || overflow.clone());
+                    if self.slots[to as usize].admission != Admission::Live {
+                        self.make_live(to);
+                    }
+                    if to != slot {
+                        self.slots[slot as usize].admission = Admission::Overflow(to);
+                    }
+                    to
+                }
+            }
+        };
+        &mut self.slots[target as usize].value
+    }
+
+    fn make_live(&mut self, slot: u32) {
+        let s = &mut self.slots[slot as usize];
+        s.admission = Admission::Live;
+        self.families[s.family as usize].live += 1;
+    }
+}
+
+impl<V> SeriesTable<V> {
+    /// The existing series `name{labels}`.
+    fn get(&self, name: &str, labels: &LabelSet) -> Option<&V> {
+        let family = &self.families[*self.by_name.get(name)? as usize];
+        let at = family
+            .series
+            .binary_search_by(|(l, _)| l.cmp(labels))
+            .ok()?;
+        let slot = &self.slots[family.series[at].1 as usize];
+        (slot.admission == Admission::Live).then_some(&slot.value)
+    }
+
+    /// The existing series of `name`, sorted by labels.
+    fn of_name(&self, name: &str) -> impl Iterator<Item = (&LabelSet, &V)> {
+        self.by_name
+            .get(name)
+            .into_iter()
+            .flat_map(|&f| self.of_family(f))
+    }
+
+    fn of_family(&self, family: u32) -> impl Iterator<Item = (&LabelSet, &V)> {
+        self.families[family as usize]
+            .series
+            .iter()
+            .map(|(l, slot)| (l, &self.slots[*slot as usize]))
+            .filter(|(_, s)| s.admission == Admission::Live)
+            .map(|(l, s)| (l, &s.value))
+    }
+
+    /// Every existing series, sorted by name then labels.
+    fn iter(&self) -> impl Iterator<Item = (&str, &LabelSet, &V)> {
+        self.by_name
+            .iter()
+            .flat_map(|(name, &f)| self.of_family(f).map(move |(l, v)| (name.as_str(), l, v)))
+    }
+}
+
 /// The registry: all counters, gauges and histograms for one run.
+///
+/// Every series is addressed by an id ([`CounterId`], [`GaugeId`],
+/// [`HistogramId`]). A site that updates the same series on every call
+/// resolves the id once and updates through it; the string-keyed methods
+/// resolve and then update through the same ids, so there is one store and
+/// one set of rules (label cap, overflow accounting) whichever way an update
+/// arrives.
 #[derive(Clone, Debug)]
 pub struct MetricsRegistry {
-    counters: BTreeMap<(String, LabelSet), u64>,
-    gauges: BTreeMap<(String, LabelSet), GaugeCell>,
-    histograms: BTreeMap<(String, LabelSet), Histogram>,
+    counters: SeriesTable<u64>,
+    gauges: SeriesTable<GaugeCell>,
+    histograms: SeriesTable<Histogram>,
     max_label_sets: usize,
     label_overflow: u64,
 }
@@ -270,9 +484,9 @@ pub struct MetricsRegistry {
 impl Default for MetricsRegistry {
     fn default() -> Self {
         MetricsRegistry {
-            counters: BTreeMap::new(),
-            gauges: BTreeMap::new(),
-            histograms: BTreeMap::new(),
+            counters: SeriesTable::default(),
+            gauges: SeriesTable::default(),
+            histograms: SeriesTable::default(),
             max_label_sets: DEFAULT_MAX_LABEL_SETS,
             label_overflow: 0,
         }
@@ -283,31 +497,6 @@ impl Default for MetricsRegistry {
 struct GaugeCell {
     value: i64,
     max: i64,
-}
-
-/// Distinct label sets currently recorded under `name` in one store.
-fn series_count<V>(map: &BTreeMap<(String, LabelSet), V>, name: &str) -> usize {
-    map.range((name.to_string(), LabelSet::empty())..)
-        .take_while(|((n, _), _)| n == name)
-        .count()
-}
-
-/// Applies the cardinality cap: returns `labels` unchanged when the series
-/// already exists or the metric is under its cap, otherwise redirects to the
-/// `__overflow` series and bumps `label_overflow`.
-fn admit<V>(
-    map: &BTreeMap<(String, LabelSet), V>,
-    name: &str,
-    labels: LabelSet,
-    cap: usize,
-    label_overflow: &mut u64,
-) -> LabelSet {
-    if map.contains_key(&(name.to_string(), labels.clone())) || series_count(map, name) < cap {
-        labels
-    } else {
-        *label_overflow += 1;
-        overflow_labels()
-    }
 }
 
 impl MetricsRegistry {
@@ -326,86 +515,92 @@ impl MetricsRegistry {
         self.label_overflow
     }
 
+    /// Resolves the counter `name{pairs}`. Resolving creates nothing
+    /// visible; the label cap is applied when the series is first written.
+    pub fn counter_id(&mut self, name: &str, pairs: &[(&str, &str)]) -> CounterId {
+        CounterId(self.counters.resolve(name, pairs))
+    }
+
+    /// Adds `delta` to a resolved counter.
+    pub fn counter_bump(&mut self, id: CounterId, delta: u64) {
+        *self
+            .counters
+            .admit(id.0, self.max_label_sets, &mut self.label_overflow) += delta;
+    }
+
     /// Adds `delta` to the counter `name{labels}`.
     pub fn counter_add(&mut self, name: &str, labels: LabelSet, delta: u64) {
-        let labels = admit(
-            &self.counters,
-            name,
-            labels,
-            self.max_label_sets,
-            &mut self.label_overflow,
-        );
-        *self.counters.entry((name.to_string(), labels)).or_insert(0) += delta;
+        let id = CounterId(self.counters.resolve_labels(name, labels));
+        self.counter_bump(id, delta);
     }
 
     /// Current value of the counter `name{labels}` (zero if never touched).
     pub fn counter(&self, name: &str, labels: &LabelSet) -> u64 {
-        self.counters
-            .get(&(name.to_string(), labels.clone()))
-            .copied()
-            .unwrap_or(0)
+        self.counters.get(name, labels).copied().unwrap_or(0)
     }
 
     /// Sum of `name` across all label sets.
     pub fn counter_total(&self, name: &str) -> u64 {
-        self.counters
-            .iter()
-            .filter(|((n, _), _)| n == name)
-            .map(|(_, v)| v)
-            .sum()
+        self.counters.of_name(name).map(|(_, v)| v).sum()
     }
 
-    /// Sets the gauge `name{labels}`, tracking its high-water mark.
-    pub fn gauge_set(&mut self, name: &str, labels: LabelSet, value: i64) {
-        let labels = admit(
-            &self.gauges,
-            name,
-            labels,
-            self.max_label_sets,
-            &mut self.label_overflow,
-        );
-        let cell = self.gauges.entry((name.to_string(), labels)).or_default();
+    /// Resolves the gauge `name{pairs}`; see [`MetricsRegistry::counter_id`].
+    pub fn gauge_id(&mut self, name: &str, pairs: &[(&str, &str)]) -> GaugeId {
+        GaugeId(self.gauges.resolve(name, pairs))
+    }
+
+    /// Sets a resolved gauge, tracking its high-water mark.
+    pub fn gauge_store(&mut self, id: GaugeId, value: i64) {
+        let cell = self
+            .gauges
+            .admit(id.0, self.max_label_sets, &mut self.label_overflow);
         cell.value = value;
         cell.max = cell.max.max(value);
     }
 
+    /// Sets the gauge `name{labels}`, tracking its high-water mark.
+    pub fn gauge_set(&mut self, name: &str, labels: LabelSet, value: i64) {
+        let id = GaugeId(self.gauges.resolve_labels(name, labels));
+        self.gauge_store(id, value);
+    }
+
     /// Current value of a gauge (zero if never set).
     pub fn gauge(&self, name: &str, labels: &LabelSet) -> i64 {
-        self.gauges
-            .get(&(name.to_string(), labels.clone()))
-            .map_or(0, |c| c.value)
+        self.gauges.get(name, labels).map_or(0, |c| c.value)
     }
 
     /// High-water mark of a gauge (zero if never set).
     pub fn gauge_max(&self, name: &str, labels: &LabelSet) -> i64 {
-        self.gauges
-            .get(&(name.to_string(), labels.clone()))
-            .map_or(0, |c| c.max)
+        self.gauges.get(name, labels).map_or(0, |c| c.max)
+    }
+
+    /// Resolves the histogram `name{pairs}`; see
+    /// [`MetricsRegistry::counter_id`].
+    pub fn histogram_id(&mut self, name: &str, pairs: &[(&str, &str)]) -> HistogramId {
+        HistogramId(self.histograms.resolve(name, pairs))
+    }
+
+    /// Records one duration into a resolved histogram.
+    pub fn histogram_record(&mut self, id: HistogramId, d: SimNs) {
+        self.histograms
+            .admit(id.0, self.max_label_sets, &mut self.label_overflow)
+            .observe(d);
     }
 
     /// Records one duration into the histogram `name{labels}`.
     pub fn observe(&mut self, name: &str, labels: LabelSet, d: SimNs) {
-        let labels = admit(
-            &self.histograms,
-            name,
-            labels,
-            self.max_label_sets,
-            &mut self.label_overflow,
-        );
-        self.histograms
-            .entry((name.to_string(), labels))
-            .or_default()
-            .observe(d);
+        let id = HistogramId(self.histograms.resolve_labels(name, labels));
+        self.histogram_record(id, d);
     }
 
     /// The histogram `name{labels}`, if any observation was recorded.
     pub fn histogram(&self, name: &str, labels: &LabelSet) -> Option<&Histogram> {
-        self.histograms.get(&(name.to_string(), labels.clone()))
+        self.histograms.get(name, labels)
     }
 
     /// Iterates all histograms (name, labels, histogram).
     pub fn histograms(&self) -> impl Iterator<Item = (&str, &LabelSet, &Histogram)> {
-        self.histograms.iter().map(|((n, l), h)| (n.as_str(), l, h))
+        self.histograms.iter()
     }
 
     /// Total populated (non-zero) buckets across every histogram series —
@@ -413,8 +608,8 @@ impl MetricsRegistry {
     /// the synthetic `obs.histogram_buckets` gauge.
     pub fn histogram_buckets(&self) -> u64 {
         self.histograms
-            .values()
-            .map(|h| h.nonzero_buckets().len() as u64)
+            .iter()
+            .map(|(_, _, h)| h.nonzero_buckets().len() as u64)
             .sum()
     }
 
@@ -424,9 +619,9 @@ impl MetricsRegistry {
         let counters = self
             .counters
             .iter()
-            .map(|((n, l), v)| {
+            .map(|(n, l, v)| {
                 Json::obj([
-                    ("name", Json::from(n.as_str())),
+                    ("name", Json::from(n)),
                     ("labels", l.to_json()),
                     ("value", Json::U64(*v)),
                 ])
@@ -435,9 +630,9 @@ impl MetricsRegistry {
         let mut gauges: Vec<Json> = self
             .gauges
             .iter()
-            .map(|((n, l), c)| {
+            .map(|(n, l, c)| {
                 Json::obj([
-                    ("name", Json::from(n.as_str())),
+                    ("name", Json::from(n)),
                     ("labels", l.to_json()),
                     ("value", Json::I64(c.value)),
                     ("max", Json::I64(c.max)),
@@ -454,9 +649,9 @@ impl MetricsRegistry {
         let histograms = self
             .histograms
             .iter()
-            .map(|((n, l), h)| {
+            .map(|(n, l, h)| {
                 let mut fields = vec![
-                    ("name".to_string(), Json::Str(n.clone())),
+                    ("name".to_string(), Json::Str(n.to_string())),
                     ("labels".to_string(), l.to_json()),
                 ];
                 if let Json::Obj(stat_fields) = h.to_json() {
@@ -645,7 +840,7 @@ mod tests {
         m.counter_add("per_req.bytes", labels(&[("req", "0")]), 10);
         assert_eq!(m.counter("per_req.bytes", &labels(&[("req", "0")])), 11);
         assert_eq!(
-            series_count(&m.counters, "per_req.bytes"),
+            m.counters.of_name("per_req.bytes").count(),
             5,
             "4 + overflow"
         );
@@ -657,6 +852,33 @@ mod tests {
         let json = m.snapshot_json(&[]);
         assert!(json.contains("\"label_overflow\":192"), "{json}");
         assert!(json.contains("__overflow"));
+    }
+
+    #[test]
+    fn handle_resolved_past_the_cap_lands_on_the_overflow_series() {
+        let mut m = MetricsRegistry::new();
+        m.set_max_label_sets(2);
+        // Resolved first, written last: resolving reserves nothing.
+        let early = m.counter_id("calls", &[("stream", "9")]);
+        m.counter_add("calls", labels(&[("stream", "1")]), 1);
+        m.counter_add("calls", labels(&[("stream", "2")]), 1);
+        let late = m.counter_id("calls", &[("stream", "3")]);
+        m.counter_bump(late, 5);
+        m.counter_bump(late, 5);
+        m.counter_bump(early, 7);
+        assert_eq!(m.counter("calls", &overflow_labels()), 17);
+        assert_eq!(m.counter("calls", &labels(&[("stream", "3")])), 0);
+        assert_eq!(m.counter("calls", &labels(&[("stream", "9")])), 0);
+        assert_eq!(m.label_overflow(), 3, "every redirected write counts");
+        // A series that existed before the cap was reached keeps its own
+        // value through a handle resolved afterwards.
+        let existing = m.counter_id("calls", &[("stream", "1")]);
+        m.counter_bump(existing, 1);
+        assert_eq!(m.counter("calls", &labels(&[("stream", "1")])), 2);
+        assert_eq!(m.label_overflow(), 3);
+        // Unsorted pairs resolve to the same series as sorted ones.
+        let g = m.gauge_id("depth", &[("stream", "1"), ("lane", "0")]);
+        assert_eq!(g, m.gauge_id("depth", &[("lane", "0"), ("stream", "1")]));
     }
 
     #[test]

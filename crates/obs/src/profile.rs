@@ -66,10 +66,32 @@ impl TimeCategory {
     ];
 }
 
+/// Handle to one `(category, detail)` frame of a [`TimeProfiler`]: resolve
+/// it once with [`TimeProfiler::frame`], then charge it without a lookup.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct FrameId(u32);
+
+#[derive(Clone, Debug)]
+struct Frame {
+    cat: TimeCategory,
+    detail: Option<Box<str>>,
+    ns: u64,
+}
+
+/// The frames of one category: the bare one and the detailed ones by name.
+#[derive(Clone, Debug, Default)]
+struct CategoryFrames {
+    plain: Option<FrameId>,
+    detailed: BTreeMap<Box<str>, FrameId>,
+}
+
 /// Accumulates charged time per `(category, detail)` pair.
 #[derive(Clone, Debug, Default)]
 pub struct TimeProfiler {
-    busy: BTreeMap<(TimeCategory, Option<String>), u64>,
+    frames: Vec<Frame>,
+    /// Frame lookup, in folded-stack order: category, bare frame first,
+    /// then details by name.
+    index: BTreeMap<TimeCategory, CategoryFrames>,
     /// High-water mark of observed simulated instants.
     watermark: SimNs,
 }
@@ -80,20 +102,51 @@ impl TimeProfiler {
         TimeProfiler::default()
     }
 
+    /// Resolves the frame `cat[;detail]`, creating it (with nothing charged,
+    /// so invisible in every report) on first sight. Allocation-free when
+    /// the frame exists.
+    pub fn frame(&mut self, cat: TimeCategory, detail: Option<&str>) -> FrameId {
+        debug_assert!(cat != TimeCategory::Idle, "idle is derived, not charged");
+        let next = FrameId(self.frames.len() as u32);
+        let of_cat = self.index.entry(cat).or_default();
+        let id = match detail {
+            None => *of_cat.plain.get_or_insert(next),
+            Some(d) => match of_cat.detailed.get(d) {
+                Some(&id) => id,
+                None => {
+                    of_cat.detailed.insert(d.into(), next);
+                    next
+                }
+            },
+        };
+        if id == next {
+            self.frames.push(Frame {
+                cat,
+                detail: detail.map(Into::into),
+                ns: 0,
+            });
+        }
+        id
+    }
+
+    /// Charges `d` to a resolved frame, returning its category.
+    pub fn charge_frame(&mut self, frame: FrameId, d: SimNs) -> TimeCategory {
+        let f = &mut self.frames[frame.0 as usize];
+        f.ns += d.as_nanos();
+        f.cat
+    }
+
     /// Charges `d` to `cat` with no detail frame.
     pub fn charge(&mut self, cat: TimeCategory, d: SimNs) {
-        debug_assert!(cat != TimeCategory::Idle, "idle is derived, not charged");
-        *self.busy.entry((cat, None)).or_insert(0) += d.as_nanos();
+        let frame = self.frame(cat, None);
+        self.charge_frame(frame, d);
     }
 
     /// Charges `d` to `cat` under a named detail frame (e.g. the kernel or
     /// mcall name), producing a deeper folded stack.
     pub fn charge_detail(&mut self, cat: TimeCategory, detail: &str, d: SimNs) {
-        debug_assert!(cat != TimeCategory::Idle, "idle is derived, not charged");
-        *self
-            .busy
-            .entry((cat, Some(detail.to_string())))
-            .or_insert(0) += d.as_nanos();
+        let frame = self.frame(cat, Some(detail));
+        self.charge_frame(frame, d);
     }
 
     /// Advances the elapsed-time watermark to at least `at` (monotone).
@@ -103,16 +156,16 @@ impl TimeProfiler {
 
     /// Total busy time across all categories.
     pub fn total_busy(&self) -> SimNs {
-        SimNs::from_nanos(self.busy.values().sum())
+        SimNs::from_nanos(self.frames.iter().map(|f| f.ns).sum())
     }
 
     /// Busy time charged to one category (all detail frames included).
     pub fn busy_in(&self, cat: TimeCategory) -> SimNs {
         SimNs::from_nanos(
-            self.busy
+            self.frames
                 .iter()
-                .filter(|((c, _), _)| *c == cat)
-                .map(|(_, v)| v)
+                .filter(|f| f.cat == cat)
+                .map(|f| f.ns)
                 .sum(),
         )
     }
@@ -147,7 +200,12 @@ impl TimeProfiler {
     /// one line per stack, `cronus;<category>[;<detail>] <nanoseconds>`.
     pub fn folded_stacks(&self) -> String {
         let mut out = String::new();
-        for ((cat, detail), ns) in &self.busy {
+        let in_order = self
+            .index
+            .values()
+            .flat_map(|c| c.plain.iter().chain(c.detailed.values()));
+        for id in in_order {
+            let Frame { cat, detail, ns } = &self.frames[id.0 as usize];
             if *ns == 0 {
                 continue;
             }

@@ -560,10 +560,21 @@ impl QueueUse {
     }
 }
 
+/// Handle to one declared station of a [`QueueObservatory`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct StationId(u32);
+
 /// The registry of every instrumented queue in one run.
+///
+/// A site that reports to the same station on every call keeps the
+/// [`StationId`] its `declare` returned and updates the station through
+/// [`QueueObservatory::at`]; the name-keyed methods look the id up and do
+/// the same.
 #[derive(Clone, Debug, Default)]
 pub struct QueueObservatory {
-    stations: BTreeMap<String, QueueStation>,
+    stations: Vec<QueueStation>,
+    /// `name -> station`, in the name order every report iterates in.
+    by_name: BTreeMap<String, StationId>,
 }
 
 impl QueueObservatory {
@@ -573,14 +584,33 @@ impl QueueObservatory {
     }
 
     /// Registers (or re-registers, keeping history) a queue.
-    pub fn declare(&mut self, name: &str, kind: QueueKind, capacity: u64) {
-        self.stations
-            .entry(name.to_string())
-            .or_insert_with(|| QueueStation::new(name, kind, capacity));
+    pub fn declare(&mut self, name: &str, kind: QueueKind, capacity: u64) -> StationId {
+        if let Some(&id) = self.by_name.get(name) {
+            return id;
+        }
+        let id = StationId(self.stations.len() as u32);
+        self.stations.push(QueueStation::new(name, kind, capacity));
+        self.by_name.insert(name.to_string(), id);
+        id
+    }
+
+    /// The id of the station declared as `name`.
+    pub fn station_id(&self, name: &str) -> Option<StationId> {
+        self.by_name.get(name).copied()
+    }
+
+    /// The station behind a handle, for reporting an edge on it.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `id` came from a different observatory.
+    pub fn at(&mut self, id: StationId) -> &mut QueueStation {
+        &mut self.stations[id.0 as usize]
     }
 
     fn station_mut(&mut self, name: &str) -> Option<&mut QueueStation> {
-        self.stations.get_mut(name)
+        let id = self.station_id(name)?;
+        Some(self.at(id))
     }
 
     /// Records an enqueue on `name` (ignored when undeclared — call sites in
@@ -625,12 +655,15 @@ impl QueueObservatory {
 
     /// Looks up a station.
     pub fn station(&self, name: &str) -> Option<&QueueStation> {
-        self.stations.get(name)
+        self.station_id(name)
+            .map(|id| &self.stations[id.0 as usize])
     }
 
     /// All stations, sorted by name.
     pub fn stations(&self) -> impl Iterator<Item = &QueueStation> {
-        self.stations.values()
+        self.by_name
+            .values()
+            .map(|id| &self.stations[id.0 as usize])
     }
 
     /// Whether any queue has been declared.
@@ -641,8 +674,7 @@ impl QueueObservatory {
     /// Highest current depth across stations matching `prefix` (empty prefix
     /// matches everything). Chaos uses this to assert drained-after-recovery.
     pub fn max_current_depth(&self, prefix: &str) -> u64 {
-        self.stations
-            .values()
+        self.stations()
             .filter(|s| s.name.starts_with(prefix))
             .map(|s| s.depth)
             .max()
@@ -651,8 +683,7 @@ impl QueueObservatory {
 
     /// Highest high-water depth across stations matching `prefix`.
     pub fn high_water_depth(&self, prefix: &str) -> u64 {
-        self.stations
-            .values()
+        self.stations()
             .filter(|s| s.name.starts_with(prefix))
             .map(|s| s.max_depth)
             .max()
@@ -663,7 +694,7 @@ impl QueueObservatory {
     /// stable text form — the byte-identity surface for determinism tests.
     pub fn samples_text(&self) -> String {
         let mut out = String::new();
-        for s in self.stations.values() {
+        for s in self.stations() {
             for q in &s.samples {
                 let _ = writeln!(
                     out,
@@ -682,8 +713,7 @@ impl QueueObservatory {
     /// Builds the analysis report at the given Little's-law tolerance.
     pub fn report(&self, tolerance: f64) -> QueueReport {
         let mut queues: Vec<QueueUse> = self
-            .stations
-            .values()
+            .stations()
             .filter(|s| s.enqueues > 0 || s.errors > 0)
             .map(|s| s.use_metrics(tolerance))
             .collect();

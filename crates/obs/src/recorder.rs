@@ -3,20 +3,29 @@
 //! metrics counters in exact agreement with the simulator's [`EventLog`]
 //! (both are driven by the same `Machine::record` call).
 //!
+//! Recording happens on [`RecorderInner`], under the handle's lock. Each
+//! [`FlightRecorder`] method is one locked call of the `RecorderInner`
+//! method of the same name; a site that records several things per
+//! operation takes the lock once with [`FlightRecorder::with`] and calls
+//! those methods directly, passing ids it resolved earlier (see
+//! OBSERVABILITY.md, "What observing costs").
+//!
 //! [`EventLog`]: cronus_sim::EventLog
 
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use cronus_sim::{EventKind, EventSink, SimNs};
 
 use crate::causal::CausalReport;
+use crate::intern::IntoName;
 use crate::json::Json;
 use crate::meter::{
     ConservationRow, CountResource, MeterError, MeterScope, ResourceMeter, WorkerId,
 };
-use crate::metrics::{labels, LabelSet, MetricsRegistry};
-use crate::profile::{TimeCategory, TimeProfiler};
-use crate::queue::{QueueKind, QueueObservatory, QueueReport};
+use crate::metrics::{CounterId, MetricsRegistry};
+use crate::profile::{FrameId, TimeCategory, TimeProfiler};
+use crate::queue::{QueueKind, QueueObservatory, QueueReport, StationId};
 use crate::span::{ReqId, SpanId, SpanTracer, TrackId};
 
 /// Everything one run records.
@@ -36,6 +45,78 @@ pub struct RecorderInner {
     next_req: u64,
 }
 
+impl RecorderInner {
+    /// Allocates the next request id (monotonic per system, starting at 1).
+    pub fn alloc_req(&mut self) -> ReqId {
+        self.next_req += 1;
+        ReqId(self.next_req)
+    }
+
+    /// Opens a span (see [`SpanTracer::begin`]), advancing the elapsed-time
+    /// watermark to `at`.
+    pub fn begin_span(
+        &mut self,
+        track: TrackId,
+        name: impl IntoName,
+        cat: &'static str,
+        at: SimNs,
+    ) -> SpanId {
+        self.profiler.observe_instant(at);
+        self.spans.begin(track, name, cat, at)
+    }
+
+    /// Closes a span (see [`SpanTracer::end`]), advancing the watermark.
+    pub fn end_span(&mut self, track: TrackId, id: SpanId, at: SimNs) {
+        self.profiler.observe_instant(at);
+        self.spans.end(track, id, at)
+    }
+
+    /// Records a closed interval span (see [`SpanTracer::complete`]),
+    /// advancing the watermark to `end`.
+    pub fn complete_span(
+        &mut self,
+        track: TrackId,
+        name: impl IntoName,
+        cat: &'static str,
+        start: SimNs,
+        end: SimNs,
+    ) -> SpanId {
+        self.profiler.observe_instant(end);
+        self.spans.complete(track, name, cat, start, end)
+    }
+
+    /// Charges simulated time to a resolved profiler frame and to the
+    /// ambient meter scope's ledger. Feeding both from one call is what
+    /// makes the meter's conservation check an exact equality.
+    pub fn charge_frame(&mut self, frame: FrameId, d: SimNs) {
+        let cat = self.profiler.charge_frame(frame, d);
+        self.meter.charge_time(cat, d);
+    }
+
+    /// Records a dequeue edge on `station`: the item left at `at` after
+    /// waiting `wait` and being served for `service`. When an ambient
+    /// request is active its ReqId is attached as a wait exemplar, so the
+    /// p99 tail of each wait histogram stays attributable.
+    pub fn queue_dequeue(&mut self, station: StationId, at: SimNs, wait: SimNs, service: SimNs) {
+        let req = self.spans.current_req();
+        self.queues.at(station).dequeue_req(at, wait, service, req);
+    }
+
+    /// Records that the ambient scope's current request occupied `worker`
+    /// for `[start, end)` (interference-matrix raw material).
+    pub fn meter_occupy(&mut self, worker: WorkerId, start: SimNs, end: SimNs) {
+        let req = self.spans.current_req();
+        self.meter.record_occupancy(worker, req, start, end);
+    }
+
+    /// Records that the ambient scope's current request waited on `worker`
+    /// from `enqueued` until `started`.
+    pub fn meter_wait(&mut self, worker: WorkerId, enqueued: SimNs, started: SimNs) {
+        let req = self.spans.current_req();
+        self.meter.record_wait(worker, req, enqueued, started);
+    }
+}
+
 /// A cheaply-cloneable handle to one run's observability state.
 ///
 /// Clones share the same underlying store; one clone is typically boxed as
@@ -53,11 +134,13 @@ impl FlightRecorder {
     }
 
     /// Locks the store for direct access (tests, exporters).
+    #[inline]
     pub fn lock(&self) -> MutexGuard<'_, RecorderInner> {
         self.inner.lock().unwrap_or_else(|e| e.into_inner())
     }
 
     /// Runs `f` with the locked store.
+    #[inline]
     pub fn with<R>(&self, f: impl FnOnce(&mut RecorderInner) -> R) -> R {
         f(&mut self.lock())
     }
@@ -66,10 +149,7 @@ impl FlightRecorder {
 
     /// Allocates the next request id (monotonic per system, starting at 1).
     pub fn alloc_req(&self) -> ReqId {
-        self.with(|r| {
-            r.next_req += 1;
-            ReqId(r.next_req)
-        })
+        self.with(RecorderInner::alloc_req)
     }
 
     /// Sets (or clears) the ambient request: every span opened while it is
@@ -90,53 +170,50 @@ impl FlightRecorder {
         self.with(|r| r.spans.track(name))
     }
 
-    /// Opens a span; see [`SpanTracer::begin`].
+    /// Opens a span; see [`RecorderInner::begin_span`].
     pub fn begin_span(
         &self,
         track: TrackId,
-        name: impl Into<String>,
+        name: impl IntoName,
         cat: &'static str,
         at: SimNs,
     ) -> SpanId {
-        self.with(|r| {
-            r.profiler.observe_instant(at);
-            r.spans.begin(track, name, cat, at)
-        })
+        self.with(|r| r.begin_span(track, name, cat, at))
     }
 
-    /// Closes a span; see [`SpanTracer::end`].
+    /// Closes a span; see [`RecorderInner::end_span`].
     pub fn end_span(&self, track: TrackId, id: SpanId, at: SimNs) {
-        self.with(|r| {
-            r.profiler.observe_instant(at);
-            r.spans.end(track, id, at)
-        })
+        self.with(|r| r.end_span(track, id, at))
     }
 
-    /// Records a closed interval span; see [`SpanTracer::complete`].
+    /// Records a closed interval span; see [`RecorderInner::complete_span`].
     pub fn complete_span(
         &self,
         track: TrackId,
-        name: impl Into<String>,
+        name: impl IntoName,
         cat: &'static str,
         start: SimNs,
         end: SimNs,
     ) -> SpanId {
-        self.with(|r| {
-            r.profiler.observe_instant(end);
-            r.spans.complete(track, name, cat, start, end)
-        })
+        self.with(|r| r.complete_span(track, name, cat, start, end))
     }
 
     // --- metric conveniences -------------------------------------------
 
     /// Adds to a counter.
     pub fn counter_add(&self, name: &str, lbls: &[(&str, &str)], delta: u64) {
-        self.with(|r| r.metrics.counter_add(name, labels(lbls), delta));
+        self.with(|r| {
+            let id = r.metrics.counter_id(name, lbls);
+            r.metrics.counter_bump(id, delta);
+        });
     }
 
     /// Sets a gauge.
     pub fn gauge_set(&self, name: &str, lbls: &[(&str, &str)], value: i64) {
-        self.with(|r| r.metrics.gauge_set(name, labels(lbls), value));
+        self.with(|r| {
+            let id = r.metrics.gauge_id(name, lbls);
+            r.metrics.gauge_store(id, value);
+        });
     }
 
     /// Sums a counter across all label sets (used by the forensics
@@ -147,14 +224,17 @@ impl FlightRecorder {
 
     /// Records a histogram observation.
     pub fn observe(&self, name: &str, lbls: &[(&str, &str)], d: SimNs) {
-        self.with(|r| r.metrics.observe(name, labels(lbls), d));
+        self.with(|r| {
+            let id = r.metrics.histogram_id(name, lbls);
+            r.metrics.histogram_record(id, d);
+        });
     }
 
     // --- queue observatory conveniences --------------------------------
 
     /// Declares a queue station (idempotent).
-    pub fn queue_declare(&self, name: &str, kind: QueueKind, capacity: u64) {
-        self.with(|r| r.queues.declare(name, kind, capacity));
+    pub fn queue_declare(&self, name: &str, kind: QueueKind, capacity: u64) -> StationId {
+        self.with(|r| r.queues.declare(name, kind, capacity))
     }
 
     /// Records an enqueue edge on `name` at virtual instant `at`.
@@ -162,14 +242,13 @@ impl FlightRecorder {
         self.with(|r| r.queues.enqueue(name, at));
     }
 
-    /// Records a dequeue edge on `name`: the item left at `at` after
-    /// waiting `wait` and being served for `service`. When an ambient
-    /// request is active its ReqId is attached as a wait exemplar, so the
-    /// p99 tail of each wait histogram stays attributable.
+    /// Records a dequeue edge on `name` (ignored when undeclared); see
+    /// [`RecorderInner::queue_dequeue`].
     pub fn queue_dequeue(&self, name: &str, at: SimNs, wait: SimNs, service: SimNs) {
         self.with(|r| {
-            let req = r.spans.current_req();
-            r.queues.dequeue_req(name, at, wait, service, req);
+            if let Some(station) = r.queues.station_id(name) {
+                r.queue_dequeue(station, at, wait, service);
+            }
         });
     }
 
@@ -218,21 +297,20 @@ impl FlightRecorder {
     // --- profiler conveniences -----------------------------------------
 
     /// Charges simulated time to a category — to the profiler and, in the
-    /// same locked step, to the ambient meter scope's ledger. Feeding both
-    /// from one call site is what makes the meter's conservation check an
-    /// exact equality.
+    /// same locked step, to the ambient meter scope's ledger; see
+    /// [`RecorderInner::charge_frame`].
     pub fn charge(&self, cat: TimeCategory, d: SimNs) {
         self.with(|r| {
-            r.profiler.charge(cat, d);
-            r.meter.charge_time(cat, d);
+            let frame = r.profiler.frame(cat, None);
+            r.charge_frame(frame, d);
         });
     }
 
     /// Charges simulated time to a category with a detail frame.
     pub fn charge_detail(&self, cat: TimeCategory, detail: &str, d: SimNs) {
         self.with(|r| {
-            r.profiler.charge_detail(cat, detail, d);
-            r.meter.charge_time(cat, d);
+            let frame = r.profiler.frame(cat, Some(detail));
+            r.charge_frame(frame, d);
         });
     }
 
@@ -255,22 +333,15 @@ impl FlightRecorder {
         self.with(|r| r.meter.add_count(res, amount));
     }
 
-    /// Records that the ambient scope's current request occupied `worker`
-    /// for `[start, end)` (interference-matrix raw material).
+    /// Records an executor occupancy slice; see
+    /// [`RecorderInner::meter_occupy`].
     pub fn meter_occupy(&self, worker: WorkerId, start: SimNs, end: SimNs) {
-        self.with(|r| {
-            let req = r.spans.current_req();
-            r.meter.record_occupancy(worker, req, start, end);
-        });
+        self.with(|r| r.meter_occupy(worker, start, end));
     }
 
-    /// Records that the ambient scope's current request waited on `worker`
-    /// from `enqueued` until `started`.
+    /// Records an executor wait window; see [`RecorderInner::meter_wait`].
     pub fn meter_wait(&self, worker: WorkerId, enqueued: SimNs, started: SimNs) {
-        self.with(|r| {
-            let req = r.spans.current_req();
-            r.meter.record_wait(worker, req, enqueued, started);
-        });
+        self.with(|r| r.meter_wait(worker, enqueued, started));
     }
 
     /// Runs the meter's conservation self-test against the profiler and
@@ -357,7 +428,7 @@ impl FlightRecorder {
     /// Boxes a sink for [`cronus_sim::Machine::set_event_sink`]; events then
     /// feed this recorder's counters.
     pub fn sink(&self) -> Box<dyn EventSink> {
-        Box::new(RecorderSink(self.clone()))
+        Box::new(RecorderSink::new(self.clone()))
     }
 }
 
@@ -366,90 +437,96 @@ impl FlightRecorder {
 /// Counter names mirror [`EventKind`] variants one-to-one, so equality with
 /// `EventLog` query helpers (`context_switches()`, `world_switches()`, …)
 /// holds by construction: the same `record` call drives both.
-pub struct RecorderSink(FlightRecorder);
+pub struct RecorderSink {
+    rec: FlightRecorder,
+    /// The per-stream / per-partition series resolved so far, by
+    /// `(counter name, raw id)`: the decimal label is rendered once per
+    /// series, not once per event.
+    labelled: HashMap<(&'static str, u64), CounterId>,
+}
 
 impl RecorderSink {
     /// Wraps a recorder handle.
     pub fn new(rec: FlightRecorder) -> Self {
-        RecorderSink(rec)
+        RecorderSink {
+            rec,
+            labelled: HashMap::new(),
+        }
     }
 }
 
 impl EventSink for RecorderSink {
     fn on_event(&mut self, at: SimNs, kind: &EventKind) {
-        self.0.with(|r| {
+        let labelled = &mut self.labelled;
+        self.rec.with(|r| {
             r.profiler.observe_instant(at);
             let m = &mut r.metrics;
+            let plain = |m: &mut MetricsRegistry, name: &str, delta: u64| {
+                let id = m.counter_id(name, &[]);
+                m.counter_bump(id, delta);
+            };
+            // `raw` identifies the series; `value` renders its label.
+            let mut one = |m: &mut MetricsRegistry,
+                           name: &'static str,
+                           key: &str,
+                           raw: u64,
+                           value: &dyn std::fmt::Display| {
+                let id = *labelled
+                    .entry((name, raw))
+                    .or_insert_with(|| m.counter_id(name, &[(key, &value.to_string())]));
+                m.counter_bump(id, 1);
+            };
+            let partition_of = |p: &cronus_sim::AsId| u64::from(p.as_u32());
             match kind {
                 EventKind::WorldSwitch => {
-                    m.counter_add("world_switches", LabelSet::empty(), 1);
+                    plain(m, "world_switches", 1);
                     r.meter.add_count(CountResource::WorldSwitches, 1);
                 }
                 EventKind::ContextSwitch { to, .. } => {
-                    m.counter_add("context_switches", labels(&[("to", &to.to_string())]), 1);
+                    one(m, "context_switches", "to", partition_of(to), to);
                 }
                 EventKind::RpcEnqueue { stream } => {
-                    m.counter_add(
-                        "srpc.enqueued",
-                        labels(&[("stream", &stream.to_string())]),
-                        1,
-                    );
+                    one(m, "srpc.enqueued", "stream", *stream, stream);
                 }
                 EventKind::RpcDispatch { stream } => {
-                    m.counter_add(
-                        "srpc.dispatched",
-                        labels(&[("stream", &stream.to_string())]),
-                        1,
-                    );
+                    one(m, "srpc.dispatched", "stream", *stream, stream);
                 }
                 EventKind::RpcSync { stream } => {
-                    m.counter_add("srpc.syncs", labels(&[("stream", &stream.to_string())]), 1);
+                    one(m, "srpc.syncs", "stream", *stream, stream);
                 }
                 EventKind::EncryptedRpc { bytes } => {
-                    m.counter_add("encrypted_rpc.messages", LabelSet::empty(), 1);
-                    m.counter_add("encrypted_rpc.bytes", LabelSet::empty(), *bytes);
+                    plain(m, "encrypted_rpc.messages", 1);
+                    plain(m, "encrypted_rpc.bytes", *bytes);
                 }
                 EventKind::Faulted(_) => {
-                    m.counter_add("faults", LabelSet::empty(), 1);
+                    plain(m, "faults", 1);
                 }
                 EventKind::PartitionFailed { partition } => {
-                    m.counter_add(
-                        "partition.failed",
-                        labels(&[("partition", &partition.to_string())]),
-                        1,
-                    );
+                    let raw = partition_of(partition);
+                    one(m, "partition.failed", "partition", raw, partition);
                 }
                 EventKind::PartitionCleared { partition } => {
-                    m.counter_add(
-                        "partition.cleared",
-                        labels(&[("partition", &partition.to_string())]),
-                        1,
-                    );
+                    let raw = partition_of(partition);
+                    one(m, "partition.cleared", "partition", raw, partition);
                 }
                 EventKind::PartitionRecovered { partition } => {
-                    m.counter_add(
-                        "partition.recovered",
-                        labels(&[("partition", &partition.to_string())]),
-                        1,
-                    );
+                    let raw = partition_of(partition);
+                    one(m, "partition.recovered", "partition", raw, partition);
                 }
                 EventKind::MemoryShared { pages, .. } => {
-                    m.counter_add("memory.shared_pages", LabelSet::empty(), *pages as u64);
+                    plain(m, "memory.shared_pages", *pages as u64);
                     r.meter.add_count(CountResource::Stage2Pages, *pages as u64);
                 }
                 EventKind::FailureSignal { partition } => {
-                    m.counter_add(
-                        "failure.signals",
-                        labels(&[("partition", &partition.to_string())]),
-                        1,
-                    );
+                    let raw = partition_of(partition);
+                    one(m, "failure.signals", "partition", raw, partition);
                 }
                 EventKind::DeviceIrq { count } => {
-                    m.counter_add("device.irqs", LabelSet::empty(), *count as u64);
+                    plain(m, "device.irqs", *count as u64);
                     r.meter.add_count(CountResource::DeviceIrqs, *count as u64);
                 }
                 EventKind::Marker(label) => {
-                    m.counter_add("markers", LabelSet::empty(), 1);
+                    plain(m, "markers", 1);
                     r.spans.instant(*label, at);
                 }
             }

@@ -5,11 +5,16 @@
 //! nest: `begin` pushes onto the track's stack, `end` pops (auto-closing any
 //! children still open above the span being ended), so app → mEnclave →
 //! sRPC call → device kernel hierarchies come out for free.
+//!
+//! Span and track names are interned ([`crate::intern`]): a span stores a
+//! [`NameId`], and `begin`/`complete` take either an id resolved earlier
+//! with [`SpanTracer::intern`] or plain text, which is interned on the spot.
 
 use std::collections::HashMap;
 
 use cronus_sim::SimNs;
 
+use crate::intern::{Interner, IntoName, NameId};
 use crate::json::Json;
 
 /// Identifies a span within one tracer.
@@ -45,8 +50,8 @@ pub struct Span {
     pub parent: Option<SpanId>,
     /// Track the span lives on.
     pub track: TrackId,
-    /// Display name (e.g. the mcall name).
-    pub name: String,
+    /// Display name (e.g. the mcall name); [`SpanTracer::name`] has its text.
+    pub name: NameId,
     /// Category (e.g. `"srpc"`, `"kernel"`, `"recovery"`).
     pub cat: &'static str,
     /// Start instant.
@@ -69,12 +74,14 @@ pub struct Instant {
 /// The span store. See the module docs for the nesting model.
 #[derive(Default, Debug)]
 pub struct SpanTracer {
-    track_names: Vec<String>,
-    track_index: HashMap<String, TrackId>,
+    /// Track names; a [`TrackId`] is the interning index.
+    tracks: Interner,
+    /// Span names.
+    names: Interner,
     spans: Vec<Span>,
     instants: Vec<Instant>,
-    /// Per-track stack of open span indices into `spans`.
-    open: HashMap<TrackId, Vec<usize>>,
+    /// Per-track stack of open span indices into `spans`, by track index.
+    open: Vec<Vec<usize>>,
     next_id: u64,
     /// Ambient request: stamped into every span opened while set, so deep
     /// instrumentation sites (device HALs, recovery) need no plumbing.
@@ -89,13 +96,26 @@ impl SpanTracer {
 
     /// Returns the track named `name`, creating it on first use.
     pub fn track(&mut self, name: &str) -> TrackId {
-        if let Some(&id) = self.track_index.get(name) {
-            return id;
+        TrackId(self.tracks.intern(name).index())
+    }
+
+    /// Interns a span name so later `begin`/`complete` calls can pass the
+    /// id and allocate nothing.
+    pub fn intern(&mut self, name: &str) -> NameId {
+        self.names.intern(name)
+    }
+
+    /// The text of a span name.
+    pub fn name(&self, id: NameId) -> &str {
+        self.names.resolve(id)
+    }
+
+    /// The open-span stack of `track`.
+    fn open_mut(&mut self, track: TrackId) -> &mut Vec<usize> {
+        if track.0 >= self.open.len() {
+            self.open.resize_with(track.0 + 1, Vec::new);
         }
-        let id = TrackId(self.track_names.len());
-        self.track_names.push(name.to_string());
-        self.track_index.insert(name.to_string(), id);
-        id
+        &mut self.open[track.0]
     }
 
     /// Sets (or clears) the ambient request stamped into new spans.
@@ -112,20 +132,23 @@ impl SpanTracer {
     pub fn begin(
         &mut self,
         track: TrackId,
-        name: impl Into<String>,
+        name: impl IntoName,
         cat: &'static str,
         at: SimNs,
     ) -> SpanId {
-        let stack = self.open.entry(track).or_default();
-        let parent = stack.last().map(|&i| self.spans[i].id);
+        let name = name.into_name(&mut self.names);
+        let index = self.spans.len();
+        let stack = self.open_mut(track);
+        let top = stack.last().copied();
+        stack.push(index);
+        let parent = top.map(|i| self.spans[i].id);
         let id = SpanId(self.next_id);
         self.next_id += 1;
-        stack.push(self.spans.len());
         self.spans.push(Span {
             id,
             parent,
             track,
-            name: name.into(),
+            name,
             cat,
             start: at,
             end: None,
@@ -138,13 +161,13 @@ impl SpanTracer {
     /// same track are closed at the same instant (a parent cannot outlive
     /// its enclosing scope in the simulated call structure).
     pub fn end(&mut self, track: TrackId, id: SpanId, at: SimNs) {
-        let stack = self.open.entry(track).or_default();
-        while let Some(&idx) = stack.last() {
+        let Some(stack) = self.open.get_mut(track.0) else {
+            return;
+        };
+        while let Some(idx) = stack.pop() {
             let span = &mut self.spans[idx];
-            let done = span.id == id;
             span.end = Some(at.max(span.start));
-            stack.pop();
-            if done {
+            if span.id == id {
                 return;
             }
         }
@@ -155,14 +178,15 @@ impl SpanTracer {
     pub fn complete(
         &mut self,
         track: TrackId,
-        name: impl Into<String>,
+        name: impl IntoName,
         cat: &'static str,
         start: SimNs,
         end: SimNs,
     ) -> SpanId {
+        let name = name.into_name(&mut self.names);
         let parent = self
             .open
-            .get(&track)
+            .get(track.0)
             .and_then(|s| s.last())
             .map(|&i| self.spans[i].id);
         let id = SpanId(self.next_id);
@@ -171,7 +195,7 @@ impl SpanTracer {
             id,
             parent,
             track,
-            name: name.into(),
+            name,
             cat,
             start,
             end: Some(end.max(start)),
@@ -190,7 +214,7 @@ impl SpanTracer {
 
     /// Closes every still-open span at `at`.
     pub fn finish_all(&mut self, at: SimNs) {
-        for stack in self.open.values_mut() {
+        for stack in &mut self.open {
             while let Some(idx) = stack.pop() {
                 let span = &mut self.spans[idx];
                 span.end = Some(at.max(span.start));
@@ -210,12 +234,16 @@ impl SpanTracer {
 
     /// Number of spans currently open on `track`.
     pub fn open_depth(&self, track: TrackId) -> usize {
-        self.open.get(&track).map_or(0, Vec::len)
+        self.open.get(track.0).map_or(0, Vec::len)
     }
 
     /// Name of a track.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `track` was not created by this tracer.
     pub fn track_name(&self, track: TrackId) -> &str {
-        &self.track_names[track.0]
+        self.tracks.nth(track.0).expect("track of this tracer")
     }
 
     /// Checks the structural invariants the trace format relies on:
@@ -225,30 +253,28 @@ impl SpanTracer {
     pub fn validate(&self) -> Result<(), String> {
         let by_id: HashMap<SpanId, &Span> = self.spans.iter().map(|s| (s.id, s)).collect();
         for span in &self.spans {
+            let name = self.name(span.name);
             if let Some(end) = span.end {
                 if end < span.start {
-                    return Err(format!("span {:?} ends before it starts", span.name));
+                    return Err(format!("span {name:?} ends before it starts"));
                 }
             }
             if let Some(pid) = span.parent {
                 let parent = by_id
                     .get(&pid)
-                    .ok_or_else(|| format!("span {:?} has unknown parent", span.name))?;
+                    .ok_or_else(|| format!("span {name:?} has unknown parent"))?;
+                let parent_name = self.name(parent.name);
                 if parent.track != span.track {
-                    return Err(format!("span {:?} crosses tracks", span.name));
+                    return Err(format!("span {name:?} crosses tracks"));
                 }
                 if span.start < parent.start {
                     return Err(format!(
-                        "child {:?} starts before parent {:?}",
-                        span.name, parent.name
+                        "child {name:?} starts before parent {parent_name:?}"
                     ));
                 }
                 if let (Some(ce), Some(pe)) = (span.end, parent.end) {
                     if ce > pe {
-                        return Err(format!(
-                            "child {:?} outlives parent {:?}",
-                            span.name, parent.name
-                        ));
+                        return Err(format!("child {name:?} outlives parent {parent_name:?}"));
                     }
                 }
             }
@@ -263,19 +289,19 @@ impl SpanTracer {
     /// first if they should appear.
     pub fn chrome_trace_json(&self) -> String {
         let mut events = Vec::new();
-        for (i, name) in self.track_names.iter().enumerate() {
+        for (i, name) in self.tracks.names().enumerate() {
             events.push(Json::obj([
                 ("name", Json::from("thread_name")),
                 ("ph", Json::from("M")),
                 ("pid", Json::U64(1)),
                 ("tid", Json::U64(i as u64 + 1)),
-                ("args", Json::obj([("name", Json::from(name.as_str()))])),
+                ("args", Json::obj([("name", Json::from(name))])),
             ]));
         }
         for span in &self.spans {
             let Some(end) = span.end else { continue };
             events.push(Json::obj([
-                ("name", Json::from(span.name.as_str())),
+                ("name", Json::from(self.name(span.name))),
                 ("cat", Json::from(span.cat)),
                 ("ph", Json::from("X")),
                 ("ts", Json::F64(span.start.as_nanos() as f64 / 1e3)),

@@ -51,7 +51,10 @@ impl fmt::Display for World {
 #[derive(Debug)]
 pub struct PhysMem {
     base: PhysAddr,
-    pages: Vec<Box<[u8]>>,
+    /// All of DRAM as one zeroed slab; page `n` is the `n`-th `PAGE_SIZE`
+    /// slice. One allocation the OS hands over already zeroed, instead of
+    /// one boxed page per frame filled at boot.
+    dram: Vec<u8>,
     free_normal: BTreeSet<u64>,
     free_secure: BTreeSet<u64>,
     normal: PhysRange,
@@ -73,14 +76,12 @@ impl PhysMem {
         );
         let total = normal_pages + secure_pages;
         let first_page = base.page_number();
-        let pages = (0..total)
-            .map(|_| vec![0u8; PAGE_SIZE as usize].into_boxed_slice())
-            .collect();
+        let dram = vec![0u8; (total * PAGE_SIZE) as usize];
         let normal = PhysRange::from_base_len(base, normal_pages * PAGE_SIZE);
         let secure = PhysRange::from_base_len(normal.end(), secure_pages * PAGE_SIZE);
         PhysMem {
             base,
-            pages,
+            dram,
             free_normal: (first_page..first_page + normal_pages).collect(),
             free_secure: (first_page + normal_pages..first_page + total).collect(),
             normal,
@@ -151,16 +152,17 @@ impl PhysMem {
         self.page_mut(page).fill(0);
     }
 
-    fn page_index(&self, pa: PhysAddr) -> Result<usize, Fault> {
+    /// Byte offset of `pa` within the slab.
+    fn offset_of(&self, pa: PhysAddr) -> Result<usize, Fault> {
         if !self.dram_range().contains(pa) {
             return Err(Fault::BusAbort { pa });
         }
-        Ok((pa.page_number() - self.base.page_number()) as usize)
+        Ok((pa.as_u64() - self.base.as_u64()) as usize)
     }
 
     fn page_mut(&mut self, page: u64) -> &mut [u8] {
-        let idx = (page - self.base.page_number()) as usize;
-        &mut self.pages[idx]
+        let start = ((page - self.base.page_number()) * PAGE_SIZE) as usize;
+        &mut self.dram[start..start + PAGE_SIZE as usize]
     }
 
     /// Reads `buf.len()` bytes at `pa` on behalf of `world`, filtered by
@@ -179,15 +181,11 @@ impl PhysMem {
         buf: &mut [u8],
     ) -> Result<(), Fault> {
         self.check(tzasc, world, pa, buf.len() as u64)?;
-        let mut remaining: &mut [u8] = buf;
-        let mut cur = pa;
-        while !remaining.is_empty() {
-            let idx = self.page_index(cur)?;
-            let off = cur.page_offset() as usize;
-            let n = remaining.len().min(PAGE_SIZE as usize - off);
-            remaining[..n].copy_from_slice(&self.pages[idx][off..off + n]);
-            remaining = &mut remaining[n..];
-            cur = cur.add(n as u64);
+        if !buf.is_empty() {
+            // `check` placed the whole range inside DRAM, which is
+            // contiguous: pages need no stitching.
+            let at = self.offset_of(pa)?;
+            buf.copy_from_slice(&self.dram[at..at + buf.len()]);
         }
         Ok(())
     }
@@ -205,15 +203,9 @@ impl PhysMem {
         data: &[u8],
     ) -> Result<(), Fault> {
         self.check(tzasc, world, pa, data.len() as u64)?;
-        let mut remaining = data;
-        let mut cur = pa;
-        while !remaining.is_empty() {
-            let idx = self.page_index(cur)?;
-            let off = cur.page_offset() as usize;
-            let n = remaining.len().min(PAGE_SIZE as usize - off);
-            self.pages[idx][off..off + n].copy_from_slice(&remaining[..n]);
-            remaining = &remaining[n..];
-            cur = cur.add(n as u64);
+        if !data.is_empty() {
+            let at = self.offset_of(pa)?;
+            self.dram[at..at + data.len()].copy_from_slice(data);
         }
         Ok(())
     }

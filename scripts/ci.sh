@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Local CI gate: formatting, lints, offline tier-1 build + tests.
+# Local CI gate: formatting, lints, offline tier-1 build + tests, and the
+# benchmark package's own build + self-tests.
 #
 # Everything runs offline (the workspace has no crates.io dependencies), so
 # this is exactly what a hermetic CI job would run.
@@ -96,6 +97,14 @@ cargo test --offline -q
 
 echo "==> workspace tests"
 cargo test --offline -q --workspace
+
+# benchmark/ is its own workspace, so nothing above compiles it. It builds
+# against the public obs/core/ring API (FlightRecorder's string-keyed
+# methods, RecorderInner's stores, the slot codec); running its self-tests
+# here makes an accidental signature change fail locally instead of in the
+# benchmark driver.
+echo "==> benchmark package: build + self-tests (own workspace)"
+cargo test --offline -q --manifest-path benchmark/Cargo.toml
 
 if [[ "$run_lint" -eq 1 ]]; then
   echo "==> lint gate: cronus-lint v2 (taint + panic-reachability, ratcheted)"

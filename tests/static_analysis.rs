@@ -47,6 +47,27 @@ fn scaffold() -> Vec<(String, String)> {
              }\n"
             .into(),
         ),
+        // The resolve-once surface: names and labels enter the stores here
+        // when a caller records through handles.
+        (
+            "crates/obs/src/intern.rs".into(),
+            "pub struct Interner;\n\
+             impl Interner {\n\
+                 pub fn intern(&mut self, name: &str) -> u32 { name.len() as u32 }\n\
+             }\n"
+            .into(),
+        ),
+        (
+            "crates/obs/src/metrics.rs".into(),
+            "pub struct MetricsRegistry;\n\
+             impl MetricsRegistry {\n\
+                 pub fn counter_id(&mut self, name: &str, pairs: &[(&str, &str)]) -> u32 {\n\
+                     (name.len() + pairs.len()) as u32\n\
+                 }\n\
+                 pub fn counter_bump(&mut self, id: u32, delta: u64) { let _ = (id, delta); }\n\
+             }\n"
+            .into(),
+        ),
     ]
 }
 
@@ -129,6 +150,96 @@ fn decoded_payload_into_ledger_trips_secret_taint_only() {
         "{notes:?}"
     );
     assert!(notes.iter().any(|n| n.contains("`req`")), "{notes:?}");
+}
+
+#[test]
+fn secret_key_into_interned_span_name_trips_secret_taint_only() {
+    // The key→span leak again, written the handle way: the name is
+    // interned once and only the id reaches the span. The interner is where
+    // the text enters the trace, so it is where the chain must end.
+    let r = report_for(vec![(
+        "crates/spm/src/monitor.rs".into(),
+        "use cronus_crypto::schnorr::KeyPair;\n\
+         use cronus_obs::intern::Interner;\n\
+         pub fn boot_monitor(names: &mut Interner) -> u32 {\n\
+             let platform = KeyPair::from_seed(\"fused-rom\");\n\
+             names.intern(&format!(\"boot key={platform}\"))\n\
+         }\n"
+        .into(),
+    )]);
+    assert_eq!(r.findings.len(), 1, "exactly one finding:\n{}", r.render());
+    let f = &r.findings[0];
+    assert_eq!(f.rule, "secret-taint");
+    assert_eq!(f.path, "crates/spm/src/monitor.rs");
+    assert_eq!(f.line, 5);
+    assert!(f.message.contains("Interner::intern"), "{}", f.message);
+    let notes = chain_notes(&r, 0);
+    assert!(
+        notes[0].contains("secret source `cronus_crypto::schnorr::KeyPair::from_seed`"),
+        "{notes:?}"
+    );
+    assert!(notes.last().unwrap().contains("sink `intern`"), "{notes:?}");
+}
+
+#[test]
+fn decoded_payload_into_resolved_label_trips_secret_taint_only() {
+    // The payload→label leak, written the handle way: the series is
+    // resolved with the decoded text as a label value and later updates
+    // carry only the id. Resolution is the sink.
+    let r = report_for(vec![
+        (
+            "crates/core/src/ring.rs".into(),
+            "pub struct Request { pub name: String }\n\
+             pub fn decode_request(slot: &[u8]) -> Request {\n\
+                 Request { name: format!(\"{}\", slot.len()) }\n\
+             }\n"
+            .into(),
+        ),
+        (
+            "crates/core/src/srpc.rs".into(),
+            "use cronus_obs::metrics::MetricsRegistry;\n\
+             pub fn count_request(m: &mut MetricsRegistry, slot: &[u8]) {\n\
+                 let req = decode_request(slot);\n\
+                 let id = m.counter_id(\"srpc.calls\", &[(\"payload\", &req.name)]);\n\
+                 m.counter_bump(id, 1);\n\
+             }\n"
+            .into(),
+        ),
+    ]);
+    // Two hops of one leak: the resolution takes the text, and the id it
+    // returns carries the taint into the update.
+    assert_eq!(r.findings.len(), 2, "resolve + update:\n{}", r.render());
+    assert!(r.findings.iter().all(|f| f.rule == "secret-taint"));
+    assert!(r
+        .findings
+        .iter()
+        .all(|f| f.path == "crates/core/src/srpc.rs"));
+    let (resolve, update) = (&r.findings[0], &r.findings[1]);
+    assert_eq!((resolve.line, update.line), (4, 5));
+    assert!(
+        resolve.message.contains("MetricsRegistry::counter_id"),
+        "{}",
+        resolve.message
+    );
+    assert!(
+        update.message.contains("MetricsRegistry::counter_bump"),
+        "{}",
+        update.message
+    );
+    let notes = chain_notes(&r, 0);
+    assert!(
+        notes[0].contains("secret source `cronus_core::ring::decode_request`"),
+        "{notes:?}"
+    );
+    assert!(notes.iter().any(|n| n.contains("`req`")), "{notes:?}");
+    assert!(
+        notes.last().unwrap().contains("sink `counter_id`"),
+        "{notes:?}"
+    );
+    assert!(
+        chain_notes(&r, 1).iter().any(|n| n.contains("`id`")),
+        "the handle carries the taint"
+    );
 }
 
 #[test]
