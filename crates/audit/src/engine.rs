@@ -352,59 +352,13 @@ pub fn run(set: &SourceSet) -> Report {
         }
     }
 
-    // ---- 4. deprecated-api ------------------------------------------
-    for (f, node) in g.fns.iter().enumerate() {
-        let file = &parsed_owned[node.file];
-        if node.item.is_test || file.path == rules::DEPRECATED_EXEMPT {
-            continue;
-        }
-        for (ci, site) in node.facts.calls.iter().enumerate() {
-            let targets = &g.call_targets[f][ci];
-            if targets.is_empty() || !targets.iter().all(|&t| g.fns[t].item.is_deprecated) {
-                continue;
-            }
-            let target = &g.fns[targets[0]].item;
-            findings.push(Finding {
-                rule: "deprecated-api",
-                path: file.path.clone(),
-                line: site.line,
-                message: format!(
-                    "call to deprecated `{}` from `{}`; use the replacement \
-                     named in its #[deprecated] note",
-                    target.qual, node.item.qual
-                ),
-                chain: vec![Step {
-                    path: parsed_owned[g.fns[targets[0]].file].path.clone(),
-                    line: target.line,
-                    note: format!("`{}` declared #[deprecated] here", target.qual),
-                }],
-            });
-        }
-    }
-    for file in &parsed_owned {
-        if file.path == rules::DEPRECATED_EXEMPT || !analyzed_scope(&file.path) {
-            continue;
-        }
-        for &line in &file.allow_deprecated {
-            findings.push(Finding {
-                rule: "deprecated-api",
-                path: file.path.clone(),
-                line,
-                message: "`#[allow(deprecated)]` outside crates/core/src/compat.rs; \
-                          migrate the call instead of silencing the compiler"
-                    .into(),
-                chain: Vec::new(),
-            });
-        }
-    }
-
-    // ---- 5 & 6. wall clock, string errors ---------------------------
+    // ---- 4 & 5. wall clock, string errors ---------------------------
     for file in &parsed_owned {
         rules::wall_clock_findings(file, &mut findings);
         rules::string_error_findings(file, &mut findings);
     }
 
-    // ---- 7. allowlist hygiene ---------------------------------------
+    // ---- 6. allowlist hygiene ---------------------------------------
     for e in &allow {
         if !e.used {
             findings.push(Finding {
@@ -598,24 +552,6 @@ mod tests {
     }
 
     #[test]
-    fn deprecated_calls_resolved_not_matched() {
-        let r = run(&set(&[
-            (
-                "crates/core/src/compat.rs",
-                "pub struct S;\nimpl S {\n#[deprecated(note = \"use new\")]\npub fn old(&self) {}\n}\n",
-            ),
-            (
-                "crates/mos/src/x.rs",
-                "use cronus_core::compat::S;\npub fn f(s: &S) { s.old(); }\n",
-            ),
-        ]));
-        assert_eq!(r.findings.len(), 1, "{}", r.render());
-        assert_eq!(r.findings[0].rule, "deprecated-api");
-        assert_eq!(r.findings[0].path, "crates/mos/src/x.rs");
-        assert!(!r.findings[0].chain.is_empty());
-    }
-
-    #[test]
     fn report_is_byte_identical_across_runs() {
         let files = &[(
             "crates/core/src/x.rs",
@@ -625,5 +561,50 @@ mod tests {
         let b = run(&set(files));
         assert_eq!(a.render(), b.render());
         assert_eq!(a.render_json(), b.render_json());
+    }
+
+    /// The repo root: `CARGO_MANIFEST_DIR` is `crates/audit`, two below it.
+    fn repo() -> SourceSet {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+        SourceSet::load(&root).expect("sources load")
+    }
+
+    /// Every declared source/sink/sanitizer/root suffix must resolve to
+    /// at least one function in this repo — a dead entry means the rule
+    /// silently stopped covering what it claims to cover (exactly how a
+    /// `crypto::measure` entry once went dead when segment alignment
+    /// rejected it against `cronus_crypto::measure`).
+    #[test]
+    fn every_configured_path_resolves_in_this_repo() {
+        use crate::graph::path_ends_with;
+
+        let parsed: Vec<_> = repo().files.into_iter().map(|f| f.parsed).collect();
+        let facts: Vec<Vec<_>> = parsed
+            .iter()
+            .map(|f| f.fns.iter().map(|i| extract(&f.tokens, i)).collect())
+            .collect();
+        let g = CallGraph::build(&parsed, &facts);
+        let mut dead = Vec::new();
+        for suffix in rules::SOURCE_PATHS
+            .iter()
+            .chain(&rules::SINK_PATHS)
+            .chain(&rules::SANITIZER_PATHS)
+            .chain(&rules::ROOT_PATHS)
+        {
+            if !g.fns.iter().any(|n| path_ends_with(&n.item.qual, suffix)) {
+                dead.push(*suffix);
+            }
+        }
+        assert!(dead.is_empty(), "dead rule-config entries: {dead:?}");
+    }
+
+    #[test]
+    fn this_repo_lints_clean_under_its_baseline() {
+        let report = run(&repo());
+        assert!(report.files_scanned > 50, "whole repo scanned");
+        let text = include_str!("../../../LINT_BASELINE.json");
+        let base = crate::baseline::Baseline::parse(text).expect("baseline parses");
+        let (visible, _) = crate::baseline::apply(report.findings, &base);
+        assert!(visible.is_empty(), "new or stale findings: {visible:#?}");
     }
 }

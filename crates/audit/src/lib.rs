@@ -22,13 +22,12 @@
 //!   the interprocedural secret-taint analysis ([`taint`]) and the rule
 //!   catalog ([`rules`]) — orchestrated by [`engine::run`], ratcheted
 //!   against `LINT_BASELINE.json` by [`baseline`], and exposed as
-//!   `cargo run --bin lint` with [`lint::run_lint`] kept as the
-//!   `audit --lint` shim.
+//!   `cargo run --bin lint`.
 //!
 //! The chaos campaign runs the full audit after every scenario as its
 //! fourth invariant (A4); `cargo run --bin audit` drives it over every
-//! example workload; `scripts/ci.sh --audit` gates both and
-//! `scripts/ci.sh --lint` gates the static analyses. See `AUDIT.md` for
+//! example workload; `scripts/ci.sh --all` gates both (`audit`) and the
+//! static analyses (`lint`). See `AUDIT.md` for
 //! the model schema, the invariant catalogue and the lint rule catalog.
 
 pub mod baseline;
@@ -37,7 +36,6 @@ pub mod facts;
 pub mod graph;
 pub mod invariants;
 pub mod lex;
-pub mod lint;
 pub mod model;
 pub mod rules;
 pub mod syntax;
@@ -46,7 +44,6 @@ pub mod taint;
 pub use baseline::Baseline;
 pub use engine::{Report, SourceSet};
 pub use invariants::{audit_system, check_model, AuditReport, Invariant, Violation};
-pub use lint::{run_lint, LintFinding, LintReport};
 pub use model::{IsolationModel, ShareModel};
 pub use rules::{Finding, Rule, RULES};
 

@@ -41,7 +41,7 @@ pub struct Rule {
 }
 
 /// Every rule the engine can emit, in report order.
-pub const RULES: [Rule; 7] = [
+pub const RULES: [Rule; 6] = [
     Rule {
         name: "secret-taint",
         summary: "secret values must not reach observable sinks unredacted",
@@ -66,16 +66,6 @@ Call::{start,sync}, StreamBuilder::{open,reopen}, Spm::{handle_trap,...}). \
 The finding carries the entry-point-to-site call path. Unreachable sites are \
 not findings: a panic a remote caller cannot trigger is not attack surface. \
 Accepted sites are ratcheted in LINT_BASELINE.json.",
-    },
-    Rule {
-        name: "deprecated-api",
-        summary: "no calls to #[deprecated] items outside the compat shim",
-        explain: "Call sites are resolved through the call graph; any call whose \
-every candidate target carries #[deprecated] is a finding unless the caller \
-lives in crates/core/src/compat.rs or test code. `#[allow(deprecated)]` \
-attributes outside the shim are findings too — silencing the compiler is not \
-migrating. This replaces the old token-matching rule, so aliased or re-exported \
-calls are caught and longer method names cannot false-positive.",
     },
     Rule {
         name: "no-unwrap-in-trusted-path",
@@ -110,7 +100,7 @@ tokens, so multi-line signatures and aliases are seen.",
         explain: "Findings ratchet against the committed LINT_BASELINE.json: a \
 (rule, file) pair may never exceed its baselined count, and a baseline entry \
 whose count exceeds reality is stale and must be shrunk (run \
-scripts/relint.sh). Unknown findings and stale entries both fail ci.sh --lint.",
+scripts/relint.sh). Unknown findings and stale entries both fail the `lint` gate of ci.sh --all.",
     },
 ];
 
@@ -167,10 +157,6 @@ pub const PANIC_SCOPES: [&str; 6] = [
     "crates/forensics/src",
 ];
 
-/// The compat shim: the one file allowed to define and reference
-/// deprecated APIs.
-pub const DEPRECATED_EXEMPT: &str = "crates/core/src/compat.rs";
-
 /// True when `path` sits under one of `scopes`.
 pub fn in_scope(path: &str, scopes: &[&str]) -> bool {
     scopes.iter().any(|s| path.starts_with(s))
@@ -201,7 +187,7 @@ pub const SOURCE_PATHS: [&str; 10] = [
 ];
 
 /// Functions whose arguments become normal-world observable.
-pub const SINK_PATHS: [&str; 46] = [
+pub const SINK_PATHS: [&str; 51] = [
     // Recorder / metrics labels and values.
     "FlightRecorder::counter_add",
     "MetricsRegistry::counter_add",
@@ -238,6 +224,11 @@ pub const SINK_PATHS: [&str; 46] = [
     "StreamObs::drained",
     "StreamObs::call_completed",
     "StreamObs::synced",
+    "StreamObs::granted",
+    "StreamObs::backed_off",
+    "StreamObs::retried",
+    "StreamObs::timed_out",
+    "StreamObs::reopened",
     // Ledger records and black-box snapshots.
     "Ledger::append",
     "LedgerInner::append",

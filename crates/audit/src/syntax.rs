@@ -3,8 +3,7 @@
 //! This is not a full Rust parser — it is the *item skeleton* walker the
 //! analyses need: module nesting, `impl`/`trait` type context, function
 //! signatures (name, parameter names, return-type tokens) and body token
-//! ranges, plus attribute tracking for `#[cfg(test)]`, `#[test]`,
-//! `#[deprecated]` and `#[allow(deprecated)]`.
+//! ranges, plus attribute tracking for `#[cfg(test)]` and `#[test]`.
 //!
 //! Attribute tracking fixes the third known gap of the old line scanner:
 //! an item preceded by *multiple* attributes
@@ -30,8 +29,6 @@ pub struct FnItem {
     pub line: u32,
     /// Compiled only under test (`#[cfg(test)]` scope or `#[test]`).
     pub is_test: bool,
-    /// Carries a `#[deprecated]` attribute.
-    pub is_deprecated: bool,
     /// Declared `pub` (any visibility restriction counts as pub).
     pub is_pub: bool,
     /// Parameter pattern identifiers (excluding `self`; see `has_self`).
@@ -60,8 +57,6 @@ pub struct ParsedFile {
     /// Token-index ranges that are test-gated (cfg(test) modules/items and
     /// `#[test]` functions) — lexical rules skip these.
     pub test_spans: Vec<(usize, usize)>,
-    /// Lines of `#[allow(deprecated)]` attributes in non-test code.
-    pub allow_deprecated: Vec<u32>,
 }
 
 impl ParsedFile {
@@ -82,7 +77,6 @@ pub fn parse(path: &str, module: &str, tokens: Vec<Token>) -> ParsedFile {
             tokens: Vec::new(),
             fns: Vec::new(),
             test_spans: Vec::new(),
-            allow_deprecated: Vec::new(),
         },
     };
     p.items(module, None, false);
@@ -96,7 +90,6 @@ pub fn parse(path: &str, module: &str, tokens: Vec<Token>) -> ParsedFile {
 struct Attrs {
     cfg_test: bool,
     test: bool,
-    deprecated: bool,
 }
 
 struct Parser<'a> {
@@ -165,7 +158,7 @@ impl<'a> Parser<'a> {
     /// Parses the attribute stack before an item; the cursor ends on the
     /// first non-attribute token. All attributes are combined, so multiple
     /// attributes before one item cannot hide a `#[cfg(test)]`.
-    fn attrs(&mut self, in_test: bool) -> Attrs {
+    fn attrs(&mut self) -> Attrs {
         let mut a = Attrs::default();
         while self.peek().is_some_and(|t| t.is_punct("#")) {
             let hash = self.pos;
@@ -188,12 +181,6 @@ impl<'a> Parser<'a> {
                     a.cfg_test = true;
                 }
                 Some("test") => a.test = true,
-                Some("deprecated") => a.deprecated = true,
-                Some("allow") if inner.iter().any(|t| t.is_ident("deprecated")) && !in_test => {
-                    if let Some(t) = self.toks.get(hash) {
-                        self.out.allow_deprecated.push(t.line);
-                    }
-                }
                 _ => {}
             }
         }
@@ -208,7 +195,7 @@ impl<'a> Parser<'a> {
                 return;
             }
             let item_start = self.pos;
-            let a = self.attrs(in_test);
+            let a = self.attrs();
             let gated = in_test || a.cfg_test;
 
             // Visibility + modifiers.
@@ -247,7 +234,7 @@ impl<'a> Parser<'a> {
             match self.peek().and_then(|t| t.ident()) {
                 Some("fn") => {
                     self.pos += 1;
-                    self.function(module, type_ctx, gated || a.test, a, is_pub);
+                    self.function(module, type_ctx, gated || a.test, is_pub);
                     if gated || a.test {
                         self.out.test_spans.push((item_start, self.pos));
                     }
@@ -426,14 +413,7 @@ impl<'a> Parser<'a> {
     }
 
     /// Parses a function from just after the `fn` keyword.
-    fn function(
-        &mut self,
-        module: &str,
-        type_ctx: Option<&str>,
-        is_test: bool,
-        a: Attrs,
-        is_pub: bool,
-    ) {
+    fn function(&mut self, module: &str, type_ctx: Option<&str>, is_test: bool, is_pub: bool) {
         let Some(name_tok) = self.bump() else { return };
         let name = name_tok.ident().unwrap_or("").to_string();
         let line = name_tok.line;
@@ -554,7 +534,6 @@ impl<'a> Parser<'a> {
             type_ctx: type_ctx.map(str::to_string),
             line,
             is_test,
-            is_deprecated: a.deprecated,
             is_pub,
             params,
             has_self,
@@ -681,21 +660,6 @@ mod tests {
         assert!(!f.fns[0].is_test);
         assert!(f.fns[1].is_test);
         assert!(!f.fns[2].is_test);
-    }
-
-    #[test]
-    fn deprecated_attr_detected() {
-        let f = parse_str("#[deprecated(note = \"use new\")]\npub fn old() {}\nfn fresh() {}");
-        assert!(f.fns[0].is_deprecated);
-        assert!(!f.fns[1].is_deprecated);
-    }
-
-    #[test]
-    fn allow_deprecated_lines_recorded_outside_tests() {
-        let f = parse_str(
-            "#[allow(deprecated)]\nfn shim() {}\n#[cfg(test)]\nmod t { #[allow(deprecated)] fn u() {} }",
-        );
-        assert_eq!(f.allow_deprecated, vec![1]);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! metrics and writes them — together with the causal critical-path split
 //! from the run's flight recorder — as `BENCH_<name>.json` under
 //! `target/bench/`. The first run also seeds a copy at the repo root; that
-//! copy is committed and becomes the baseline. `scripts/ci.sh --bench`
+//! copy is committed and becomes the baseline. `scripts/ci.sh --all`
 //! re-runs the figures and invokes the `bench_gate` binary, which compares
 //! fresh headlines against the committed baselines and fails on any
 //! regression beyond the tolerance (default 10%, override with

@@ -4,7 +4,7 @@
 //! the figure binaries) against the committed repo-root baselines and exits
 //! non-zero when any headline metric regressed past the tolerance
 //! (`BENCH_TOLERANCE_PCT`, default 10%). Figures without a fresh report are
-//! skipped, so `scripts/ci.sh --bench` can gate on a fast subset while a
+//! skipped, so `scripts/ci.sh --all` can gate on a fast subset while a
 //! full `cargo run -p cronus-bench --bin all` enables gating on everything.
 //! A report that *exists* but cannot be read (IO error, schema mismatch) is
 //! a hard failure, never a silent skip.

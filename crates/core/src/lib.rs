@@ -73,17 +73,19 @@
 //! that replaced stringly-typed handler failures.
 
 pub mod call;
-pub mod compat;
 pub mod dispatcher;
 pub mod error;
+mod executor;
 pub mod inject;
 pub mod pipe;
+pub mod recovery;
 pub mod reliability;
 pub mod ring;
 pub mod srpc;
 pub mod stream;
 mod stream_obs;
 pub mod system;
+pub mod transport;
 
 pub use call::Call;
 pub use cronus_forensics::MONITOR_CHAIN;

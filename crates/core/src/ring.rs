@@ -145,10 +145,9 @@ impl MultiRingLayout {
         }
     }
 
-    /// Splits a legacy `pages`-page region into at most `max_lanes` equal
-    /// lanes (fewer when the region is too small), preserving the region's
-    /// total size and roughly its total slot capacity — the geometry the
-    /// deprecated `open_stream(caller, callee, pages)` shim maps onto.
+    /// Splits a `pages`-page budget into at most `max_lanes` equal lanes
+    /// (fewer when the region is too small), preserving the region's total
+    /// size and roughly its total slot capacity.
     pub fn split(pages: usize, max_lanes: usize) -> Self {
         let lanes = max_lanes.clamp(1, pages.max(1));
         MultiRingLayout::new(lanes, pages / lanes, None)

@@ -5,34 +5,33 @@
 //! requests (bumping a lane's `Rid`) without waiting; executor workers in
 //! the callee drain them (bumping `Sid`); the caller only synchronizes when
 //! it needs data or ordering. Virtual time models this with clocks: the
-//! caller's enclave clock advances by enqueue costs only, each lane's
-//! executor clock advances by dequeue + execution costs, and
-//! synchronization points merge them with `max` — which is precisely why
-//! sRPC beats lock-step RPC.
+//! caller's enclave clock advances by enqueue costs only, the executor's
+//! worker clocks (`executor.rs`) advance by dequeue + execution
+//! costs, and synchronization points merge them with `max` — which is
+//! precisely why sRPC beats lock-step RPC.
 //!
-//! Since the multi-queue fast path a stream owns `lanes` independent ring
-//! pairs ([`crate::ring::MultiRingLayout`]), each drained by its own
-//! executor worker (its own virtual clock), so up to `lanes` requests
-//! execute concurrently while dispatch order still follows global enqueue
-//! order ([`StreamState::pending`] is the stream-FIFO work list). Payloads
-//! at or above the stream's zero-copy threshold skip the ring slots and
-//! travel through a [`GrantArena`] mapped into both endpoints' stage-1.
+//! A stream owns `lanes` independent ring pairs
+//! ([`crate::ring::MultiRingLayout`]) while dispatch order still follows
+//! global enqueue order ([`StreamState::pending`] is the stream-FIFO work
+//! list). Payloads at or above the stream's zero-copy threshold skip the
+//! ring slots and travel through a [`GrantArena`] mapped into both
+//! endpoints' stage-1.
 //!
-//! The protocol driver lives in [`crate::system::CronusSystem`], which owns
-//! the SPM and the handler registry.
+//! The protocol driver is [`crate::transport`].
 
 use std::collections::VecDeque;
 use std::fmt;
 
 use cronus_mos::manifest::Eid;
 use cronus_mos::mos::MosError;
-use cronus_obs::{ExecClass, ReqId};
+use cronus_obs::{ExecClass, MeterScope, Principal, ReqId};
 use cronus_sim::addr::VirtAddr;
 use cronus_sim::machine::AsId;
-use cronus_sim::{SimClock, SimNs};
+use cronus_sim::SimNs;
 use cronus_spm::spm::{ShareHandle, SpmError};
 
 use crate::error::CronusError;
+use crate::executor::Executor;
 use crate::ring::{CodecError, MultiRingLayout};
 use crate::stream_obs::StreamObs;
 
@@ -216,17 +215,13 @@ pub struct StreamStats {
     pub zero_copy_bytes: u64,
 }
 
-/// One ring lane: its cached shared indices and the virtual clock of the
-/// executor worker that drains it. Lanes execute independently, which is
-/// what lets a multi-lane stream overlap up to `lanes` requests.
-#[derive(Debug)]
+/// One ring lane: the caller's cached copies of its shared indices.
+#[derive(Debug, Default)]
 pub struct LaneState {
     /// Producer index (cached copy of the lane's shared word).
     pub rid: u64,
     /// Consumer index (cached copy of the lane's shared word).
     pub sid: u64,
-    /// The lane worker's virtual clock.
-    pub executor_clock: SimClock,
 }
 
 impl LaneState {
@@ -255,6 +250,10 @@ pub struct PendingRequest {
     /// Ambient request id re-established at dispatch so device/recovery
     /// spans inherit the right cause.
     pub req: ReqId,
+    /// The grant arena's allocation head right after this request was
+    /// enqueued: once the request has executed, every grant made up to
+    /// here (its own included) is dead and the arena may reuse the bytes.
+    pub arena_mark: u64,
 }
 
 /// Zero-copy payload arena: a second shared region through which payloads
@@ -274,9 +273,35 @@ pub struct GrantArena {
     pub callee_va: VirtAddr,
     /// Arena size in bytes.
     pub bytes: u64,
-    /// Bump cursor for the next grant (wraps; slots in flight are bounded
-    /// by ring capacity so a full wrap never overtakes a live grant).
-    pub cursor: u64,
+    /// Total bytes ever allocated or skipped: the next grant goes at
+    /// `head % bytes`. Grants retire in stream-FIFO order, so the bytes in
+    /// flight are exactly `tail..head` and the arena is a ring allocator.
+    pub head: u64,
+    /// `head` as of the newest request that has executed.
+    pub tail: u64,
+}
+
+impl GrantArena {
+    /// Allocates `len <= bytes` contiguous bytes, returning their offset,
+    /// or `None` while that range still holds an in-flight grant.
+    pub(crate) fn alloc(&mut self, len: u64) -> Option<u64> {
+        let at = self.head % self.bytes;
+        // A grant that would run off the end starts over at offset 0.
+        let skip = if at + len > self.bytes {
+            self.bytes - at
+        } else {
+            0
+        };
+        let end = self.head + skip + len;
+        if self.tail == self.head {
+            // Nothing in flight, so the skipped bytes hold nothing either.
+            self.tail += skip;
+        } else if end > self.tail + self.bytes {
+            return None;
+        }
+        self.head = end;
+        Some((end - len) % self.bytes)
+    }
 }
 
 /// The state of one open stream.
@@ -296,7 +321,7 @@ pub struct StreamState {
     pub callee_va: VirtAddr,
     /// Multi-lane ring geometry.
     pub layout: MultiRingLayout,
-    /// Per-lane indices and executor clocks (`layout.lanes` entries).
+    /// Per-lane cached indices (`layout.lanes` entries).
     pub lanes: Vec<LaneState>,
     /// Global stream FIFO of requests enqueued but not yet executed.
     pub pending: VecDeque<PendingRequest>,
@@ -318,18 +343,18 @@ pub struct StreamState {
     pub quarantined: bool,
     /// Default deadline applied to synchronous calls on this stream.
     pub deadline: Option<SimNs>,
-    /// True when the stream executes on the callee partition's shared
-    /// worker pool instead of private per-lane executors. Shared-pool
-    /// streams contend for workers, which is what makes noisy-neighbor
-    /// interference observable (and meterable) across streams.
-    pub shared_pool: bool,
+    /// The stream's own executor, one worker per lane; `None` for a
+    /// `.shared()` stream, which drains on its callee partition's executor
+    /// (`executor_of` resolves which).
+    pub(crate) executor: Option<Executor>,
     /// Executor class of the callee partition (CPU / GPU SM / NPU), used
     /// by the resource meter to charge kernel time to the right ledger.
     pub class: ExecClass,
-    /// Virtual time of the most recently finished request; pooled streams
-    /// have no private lane clocks to consult, so synchronization points
-    /// merge against this instead.
-    pub last_finished: SimNs,
+    /// The completion frontier: the latest virtual time any request of this
+    /// stream finished, pushed out by injected executor stalls.
+    /// Synchronization points merge the caller's clock against it and the
+    /// stall watchdog measures lag from it.
+    pub frontier: SimNs,
     /// Counters.
     pub stats: StreamStats,
     /// Resolved telemetry handles; `None` when the system runs without a
@@ -338,23 +363,20 @@ pub struct StreamState {
 }
 
 impl StreamState {
+    /// Meter scope for work on this stream: the caller partition — the
+    /// tenant driving the work — pays, under a stream sub-account, at the
+    /// rates of executor class `class`.
+    pub(crate) fn meter_scope(&self, class: ExecClass) -> MeterScope {
+        MeterScope {
+            principal: Principal(self.caller.0.as_u32()),
+            stream: Some(self.id.as_u64()),
+            class,
+        }
+    }
+
     /// Number of requests enqueued but not yet executed.
     pub fn backlog(&self) -> u64 {
         self.next_seq - self.executed
-    }
-
-    /// The executor-side notion of "now": the latest of the private lane
-    /// clocks and the last pooled completion. Synchronization points and
-    /// stall detection merge against this, which keeps both private-lane
-    /// and shared-pool streams on one code path.
-    pub fn executor_now(&self) -> SimNs {
-        let lanes = self
-            .lanes
-            .iter()
-            .map(|l| l.executor_clock.now())
-            .max()
-            .unwrap_or(SimNs::ZERO);
-        lanes.max(self.last_finished)
     }
 
     /// The lane with the smallest ring backlog (ties go to the lowest

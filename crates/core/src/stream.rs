@@ -4,9 +4,7 @@
 //! opening (or re-opening) an sRPC stream; the builder collects the ring
 //! geometry, the zero-copy grant threshold and the default deadline, then
 //! commits with [`StreamBuilder::open`] or [`StreamBuilder::reopen`]. It
-//! mirrors the [`crate::call::Call`] builder: positional-argument
-//! `open_stream(caller, callee, pages)` lives on only as a deprecated shim
-//! in [`crate::compat`].
+//! mirrors the [`crate::call::Call`] builder.
 //!
 //! ```ignore
 //! // 16 depth-1 lanes: the latency-optimal geometry for small calls.
@@ -32,8 +30,8 @@ pub struct StreamConfig {
     pub arena_pages: usize,
     /// Default deadline for synchronous calls.
     pub deadline: Option<SimNs>,
-    /// Execute on the callee partition's shared worker pool instead of
-    /// private per-lane executors.
+    /// Drain on the callee partition's executor, shared with every other
+    /// such stream, instead of on an executor of the stream's own.
     pub shared: bool,
 }
 
@@ -53,8 +51,8 @@ pub struct StreamBuilder<'a> {
 }
 
 impl<'a> StreamBuilder<'a> {
-    /// Sets the number of ring lanes (independent ring pairs, each drained
-    /// by its own executor worker). Defaults to
+    /// Sets the number of ring lanes (independent ring pairs; a stream's own
+    /// executor has one worker per lane). Defaults to
     /// [`crate::system::DEFAULT_STREAM_LANES`].
     pub fn rings(mut self, n: usize) -> Self {
         self.lanes = n.max(1);
@@ -92,13 +90,11 @@ impl<'a> StreamBuilder<'a> {
         self
     }
 
-    /// Executes this stream's requests on the callee partition's shared
-    /// worker pool (one pool per partition, sized to the widest shared
-    /// stream) instead of private per-lane executors. Streams sharing a
-    /// pool contend for workers, so a noisy neighbor's occupancy delays
-    /// this stream — exactly the contention the resource meter's
-    /// interference matrix attributes. Default: private executors
-    /// (pre-existing behavior; existing figures are unaffected).
+    /// Drains this stream on the callee partition's executor (one per
+    /// partition, as wide as the widest stream using it) instead of on an
+    /// executor of its own. Streams sharing an executor contend for its
+    /// workers, so a noisy neighbor's occupancy delays this stream — exactly
+    /// the contention the resource meter's interference matrix attributes.
     pub fn shared(mut self) -> Self {
         self.shared = true;
         self

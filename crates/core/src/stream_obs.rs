@@ -5,7 +5,7 @@
 //! profiler frames on every call. [`StreamObs`] resolves them once, when the
 //! stream is opened, and each sRPC phase (enqueue, drain, call completion,
 //! sync) then reports through one method here, run as **one** locked
-//! recorder step by the protocol driver in [`crate::system`]. The methods
+//! recorder step by the protocol driver in [`crate::transport`]. The methods
 //! record exactly what the driver used to record call by call, in the same
 //! order, so spans, histograms, queue samples and meter ledgers come out
 //! byte-identical; only the host time spent recording changes.
@@ -270,6 +270,45 @@ impl StreamObs {
         r.charge_frame(self.sync_wakeup, wakeup);
     }
 
+    /// A payload travelled as a zero-copy grant: arena occupancy is metered
+    /// by grant *size*, never by payload bytes.
+    pub(crate) fn granted(&self, r: &mut RecorderInner, len: u64) {
+        r.meter.add_count(CountResource::ArenaBytes, len);
+    }
+
+    /// The caller waited `backoff` before replaying an idempotent mECall.
+    pub(crate) fn backed_off(&self, r: &mut RecorderInner, backoff: SimNs) {
+        let frame = r.profiler.frame(TimeCategory::Ring, Some("retry_backoff"));
+        r.charge_frame(frame, backoff);
+    }
+
+    /// A failed attempt of `mecall` is about to be replayed.
+    pub(crate) fn retried(&self, r: &mut RecorderInner, mecall: &str) {
+        bump(r, "srpc.retries", &[("mcall", mecall)], 1);
+    }
+
+    /// A synchronous `mecall` missed its deadline.
+    pub(crate) fn timed_out(&self, r: &mut RecorderInner, mecall: &str) {
+        bump(r, "srpc.timeouts", &[("mcall", mecall)], 1);
+    }
+
+    /// streamCheck found the shared indices diverged.
+    pub(crate) fn check_failed(&self, r: &mut RecorderInner) {
+        bump(r, "srpc.stream_check_failures", &[], 1);
+    }
+
+    /// The stream was replaced by a fresh one at `at`: whatever its rings
+    /// still held is flushed so station depth returns to 0 and the Little
+    /// check knows the residuals were discarded.
+    pub(crate) fn reopened(&self, r: &mut RecorderInner, at: SimNs) {
+        bump(r, "srpc.streams_reopened", &[], 1);
+        r.spans.instant("stream-reopened", at);
+        let dropped = self.flush(r, at);
+        if dropped > 0 {
+            bump(r, "srpc.requests_flushed", &[], dropped);
+        }
+    }
+
     /// Discards whatever is still queued on the stream's lane stations
     /// (quarantine, or a reopen abandoning the old rings), returning how
     /// many requests that was.
@@ -279,4 +318,11 @@ impl StreamObs {
             .map(|&station| r.queues.at(station).flush(at))
             .sum()
     }
+}
+
+/// Adds `delta` to the counter `name{labels}`. These are the sRPC path's
+/// rare events, so they resolve their series by name when they happen.
+fn bump(r: &mut RecorderInner, name: &str, labels: &[(&str, &str)], delta: u64) {
+    let id = r.metrics.counter_id(name, labels);
+    r.metrics.counter_bump(id, delta);
 }

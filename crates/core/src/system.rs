@@ -7,40 +7,34 @@
 //! the open sRPC streams. It drives the full paper workflow of §III-D:
 //! create a CPU mEnclave, attest, create accelerator mEnclaves from inside
 //! it, connect them with sRPC, compute, and survive partition failures.
+//!
+//! This file holds boot, the audit and telemetry hooks, apps, enclaves and
+//! direct ECalls. The rest of `impl CronusSystem` lives beside the state it
+//! drives: the sRPC protocol in [`crate::transport`], proceed-trap
+//! conversion, failover and fault injection in [`crate::recovery`], byte
+//! pipes in [`crate::pipe`].
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap};
 
 use cronus_crypto::dh::DhKeyPair;
-use cronus_crypto::hmac::hmac_sha256;
 use cronus_devices::DeviceKind;
 use cronus_mos::manager::Owner;
 use cronus_mos::manifest::{Eid, Manifest};
-use cronus_mos::mos::MosError;
 use cronus_obs::{
-    CountResource, ExecClass, FlightRecorder, MeterScope, Principal, QueueKind, ReqId,
-    TimeCategory, WorkerId,
+    ExecClass, FlightRecorder, MeterScope, Principal, QueueKind, ReqId, TimeCategory,
 };
 use cronus_sim::machine::AsId;
 use cronus_sim::trace::EventKind;
-use cronus_sim::{Fault, PhysAddr, SimClock, SimNs, SimRng, World, PAGE_SIZE};
-use cronus_spm::attest::{LocalAttestation, SignedReport};
-use cronus_spm::spm::{BootConfig, RecoveryStats, Spm, SpmError};
+use cronus_sim::{SimClock, SimNs};
+use cronus_spm::attest::SignedReport;
+use cronus_spm::spm::{BootConfig, Spm, SpmError};
 
-use crate::call::Call;
 use crate::dispatcher::{Dispatcher, PartitionInfo, RoutePolicy};
-use crate::error::{CronusError, FaultKind};
-use crate::inject::{ArmedFault, FaultAction, FiredFault, Injector, SrpcPhase};
+use crate::error::CronusError;
+use crate::executor::Executor;
+use crate::inject::Injector;
 use crate::pipe::{PipeId, PipeState};
-use crate::reliability::{retryable, RetryPolicy, StallWarning};
-use crate::ring::{
-    decode_result, decode_slot_request, encode_grant_slot, encode_request_slot, encode_result,
-    GrantRef, Request, ResultStatus, SlotRequest, CLOSED_OFFSET, DCHECK_OFFSET,
-};
-use crate::srpc::{
-    GrantArena, LaneState, PendingRequest, SrpcError, StreamId, StreamState, StreamStats,
-};
-use crate::stream::{StreamBuilder, StreamConfig};
-use crate::stream_obs::{self, StreamObs};
+use crate::srpc::{SrpcError, StreamId, StreamState};
 
 /// A handle to a created mEnclave.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -168,29 +162,21 @@ impl From<SpmError> for SystemError {
     }
 }
 
-/// A partition's shared executor pool: worker virtual clocks that drain
-/// every `.shared()` stream targeting the partition. Streams contend for
-/// the earliest-free worker, so one stream's burst delays another's
-/// requests — the contention the interference matrix attributes.
-#[derive(Debug, Default)]
-struct ExecPool {
-    workers: Vec<SimClock>,
-}
-
 /// The CRONUS system.
 pub struct CronusSystem {
-    spm: Spm,
-    dispatcher: Dispatcher,
-    clocks: HashMap<Eid, SimClock>,
+    pub(crate) spm: Spm,
+    pub(crate) dispatcher: Dispatcher,
+    pub(crate) clocks: HashMap<Eid, SimClock>,
     app_clocks: HashMap<AppId, SimClock>,
-    owner_secrets: HashMap<Eid, [u8; 32]>,
+    pub(crate) owner_secrets: HashMap<Eid, [u8; 32]>,
     /// mECall handlers, by enclave then name.
     handlers: HashMap<Eid, HashMap<String, McallHandler>>,
-    streams: HashMap<StreamId, StreamState>,
-    exec_pools: BTreeMap<AsId, ExecPool>,
+    pub(crate) streams: HashMap<StreamId, StreamState>,
+    /// The executors `.shared()` streams drain on, by callee partition.
+    pub(crate) partition_executors: BTreeMap<AsId, Executor>,
     pub(crate) pipes: HashMap<PipeId, PipeState>,
-    injector: Injector,
-    next_stream: u64,
+    pub(crate) injector: Injector,
+    pub(crate) next_stream: u64,
     pub(crate) next_pipe: u64,
     next_app: u32,
     next_dh: u64,
@@ -241,7 +227,7 @@ impl CronusSystem {
             owner_secrets: HashMap::new(),
             handlers: HashMap::new(),
             streams: HashMap::new(),
-            exec_pools: BTreeMap::new(),
+            partition_executors: BTreeMap::new(),
             pipes: HashMap::new(),
             injector: Injector::default(),
             next_stream: 1,
@@ -291,7 +277,7 @@ impl CronusSystem {
     /// Runs the installed audit hook, if any, attributing findings to the
     /// reconfiguration point `point`.
     #[cfg(feature = "audit-hooks")]
-    fn run_audit_hook(&mut self, point: &'static str) {
+    pub(crate) fn run_audit_hook(&mut self, point: &'static str) {
         // Take/call/restore so the hook can borrow the whole system.
         if let Some(hook) = self.audit_hook.take() {
             let violations = hook(self);
@@ -308,13 +294,17 @@ impl CronusSystem {
     /// Compiled to nothing without the `audit-hooks` feature.
     #[cfg(not(feature = "audit-hooks"))]
     #[inline(always)]
-    fn run_audit_hook(&mut self, _point: &'static str) {}
+    pub(crate) fn run_audit_hook(&mut self, _point: &'static str) {}
 
     /// Runs `f` with the resource meter's ambient scope set to `scope`,
     /// restoring the previous scope afterwards (even across `?`-style early
     /// returns inside `f`, since the restore happens here). `None` scope —
     /// or no recorder — runs `f` unscoped.
-    fn metered<T>(&mut self, scope: Option<MeterScope>, f: impl FnOnce(&mut Self) -> T) -> T {
+    pub(crate) fn metered<T>(
+        &mut self,
+        scope: Option<MeterScope>,
+        f: impl FnOnce(&mut Self) -> T,
+    ) -> T {
         let prev = match (scope, self.spm.recorder()) {
             (Some(sc), Some(rec)) => Some(rec.set_meter_scope(sc)),
             _ => None,
@@ -332,7 +322,11 @@ impl CronusSystem {
     /// request (allocating the id when the caller brought none) and `scope`,
     /// when given, the ambient meter scope. Returns the request id and the
     /// ambient context it displaced, for [`CronusSystem::leave_request`].
-    fn enter_request(&self, req: Option<ReqId>, scope: Option<MeterScope>) -> (ReqId, Ambient) {
+    pub(crate) fn enter_request(
+        &self,
+        req: Option<ReqId>,
+        scope: Option<MeterScope>,
+    ) -> (ReqId, Ambient) {
         let Some(rec) = self.spm.recorder() else {
             return (req.unwrap_or(ReqId(0)), Ambient::default());
         };
@@ -350,7 +344,7 @@ impl CronusSystem {
     /// Leaves a request phase in one recorder step: puts back the meter
     /// scope `enter_request` displaced, if it displaced one, and makes
     /// `restore.req` the ambient request.
-    fn leave_request(&self, restore: Ambient) {
+    pub(crate) fn leave_request(&self, restore: Ambient) {
         if let Some(rec) = self.spm.recorder() {
             rec.with(|r| {
                 if let Some(sc) = restore.scope {
@@ -363,34 +357,12 @@ impl CronusSystem {
 
     /// The executor class a partition's kernel time belongs to, from its
     /// mOS device kind (CPU partitions and unknown partitions meter as CPU).
-    fn exec_class_of(&self, asid: AsId) -> ExecClass {
+    pub(crate) fn exec_class_of(&self, asid: AsId) -> ExecClass {
         match self.spm.mos(asid).map(|m| m.device_kind()) {
             Ok(DeviceKind::Gpu) => ExecClass::Gpu,
             Ok(DeviceKind::Npu) => ExecClass::Npu,
             _ => ExecClass::Cpu,
         }
-    }
-
-    /// Meter scope for caller-side work on a stream (enqueue, sync,
-    /// retries): the caller partition pays, under a stream sub-account.
-    fn caller_scope(&self, id: StreamId) -> Option<MeterScope> {
-        self.streams.get(&id).map(|s| MeterScope {
-            principal: Principal(s.caller.0.as_u32()),
-            stream: Some(s.id.as_u64()),
-            class: ExecClass::Cpu,
-        })
-    }
-
-    /// Meter scope for executor-side work on a stream (dequeue + kernel
-    /// execution): still charged to the *caller* principal — the tenant
-    /// driving the work — but under the callee's executor class, so a GPU
-    /// partition's SM time lands in the caller's `sm_ns` ledger.
-    fn drain_scope(&self, id: StreamId) -> Option<MeterScope> {
-        self.streams.get(&id).map(|s| MeterScope {
-            principal: Principal(s.caller.0.as_u32()),
-            stream: Some(s.id.as_u64()),
-            class: s.class,
-        })
     }
 
     /// The SPM (read side).
@@ -428,7 +400,7 @@ impl CronusSystem {
     }
 
     /// Virtual time for ledger records appended by the core layer.
-    fn ledger_now(&self) -> SimNs {
+    pub(crate) fn ledger_now(&self) -> SimNs {
         self.spm
             .recorder()
             .map(FlightRecorder::total_elapsed)
@@ -489,7 +461,7 @@ impl CronusSystem {
         self.clocks.entry(e.eid).or_default().advance(d);
     }
 
-    fn clock_mut(&mut self, eid: Eid) -> &mut SimClock {
+    pub(crate) fn clock_mut(&mut self, eid: Eid) -> &mut SimClock {
         self.clocks.entry(eid).or_default()
     }
 
@@ -758,7 +730,7 @@ impl CronusSystem {
         Ok(result)
     }
 
-    fn run_handler(
+    pub(crate) fn run_handler(
         &mut self,
         target: EnclaveRef,
         name: &str,
@@ -777,487 +749,10 @@ impl CronusSystem {
         handler(&mut ctx, payload).map_err(SrpcError::Handler)
     }
 
-    // ---- sRPC ---------------------------------------------------------------
-
-    /// Builds an sRPC stream from `caller` to a `callee` it owns: the
-    /// single entry point for opening streams. Configure the ring geometry
-    /// fluently and commit with [`StreamBuilder::open`] or
-    /// [`StreamBuilder::reopen`]:
-    ///
-    /// ```ignore
-    /// let s = sys.stream(cpu, gpu).rings(16).depth(1).open()?;
-    /// let s2 = sys.stream(cpu, gpu2).reopen(s)?;
-    /// ```
-    pub fn stream(&mut self, caller: EnclaveRef, callee: EnclaveRef) -> StreamBuilder<'_> {
-        StreamBuilder {
-            sys: self,
-            caller,
-            callee,
-            lanes: DEFAULT_STREAM_LANES,
-            pages: None,
-            depth: None,
-            zero_copy: None,
-            deadline: None,
-            shared: false,
-        }
-    }
-
-    /// Opens a stream from a resolved [`StreamConfig`]: local attestation,
-    /// trusted shared memory establishment, and dCheck (§IV-C); one ring
-    /// pair per lane, plus the grant arena when zero-copy is enabled.
-    pub(crate) fn open_stream_config(
-        &mut self,
-        caller: EnclaveRef,
-        callee: EnclaveRef,
-        cfg: StreamConfig,
-    ) -> Result<StreamId, SrpcError> {
-        // Setup costs — attestation crypto, stage-2 page maps for the ring
-        // and arena, the setup charge — are metered against the caller
-        // partition (also covers reopen, which lands here).
-        let scope = Some(MeterScope::principal(Principal(caller.asid.as_u32())));
-        self.metered(scope, |sys| {
-            sys.open_stream_config_inner(caller, callee, cfg)
-        })
-    }
-
-    fn open_stream_config_inner(
-        &mut self,
-        caller: EnclaveRef,
-        callee: EnclaveRef,
-        cfg: StreamConfig,
-    ) -> Result<StreamId, SrpcError> {
-        let layout = cfg.layout;
-        let pages = layout.pages();
-        // Ownership assurance.
-        self.spm
-            .mos(callee.asid)?
-            .manager()
-            .authorize(callee.eid, Owner::Enclave(caller.eid))
-            .map_err(|_| SrpcError::NotOwner)?;
-
-        let secret = *self
-            .owner_secrets
-            .get(&callee.eid)
-            .ok_or(SrpcError::NotOwner)?;
-
-        // Local attestation of the callee (automatic, §IV-C).
-        let measurement = self
-            .spm
-            .mos(callee.asid)?
-            .manager()
-            .entry(callee.eid)
-            .map_err(|_| SrpcError::AttestationFailed)?
-            .measurement;
-        let la = LocalAttestation {
-            challenger: caller.eid,
-            attested: callee.eid,
-            nonce: self.next_stream,
-        };
-        let req_tag = la.make_request_tag(&secret);
-        let (seal, tag) = {
-            let monitor = self.spm.monitor();
-            la.answer(&secret, &req_tag, measurement, monitor)
-                .ok_or(SrpcError::AttestationFailed)?
-        };
-        if !la.verify(&secret, measurement, &seal, &tag, self.spm.monitor()) {
-            return Err(SrpcError::AttestationFailed);
-        }
-
-        // Trusted shared memory (Figure 6).
-        let (share, caller_va, callee_va) =
-            self.spm
-                .share_memory((caller.asid, caller.eid), (callee.asid, callee.eid), pages)?;
-        let id = StreamId(self.next_stream);
-        self.next_stream += 1;
-
-        // dCheck: the callee proves ownership of secret_dhke *through the
-        // shared memory*, so the caller knows smem really is shared with the
-        // authenticated peer. The dCheck tag lives in lane 0's header.
-        let dcheck = hmac_sha256(&secret, &id.0.to_le_bytes());
-        {
-            let (mos, machine) = self.spm.mos_and_machine(callee.asid)?;
-            mos.enclave_write(
-                machine,
-                callee.eid,
-                callee_va.add(DCHECK_OFFSET),
-                dcheck.as_bytes(),
-            )
-            .map_err(SrpcError::Mos)?;
-            // Initialize every lane's shared indices.
-            for lane in 0..layout.lanes {
-                mos.enclave_write(
-                    machine,
-                    callee.eid,
-                    callee_va.add(layout.rid_offset(lane)),
-                    &0u64.to_le_bytes(),
-                )
-                .map_err(SrpcError::Mos)?;
-                mos.enclave_write(
-                    machine,
-                    callee.eid,
-                    callee_va.add(layout.sid_offset(lane)),
-                    &0u64.to_le_bytes(),
-                )
-                .map_err(SrpcError::Mos)?;
-            }
-        }
-        let observed = {
-            let (mos, machine) = self.spm.mos_and_machine(caller.asid)?;
-            let mut buf = [0u8; 32];
-            mos.enclave_read(machine, caller.eid, caller_va.add(DCHECK_OFFSET), &mut buf)
-                .map_err(SrpcError::Mos)?;
-            buf
-        };
-        if observed != *dcheck.as_bytes() {
-            return Err(SrpcError::DcheckFailed);
-        }
-
-        // The zero-copy grant arena: a second shared region through the
-        // same share-ledger machinery as the ring, so the audit invariants
-        // cover granted payload pages exactly like ring pages.
-        let arena = match cfg.zero_copy {
-            Some(threshold) => {
-                let arena_pages = cfg.arena_pages.max(1);
-                let (a_share, a_caller_va, a_callee_va) = self.spm.share_memory(
-                    (caller.asid, caller.eid),
-                    (callee.asid, callee.eid),
-                    arena_pages,
-                )?;
-                Some(GrantArena {
-                    threshold,
-                    share: a_share,
-                    caller_va: a_caller_va,
-                    callee_va: a_callee_va,
-                    bytes: arena_pages as u64 * PAGE_SIZE,
-                    cursor: 0,
-                })
-            }
-            None => None,
-        };
-
-        // Costs: local attestation + mapping + stream setup on the caller;
-        // the executor workers start at the caller's time.
-        let arena_pages = arena.as_ref().map_or(0, |a| a.bytes / PAGE_SIZE);
-        let setup = {
-            let cm = self.spm.machine().cost();
-            cm.local_attest
-                + cm.page_map * (2 * (pages as u64 + arena_pages))
-                + cm.srpc_stream_setup
-        };
-        let c = self.clock_mut(caller.eid);
-        c.advance(setup);
-        let opened = c.now();
-        let obs = self.spm.recorder().map(|rec| {
-            let cm = self.spm.machine().cost();
-            // The page_map share is charged by the SPM's share_memory.
-            rec.charge_detail(TimeCategory::Crypto, "local_attest", cm.local_attest);
-            rec.charge_detail(TimeCategory::Ring, "stream_setup", cm.srpc_stream_setup);
-            rec.counter_add("srpc.streams_opened", &[], 1);
-            rec.with(|r| StreamObs::open(r, id, caller.eid, &layout, setup, opened))
-        });
-
-        let lanes = (0..layout.lanes)
-            .map(|_| LaneState {
-                rid: 0,
-                sid: 0,
-                executor_clock: SimClock::at(opened),
-            })
-            .collect();
-        self.streams.insert(
-            id,
-            StreamState {
-                id,
-                caller: (caller.asid, caller.eid),
-                callee: (callee.asid, callee.eid),
-                share,
-                caller_va,
-                callee_va,
-                layout,
-                lanes,
-                pending: VecDeque::new(),
-                next_seq: 0,
-                executed: 0,
-                doorbell_pending: false,
-                arena,
-                open: true,
-                quarantined: false,
-                deadline: cfg.deadline,
-                shared_pool: cfg.shared,
-                class: self.exec_class_of(callee.asid),
-                last_finished: opened,
-                stats: StreamStats::default(),
-                obs,
-            },
-        );
-        // Shared-pool streams drain on the callee partition's worker pool;
-        // size it to the widest shared stream so a lone stream keeps its
-        // full lane parallelism while co-tenants contend for the same
-        // workers.
-        if cfg.shared {
-            let pool = self.exec_pools.entry(callee.asid).or_default();
-            while pool.workers.len() < layout.lanes.max(1) {
-                pool.workers.push(SimClock::at(opened));
-            }
-        }
-        // Ledger the attested open: the measurement on the callee's chain
-        // (that is what local attestation proved), the open on the caller's
-        // chain, the acceptance on the callee's — the verifier pairs the
-        // latter two across chains.
-        let ledger = self.spm.ledger();
-        ledger.append(
-            callee.asid.as_u32(),
-            opened,
-            cronus_forensics::SecurityEvent::AttestMeasurement {
-                subject: format!("enclave {}", callee.eid),
-                digest: measurement,
-            },
-        );
-        ledger.append(
-            caller.asid.as_u32(),
-            opened,
-            cronus_forensics::SecurityEvent::StreamOpened {
-                stream: id.0,
-                caller: caller.asid.as_u32(),
-                callee: callee.asid.as_u32(),
-            },
-        );
-        ledger.append(
-            callee.asid.as_u32(),
-            opened,
-            cronus_forensics::SecurityEvent::StreamAccepted {
-                stream: id.0,
-                caller: caller.asid.as_u32(),
-                callee: callee.asid.as_u32(),
-            },
-        );
-        self.run_audit_hook("open_stream");
-        Ok(id)
-    }
-
-    /// Sets (or clears) the default deadline applied to every synchronous
-    /// call on `id`; a per-call [`Call::deadline`] overrides it.
-    ///
-    /// # Errors
-    ///
-    /// [`SrpcError::UnknownStream`].
-    pub fn set_stream_deadline(
-        &mut self,
-        id: StreamId,
-        deadline: Option<SimNs>,
-    ) -> Result<(), SrpcError> {
-        self.streams
-            .get_mut(&id)
-            .ok_or(SrpcError::UnknownStream(id))?
-            .deadline = deadline;
-        Ok(())
-    }
-
-    /// Physical pages backing a stream's ring (diagnostics and security
-    /// tests that inspect raw memory through the monitor).
-    ///
-    /// # Errors
-    ///
-    /// [`SrpcError::UnknownStream`].
-    pub fn stream_share_pages(&self, id: StreamId) -> Result<Vec<u64>, SrpcError> {
-        let share = self
-            .streams
-            .get(&id)
-            .ok_or(SrpcError::UnknownStream(id))?
-            .share;
-        Ok(self.spm.share_pages(share)?.to_vec())
-    }
-
-    /// Stream statistics.
-    ///
-    /// # Errors
-    ///
-    /// [`SrpcError::UnknownStream`].
-    pub fn stream_stats(&self, id: StreamId) -> Result<StreamStats, SrpcError> {
-        Ok(self
-            .streams
-            .get(&id)
-            .ok_or(SrpcError::UnknownStream(id))?
-            .stats)
-    }
-
-    /// Read-only views of every stream (open, closed or quarantined),
-    /// sorted by stream id — used by the isolation auditor to tie share
-    /// grants back to the sRPC endpoints that justify them.
-    pub fn stream_states(&self) -> Vec<&StreamState> {
-        let mut streams: Vec<&StreamState> = self.streams.values().collect();
-        streams.sort_by_key(|s| s.id.0);
-        streams
-    }
-
-    /// The stream's executor frontier: the most advanced lane worker's
-    /// virtual time.
-    ///
-    /// # Errors
-    ///
-    /// [`SrpcError::UnknownStream`].
-    pub fn executor_time(&self, id: StreamId) -> Result<SimNs, SrpcError> {
-        Ok(self
-            .streams
-            .get(&id)
-            .ok_or(SrpcError::UnknownStream(id))?
-            .executor_now())
-    }
-
-    /// Converts a stage-2 fault on a shared-memory access into the
-    /// proceed-trap failure signal of §IV-D step 3 (when it applies).
-    fn trap_convert(&mut self, survivor: AsId, fallback_eid: Eid, err: MosError) -> SrpcError {
-        if let MosError::Fault(f) = err {
-            let page = match f {
-                Fault::Stage2Unmapped { pa, .. } | Fault::Stage2Permission { pa, .. } => {
-                    Some(pa.page_number())
-                }
-                _ => None,
-            };
-            if let Some(ppn) = page {
-                if let Ok(outcome) = self.spm.handle_trap(survivor, ppn) {
-                    return SrpcError::PeerFailed {
-                        signalled: outcome.signalled,
-                    };
-                }
-            }
-            if let Fault::PartitionFailed { .. } = f {
-                return SrpcError::PeerFailed {
-                    signalled: fallback_eid,
-                };
-            }
-        }
-        SrpcError::Mos(err)
-    }
-
-    /// Converts a stage-2 fault on a stream access into the proceed-trap
-    /// failure signal, closing the stream.
-    ///
-    /// `accessor` is the partition whose access raised `err`. When the
-    /// accessor's *own* partition is the dead one (the executor died
-    /// mid-dispatch), the other end of the stream is the survivor: the
-    /// failure signal is delivered to it instead, exactly as its next ring
-    /// access would have trapped.
-    fn stream_fault(&mut self, id: StreamId, accessor: AsId, err: MosError) -> SrpcError {
-        let fallback = self
-            .streams
-            .get(&id)
-            .map(|s| s.caller.1)
-            .unwrap_or(Eid::new(cronus_mos::manifest::MosId(0), 0));
-        let accessor_died = matches!(
-            err,
-            MosError::NotRunning | MosError::Fault(Fault::PartitionFailed { .. })
-        );
-        let mut trapped = false;
-        let converted = if accessor_died {
-            // The moment a dead peer's access converts into a failure is
-            // the detection instant: ledger it (with its span witness)
-            // before the survivor is signalled, so detection precedes the
-            // trap in both evidence streams the timeline cross-checks.
-            let det = self.ledger_now();
-            if let Some(rec) = self.spm.recorder() {
-                rec.with(|r| r.spans.instant("failure-detected:proceed-trap", det));
-            }
-            self.spm.ledger().append(
-                crate::MONITOR_CHAIN,
-                det,
-                cronus_forensics::SecurityEvent::FailureDetected {
-                    asid: accessor.as_u32(),
-                },
-            );
-            let survivor = self.streams.get(&id).map(|s| {
-                if s.caller.0 == accessor {
-                    s.callee
-                } else {
-                    s.caller
-                }
-            });
-            let ring_page = self.streams.get(&id).map(|s| s.share).and_then(|share| {
-                self.spm
-                    .share_pages(share)
-                    .ok()
-                    .and_then(|p| p.first().copied())
-            });
-            match (survivor, ring_page) {
-                (Some((sv_asid, sv_eid)), Some(ppn)) => {
-                    match self.spm.handle_trap(sv_asid, ppn) {
-                        Ok(outcome) => {
-                            trapped = true;
-                            SrpcError::PeerFailed {
-                                signalled: outcome.signalled,
-                            }
-                        }
-                        // The share was not poisoned (trap already handled,
-                        // or the partition is not actually failed): still
-                        // signal the survivor so the caller is never stuck.
-                        Err(_) => SrpcError::PeerFailed { signalled: sv_eid },
-                    }
-                }
-                _ => SrpcError::Mos(err),
-            }
-        } else {
-            self.trap_convert(accessor, fallback, err)
-        };
-        if matches!(converted, SrpcError::PeerFailed { .. }) {
-            if let Some(s) = self.streams.get_mut(&id) {
-                s.open = false;
-                s.quarantined = true;
-                s.pending.clear();
-                s.doorbell_pending = false;
-            }
-            let at = self.ledger_now();
-            let channel = crate::reliability::detection_channel(&converted);
-            if let Some(rec) = self.spm.recorder() {
-                rec.counter_add("srpc.streams_quarantined", &[], 1);
-                // Quarantine discards everything in flight: reflect that in
-                // every lane's queue station so drained-to-zero stays
-                // checkable.
-                let obs = self.streams.get(&id).and_then(|s| s.obs.as_ref());
-                let dropped = obs.map_or(0, |obs| rec.with(|r| obs.flush(r, at)));
-                rec.counter_add("srpc.requests_flushed", &[], dropped);
-                // The marker is the span-stream's witness of the detection;
-                // the timeline reconstructor cross-checks it against the
-                // ledger record below.
-                rec.with(|r| r.spans.instant(format!("failure-detected:{channel}"), at));
-            }
-            let chain = self
-                .streams
-                .get(&id)
-                .map(|s| {
-                    if s.caller.0 == accessor {
-                        s.callee.0
-                    } else {
-                        s.caller.0
-                    }
-                })
-                .unwrap_or(accessor);
-            self.spm.ledger().append(
-                chain.as_u32(),
-                at,
-                cronus_forensics::SecurityEvent::StreamQuarantined {
-                    stream: id.0,
-                    channel,
-                },
-            );
-        }
-        if trapped {
-            // The SPM captured the black-box skeleton inside handle_trap;
-            // the core layer owns the stream table and the audit hook, so it
-            // fills in the redacted snapshots and the mapping digest here.
-            let streams: Vec<cronus_forensics::StreamSnap> = self
-                .stream_states()
-                .iter()
-                .map(|s| s.forensic_snapshot())
-                .collect();
-            let digest = self.mapping_digest();
-            self.spm.ledger().annotate_last_blackbox(streams, digest);
-        }
-        converted
-    }
-
     /// The isolation-audit mapping-state digest, if a digest hook is
     /// installed (see `cronus_audit::install_digest_hook`); zero otherwise.
     #[cfg(feature = "audit-hooks")]
-    fn mapping_digest(&mut self) -> cronus_crypto::Digest {
+    pub(crate) fn mapping_digest(&mut self) -> cronus_crypto::Digest {
         // Take/call/restore so the hook can borrow the whole system.
         if let Some(hook) = self.digest_hook.take() {
             let digest = hook(self);
@@ -1270,1143 +765,8 @@ impl CronusSystem {
 
     /// Compiled to a zero digest without the `audit-hooks` feature.
     #[cfg(not(feature = "audit-hooks"))]
-    fn mapping_digest(&mut self) -> cronus_crypto::Digest {
+    pub(crate) fn mapping_digest(&mut self) -> cronus_crypto::Digest {
         cronus_crypto::Digest::ZERO
-    }
-
-    /// Writes into an enclave's (shared) memory, converting stage-2 faults
-    /// into failure signals. Runtimes use this for bulk-data staging
-    /// buffers that live outside the descriptor ring.
-    ///
-    /// # Errors
-    ///
-    /// [`SrpcError::PeerFailed`] after a peer-partition failure, or the
-    /// underlying mOS error.
-    pub fn shared_write(
-        &mut self,
-        e: EnclaveRef,
-        va: cronus_sim::VirtAddr,
-        data: &[u8],
-    ) -> Result<(), SrpcError> {
-        let result = {
-            let (mos, machine) = self.spm.mos_and_machine(e.asid)?;
-            mos.enclave_write(machine, e.eid, va, data)
-        };
-        result.map_err(|err| self.trap_convert(e.asid, e.eid, err))
-    }
-
-    /// Reads from an enclave's (shared) memory; see [`CronusSystem::shared_write`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`CronusSystem::shared_write`].
-    pub fn shared_read(
-        &mut self,
-        e: EnclaveRef,
-        va: cronus_sim::VirtAddr,
-        buf: &mut [u8],
-    ) -> Result<(), SrpcError> {
-        let result = {
-            let (mos, machine) = self.spm.mos_and_machine(e.asid)?;
-            mos.enclave_read(machine, e.eid, va, buf)
-        };
-        result.map_err(|err| self.trap_convert(e.asid, e.eid, err))
-    }
-
-    fn stream_ref(&self, id: StreamId) -> Result<&StreamState, SrpcError> {
-        self.streams.get(&id).ok_or(SrpcError::UnknownStream(id))
-    }
-
-    /// Enqueues a request into the ring on the caller side, recording it
-    /// under `req` for causal tracing.
-    fn enqueue(
-        &mut self,
-        id: StreamId,
-        name: &str,
-        payload: &[u8],
-        req: ReqId,
-    ) -> Result<(), SrpcError> {
-        // Validate against the callee's static mECall list.
-        {
-            let s = self.stream_ref(id)?;
-            if s.quarantined {
-                return Err(SrpcError::Quarantined(id));
-            }
-            if !s.open {
-                return Err(SrpcError::Closed);
-            }
-            let entry = self
-                .spm
-                .mos(s.callee.0)?
-                .manager()
-                .entry(s.callee.1)
-                .map_err(|_| SrpcError::Closed)?;
-            if entry.manifest.mecall(name).is_none() {
-                return Err(SrpcError::UnknownMcall(name.to_string()));
-            }
-        }
-
-        // Pick the least-backlogged lane. If even that lane is full, every
-        // lane is full: the producer waits until the executor frees one
-        // slot (bounded-buffer pipelining, not a full synchronization) by
-        // draining the stream head, then re-targets the freed lane.
-        let lane_idx = {
-            let s = self.stream_ref(id)?;
-            let lane = s.least_loaded_lane();
-            let l = &s.lanes[lane];
-            if s.layout.lane_full(l.rid, l.sid) {
-                None
-            } else {
-                Some(lane)
-            }
-        };
-        let lane_idx = match lane_idx {
-            Some(lane) => lane,
-            None => {
-                let drained = self.drain_one(id)?.ok_or(SrpcError::UnknownStream(id))?;
-                let s = self.streams.get_mut(&id).expect("checked");
-                s.stats.ring_full_stalls += 1;
-                let caller_eid = s.caller.1;
-                // The slot frees the moment its request finishes executing.
-                self.clock_mut(caller_eid).advance_to(drained.finished);
-                let obs = self.streams.get(&id).and_then(|s| s.obs.as_ref());
-                if let (Some(rec), Some(obs)) = (self.spm.recorder(), obs) {
-                    rec.with(|r| obs.ring_full(r, drained.lane, drained.finished));
-                }
-                drained.lane
-            }
-        };
-
-        // Zero-copy grant: payloads at or above the stream's threshold
-        // travel through the arena; the ring slot carries only a
-        // descriptor. The arena pages are already granted (mapped at open
-        // through the share ledger), so the cost is page bookkeeping, not
-        // a per-byte copy.
-        let mut grant_cost = SimNs::ZERO;
-        let use_grant = {
-            let s = self.stream_ref(id)?;
-            s.arena
-                .as_ref()
-                .is_some_and(|a| payload.len() >= a.threshold)
-        };
-        let slot = if use_grant {
-            let (caller, grant, arena_caller_va) = {
-                let s = self.streams.get_mut(&id).expect("checked");
-                let arena = s.arena.as_mut().expect("checked use_grant");
-                let len = payload.len() as u64;
-                // Bump allocation with wraparound; in-flight grants are
-                // bounded by total ring capacity, which the arena outsizes.
-                if arena.cursor + len > arena.bytes {
-                    arena.cursor = 0;
-                }
-                let offset = arena.cursor;
-                arena.cursor += len;
-                s.stats.zero_copy_grants += 1;
-                s.stats.zero_copy_bytes += len;
-                (s.caller, GrantRef { offset, len }, arena.caller_va)
-            };
-            {
-                let (mos, machine) = self.spm.mos_and_machine(caller.0)?;
-                if let Err(e) = mos.enclave_write(
-                    machine,
-                    caller.1,
-                    arena_caller_va.add(grant.offset),
-                    payload,
-                ) {
-                    return Err(self.stream_fault(id, caller.0, e));
-                }
-            }
-            let pages_spanned =
-                (grant.offset + grant.len).div_ceil(PAGE_SIZE) - grant.offset / PAGE_SIZE;
-            grant_cost = self.spm.machine().cost().page_map * pages_spanned;
-            // Meter arena occupancy by grant *size*, never payload bytes.
-            if let Some(rec) = self.spm.recorder() {
-                rec.meter_count(CountResource::ArenaBytes, grant.len);
-            }
-            encode_grant_slot(name, grant)?
-        } else {
-            encode_request_slot(name, payload)?
-        };
-
-        let (caller, caller_va, lane_rid, slot_off, rid_off) = {
-            let s = self.stream_ref(id)?;
-            let rid = s.lanes[lane_idx].rid;
-            (
-                s.caller,
-                s.caller_va,
-                rid,
-                s.layout.request_slot(lane_idx, rid),
-                s.layout.rid_offset(lane_idx),
-            )
-        };
-        self.injection_point(id, SrpcPhase::Enqueue, lane_idx, lane_rid);
-        {
-            let (mos, machine) = self.spm.mos_and_machine(caller.0)?;
-            let write = mos
-                .enclave_write(machine, caller.1, caller_va.add(slot_off), &slot)
-                .and_then(|()| {
-                    mos.enclave_write(
-                        machine,
-                        caller.1,
-                        caller_va.add(rid_off),
-                        &(lane_rid + 1).to_le_bytes(),
-                    )
-                });
-            if let Err(e) = write {
-                return Err(self.stream_fault(id, caller.0, e));
-            }
-        }
-        // The doorbell: one wakeup per enqueue *batch*. While the executor
-        // still has undrained work the doorbell is already pending, so
-        // back-to-back enqueues coalesce for free.
-        let (base_enqueue, doorbell) = {
-            let cm = self.spm.machine().cost();
-            (cm.srpc_enqueue, cm.srpc_doorbell)
-        };
-        let enqueue_cost = base_enqueue + grant_cost;
-        let doorbell_cost = if self.stream_ref(id)?.doorbell_pending {
-            SimNs::ZERO
-        } else {
-            doorbell
-        };
-        let c = self.clock_mut(caller.1);
-        c.advance(enqueue_cost + doorbell_cost);
-        let now = c.now();
-        self.spm
-            .machine_mut()
-            .record(EventKind::RpcEnqueue { stream: id.0 });
-        let s = self.streams.get_mut(&id).expect("checked");
-        s.lanes[lane_idx].rid += 1;
-        let seq = s.next_seq;
-        s.next_seq += 1;
-        s.pending.push_back(PendingRequest {
-            lane: lane_idx,
-            slot: lane_rid,
-            seq,
-            enqueued_at: now,
-            req,
-        });
-        if s.doorbell_pending {
-            s.stats.doorbells_coalesced += 1;
-        } else {
-            s.doorbell_pending = true;
-            s.stats.doorbells_rung += 1;
-        }
-        s.stats.calls += 1;
-        s.stats.request_bytes += payload.len() as u64;
-        let occupancy = s.backlog() as i64;
-        self.dispatcher.note_enqueue(s.callee.0);
-        if let (Some(rec), Some(obs)) = (self.spm.recorder(), s.obs.as_mut()) {
-            let enqueued = stream_obs::Enqueued {
-                lane: lane_idx,
-                now,
-                enqueue_cost,
-                doorbell_cost,
-                occupancy,
-            };
-            rec.with(|r| obs.enqueued(r, name, enqueued));
-        }
-        Ok(())
-    }
-
-    /// The executor loop: drains the whole stream FIFO, dispatching each
-    /// request to its registered handler. Dispatch order is global enqueue
-    /// order; execution overlaps across lane workers on the virtual clock.
-    fn drain(&mut self, id: StreamId) -> Result<(), SrpcError> {
-        while self.drain_one(id)?.is_some() {}
-        Ok(())
-    }
-
-    /// Executes the oldest pending request, if any. Returns the lane it
-    /// occupied and the virtual time its execution finished.
-    ///
-    /// Re-establishes the drained request's id as the ambient request for
-    /// the duration of the dispatch, so handler-side spans (device DMA,
-    /// kernels, recovery on a trap) are attributed to the request that
-    /// caused them; the previous ambient request is restored afterwards.
-    fn drain_one(&mut self, id: StreamId) -> Result<Option<Drained>, SrpcError> {
-        let Some(req) = self.stream_ref(id)?.pending.front().map(|p| p.req) else {
-            return Ok(None);
-        };
-        // Executor-side costs (dequeue, kernel, result write) are metered
-        // against the caller principal under the callee's executor class.
-        let scope = self.drain_scope(id);
-        let (_, displaced) = self.enter_request(Some(req), scope);
-        let result = self.drain_one_inner(id);
-        self.leave_request(displaced);
-        result
-    }
-
-    fn drain_one_inner(&mut self, id: StreamId) -> Result<Option<Drained>, SrpcError> {
-        let (callee, callee_va, lane_idx, slot_idx, slot_off) = {
-            let s = self.stream_ref(id)?;
-            let Some(p) = s.pending.front() else {
-                return Ok(None);
-            };
-            (
-                s.callee,
-                s.callee_va,
-                p.lane,
-                p.slot,
-                s.layout.request_slot(p.lane, p.slot),
-            )
-        };
-        self.injection_point(id, SrpcPhase::Dispatch, lane_idx, slot_idx);
-
-        // Fetch + decode the request on the callee side.
-        let mut slot = [0u8; crate::ring::SLOT_SIZE];
-        {
-            let (mos, machine) = self.spm.mos_and_machine(callee.0)?;
-            if let Err(e) = mos.enclave_read(machine, callee.1, callee_va.add(slot_off), &mut slot)
-            {
-                return Err(self.stream_fault(id, callee.0, e));
-            }
-        }
-        let request = match decode_slot_request(&slot)? {
-            SlotRequest::Inline(r) => r,
-            SlotRequest::Grant { name, grant } => {
-                // Resolve the grant from the arena on the callee side: the
-                // pages are already in the callee's stage-1, so this is the
-                // zero-copy read the descriptor promised.
-                let arena_va = self
-                    .stream_ref(id)?
-                    .arena
-                    .as_ref()
-                    .map(|a| a.callee_va)
-                    .ok_or(SrpcError::Codec(crate::ring::CodecError::Corrupt))?;
-                let mut payload = vec![0u8; grant.len as usize];
-                {
-                    let (mos, machine) = self.spm.mos_and_machine(callee.0)?;
-                    if let Err(e) = mos.enclave_read(
-                        machine,
-                        callee.1,
-                        arena_va.add(grant.offset),
-                        &mut payload,
-                    ) {
-                        return Err(self.stream_fault(id, callee.0, e));
-                    }
-                }
-                Request { name, payload }
-            }
-        };
-        self.spm
-            .machine_mut()
-            .record(EventKind::RpcDispatch { stream: id.0 });
-
-        // The window where device DMA pulls the operands in.
-        self.injection_point(id, SrpcPhase::DmaIn, lane_idx, slot_idx);
-
-        // Execute.
-        let target = EnclaveRef {
-            asid: callee.0,
-            eid: callee.1,
-        };
-        let outcome = self.run_handler(target, &request.name, &request.payload);
-        self.injection_point(id, SrpcPhase::Kernel, lane_idx, slot_idx);
-        let (status, result_bytes, exec_time) = match outcome {
-            Ok((bytes, t)) => (ResultStatus::Ok, bytes, t),
-            Err(SrpcError::NoHandler(n)) => {
-                // NoHandler crosses the ring under its own kind tag so
-                // the caller can reconstruct `SrpcError::NoHandler`.
-                let mut wire = vec![FaultKind::NoHandler.as_tag()];
-                wire.extend_from_slice(n.as_bytes());
-                (ResultStatus::Err, wire, SimNs::ZERO)
-            }
-            Err(SrpcError::Handler(e)) => (ResultStatus::Err, e.encode_wire(), SimNs::ZERO),
-            Err(other) => return Err(other),
-        };
-
-        // Write the result and bump the lane's Sid.
-        let result_slot = encode_result(status, &result_bytes)?;
-        let (result_off, sid_off, lane_sid) = {
-            let s = self.stream_ref(id)?;
-            (
-                s.layout.result_slot(lane_idx, slot_idx),
-                s.layout.sid_offset(lane_idx),
-                s.lanes[lane_idx].sid,
-            )
-        };
-        {
-            let (mos, machine) = self.spm.mos_and_machine(callee.0)?;
-            let write = mos
-                .enclave_write(machine, callee.1, callee_va.add(result_off), &result_slot)
-                .and_then(|()| {
-                    mos.enclave_write(
-                        machine,
-                        callee.1,
-                        callee_va.add(sid_off),
-                        &(lane_sid + 1).to_le_bytes(),
-                    )
-                });
-            if let Err(e) = write {
-                return Err(self.stream_fault(id, callee.0, e));
-            }
-        }
-        self.injection_point(id, SrpcPhase::ResultWrite, lane_idx, slot_idx);
-
-        // Service the device's completion interrupts raised by the
-        // handler (the mOS HAL's ISR).
-        let serviced = self
-            .spm
-            .mos_mut(callee.0)
-            .map(|mos| mos.hal_mut().service_irqs())
-            .unwrap_or(0);
-        if serviced > 0 {
-            self.spm
-                .machine_mut()
-                .record(EventKind::DeviceIrq { count: serviced });
-        }
-
-        let dequeue_cost = self.spm.machine().cost().srpc_dequeue;
-        let CronusSystem {
-            ref mut streams,
-            ref mut exec_pools,
-            ..
-        } = *self;
-        let s = streams.get_mut(&id).expect("checked");
-        let pending = s.pending.pop_front().expect("checked front above");
-        let enq_t = pending.enqueued_at;
-        let (worker_meter, started) = if s.shared_pool {
-            // Shared pool: the earliest-free worker of the callee
-            // partition's pool takes the stream head, so co-tenant streams
-            // contend for the same executors — a noisy neighbor's burst
-            // shows up as backlog wait here, attributed by the meter.
-            let pool = exec_pools.entry(s.callee.0).or_default();
-            while pool.workers.len() < s.lanes.len().max(1) {
-                pool.workers.push(SimClock::at(enq_t));
-            }
-            let mut pick = 0usize;
-            let mut best: Option<SimNs> = None;
-            for (i, w) in pool.workers.iter().enumerate() {
-                let now = w.now();
-                if best.is_none_or(|b| now < b) {
-                    pick = i;
-                    best = Some(now);
-                }
-            }
-            let mut started = enq_t;
-            if let Some(w) = pool.workers.get_mut(pick) {
-                started = w.now().max(enq_t);
-                w.advance_to(enq_t);
-                w.advance(dequeue_cost + exec_time);
-            }
-            (WorkerId::pool(s.callee.0.as_u32(), pick as u32), started)
-        } else {
-            // Work stealing: the earliest-available lane worker takes the
-            // stream head even when the request sits in another lane's ring,
-            // so one slow lane never serializes the stream.
-            let worker = s
-                .lanes
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, l)| l.executor_clock.now())
-                .map(|(i, _)| i)
-                .expect("streams have at least one lane");
-            if worker != lane_idx {
-                s.stats.steals += 1;
-            }
-            // The worker starts this request when both it and the request
-            // are ready; the gap from enqueue is the dispatch latency.
-            let wclock = &mut s.lanes[worker].executor_clock;
-            let started = wclock.now().max(enq_t);
-            wclock.advance_to(enq_t);
-            wclock.advance(dequeue_cost + exec_time);
-            (WorkerId::lane(id.0, worker as u32), started)
-        };
-        let finished = started + dequeue_cost + exec_time;
-        s.last_finished = s.last_finished.max(finished);
-        s.lanes[lane_idx].sid += 1;
-        s.executed += 1;
-        if s.pending.is_empty() {
-            // The batch is fully drained; the next enqueue rings again.
-            s.doorbell_pending = false;
-        }
-        s.stats.result_bytes += result_bytes.len() as u64;
-        let occupancy = s.backlog() as i64;
-        self.dispatcher.note_complete(s.callee.0);
-        if let (Some(rec), Some(obs)) = (self.spm.recorder(), s.obs.as_mut()) {
-            let drained = stream_obs::Drained {
-                lane: lane_idx,
-                enqueued_at: enq_t,
-                started,
-                finished,
-                dequeue_cost,
-                exec_time,
-                worker: worker_meter,
-                occupancy,
-            };
-            rec.with(|r| obs.drained(r, &request.name, drained));
-        }
-        Ok(Some(Drained {
-            lane: lane_idx,
-            finished,
-        }))
-    }
-
-    /// Builds an mECall against `id`: the single entry point for issuing
-    /// sRPC calls. Configure the request fluently and commit with
-    /// [`Call::sync`] or [`Call::start`]:
-    ///
-    /// ```ignore
-    /// let out = sys.call(stream, "gemm").payload(&desc).sync()?;
-    /// sys.call(stream, "launch").payload(&desc).start()?;
-    /// ```
-    pub fn call(&mut self, id: StreamId, name: &str) -> Call<'_> {
-        Call {
-            sys: self,
-            stream: id,
-            name: name.to_string(),
-            payload: Vec::new(),
-            req: None,
-            deadline: None,
-            retry: None,
-        }
-    }
-
-    /// Commits an asynchronous call built by [`CronusSystem::call`].
-    pub(crate) fn call_commit_start(
-        &mut self,
-        id: StreamId,
-        name: &str,
-        payload: &[u8],
-        req: Option<ReqId>,
-    ) -> Result<ReqId, SrpcError> {
-        let scope = self.caller_scope(id);
-        let (req, displaced) = self.enter_request(req, scope);
-        let result = self.enqueue(id, name, payload, req);
-        // A committed call leaves no ambient request behind, whatever was
-        // ambient before it.
-        self.leave_request(Ambient {
-            req: None,
-            ..displaced
-        });
-        result.map(|()| req)
-    }
-
-    /// Commits a synchronous call built by [`CronusSystem::call`]: applies
-    /// the retry policy (idempotent mECalls only) around single attempts.
-    pub(crate) fn call_commit_sync(
-        &mut self,
-        id: StreamId,
-        name: &str,
-        payload: &[u8],
-        req: Option<ReqId>,
-        deadline: Option<SimNs>,
-        retry: Option<RetryPolicy>,
-    ) -> Result<Vec<u8>, SrpcError> {
-        // Caller-side work (enqueue, sync wakeups, retry backoff) meters
-        // against the caller partition; the drain inside re-scopes itself.
-        let scope = self.caller_scope(id);
-        self.metered(scope, |sys| {
-            sys.call_commit_sync_inner(id, name, payload, req, deadline, retry)
-        })
-    }
-
-    fn call_commit_sync_inner(
-        &mut self,
-        id: StreamId,
-        name: &str,
-        payload: &[u8],
-        req: Option<ReqId>,
-        deadline: Option<SimNs>,
-        retry: Option<RetryPolicy>,
-    ) -> Result<Vec<u8>, SrpcError> {
-        let Some(policy) = retry else {
-            return self.call_sync_attempt(id, name, payload, req, deadline);
-        };
-
-        // Replay is only safe for mECalls the callee's manifest declares
-        // idempotent; reject the policy up front otherwise.
-        let idempotent = {
-            let s = self.stream_ref(id)?;
-            let callee = s.callee;
-            self.spm
-                .mos(callee.0)?
-                .manager()
-                .entry(callee.1)
-                .map_err(|_| SrpcError::Closed)?
-                .manifest
-                .mecall(name)
-                .ok_or_else(|| SrpcError::UnknownMcall(name.to_string()))?
-                .idempotent
-        };
-        if !idempotent {
-            return Err(SrpcError::NotIdempotent {
-                mecall: name.to_string(),
-            });
-        }
-
-        let attempts = policy.max_attempts.max(1);
-        let mut last_err = None;
-        for attempt in 0..attempts {
-            let backoff = policy.backoff_before(attempt);
-            if backoff > SimNs::ZERO {
-                let caller_eid = self.stream_ref(id)?.caller.1;
-                self.clock_mut(caller_eid).advance(backoff);
-                if let Some(rec) = self.spm.recorder() {
-                    rec.charge_detail(TimeCategory::Ring, "retry_backoff", backoff);
-                }
-            }
-            // The first attempt runs under the caller's request id, when it
-            // brought one; every other attempt is a request of its own.
-            let attempt_req = if attempt == 0 { req } else { None };
-            match self.call_sync_attempt(id, name, payload, attempt_req, deadline) {
-                Ok(out) => return Ok(out),
-                Err(e) if retryable(&e) && attempt + 1 < attempts => {
-                    if let Some(rec) = self.spm.recorder() {
-                        rec.counter_add("srpc.retries", &[("mcall", name)], 1);
-                    }
-                    last_err = Some(e);
-                }
-                Err(e) => return Err(e),
-            }
-        }
-        Err(last_err.expect("loop ran at least once"))
-    }
-
-    /// One attempt of a synchronous call, traced as `req` (a fresh request
-    /// id when `None`).
-    fn call_sync_attempt(
-        &mut self,
-        id: StreamId,
-        name: &str,
-        payload: &[u8],
-        req: Option<ReqId>,
-        deadline: Option<SimNs>,
-    ) -> Result<Vec<u8>, SrpcError> {
-        let (req, _) = self.enter_request(req, None);
-        let result = self.call_sync_inner(id, name, payload, req, deadline);
-        self.leave_request(Ambient::default());
-        result
-    }
-
-    fn call_sync_inner(
-        &mut self,
-        id: StreamId,
-        name: &str,
-        payload: &[u8],
-        req: ReqId,
-        deadline_override: Option<SimNs>,
-    ) -> Result<Vec<u8>, SrpcError> {
-        let (caller_eid_pre, stream_deadline) = {
-            let s = self.stream_ref(id)?;
-            (s.caller.1, s.deadline)
-        };
-        let started = self.clock_mut(caller_eid_pre).now();
-        self.enqueue(id, name, payload, req)?;
-        // Our call entered the stream FIFO last; remember which lane slot
-        // it landed in so the result read targets the right ring.
-        let (result_lane, result_slot) = {
-            let s = self.stream_ref(id)?;
-            let p = s.pending.back().expect("enqueue just pushed");
-            (p.lane, p.slot)
-        };
-        // Drain to empty — our request is the last one out.
-        let mut last_finished = None;
-        while let Some(d) = self.drain_one(id)? {
-            last_finished = Some(d.finished);
-        }
-
-        // Synchronization point: the caller waits for the executor, plus
-        // the shared-memory polling wakeup latency.
-        let wakeup = self.spm.machine().cost().srpc_sync_wakeup;
-        let (caller, caller_va, result_off) = {
-            let s = self.stream_ref(id)?;
-            (
-                s.caller,
-                s.caller_va,
-                s.layout.result_slot(result_lane, result_slot),
-            )
-        };
-        let woke = {
-            let c = self.clock_mut(caller.1);
-            if let Some(f) = last_finished {
-                c.advance_to(f);
-            }
-            c.advance(wakeup);
-            c.now()
-        };
-        self.spm
-            .machine_mut()
-            .record(EventKind::RpcSync { stream: id.0 });
-        let obs = self.streams.get_mut(&id).and_then(|s| s.obs.as_mut());
-        if let (Some(rec), Some(obs)) = (self.spm.recorder(), obs) {
-            rec.with(|r| obs.call_completed(r, name, wakeup, woke));
-        }
-
-        // Deadline enforcement on the virtual clock: the per-call override
-        // wins over the stream default.
-        if let Some(deadline) = deadline_override.or(stream_deadline) {
-            let elapsed = woke.saturating_sub(started);
-            if elapsed > deadline {
-                if let Some(rec) = self.spm.recorder() {
-                    rec.counter_add("srpc.timeouts", &[("mcall", name)], 1);
-                }
-                return Err(SrpcError::Timeout {
-                    mecall: name.to_string(),
-                    deadline,
-                    elapsed,
-                });
-            }
-        }
-
-        self.injection_point(id, SrpcPhase::SyncWakeup, result_lane, result_slot);
-
-        let mut slot = [0u8; crate::ring::RESULT_SLOT_SIZE];
-        {
-            let (mos, machine) = self.spm.mos_and_machine(caller.0)?;
-            if let Err(e) =
-                mos.enclave_read(machine, caller.1, caller_va.add(result_off), &mut slot)
-            {
-                return Err(self.stream_fault(id, caller.0, e));
-            }
-        }
-        let (status, payload) = decode_result(&slot)?;
-        let s = self.streams.get_mut(&id).expect("checked");
-        s.stats.sync_calls += 1;
-        match status {
-            ResultStatus::Ok => Ok(payload),
-            ResultStatus::Err => Err(decode_wire_error(&payload)),
-        }
-    }
-
-    /// Explicit synchronization: drains the executor and merges clocks.
-    /// Performs the streamCheck: after a full drain, the *shared* `Rid`
-    /// and `Sid` words are read back from the ring and must equal each
-    /// other and the caller's cached indices. This is enforced (not just
-    /// debug-asserted), so ring-header corruption is detected in release
-    /// builds and surfaces as a typed error.
-    ///
-    /// # Errors
-    ///
-    /// sRPC errors; [`SrpcError::StreamCheckFailed`] on index divergence.
-    pub fn sync(&mut self, id: StreamId) -> Result<(), SrpcError> {
-        let scope = self.caller_scope(id);
-        self.metered(scope, |sys| sys.sync_inner(id))
-    }
-
-    fn sync_inner(&mut self, id: StreamId) -> Result<(), SrpcError> {
-        self.drain(id)?;
-        let sync_slot = self.stream_ref(id)?.lanes.first().map_or(0, |l| l.sid);
-        self.injection_point(id, SrpcPhase::SyncWakeup, 0, sync_slot);
-        let wakeup = self.spm.machine().cost().srpc_sync_wakeup;
-        let executor_now = self.executor_time(id)?;
-        let (caller, caller_va, lane_count) = {
-            let s = self.stream_ref(id)?;
-            (s.caller, s.caller_va, s.lanes.len())
-        };
-
-        // streamCheck against each lane's shared words, not just cached
-        // state: every lane must be fully drained (Rid == Sid) and agree
-        // with the caller's cached indices.
-        for lane in 0..lane_count {
-            let (rid_off, sid_off, cached_rid, cached_sid) = {
-                let s = self.stream_ref(id)?;
-                let Some(l) = s.lanes.get(lane) else { break };
-                (
-                    s.layout.rid_offset(lane),
-                    s.layout.sid_offset(lane),
-                    l.rid,
-                    l.sid,
-                )
-            };
-            let mut rid_buf = [0u8; 8];
-            let mut sid_buf = [0u8; 8];
-            {
-                let (mos, machine) = self.spm.mos_and_machine(caller.0)?;
-                let read = mos
-                    .enclave_read(machine, caller.1, caller_va.add(rid_off), &mut rid_buf)
-                    .and_then(|()| {
-                        mos.enclave_read(machine, caller.1, caller_va.add(sid_off), &mut sid_buf)
-                    });
-                if let Err(e) = read {
-                    return Err(self.stream_fault(id, caller.0, e));
-                }
-            }
-            let shared_rid = u64::from_le_bytes(rid_buf);
-            let shared_sid = u64::from_le_bytes(sid_buf);
-            if shared_rid != shared_sid || shared_rid != cached_rid || shared_sid != cached_sid {
-                if let Some(rec) = self.spm.recorder() {
-                    rec.counter_add("srpc.stream_check_failures", &[], 1);
-                }
-                return Err(SrpcError::StreamCheckFailed {
-                    stream: id,
-                    rid: shared_rid,
-                    sid: shared_sid,
-                });
-            }
-        }
-
-        {
-            let c = self.clock_mut(caller.1);
-            c.advance_to(executor_now);
-            c.advance(wakeup);
-        }
-        self.spm
-            .machine_mut()
-            .record(EventKind::RpcSync { stream: id.0 });
-        let s = self.streams.get_mut(&id).expect("checked");
-        if let (Some(rec), Some(obs)) = (self.spm.recorder(), s.obs.as_ref()) {
-            rec.with(|r| obs.synced(r, wakeup));
-        }
-        s.stats.sync_points += 1;
-        Ok(())
-    }
-
-    /// Closes a stream: drains, marks the shared flag, and stops the
-    /// executor thread. The shared region is kept for reuse ("to reduce the
-    /// stream creating cost") until the enclave is destroyed.
-    ///
-    /// # Errors
-    ///
-    /// sRPC errors from the final drain.
-    pub fn close_stream(&mut self, id: StreamId) -> Result<(), SrpcError> {
-        self.sync(id)?;
-        let (callee, callee_va) = {
-            let s = self.stream_ref(id)?;
-            (s.callee, s.callee_va)
-        };
-        let (mos, machine) = self.spm.mos_and_machine(callee.0)?;
-        let _ = mos.enclave_write(machine, callee.1, callee_va.add(CLOSED_OFFSET), &[1]);
-        if let Some(s) = self.streams.get_mut(&id) {
-            s.open = false;
-        }
-        let at = self.ledger_now();
-        self.spm.ledger().append(
-            callee.0.as_u32(),
-            at,
-            cronus_forensics::SecurityEvent::StreamClosed { stream: id.0 },
-        );
-        self.run_audit_hook("close_stream");
-        Ok(())
-    }
-
-    // ---- failover ------------------------------------------------------------
-
-    /// Injects a partition failure (a crash, panic, or malicious kill by the
-    /// untrusted OS) and runs failover step 1 (proceed). Returns
-    /// `(invalidated stage-2 entries, proceed time)`.
-    ///
-    /// # Errors
-    ///
-    /// Unknown partitions.
-    pub fn inject_partition_failure(&mut self, asid: AsId) -> Result<(usize, SimNs), SystemError> {
-        // Failover work (stage-2 invalidation, trap handling) meters
-        // against the failed partition: the tenant whose crash caused it.
-        let scope = Some(MeterScope::principal(Principal(asid.as_u32())));
-        self.metered(scope, |sys| {
-            sys.spm.mos_mut(asid)?.fail();
-            let proceed = sys.spm.fail_partition(asid)?;
-            sys.run_audit_hook("inject_partition_failure");
-            Ok(proceed)
-        })
-    }
-
-    /// Runs failover step 2 using the dispatcher's recorded mOS image:
-    /// clear device + smem, reload, re-init.
-    ///
-    /// # Errors
-    ///
-    /// [`SpmError::NotFailed`] if the partition is healthy.
-    pub fn recover_partition(&mut self, asid: AsId) -> Result<RecoveryStats, SystemError> {
-        let (image, version) = self
-            .dispatcher
-            .mos_image(asid)
-            .map(|(i, v)| (i.to_vec(), v.to_string()))
-            .unwrap_or_else(|| (b"recovered-mos".to_vec(), "recovered".to_string()));
-        // Recovery (clear, reload, re-init) meters against the recovering
-        // partition.
-        let scope = Some(MeterScope::principal(Principal(asid.as_u32())));
-        let stats = self.metered(scope, |sys| {
-            sys.spm.recover_partition(asid, &image, &version)
-        })?;
-        self.run_audit_hook("recover_partition");
-        Ok(stats)
-    }
-
-    /// Re-establishes service after a peer failure (the commit path behind
-    /// [`crate::stream::StreamBuilder::reopen`]): discards the old
-    /// (typically quarantined) stream, reclaims its poisoned ring and arena
-    /// pages, and opens a fresh stream from the same caller to `callee` —
-    /// usually a fresh enclave on the recovered partition. The old stream's
-    /// default deadline carries over unless the builder set a new one.
-    ///
-    /// # Errors
-    ///
-    /// [`SrpcError::UnknownStream`] for unknown streams, plus anything
-    /// stream opening can raise.
-    pub(crate) fn reopen_stream_config(
-        &mut self,
-        old: StreamId,
-        callee: EnclaveRef,
-        mut cfg: StreamConfig,
-    ) -> Result<StreamId, SrpcError> {
-        let s = self
-            .streams
-            .remove(&old)
-            .ok_or(SrpcError::UnknownStream(old))?;
-        let caller = EnclaveRef {
-            asid: s.caller.0,
-            eid: s.caller.1,
-        };
-        cfg.deadline = cfg.deadline.or(s.deadline);
-        // Reclaim the old ring's (and arena's) pages: for a quarantined
-        // stream they were poisoned by failover and scrubbed during
-        // partition clear, so this returns them to the allocator; for a
-        // healthy stream it is a no-op.
-        let _ = self.spm.reclaim_share(s.share);
-        if let Some(arena) = &s.arena {
-            let _ = self.spm.reclaim_share(arena.share);
-        }
-        let new = self.open_stream_config(caller, callee, cfg)?;
-        let at = self.ledger_now();
-        if let Some(rec) = self.spm.recorder() {
-            rec.counter_add("srpc.streams_reopened", &[], 1);
-            rec.with(|r| r.spans.instant("stream-reopened", at));
-            // The old rings are abandoned along with any requests still
-            // queued on them (a faulted drain can leave one behind without
-            // going through quarantine). Flush every lane's station so depth
-            // returns to 0 and the Little check knows the residuals were
-            // discarded.
-            let dropped = s
-                .obs
-                .as_ref()
-                .map_or(0, |obs| rec.with(|r| obs.flush(r, at)));
-            if dropped > 0 {
-                rec.counter_add("srpc.requests_flushed", &[], dropped);
-            }
-        }
-        self.spm.ledger().append(
-            caller.asid.as_u32(),
-            at,
-            cronus_forensics::SecurityEvent::StreamReopened {
-                old: old.0,
-                new: new.0,
-            },
-        );
-        self.run_audit_hook("reopen_stream");
-        Ok(new)
-    }
-
-    /// The deadlock/stall watchdog, keyed off the virtual clock: reports
-    /// every open stream with backlog whose executor clock trails the
-    /// caller's clock by more than `bound`. A healthy pipeline drains at
-    /// sync points; a stream that accumulates lag beyond the bound means
-    /// the executor is wedged (or was delayed by an injected fault).
-    pub fn check_stalls(&self, bound: SimNs) -> Vec<StallWarning> {
-        let mut warnings: Vec<StallWarning> = self
-            .streams
-            .values()
-            .filter(|s| s.open && s.backlog() > 0)
-            .filter_map(|s| {
-                let caller_now = self
-                    .clocks
-                    .get(&s.caller.1)
-                    .map(|c| c.now())
-                    .unwrap_or(SimNs::ZERO);
-                let executor_now = s.executor_now();
-                let lag = caller_now.saturating_sub(executor_now);
-                (lag > bound).then_some(StallWarning {
-                    stream: s.id,
-                    backlog: s.backlog(),
-                    stalled_for: lag,
-                })
-            })
-            .collect();
-        warnings.sort_by_key(|w| w.stream.0);
-        // Every watchdog finding is a security event: a wedged stream is
-        // the liveness failure the proceed-trap design exists to bound.
-        let at = self.ledger_now();
-        for w in &warnings {
-            self.spm
-                .ledger()
-                .append(crate::MONITOR_CHAIN, at, w.ledger_event());
-        }
-        warnings
-    }
-
-    // ---- fault injection ------------------------------------------------------
-
-    /// Arms a fault against the sRPC pipeline. At most one fault is armed
-    /// at a time (a campaign scenario arms exactly one); arming replaces
-    /// and returns any previously armed fault. The fault fires — once —
-    /// when the pipeline next reaches its phase on a matching stream.
-    pub fn arm_fault(&mut self, fault: ArmedFault) -> Option<ArmedFault> {
-        self.injector.armed.replace(fault)
-    }
-
-    /// Disarms the armed fault, if any, returning it.
-    pub fn disarm_fault(&mut self) -> Option<ArmedFault> {
-        self.injector.armed.take()
-    }
-
-    /// Faults that actually fired, in firing order.
-    pub fn fired_faults(&self) -> &[FiredFault] {
-        &self.injector.fired
-    }
-
-    /// One of the six pipeline hooks: fires the armed fault if it matches
-    /// `phase` on `id`. The action mutates simulated machine state and lets
-    /// the *normal* pipeline surface the resulting typed fault — the
-    /// injector itself never fabricates errors.
-    fn injection_point(&mut self, id: StreamId, phase: SrpcPhase, lane: usize, slot_index: u64) {
-        let Some(armed) = self.injector.take_matching(phase, id) else {
-            return;
-        };
-        let at = self
-            .streams
-            .get(&id)
-            .and_then(|s| self.clocks.get(&s.caller.1))
-            .map(|c| c.now())
-            .unwrap_or(SimNs::ZERO);
-        self.apply_fault_action(id, armed.action, lane, slot_index);
-        self.injector.fired.push(FiredFault {
-            fault: armed,
-            stream: id,
-            slot_index,
-            at,
-        });
-        self.spm
-            .machine_mut()
-            .record(EventKind::Marker("fault-injected"));
-        if let Some(rec) = self.spm.recorder() {
-            rec.counter_add(
-                "chaos.faults_fired",
-                &[("phase", phase.name()), ("action", armed.action.name())],
-                1,
-            );
-            // Span-stream witness on the recorder timebase (the machine
-            // marker above carries the machine-event clock instead).
-            rec.with(|r| {
-                r.spans
-                    .instant(format!("fault-injected:{}", armed.action.name()), at)
-            });
-        }
-        // Injections belong to no partition; they go on the monitor chain.
-        self.spm.ledger().append(
-            crate::MONITOR_CHAIN,
-            at,
-            cronus_forensics::SecurityEvent::FaultInjected {
-                phase: phase.name(),
-                action: armed.action.name(),
-                stream: id.0,
-            },
-        );
-    }
-
-    fn apply_fault_action(
-        &mut self,
-        id: StreamId,
-        action: FaultAction,
-        lane: usize,
-        slot_index: u64,
-    ) {
-        let Some((caller_asid, callee_asid, layout, share)) = self
-            .streams
-            .get(&id)
-            .map(|s| (s.caller.0, s.callee.0, s.layout, s.share))
-        else {
-            return;
-        };
-        match action {
-            FaultAction::KillCallee => {
-                let _ = self.inject_partition_failure(callee_asid);
-            }
-            FaultAction::KillCaller => {
-                let _ = self.inject_partition_failure(caller_asid);
-            }
-            FaultAction::CorruptRequestSlot { seed } => {
-                let off = layout.request_slot(lane, slot_index);
-                self.scribble_ring(share, off, crate::ring::SLOT_SIZE, Some(seed));
-            }
-            FaultAction::CorruptResultSlot { seed } => {
-                let off = layout.result_slot(lane, slot_index);
-                self.scribble_ring(share, off, crate::ring::RESULT_SLOT_SIZE, Some(seed));
-            }
-            FaultAction::ZeroRequestSlot => {
-                let off = layout.request_slot(lane, slot_index);
-                self.scribble_ring(share, off, crate::ring::SLOT_SIZE, None);
-            }
-            FaultAction::ZeroResultSlot => {
-                let off = layout.result_slot(lane, slot_index);
-                self.scribble_ring(share, off, crate::ring::RESULT_SLOT_SIZE, None);
-            }
-            FaultAction::CorruptRingHeader { seed } => {
-                let mut rng = SimRng::new(seed);
-                let bogus_rid = rng.next_u64().to_le_bytes();
-                let bogus_sid = rng.next_u64().to_le_bytes();
-                self.write_ring_phys(share, layout.rid_offset(lane), &bogus_rid);
-                self.write_ring_phys(share, layout.sid_offset(lane), &bogus_sid);
-            }
-            FaultAction::RevokeStage2 => {
-                if let Ok(pages) = self.spm.share_pages(share).map(<[u64]>::to_vec) {
-                    for ppn in pages {
-                        self.spm.machine_mut().stage2_invalidate(callee_asid, ppn);
-                    }
-                }
-            }
-            FaultAction::RevokeSmmu => {
-                // Revoke every page the callee's DMA engine can currently
-                // reach (ring and staging alike): the device's next DMA
-                // takes an SMMU fault.
-                let stream = self.spm.mos(callee_asid).ok().map(|m| m.hal().dma_stream());
-                if let Some(stream) = stream {
-                    let machine = self.spm.machine_mut();
-                    let granted = machine.smmu().granted_pages(stream);
-                    machine.smmu_mut().invalidate_pages(stream, &granted);
-                }
-            }
-            FaultAction::DelayCompletion(d) => {
-                if let Some(s) = self.streams.get_mut(&id) {
-                    // A stalled executor stalls every lane worker at once.
-                    for l in &mut s.lanes {
-                        l.executor_clock.advance(d);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Overwrites `len` bytes of a share at ring offset `off`, through the
-    /// monitor's physical view (a peer scribbling memory does not go
-    /// through the victim's page tables). Seeded noise, or zeros.
-    fn scribble_ring(
-        &mut self,
-        share: cronus_spm::spm::ShareHandle,
-        off: u64,
-        len: usize,
-        seed: Option<u64>,
-    ) {
-        let mut bytes = vec![0u8; len];
-        if let Some(seed) = seed {
-            SimRng::new(seed).fill_bytes(&mut bytes);
-        }
-        self.write_ring_phys(share, off, &bytes);
-    }
-
-    /// Physically writes `data` at byte offset `off` into a share's pages,
-    /// splitting across page boundaries.
-    fn write_ring_phys(&mut self, share: cronus_spm::spm::ShareHandle, off: u64, data: &[u8]) {
-        let Ok(pages) = self.spm.share_pages(share).map(<[u64]>::to_vec) else {
-            return;
-        };
-        let mut pos = off;
-        let mut idx = 0usize;
-        while idx < data.len() {
-            let page = (pos / PAGE_SIZE) as usize;
-            let in_page = pos % PAGE_SIZE;
-            let Some(ppn) = pages.get(page) else {
-                return;
-            };
-            let chunk = (PAGE_SIZE - in_page).min((data.len() - idx) as u64) as usize;
-            let pa = PhysAddr::from_page_number(*ppn).add(in_page);
-            let _ = self
-                .spm
-                .machine_mut()
-                .phys_write(World::Secure, pa, &data[idx..idx + chunk]);
-            pos += chunk as u64;
-            idx += chunk;
-        }
     }
 }
 
@@ -2414,37 +774,22 @@ impl CronusSystem {
 /// next to restore: the request new spans belong to and the meter scope
 /// charges go to (`None`: leave the scope alone).
 #[derive(Clone, Copy, Debug, Default)]
-struct Ambient {
-    req: Option<ReqId>,
-    scope: Option<MeterScope>,
-}
-
-/// What one `drain_one` step executed: the lane whose slot it freed and the
-/// virtual time its worker finished.
-struct Drained {
-    lane: usize,
-    finished: SimNs,
-}
-
-/// Decodes the error payload of a result slot written by the executor: a
-/// [`FaultKind`] tag byte plus rendered detail. `NoHandler` round-trips to
-/// [`SrpcError::NoHandler`]; everything else becomes a
-/// [`CronusError::Remote`] behind [`SrpcError::Handler`].
-fn decode_wire_error(payload: &[u8]) -> SrpcError {
-    if let Some((tag, rest)) = payload.split_first() {
-        if FaultKind::from_tag(*tag) == Some(FaultKind::NoHandler) {
-            return SrpcError::NoHandler(String::from_utf8_lossy(rest).into_owned());
-        }
-    }
-    SrpcError::Handler(CronusError::decode_wire(payload))
+pub(crate) struct Ambient {
+    pub(crate) req: Option<ReqId>,
+    pub(crate) scope: Option<MeterScope>,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::FaultKind;
+    use crate::inject::{ArmedFault, FaultAction, SrpcPhase};
+    use crate::reliability::RetryPolicy;
+    use crate::ring::CodecError;
     use cronus_mos::manifest::McallDecl;
     use cronus_sim::World;
     use cronus_spm::spm::{DeviceSpec, PartitionSpec};
+    use std::sync::{Arc, Mutex};
 
     fn config() -> BootConfig {
         BootConfig {
@@ -2845,8 +1190,6 @@ mod tests {
 
     #[test]
     fn builder_api_covers_every_shimmed_call_shape() {
-        // Migrated off the deprecated shims (they now live — and are tested —
-        // in `crate::compat`, the one module the deprecated-use lint exempts).
         let mut sys = CronusSystem::boot(config());
         let (_cpu, _gpu, stream) = setup_pair(&mut sys);
         sys.call(stream, "launch").payload(&[1]).start().unwrap();
@@ -3077,5 +1420,139 @@ mod tests {
         });
         let err = sys.call(stream, "memcpy_d2h").sync().unwrap_err();
         assert!(matches!(err, SrpcError::Codec(_)), "got {err:?}");
+    }
+
+    /// A zero-copy stream to a `launch` handler that returns nothing and
+    /// logs the byte each payload is filled with (`None` for a payload
+    /// that is not uniform).
+    fn zero_copy_stream(
+        sys: &mut CronusSystem,
+    ) -> (EnclaveRef, StreamId, Arc<Mutex<Vec<Option<u8>>>>) {
+        let (cpu, gpu, _) = setup_pair(sys);
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::clone(&seen);
+        sys.register_handler(
+            gpu,
+            "launch",
+            Box::new(move |_, p| {
+                let uniform = p.iter().all(|b| *b == p[0]);
+                log.lock().unwrap().push(uniform.then(|| p[0]));
+                Ok((Vec::new(), SimNs::from_micros(50)))
+            }),
+        );
+        let stream = sys.stream(cpu, gpu).zero_copy(256).open().unwrap();
+        (cpu, stream, seen)
+    }
+
+    #[test]
+    fn forged_grant_descriptor_is_corrupt_not_an_abort() {
+        let mut sys = CronusSystem::boot(config());
+        let (cpu, stream, seen) = zero_copy_stream(&mut sys);
+        let page = vec![7u8; 4096];
+        sys.call(stream, "launch").payload(&page).start().unwrap();
+        // The pending slot holds name_len, payload word, the name, then the
+        // grant's offset and len words.
+        let descriptor = {
+            let s = sys.streams.get(&stream).unwrap();
+            let p = s.pending.front().unwrap();
+            let slot = s.layout.request_slot(p.lane, p.slot);
+            s.caller_va.add(slot + 8 + "launch".len() as u64)
+        };
+        for (word, forged) in [(8, 1u64 << 40), (0, u64::MAX - 10)] {
+            let va = descriptor.add(word);
+            let mut genuine = [0u8; 8];
+            sys.shared_read(cpu, va, &mut genuine).unwrap();
+            sys.shared_write(cpu, va, &forged.to_le_bytes()).unwrap();
+            assert_eq!(
+                sys.sync(stream).unwrap_err(),
+                SrpcError::Codec(CodecError::Corrupt)
+            );
+            sys.shared_write(cpu, va, &genuine).unwrap();
+        }
+        // The refused drains consumed nothing: repaired, the request runs.
+        sys.sync(stream).unwrap();
+        assert_eq!(*seen.lock().unwrap(), [Some(7)]);
+    }
+
+    #[test]
+    fn payload_larger_than_the_arena_is_refused_up_front() {
+        let mut sys = CronusSystem::boot(config());
+        let (_, stream, seen) = zero_copy_stream(&mut sys);
+        let size = DEFAULT_ARENA_PAGES * 4096 + 1;
+        let call = sys.call(stream, "launch").payload(&vec![1u8; size]);
+        assert_eq!(
+            call.start().unwrap_err(),
+            SrpcError::Codec(CodecError::TooLarge { size })
+        );
+        let s = sys.streams.get(&stream).unwrap();
+        assert_eq!((s.arena.as_ref().unwrap().head, s.backlog()), (0, 0));
+        // The stream still works. An idle arena restarts at offset 0 for a
+        // grant that cannot fit behind its cursor, and the bytes it skipped
+        // are not held against the next grant.
+        let page = [9u8; 4096];
+        sys.call(stream, "launch").payload(&page).sync().unwrap();
+        for blob in [vec![3u8; size - 4001], vec![4u8; 3000]] {
+            sys.call(stream, "launch").payload(&blob).start().unwrap();
+        }
+        sys.sync(stream).unwrap();
+        assert_eq!(*seen.lock().unwrap(), [Some(9), Some(3), Some(4)]);
+        assert_eq!(sys.stream_stats(stream).unwrap().ring_full_stalls, 0);
+    }
+
+    #[test]
+    fn in_flight_grants_are_never_overwritten() {
+        let mut sys = CronusSystem::boot(config());
+        let (_, stream, seen) = zero_copy_stream(&mut sys);
+        // 100 grants of 5000 bytes against a 64-page arena: the ring (256
+        // slots) admits them all, the arena holds 52 and wastes its tail.
+        for i in 0..100u8 {
+            let blob = vec![i; 5000];
+            sys.call(stream, "launch").payload(&blob).start().unwrap();
+        }
+        sys.sync(stream).unwrap();
+        let intact: Vec<Option<u8>> = (0..100).map(Some).collect();
+        assert_eq!(*seen.lock().unwrap(), intact);
+        // The producer waited for the arena exactly as for a full ring.
+        assert_eq!(sys.stream_stats(stream).unwrap().ring_full_stalls, 48);
+    }
+
+    /// Opens two single-lane streams, runs one 50 us launch on each and
+    /// returns when each finished.
+    fn two_streams(sys: &mut CronusSystem, shared: bool) -> (StreamId, StreamId, SimNs, SimNs) {
+        let (cpu, gpu, _) = setup_pair(sys);
+        let open = |sys: &mut CronusSystem| {
+            let b = sys.stream(cpu, gpu).rings(1);
+            if shared { b.shared() } else { b }.open().unwrap()
+        };
+        let (a, b) = (open(sys), open(sys));
+        sys.call(a, "launch").start().unwrap();
+        sys.call(b, "launch").start().unwrap();
+        sys.sync(a).unwrap();
+        sys.sync(b).unwrap();
+        let done = |s| sys.executor_time(s).unwrap();
+        (a, b, done(a), done(b))
+    }
+
+    #[test]
+    fn shared_streams_contend_for_the_partition_executor() {
+        let kernel = SimNs::from_micros(50);
+        let (.., a_done, b_done) = two_streams(&mut CronusSystem::boot(config()), false);
+        assert!(b_done - a_done < kernel, "own executors overlap");
+        let mut sys = CronusSystem::boot(config());
+        let (a, b, a_done, b_done) = two_streams(&mut sys, true);
+        assert!(b_done - a_done >= kernel, "one worker runs them in turn");
+
+        // A stall injected on one shared stream delays its co-tenant too.
+        let stall = SimNs::from_millis(3);
+        sys.arm_fault(ArmedFault {
+            phase: SrpcPhase::Dispatch,
+            action: FaultAction::DelayCompletion(stall),
+            stream: Some(a),
+        });
+        sys.call(a, "launch").start().unwrap();
+        sys.call(b, "launch").start().unwrap();
+        sys.sync(a).unwrap();
+        sys.sync(b).unwrap();
+        assert!(sys.executor_time(b).unwrap() - b_done >= stall);
     }
 }

@@ -20,7 +20,7 @@
 //!   wait/service split, USE metrics, Little's-law cross-checks and the
 //!   ranked bottleneck-attribution report behind `cargo run --bin obs-report`.
 //! - [`slo`]: per-figure p50/p99 wait budgets with error-budget burn rates,
-//!   gated by `scripts/ci.sh --slo`.
+//!   gated by `scripts/ci.sh --all`.
 //! - [`bundle`]: schema-versioned [`bundle::TelemetryBundle`] archives —
 //!   headlines, critical-path splits, per-queue USE stats with worst-N wait
 //!   exemplars, folded stacks and exemplar timelines — committed per figure

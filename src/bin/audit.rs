@@ -3,18 +3,17 @@
 //! ```text
 //! cargo run --bin audit              # audit every example workload scenario
 //! cargo run --bin audit -- --dump    # also dump each extracted model
-//! cargo run --bin audit -- --lint    # run only the repo-rule source lint
 //! ```
 //!
 //! Each scenario boots a fresh simulated platform, drives one representative
 //! workload shape (boot-only, the three chaos workloads, failover with
 //! trap + recovery, spatial sharing), snapshots the full mapping state at
 //! every interesting point, and checks the five invariants I1–I5. Exits
-//! non-zero on any violation or lint finding. See `AUDIT.md`.
+//! non-zero on any violation. See `AUDIT.md`.
 
 use std::process::ExitCode;
 
-use cronus::audit::{audit_system, run_lint, AuditReport, IsolationModel};
+use cronus::audit::{audit_system, AuditReport, IsolationModel};
 use cronus::chaos::workload::{self, WorkloadKind};
 use cronus::core::CronusSystem;
 use cronus::sim::SimRng;
@@ -33,13 +32,11 @@ struct Checkpoint {
 
 fn main() -> ExitCode {
     let mut dump = false;
-    let mut lint_only = false;
     for arg in std::env::args().skip(1) {
         match arg.as_str() {
             "--dump" => dump = true,
-            "--lint" => lint_only = true,
             "--help" | "-h" => {
-                eprintln!("usage: audit [--dump] [--lint]");
+                eprintln!("usage: audit [--dump]");
                 return ExitCode::SUCCESS;
             }
             other => {
@@ -47,10 +44,6 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         }
-    }
-
-    if lint_only {
-        return run_source_lint();
     }
 
     let mut checkpoints = Vec::new();
@@ -98,24 +91,6 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
-}
-
-fn run_source_lint() -> ExitCode {
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
-    match run_lint(root) {
-        Ok(report) => {
-            print!("{}", report.render());
-            if report.passed() {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            }
-        }
-        Err(e) => {
-            eprintln!("audit: lint failed to scan the tree: {e}");
-            ExitCode::FAILURE
-        }
-    }
 }
 
 fn check(

@@ -1,5 +1,5 @@
-//! The cronus-lint v2 CLI: syntactic secret-taint, panic-reachability
-//! and deprecated-API analysis for the trusted surface.
+//! The cronus-lint v2 CLI: syntactic secret-taint and panic-reachability
+//! analysis for the trusted surface.
 //!
 //! ```text
 //! cargo run --bin lint                     # analyze, ratchet against LINT_BASELINE.json

@@ -15,7 +15,7 @@
 //! Output is deterministic — byte-identical for the same pair of files.
 //!
 //! Exit codes: 0 = no significant deltas, 1 = significant deltas found,
-//! 2 = usage or read/parse error. `scripts/ci.sh --diff` self-diffs every
+//! 2 = usage or read/parse error. `scripts/ci.sh --all` (gate `diff`) self-diffs every
 //! committed bundle against a fresh run and requires exit 0. See
 //! OBSERVABILITY.md, "Explaining a regression".
 

@@ -15,7 +15,7 @@
 //! dominant-resource shares) and the noisy-neighbor interference matrix.
 //! Every run ends with the conservation self-test: per-principal charges
 //! must sum *exactly* to the profiler's category totals, and any
-//! imbalance fails the run. `scripts/ci.sh --meter` gates on exactly
+//! imbalance fails the run. `scripts/ci.sh --all` (gate `meter`) gates on exactly
 //! this. See OBSERVABILITY.md, "Who is using the machine?".
 
 use std::process::ExitCode;

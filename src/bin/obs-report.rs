@@ -12,7 +12,7 @@
 //! (depth/occupancy), errors, the wait/service split and the Little's-law
 //! cross-check verdicts. With `--slo`, also evaluates each run against its
 //! per-figure p50/p99 wait budgets and exits non-zero on any error-budget
-//! burn > 1.0 or Little's-law violation — `scripts/ci.sh --slo` gates on
+//! burn > 1.0 or Little's-law violation — `scripts/ci.sh --all` (gate `slo`) gates on
 //! exactly this. See OBSERVABILITY.md, "Diagnosing the bottleneck".
 
 use std::process::ExitCode;
