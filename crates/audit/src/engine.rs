@@ -452,7 +452,8 @@ fn rel_path(root: &Path, path: &Path) -> String {
 
 /// Computes the Rust module path of a repo-relative file path:
 /// `crates/core/src/ring.rs` → `cronus_core::ring`,
-/// `src/bin/obs-diff.rs` → `obs_diff`, `tests/security.rs` → `security`.
+/// `src/bin/obs.rs` → `obs` (a `-` becomes `_`), `tests/security.rs` →
+/// `security`.
 pub fn module_of(path: &str) -> String {
     let stemmed = |s: &str| s.trim_end_matches(".rs").replace('-', "_");
     if let Some(rest) = path.strip_prefix("crates/") {
@@ -505,9 +506,10 @@ mod tests {
             module_of("crates/workloads/src/dnn/mod.rs"),
             "cronus_workloads::dnn"
         );
-        assert_eq!(module_of("crates/bench/src/bin/fig7.rs"), "fig7");
-        assert_eq!(module_of("crates/bench/benches/srpc.rs"), "srpc");
-        assert_eq!(module_of("src/bin/obs-diff.rs"), "obs_diff");
+        assert_eq!(module_of("crates/bench/src/bin/fig.rs"), "fig");
+        assert_eq!(module_of("crates/core/tests/properties.rs"), "properties");
+        assert_eq!(module_of("src/bin/obs.rs"), "obs");
+        assert_eq!(module_of("src/bin/two-words.rs"), "two_words");
         assert_eq!(module_of("src/lib.rs"), "cronus");
         assert_eq!(module_of("tests/security.rs"), "security");
     }

@@ -79,9 +79,9 @@ findings so the list cannot rot.",
     },
     Rule {
         name: "no-wall-clock",
-        summary: "wall-clock reads only in crates/obs and crates/bench",
+        summary: "wall-clock reads only in crates/obs and benchmark/",
         explain: "std::time::{Instant,SystemTime} reads outside crates/obs and \
-crates/bench break simulation determinism; everything else runs on the \
+benchmark/ break simulation determinism; everything else runs on the \
 simulated clock. The deterministic observatory files \
 crates/obs/src/{queue,slo,bundle,diff,meter,fairness}.rs are carved out of \
 the exemption: they promise byte-identical output per seed.",
@@ -121,10 +121,10 @@ pub const NO_UNWRAP_SCOPES: [&str; 4] = [
     "crates/forensics/src",
 ];
 
-/// Trees allowed to read the wall clock: the observability crate, the
-/// figure harness, and the repo benchmark (`benchmark/`, which exists to
-/// time the simulator on the host clock).
-pub const WALL_CLOCK_EXEMPT: [&str; 3] = ["crates/obs", "crates/bench", "benchmark"];
+/// Trees allowed to read the wall clock: the observability crate and the
+/// repo benchmark (`benchmark/`, which exists to time the simulator on the
+/// host clock).
+pub const WALL_CLOCK_EXEMPT: [&str; 2] = ["crates/obs", "benchmark"];
 
 /// Observatory analysis files held to the strict rules despite living in
 /// the otherwise-exempt `crates/obs`.
@@ -187,7 +187,7 @@ pub const SOURCE_PATHS: [&str; 10] = [
 ];
 
 /// Functions whose arguments become normal-world observable.
-pub const SINK_PATHS: [&str; 51] = [
+pub const SINK_PATHS: [&str; 49] = [
     // Recorder / metrics labels and values.
     "FlightRecorder::counter_add",
     "MetricsRegistry::counter_add",
@@ -233,9 +233,7 @@ pub const SINK_PATHS: [&str; 51] = [
     "Ledger::append",
     "LedgerInner::append",
     "Ledger::annotate_last_blackbox",
-    // BENCH_* / BUNDLE_* emitters.
-    "baseline::write",
-    "baseline::write_bundle",
+    // The BUNDLE_* emitter.
     "baseline::emit",
     // Resource-meter usage records: ledgers hold sizes and counts only;
     // payload or grant-arena *bytes* must never reach them.
@@ -344,7 +342,7 @@ pub fn wall_clock_findings(file: &ParsedFile, out: &mut Vec<Finding>) {
                 path: file.path.clone(),
                 line: t.line,
                 message: format!(
-                    "`{id}` wall-clock read outside crates/obs and crates/bench \
+                    "`{id}` wall-clock read outside crates/obs and benchmark/ \
                      breaks simulation determinism; use the simulated clock"
                 ),
                 chain: Vec::new(),
@@ -414,20 +412,21 @@ mod tests {
     }
 
     #[test]
-    fn wall_clock_flagged_outside_obs_and_bench() {
+    fn wall_clock_flagged_outside_obs_and_benchmark() {
         let mut out = Vec::new();
-        wall_clock_findings(
-            &file(
-                "crates/core/src/x.rs",
-                "fn f() { let t = std::time::Instant::now(); }",
-            ),
-            &mut out,
-        );
-        assert_eq!(out.len(), 1, "one finding at the Instant token: {out:?}");
+        // The figure harness is sim-clock-only, like the system it drives.
+        for path in ["crates/core/src/x.rs", "crates/bench/src/x.rs"] {
+            out.clear();
+            wall_clock_findings(
+                &file(path, "fn f() { let t = std::time::Instant::now(); }"),
+                &mut out,
+            );
+            assert_eq!(out.len(), 1, "one finding at the Instant token: {out:?}");
+        }
         out.clear();
         wall_clock_findings(
             &file(
-                "crates/bench/src/x.rs",
+                "benchmark/src/x.rs",
                 "fn f() { let t = std::time::Instant::now(); }",
             ),
             &mut out,

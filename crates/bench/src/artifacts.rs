@@ -1,6 +1,6 @@
 //! Dumps flight-recorder artifacts next to the figure tables.
 //!
-//! Every figure binary calls [`dump`] after printing its table, writing
+//! The `fig` binary calls [`dump`] after printing each table, writing
 //! three files under `target/bench/`:
 //!
 //! - `<name>.metrics.json` — the metrics snapshot (counters, gauges,
@@ -12,7 +12,7 @@
 use std::fs;
 use std::path::PathBuf;
 
-use cronus_obs::{FlightRecorder, LabelSet};
+use cronus_obs::FlightRecorder;
 
 /// Where artifacts land, relative to the current working directory.
 pub const ARTIFACT_DIR: &str = "target/bench";
@@ -45,18 +45,7 @@ pub fn dump(name: &str, rec: &FlightRecorder) -> std::io::Result<ArtifactPaths> 
 
 /// [`dump`] plus a one-line note on stdout; IO errors become a warning
 /// rather than failing the run (figure output is the primary artifact).
-///
-/// Also warns when the run's simulator event log dropped events (the
-/// `eventlog.dropped` gauge, refreshed every time the system hands out its
-/// recorder): counters derived from the log undercount in that case.
 pub fn dump_and_report(name: &str, rec: &FlightRecorder) {
-    let dropped = rec.with(|r| r.metrics.gauge("eventlog.dropped", &LabelSet::empty()));
-    if dropped > 0 {
-        eprintln!(
-            "[obs] {name}: WARNING: event log dropped {dropped} events; \
-             event-derived counters undercount (raise the log capacity)"
-        );
-    }
     match dump(name, rec) {
         Ok(p) => println!(
             "[obs] {}: metrics={} trace={} folded={}",

@@ -9,7 +9,7 @@
 
 use cronus_core::CronusSystem;
 use cronus_devices::npu::NpuDevice;
-use cronus_obs::FlightRecorder;
+use cronus_obs::{FlightRecorder, Headline};
 use cronus_runtime::{VtaContext, VtaOptions};
 use cronus_sim::tzpc::DeviceId;
 use cronus_sim::{CostModel, SimNs, StreamId};
@@ -17,6 +17,7 @@ use cronus_workloads::dnn::models::{resnet18, resnet50, yolov3};
 use cronus_workloads::inference::{latency_table, InferenceRow};
 use cronus_workloads::vta_bench::{self, tiled_gemm_programs};
 
+use super::{FigureRun, Params};
 use crate::report::{ratio, Table};
 
 /// One Fig. 10a row: vta-bench throughput per system.
@@ -152,8 +153,7 @@ pub fn print_10b(rows: &[InferenceRow]) -> String {
 
 /// Headline metrics for Fig. 10a: average CRONUS throughput and its
 /// retention versus native.
-pub fn headlines_10a(rows: &[Fig10aRow]) -> Vec<crate::baseline::Headline> {
-    use crate::baseline::Headline;
+pub fn headlines_10a(rows: &[Fig10aRow]) -> Vec<Headline> {
     let n = rows.len().max(1) as f64;
     let avg_gops = rows.iter().map(|r| r.cronus_gops).sum::<f64>() / n;
     let retention = rows
@@ -168,11 +168,32 @@ pub fn headlines_10a(rows: &[Fig10aRow]) -> Vec<crate::baseline::Headline> {
 }
 
 /// Headline metrics for Fig. 10b: per-model NPU inference latency.
-pub fn headlines_10b(rows: &[InferenceRow]) -> Vec<crate::baseline::Headline> {
-    use crate::baseline::Headline;
+pub fn headlines_10b(rows: &[InferenceRow]) -> Vec<Headline> {
     rows.iter()
         .map(|r| Headline::ns(format!("{}_npu_ns", r.model), r.npu))
         .collect()
+}
+
+/// Fig. 10a's table row entry point: `size` is the vta-bench scale.
+pub fn figure_10a(p: Params) -> FigureRun {
+    let (rows, recorder) = run_10a_recorded(p.size as usize);
+    FigureRun {
+        text: print_10a(&rows),
+        headlines: headlines_10a(&rows),
+        meta: vec![("scale".to_string(), p.size.to_string())],
+        recorder,
+    }
+}
+
+/// Fig. 10b's table row entry point (no parameters).
+pub fn figure_10b(_: Params) -> FigureRun {
+    let (rows, recorder) = run_10b_recorded();
+    FigureRun {
+        text: print_10b(&rows),
+        headlines: headlines_10b(&rows),
+        meta: Vec::new(),
+        recorder,
+    }
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@
 //!   performance."
 
 use cronus_core::CronusSystem;
-use cronus_obs::FlightRecorder;
+use cronus_obs::{FlightRecorder, Headline};
 use cronus_runtime::{CudaContext, CudaOptions};
 use cronus_sim::{CostModel, SimNs};
 use cronus_workloads::backend::CronusGpuBackend;
@@ -19,6 +19,7 @@ use cronus_workloads::dnn::models::lenet5;
 use cronus_workloads::dnn::{train, Dataset, TrainConfig};
 use cronus_workloads::kernels::register_standard_kernels;
 
+use super::{FigureRun, Params};
 use crate::report::{ratio, Table};
 
 /// One Fig. 11a point.
@@ -231,8 +232,7 @@ pub fn print_11b(points: &[MultiGpuPoint]) -> String {
 
 /// Headline metrics for Fig. 11a: single-tenant throughput and aggregate
 /// throughput at the highest sharing level.
-pub fn headlines_11a(points: &[SharingPoint]) -> Vec<crate::baseline::Headline> {
-    use crate::baseline::Headline;
+pub fn headlines_11a(points: &[SharingPoint]) -> Vec<Headline> {
     let mut out = Vec::new();
     if let Some(first) = points.first() {
         out.push(Headline::higher(
@@ -253,8 +253,7 @@ pub fn headlines_11a(points: &[SharingPoint]) -> Vec<crate::baseline::Headline> 
 
 /// Headline metrics for Fig. 11b: throughput per exchange path at the
 /// highest GPU count.
-pub fn headlines_11b(points: &[MultiGpuPoint]) -> Vec<crate::baseline::Headline> {
-    use crate::baseline::Headline;
+pub fn headlines_11b(points: &[MultiGpuPoint]) -> Vec<Headline> {
     let max_gpus = points.iter().map(|p| p.gpus).max().unwrap_or(0);
     points
         .iter()
@@ -271,6 +270,33 @@ pub fn headlines_11b(points: &[MultiGpuPoint]) -> Vec<crate::baseline::Headline>
             )
         })
         .collect()
+}
+
+/// The sharing levels (Fig. 11a) or GPU counts (Fig. 11b) up to `max`.
+fn counts_up_to(max: u64) -> Vec<usize> {
+    [1, 2, 4].into_iter().filter(|&k| k as u64 <= max).collect()
+}
+
+/// Fig. 11a's table row entry point: `size` is the highest sharing level.
+pub fn figure_11a(p: Params) -> FigureRun {
+    let (points, recorder) = run_11a_recorded(&counts_up_to(p.size));
+    FigureRun {
+        text: print_11a(&points),
+        headlines: headlines_11a(&points),
+        meta: Vec::new(),
+        recorder,
+    }
+}
+
+/// Fig. 11b's table row entry point: `size` is the highest GPU count.
+pub fn figure_11b(p: Params) -> FigureRun {
+    let (points, recorder) = run_11b_recorded(&counts_up_to(p.size));
+    FigureRun {
+        text: print_11b(&points),
+        headlines: headlines_11b(&points),
+        meta: Vec::new(),
+        recorder,
+    }
 }
 
 #[cfg(test)]

@@ -6,13 +6,14 @@
 
 use cronus_baselines::direct::{hix_backend, native_backend, trustzone_backend};
 use cronus_core::{ArmedFault, CronusSystem};
-use cronus_obs::FlightRecorder;
+use cronus_obs::{FlightRecorder, Headline};
 use cronus_runtime::{CudaContext, CudaOptions};
 use cronus_sim::SimNs;
 use cronus_workloads::backend::{CronusGpuBackend, GpuBackend};
 use cronus_workloads::kernels::register_standard_kernels;
 use cronus_workloads::rodinia;
 
+use super::{FigureRun, Params};
 use crate::report::{ratio, Table};
 
 /// One Fig. 7 row.
@@ -74,7 +75,7 @@ pub fn run_recorded(scale: usize) -> (Vec<Fig7Row>, FlightRecorder) {
 /// [`run_recorded`] with an optional armed fault on the CRONUS system (the
 /// baselines never see it). This is the synthetic-regression entry point the
 /// differential-forensics tests use: arm a completion-delay fault, capture
-/// the bundle, and `obs-diff` must rank the slowed queue as top offender.
+/// the bundle, and `obs diff` must rank the slowed queue as top offender.
 pub fn run_recorded_faulted(
     scale: usize,
     fault: Option<ArmedFault>,
@@ -155,9 +156,8 @@ pub fn print(rows: &[Fig7Row]) -> String {
     out
 }
 
-/// Headline metrics for the bench-regression gate.
-pub fn headlines(rows: &[Fig7Row]) -> Vec<crate::baseline::Headline> {
-    use crate::baseline::Headline;
+/// Headline metrics of the committed baseline.
+pub fn headlines(rows: &[Fig7Row]) -> Vec<Headline> {
     let n = rows.len().max(1) as f64;
     let avg = rows.iter().map(Fig7Row::cronus_normalized).sum::<f64>() / n;
     let worst = rows
@@ -168,6 +168,17 @@ pub fn headlines(rows: &[Fig7Row]) -> Vec<crate::baseline::Headline> {
         Headline::lower("avg_cronus_overhead_pct", (avg - 1.0) * 100.0, "%"),
         Headline::lower("worst_cronus_overhead_pct", (worst - 1.0) * 100.0, "%"),
     ]
+}
+
+/// The table row's entry point: `size` is the Rodinia problem scale.
+pub fn figure(p: Params) -> FigureRun {
+    let (rows, recorder) = run_recorded(p.size as usize);
+    FigureRun {
+        text: print(&rows),
+        headlines: headlines(&rows),
+        meta: vec![("scale".to_string(), p.size.to_string())],
+        recorder,
+    }
 }
 
 #[cfg(test)]

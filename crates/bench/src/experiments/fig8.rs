@@ -6,7 +6,7 @@
 
 use cronus_baselines::direct::{hix_backend, native_backend, trustzone_backend};
 use cronus_core::CronusSystem;
-use cronus_obs::FlightRecorder;
+use cronus_obs::{FlightRecorder, Headline};
 use cronus_runtime::{CudaContext, CudaOptions};
 use cronus_sim::SimNs;
 use cronus_workloads::backend::{CronusGpuBackend, GpuBackend};
@@ -14,6 +14,7 @@ use cronus_workloads::dnn::models::{densenet121, lenet5, resnet50_cifar, vgg16_c
 use cronus_workloads::dnn::{train, Dataset, Model, TrainConfig};
 use cronus_workloads::kernels::register_standard_kernels;
 
+use super::{FigureRun, Params};
 use crate::report::{ratio, Table};
 
 /// One Fig. 8 row.
@@ -168,10 +169,9 @@ pub fn print(rows: &[Fig8Row]) -> String {
     t.render()
 }
 
-/// Headline metrics for the bench-regression gate: per-model CRONUS
+/// Headline metrics of the committed baseline: per-model CRONUS
 /// iteration time plus the average overhead over native.
-pub fn headlines(rows: &[Fig8Row]) -> Vec<crate::baseline::Headline> {
-    use crate::baseline::Headline;
+pub fn headlines(rows: &[Fig8Row]) -> Vec<Headline> {
     let mut out: Vec<Headline> = rows
         .iter()
         .map(|r| Headline::ns(format!("{}_cronus_ns", r.model), r.cronus))
@@ -180,6 +180,17 @@ pub fn headlines(rows: &[Fig8Row]) -> Vec<crate::baseline::Headline> {
     let avg = rows.iter().map(Fig8Row::cronus_overhead).sum::<f64>() / n;
     out.push(Headline::lower("avg_cronus_overhead_pct", avg * 100.0, "%"));
     out
+}
+
+/// The table row's entry point (no parameters).
+pub fn figure(_: Params) -> FigureRun {
+    let (rows, recorder) = run_recorded();
+    FigureRun {
+        text: print(&rows),
+        headlines: headlines(&rows),
+        meta: Vec::new(),
+        recorder,
+    }
 }
 
 #[cfg(test)]

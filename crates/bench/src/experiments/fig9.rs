@@ -11,11 +11,12 @@
 //! reconstructed from the measured recovery durations.
 
 use cronus_core::CronusSystem;
-use cronus_obs::FlightRecorder;
+use cronus_obs::{FlightRecorder, Headline};
 use cronus_runtime::{CudaContext, CudaOptions};
 use cronus_sim::SimNs;
 use cronus_spm::spm::RecoveryStats;
 
+use super::{FigureRun, Params};
 use crate::report::Table;
 
 /// Throughput sample: jobs completed by each task in one bucket.
@@ -120,20 +121,10 @@ pub fn run() -> Fig9Data {
     sys.mark("fig9:recovered");
     let reboot_time = sys.spm().machine().cost().machine_reboot;
 
-    // Acceptance checks: sink counters agree exactly with the event log and
-    // the profiler attributes every elapsed nanosecond.
+    // Acceptance check: the profiler attributes every elapsed nanosecond.
     let recorder = sys.recorder();
     {
-        let log = sys.spm().machine().log();
         let inner = recorder.lock();
-        assert_eq!(
-            inner.metrics.counter_total("context_switches"),
-            log.context_switches() as u64
-        );
-        assert_eq!(
-            inner.metrics.counter_total("world_switches"),
-            log.world_switches() as u64
-        );
         let attributed: u64 = inner
             .profiler
             .attribution()
@@ -207,10 +198,9 @@ pub fn print(data: &Fig9Data) -> String {
     out
 }
 
-/// Headline metrics for the bench-regression gate: the three recovery
+/// Headline metrics of the committed baseline: the three recovery
 /// stages, their total, and the whole-machine reboot baseline.
-pub fn headlines(data: &Fig9Data) -> Vec<crate::baseline::Headline> {
-    use crate::baseline::Headline;
+pub fn headlines(data: &Fig9Data) -> Vec<Headline> {
     vec![
         Headline::ns("recovery_proceed_ns", data.recovery.proceed_time),
         Headline::ns("recovery_clear_ns", data.recovery.clear_time),
@@ -218,6 +208,17 @@ pub fn headlines(data: &Fig9Data) -> Vec<crate::baseline::Headline> {
         Headline::ns("recovery_total_ns", data.recovery.total()),
         Headline::ns("reboot_total_ns", data.reboot_time),
     ]
+}
+
+/// The table row's entry point (no parameters).
+pub fn figure(_: Params) -> FigureRun {
+    let data = run();
+    FigureRun {
+        text: print(&data),
+        headlines: headlines(&data),
+        meta: Vec::new(),
+        recorder: data.recorder,
+    }
 }
 
 #[cfg(test)]

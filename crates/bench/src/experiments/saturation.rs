@@ -1,17 +1,17 @@
-//! The obs-report saturation workload.
+//! The saturation workload.
 //!
 //! Not a paper figure: a seeded mix of bursty sRPC echo traffic, staging
 //! DMA and GPU kernel launches that pushes every instrumented queue class
 //! at once — sRPC rings, the dispatch queue, the PCIe DMA engine and the
 //! device completion queues — so the bottleneck-attribution report has real
-//! contention to rank. `cargo run --bin obs-report` drives it by default.
+//! contention to rank. `cargo run --bin obs -- report` drives it by default.
 
 use std::collections::BTreeMap;
 
 use cronus_core::{Actor, CronusSystem};
 use cronus_devices::DeviceKind;
 use cronus_mos::manifest::{Manifest, McallDecl};
-use cronus_obs::FlightRecorder;
+use cronus_obs::{FlightRecorder, Headline};
 use cronus_runtime::{CudaContext, CudaOptions, LaunchArg};
 use cronus_sim::CostModel;
 use cronus_workloads::kernels;
@@ -135,6 +135,22 @@ pub fn run_recorded(seed: u64, calls: u64) -> FlightRecorder {
     sys.sync(stream).expect("final echo sync");
     cuda.synchronize(&mut sys).expect("final cuda sync");
     sys.recorder()
+}
+
+/// The table row's entry point: `size` is the number of bursty calls.
+pub fn figure(p: super::Params) -> super::FigureRun {
+    let recorder = run_recorded(p.seed, p.size);
+    super::FigureRun {
+        text: recorder
+            .queue_report(cronus_obs::queue::DEFAULT_LITTLE_TOLERANCE)
+            .render_text(),
+        headlines: vec![Headline::ns("total_sim_ns", recorder.total_elapsed())],
+        meta: vec![
+            ("seed".to_string(), p.seed.to_string()),
+            ("calls".to_string(), p.size.to_string()),
+        ],
+        recorder,
+    }
 }
 
 #[cfg(test)]

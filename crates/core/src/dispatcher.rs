@@ -14,28 +14,6 @@ use cronus_devices::DeviceKind;
 use cronus_mos::manifest::MosId;
 use cronus_sim::machine::AsId;
 
-/// How [`Dispatcher::route`] picks among same-kind partitions.
-///
-/// One policy enum instead of one method per strategy: new strategies are
-/// variants, and callers state their intent at the call site. The enum is
-/// `#[non_exhaustive]` so adding a policy is not a breaking change.
-#[non_exhaustive]
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum RoutePolicy {
-    /// First registered partition managing the kind (cheapest; the legacy
-    /// single-partition behavior).
-    #[default]
-    FirstFit,
-    /// Cycle through same-kind partitions in registration order.
-    RoundRobin,
-    /// Fewest total dispatches so far (Fig. 11b multi-GPU balancing).
-    LeastLoaded,
-    /// Smallest *live* backlog, fed by [`Dispatcher::note_enqueue`] /
-    /// [`Dispatcher::note_complete`]: an idle partition steals work that
-    /// dispatch counts alone would have serialized behind a busy one.
-    WorkStealing,
-}
-
 /// Dispatcher bookkeeping for one partition.
 #[derive(Clone, Debug)]
 pub struct PartitionInfo {
@@ -57,11 +35,6 @@ pub struct Dispatcher {
     partitions: Vec<PartitionInfo>,
     /// Requests dispatched per partition (utilization bookkeeping).
     dispatched: HashMap<AsId, u64>,
-    /// Live backlog per partition (enqueued minus completed), feeding the
-    /// work-stealing policy.
-    backlog: HashMap<AsId, u64>,
-    /// Round-robin cursors per device kind.
-    rr_next: HashMap<DeviceKind, usize>,
     /// Attack injection: forces requests for a device kind to a wrong
     /// partition (the malicious-dispatch threat of §III-B).
     misroute: Option<(DeviceKind, AsId)>,
@@ -83,66 +56,23 @@ impl Dispatcher {
         &self.partitions
     }
 
-    /// Routes a request for `kind` to a partition under `policy`, counting
-    /// the dispatch. Misroute injection (the dispatcher is untrusted)
-    /// overrides any policy. Returns `None` if no partition manages `kind`.
-    pub fn route(&mut self, kind: DeviceKind, policy: RoutePolicy) -> Option<AsId> {
-        if let Some((bad_kind, target)) = self.misroute {
-            if bad_kind == kind {
-                *self.dispatched.entry(target).or_default() += 1;
-                return Some(target);
-            }
-        }
-        let candidates: Vec<AsId> = self
-            .partitions
-            .iter()
-            .filter(|p| p.kind == kind)
-            .map(|p| p.asid)
-            .collect();
-        if candidates.is_empty() {
-            return None;
-        }
-        let asid = match policy {
-            RoutePolicy::FirstFit => candidates[0],
-            RoutePolicy::RoundRobin => {
-                let cursor = self.rr_next.entry(kind).or_default();
-                let asid = candidates[*cursor % candidates.len()];
-                *cursor = (*cursor + 1) % candidates.len();
-                asid
-            }
-            RoutePolicy::LeastLoaded => *candidates
+    /// Routes a request for `kind` to the same-kind partition with the
+    /// fewest dispatches so far (Fig. 11b multi-GPU balancing; ties go to
+    /// registration order), counting the dispatch. Misroute injection (the
+    /// dispatcher is untrusted) overrides it. Returns `None` if no partition
+    /// manages `kind`.
+    pub fn route(&mut self, kind: DeviceKind) -> Option<AsId> {
+        let asid = match self.misroute {
+            Some((bad_kind, target)) if bad_kind == kind => target,
+            _ => self
+                .partitions
                 .iter()
-                .min_by_key(|asid| self.dispatched.get(asid).copied().unwrap_or(0))
-                .expect("non-empty"),
-            RoutePolicy::WorkStealing => *candidates
-                .iter()
-                .min_by_key(|asid| {
-                    (
-                        self.backlog.get(asid).copied().unwrap_or(0),
-                        self.dispatched.get(asid).copied().unwrap_or(0),
-                    )
-                })
-                .expect("non-empty"),
+                .filter(|p| p.kind == kind)
+                .map(|p| p.asid)
+                .min_by_key(|asid| self.dispatched.get(asid).copied().unwrap_or(0))?,
         };
         *self.dispatched.entry(asid).or_default() += 1;
         Some(asid)
-    }
-
-    /// Reports one request enqueued toward `asid` (work-stealing feed).
-    pub fn note_enqueue(&mut self, asid: AsId) {
-        *self.backlog.entry(asid).or_default() += 1;
-    }
-
-    /// Reports one request completed on `asid` (work-stealing feed).
-    pub fn note_complete(&mut self, asid: AsId) {
-        if let Some(b) = self.backlog.get_mut(&asid) {
-            *b = b.saturating_sub(1);
-        }
-    }
-
-    /// The live backlog recorded for `asid`.
-    pub fn backlog(&self, asid: AsId) -> u64 {
-        self.backlog.get(&asid).copied().unwrap_or(0)
     }
 
     /// The stored mOS image for a partition (for recovery reloads).
@@ -189,15 +119,9 @@ mod tests {
         let mut d = Dispatcher::new();
         d.register(info(1, DeviceKind::Cpu));
         d.register(info(2, DeviceKind::Gpu));
-        assert_eq!(
-            d.route(DeviceKind::Gpu, RoutePolicy::FirstFit),
-            Some(AsId::new(2))
-        );
-        assert_eq!(
-            d.route(DeviceKind::Cpu, RoutePolicy::FirstFit),
-            Some(AsId::new(1))
-        );
-        assert_eq!(d.route(DeviceKind::Npu, RoutePolicy::FirstFit), None);
+        assert_eq!(d.route(DeviceKind::Gpu), Some(AsId::new(2)));
+        assert_eq!(d.route(DeviceKind::Cpu), Some(AsId::new(1)));
+        assert_eq!(d.route(DeviceKind::Npu), None);
         assert_eq!(d.dispatch_count(AsId::new(2)), 1);
     }
 
@@ -206,57 +130,9 @@ mod tests {
         let mut d = Dispatcher::new();
         d.register(info(2, DeviceKind::Gpu));
         d.register(info(3, DeviceKind::Gpu));
-        let a = d.route(DeviceKind::Gpu, RoutePolicy::LeastLoaded).unwrap();
-        let b = d.route(DeviceKind::Gpu, RoutePolicy::LeastLoaded).unwrap();
+        let a = d.route(DeviceKind::Gpu).unwrap();
+        let b = d.route(DeviceKind::Gpu).unwrap();
         assert_ne!(a, b, "two GPUs share the load");
-    }
-
-    #[test]
-    fn round_robin_cycles_registration_order() {
-        let mut d = Dispatcher::new();
-        d.register(info(2, DeviceKind::Gpu));
-        d.register(info(3, DeviceKind::Gpu));
-        let picks: Vec<AsId> = (0..4)
-            .map(|_| d.route(DeviceKind::Gpu, RoutePolicy::RoundRobin).unwrap())
-            .collect();
-        assert_eq!(
-            picks,
-            vec![AsId::new(2), AsId::new(3), AsId::new(2), AsId::new(3)]
-        );
-    }
-
-    #[test]
-    fn work_stealing_prefers_idle_partition() {
-        let mut d = Dispatcher::new();
-        d.register(info(2, DeviceKind::Gpu));
-        d.register(info(3, DeviceKind::Gpu));
-        // Partition 2 has dispatched more *and* completed everything;
-        // partition 3 sits on a live backlog. Least-loaded (by dispatch
-        // count) would pick 3; work stealing sees it is busy and picks 2.
-        for _ in 0..5 {
-            assert_eq!(
-                d.route(DeviceKind::Gpu, RoutePolicy::FirstFit),
-                Some(AsId::new(2))
-            );
-        }
-        d.note_enqueue(AsId::new(3));
-        d.note_enqueue(AsId::new(3));
-        assert_eq!(
-            d.route(DeviceKind::Gpu, RoutePolicy::LeastLoaded),
-            Some(AsId::new(3))
-        );
-        assert_eq!(
-            d.route(DeviceKind::Gpu, RoutePolicy::WorkStealing),
-            Some(AsId::new(2))
-        );
-        // Completions drain the backlog and the steal preference flips.
-        d.note_complete(AsId::new(3));
-        d.note_complete(AsId::new(3));
-        assert_eq!(d.backlog(AsId::new(3)), 0);
-        assert_eq!(
-            d.route(DeviceKind::Gpu, RoutePolicy::WorkStealing),
-            Some(AsId::new(3))
-        );
     }
 
     #[test]
@@ -265,16 +141,10 @@ mod tests {
         d.register(info(1, DeviceKind::Cpu));
         d.register(info(2, DeviceKind::Gpu));
         d.inject_misroute(DeviceKind::Gpu, AsId::new(1));
-        // Misroute overrides every policy: the dispatcher is untrusted.
-        assert_eq!(
-            d.route(DeviceKind::Gpu, RoutePolicy::WorkStealing),
-            Some(AsId::new(1))
-        );
+        // Misroute overrides the routing: the dispatcher is untrusted.
+        assert_eq!(d.route(DeviceKind::Gpu), Some(AsId::new(1)));
         d.clear_misroute();
-        assert_eq!(
-            d.route(DeviceKind::Gpu, RoutePolicy::FirstFit),
-            Some(AsId::new(2))
-        );
+        assert_eq!(d.route(DeviceKind::Gpu), Some(AsId::new(2)));
     }
 
     #[test]

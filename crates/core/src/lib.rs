@@ -8,8 +8,8 @@
 //!   (`cronus-mos` supplies the Enclave Manager; this crate supplies the
 //!   application-facing lifecycle in [`system::CronusSystem`]);
 //! * the **Enclave Dispatcher** ([`dispatcher`]) in the untrusted normal
-//!   world, with policy-driven routing ([`dispatcher::RoutePolicy`],
-//!   including work stealing) and malicious-dispatch attack injection;
+//!   world, with least-loaded routing and malicious-dispatch attack
+//!   injection;
 //! * **streaming RPC (sRPC)** ([`ring`], [`srpc`], [`stream`], driven by
 //!   [`system::CronusSystem`]): requests flow through per-stream multi-lane
 //!   rings in trusted shared TEE memory with per-lane `Rid`/`Sid` indices,
@@ -89,7 +89,7 @@ pub mod transport;
 
 pub use call::Call;
 pub use cronus_forensics::MONITOR_CHAIN;
-pub use dispatcher::{Dispatcher, PartitionInfo, RoutePolicy};
+pub use dispatcher::{Dispatcher, PartitionInfo};
 pub use error::{CronusError, FaultKind};
 pub use inject::{ArmedFault, FaultAction, FiredFault, SrpcPhase};
 pub use pipe::PipeId;

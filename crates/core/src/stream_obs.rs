@@ -117,7 +117,7 @@ impl StreamObs {
             opened,
         );
         // One queue station per lane: per-stream (and per-lane) attribution
-        // is what lets obs-report name the bounding stream instead of one
+        // is what lets `obs report` name the bounding stream instead of one
         // aggregate `srpc.ring:1`.
         let stations = (0..layout.lanes)
             .map(|lane| {

@@ -613,7 +613,6 @@ impl CronusSystem {
             doorbell_cost,
             occupancy: s.backlog() as i64,
         };
-        self.dispatcher.note_enqueue(s.callee.0);
         Self::observe_stream(&self.spm, s, |r, obs| obs.enqueued(r, name, enqueued));
         Ok((lane_idx, lane_rid))
     }
@@ -786,7 +785,6 @@ impl CronusSystem {
             worker,
             occupancy: s.backlog() as i64,
         };
-        self.dispatcher.note_complete(callee.0);
         Self::observe_stream(&self.spm, s, |r, obs| {
             obs.drained(r, &request.name, drained)
         });

@@ -8,8 +8,7 @@
 //! partition cannot rewrite its own history without the monitor's verifier
 //! noticing (see [`crate::verify`]).
 //!
-//! Unlike the simulator's evicting `EventLog`, eviction here must not break
-//! verification: when a chain reaches its capacity the oldest half is
+//! Eviction here must not break verification: when a chain reaches its capacity the oldest half is
 //! dropped and a [`SecurityEvent::Checkpoint`] record is appended carrying
 //! the chained digest of the evicted prefix, so the surviving suffix still
 //! verifies end to end.

@@ -7,8 +7,8 @@
 //! worst-N wait exemplars, folded flamegraph stacks, and the exemplar
 //! request timelines joined by `ReqId`. Bundles are captured from a
 //! [`FlightRecorder`] at the end of a recorded figure run and committed as
-//! `BUNDLE_<name>.json` baselines alongside `BENCH_<name>.json`
-//! (`scripts/rebaseline.sh` refreshes both together).
+//! `BUNDLE_<name>.json`, the one per-figure baseline
+//! (`scripts/rebaseline.sh` refreshes them).
 //!
 //! Everything here is derived from the virtual clock, so a bundle is
 //! byte-identical across runs of the same (figure, seed) pair. This file is
@@ -17,6 +17,8 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+
+use cronus_sim::SimNs;
 
 use crate::json::{self, Json};
 use crate::queue::DEFAULT_LITTLE_TOLERANCE;
@@ -57,9 +59,10 @@ impl Direction {
     }
 }
 
-/// A headline metric as archived in a bundle.
+/// One headline metric of a figure run, as the experiments report it and
+/// the bundle archives it.
 #[derive(Clone, Debug, PartialEq)]
-pub struct BundleHeadline {
+pub struct Headline {
     /// Stable metric key (e.g. `total_wall_ms`).
     pub key: String,
     /// Metric value.
@@ -68,6 +71,33 @@ pub struct BundleHeadline {
     pub unit: String,
     /// Improvement direction.
     pub better: Direction,
+}
+
+impl Headline {
+    /// A lower-is-better headline.
+    pub fn lower(key: impl Into<String>, value: f64, unit: impl Into<String>) -> Headline {
+        Headline {
+            key: key.into(),
+            value,
+            unit: unit.into(),
+            better: Direction::Lower,
+        }
+    }
+
+    /// A higher-is-better headline.
+    pub fn higher(key: impl Into<String>, value: f64, unit: impl Into<String>) -> Headline {
+        Headline {
+            key: key.into(),
+            value,
+            unit: unit.into(),
+            better: Direction::Higher,
+        }
+    }
+
+    /// A lower-is-better latency headline from simulated time.
+    pub fn ns(key: impl Into<String>, t: SimNs) -> Headline {
+        Headline::lower(key, t.as_nanos() as f64, "ns")
+    }
 }
 
 /// Per-queue USE snapshot archived in a bundle.
@@ -134,7 +164,7 @@ pub struct TelemetryBundle {
     /// Free-form run metadata (seed, scale, bounding queue, ...).
     pub meta: Vec<(String, String)>,
     /// Headline metrics, in emission order.
-    pub headlines: Vec<BundleHeadline>,
+    pub headlines: Vec<Headline>,
     /// Per-category critical-path split, dominant first.
     pub critical_path: Vec<(String, u64)>,
     /// Per-queue USE snapshots, ranked by total wait (bounding queue first).
@@ -245,17 +275,51 @@ fn pairs_json(pairs: &[(String, u64)]) -> Json {
 }
 
 impl TelemetryBundle {
-    /// Captures a bundle from a finished recorded run. All content is
-    /// derived from the recorder's virtual-clock state, so the result is
+    /// Captures a bundle from a finished recorded run: the figure's own
+    /// `headlines` and `meta`, extended with what the recorder says about
+    /// the run (request count, bounding category and, when queues were
+    /// instrumented, the bounding queue's headlines). All content is derived
+    /// from the recorder's virtual-clock state, so the result is
     /// byte-identical across runs of the same (figure, seed) pair.
     pub fn capture(
         name: &str,
-        headlines: Vec<BundleHeadline>,
-        meta: Vec<(String, String)>,
+        mut headlines: Vec<Headline>,
+        mut meta: Vec<(String, String)>,
         rec: &FlightRecorder,
     ) -> TelemetryBundle {
         let causal = rec.causal_report();
         let queue_report = rec.queue_report(DEFAULT_LITTLE_TOLERANCE);
+
+        meta.push(("requests".to_string(), causal.requests.len().to_string()));
+        if let Some(cat) = causal.bounding_category() {
+            meta.push(("bounding_category".to_string(), cat.to_string()));
+        }
+        // Present only when the run instrumented queues (the chaos row
+        // captures an empty recorder). All three are lower-is-better: at a
+        // fixed workload, longer p99 waits, deeper backlogs or a busier
+        // bounding queue all mean the system moved toward saturation.
+        if let Some(b) = queue_report.bounding_queue() {
+            headlines.push(Headline::lower(
+                "queue_p99_wait_ns",
+                b.p99_wait_ns as f64,
+                "ns",
+            ));
+            let max_depth = queue_report.queues.iter().map(|q| q.max_depth).max();
+            headlines.push(Headline::lower(
+                "queue_max_depth",
+                max_depth.unwrap_or(0) as f64,
+                "slots",
+            ));
+            headlines.push(Headline::lower("queue_utilization", b.utilization, "frac"));
+            meta.push(("bounding_queue".to_string(), b.name.clone()));
+            if let Some(s) = queue_report.bounding_stream() {
+                meta.push(("bounding_stream".to_string(), s.stream));
+            }
+            meta.push((
+                "little_ok".to_string(),
+                queue_report.little_all_within().to_string(),
+            ));
+        }
 
         let mut folded: Vec<(String, u64)> = rec
             .folded_stacks()
@@ -461,7 +525,7 @@ impl TelemetryBundle {
                 Direction::parse(str_field(h, "better")?).ok_or(BundleError::MissingField {
                     field: "headlines.better",
                 })?;
-            headlines.push(BundleHeadline {
+            headlines.push(Headline {
                 key: str_field(h, "key")?.to_string(),
                 value: f64_field(h, "value")?,
                 unit: str_field(h, "unit")?.to_string(),
@@ -546,19 +610,16 @@ impl TelemetryBundle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cronus_sim::SimNs;
 
     fn sample_bundle() -> TelemetryBundle {
         TelemetryBundle {
             schema: BUNDLE_SCHEMA,
             name: "fig7".to_string(),
             meta: vec![("seed".to_string(), "42".to_string())],
-            headlines: vec![BundleHeadline {
-                key: "total_wall_ms".to_string(),
-                value: 412.5,
-                unit: "ms".to_string(),
-                better: Direction::Lower,
-            }],
+            headlines: vec![
+                Headline::lower("total_wall_ms", 412.5, "ms"),
+                Headline::higher("tput", 42.5, "gops"),
+            ],
             critical_path: vec![("queue".to_string(), 402), ("kernel".to_string(), 7)],
             queues: vec![BundleQueue {
                 name: "srpc.ring:1".to_string(),
@@ -636,6 +697,61 @@ mod tests {
         assert_eq!(a.to_json(), b.to_json());
         assert!(a.queues.is_empty());
         assert!(TelemetryBundle::from_json(&a.to_json()).is_ok());
+    }
+
+    #[test]
+    fn capture_embeds_the_causal_split_and_no_queue_headlines_without_queues() {
+        let rec = FlightRecorder::new();
+        let req = rec.alloc_req();
+        rec.set_current_req(Some(req));
+        let t = rec.track("stream:0");
+        let at = SimNs::from_nanos;
+        rec.complete_span(t, "dispatch:echo", "srpc", at(0), at(100));
+        rec.complete_span(t, "exec:echo", "kernel", at(100), at(400));
+        rec.set_current_req(None);
+        let b = TelemetryBundle::capture("unit-causal", Vec::new(), Vec::new(), &rec);
+        let total: u64 = b.critical_path.iter().map(|(_, ns)| ns).sum();
+        assert_eq!(total, 400);
+        let meta = |k: &str| b.meta.iter().find(|(key, _)| key == k).map(|(_, v)| &**v);
+        assert_eq!(meta("requests"), Some("1"));
+        assert_eq!(meta("bounding_category"), Some("kernel"));
+        // No queues were declared, so the queue headlines must be absent
+        // (the chaos row relies on this).
+        assert!(!b.headlines.iter().any(|h| h.key.starts_with("queue_")));
+    }
+
+    #[test]
+    fn capture_appends_queue_headlines_when_instrumented() {
+        let rec = FlightRecorder::new();
+        rec.queue_declare("srpc.ring:0", crate::queue::QueueKind::Ring, 8);
+        rec.queue_enqueue("srpc.ring:0", SimNs::from_nanos(0));
+        rec.queue_dequeue(
+            "srpc.ring:0",
+            SimNs::from_nanos(100),
+            SimNs::from_nanos(40),
+            SimNs::from_nanos(60),
+        );
+        let own = vec![Headline::lower("lat_ns", 1000.0, "ns")];
+        let seed = vec![("seed".to_string(), "42".to_string())];
+        let b = TelemetryBundle::capture("unit-q", own, seed, &rec);
+        assert_eq!(b.headlines[0].key, "lat_ns", "the figure's own come first");
+        assert_eq!(b.meta[0], ("seed".to_string(), "42".to_string()));
+        for key in ["queue_p99_wait_ns", "queue_max_depth", "queue_utilization"] {
+            let h = b
+                .headlines
+                .iter()
+                .find(|h| h.key == key)
+                .unwrap_or_else(|| panic!("missing headline {key}"));
+            assert_eq!(
+                h.better,
+                Direction::Lower,
+                "{key} must gate lower-is-better"
+            );
+        }
+        let meta = |k: &str| b.meta.iter().find(|(key, _)| key == k).map(|(_, v)| &**v);
+        assert_eq!(meta("bounding_queue"), Some("srpc.ring:0"));
+        assert!(meta("little_ok").is_some());
+        assert_eq!(TelemetryBundle::from_json(&b.to_json()).as_ref(), Ok(&b));
     }
 
     #[test]

@@ -270,7 +270,8 @@ impl CausalReport {
         out
     }
 
-    /// Machine-readable form (embedded in `BENCH_*.json`).
+    /// Machine-readable form (`BUNDLE_*.json` archives the `overall` split
+    /// as its `critical_path`).
     pub fn to_json(&self) -> Json {
         let split = |phases: &[(String, u64)]| {
             Json::Arr(

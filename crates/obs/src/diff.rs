@@ -1,7 +1,7 @@
 //! Differential performance forensics: compares two [`TelemetryBundle`]s
 //! and produces a ranked attribution verdict.
 //!
-//! The diff answers the question a red bench gate raises: *which span,
+//! The diff answers the question a moved baseline raises: *which span,
 //! queue, or phase moved the headline?* It computes per-category and
 //! per-queue deltas with tolerance-aware significance, a frame-level
 //! flamegraph diff (grown / shrunk / new / vanished stacks), bounding-queue
@@ -465,8 +465,8 @@ impl BundleDiff {
         self.attributions.iter().find(|a| a.kind == kind)
     }
 
-    /// The ranked attribution verdict — the part bench_gate prints when a
-    /// headline regresses. Deterministic; contains the literal phrase
+    /// The ranked attribution verdict — what `obs diff --verdict` prints.
+    /// Deterministic; contains the literal phrase
     /// `no significant deltas` when the diff is clean.
     pub fn verdict_text(&self) -> String {
         let mut out = String::new();
@@ -578,7 +578,7 @@ impl BundleDiff {
     }
 
     /// Machine-readable form of the full diff, for the shared
-    /// [`crate::json::report_document`] envelope behind `obs-diff --json`.
+    /// [`crate::json::report_document`] envelope behind `obs diff --json`.
     /// Field order (and therefore rendered bytes) is deterministic.
     pub fn to_json(&self) -> Json {
         let pair = |(b, c): &(Option<String>, Option<String>)| {
@@ -687,7 +687,7 @@ impl BundleDiff {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bundle::{BundleExemplar, BundleHeadline, BundleQueue, BUNDLE_SCHEMA};
+    use crate::bundle::{BundleExemplar, BundleQueue, Headline, BUNDLE_SCHEMA};
 
     fn queue(name: &str, wait_total_ns: u64, p99: u64) -> BundleQueue {
         BundleQueue {
@@ -713,12 +713,11 @@ mod tests {
             schema: BUNDLE_SCHEMA,
             name: name.to_string(),
             meta: Vec::new(),
-            headlines: vec![BundleHeadline {
-                key: "total_wall_ms".to_string(),
-                value: (queue_cat / 1_000_000) as f64,
-                unit: "ms".to_string(),
-                better: Direction::Lower,
-            }],
+            headlines: vec![Headline::lower(
+                "total_wall_ms",
+                (queue_cat / 1_000_000) as f64,
+                "ms",
+            )],
             critical_path: vec![
                 ("queue".to_string(), queue_cat),
                 ("kernel".to_string(), 7_000_000),
@@ -783,6 +782,35 @@ mod tests {
         assert!(top.delta_ns < 0);
         assert!(d.headlines[0].improved);
         assert!(!d.headlines[0].regressed);
+    }
+
+    #[test]
+    fn headline_deltas_are_direction_aware() {
+        let mut base = bundle("fig7", 400_000_000, 402_000_000);
+        base.headlines = vec![
+            Headline::lower("lat_ns", 1000.0, "ns"),
+            Headline::higher("tput", 42.5, "gops"),
+        ];
+        let with = |lat: f64, tput: f64| {
+            let mut cand = base.clone();
+            cand.headlines[0].value = lat;
+            cand.headlines[1].value = tput;
+            let d = diff(&base, &cand, DiffConfig::default());
+            let flags = |h: &HeadlineDelta| (h.regressed, h.improved);
+            (flags(&d.headlines[0]), flags(&d.headlines[1]))
+        };
+        // Within tolerance: neither flag, either direction.
+        assert_eq!(with(1050.0, 41.0), ((false, false), (false, false)));
+        // Latency +50% regresses; throughput +50% improves.
+        assert_eq!(with(1500.0, 63.75), ((true, false), (false, true)));
+        // Latency -50% improves; throughput -50% regresses.
+        assert_eq!(with(500.0, 21.25), ((false, true), (true, false)));
+        // A key missing from the candidate is skipped, not a finding.
+        let mut cand = base.clone();
+        cand.headlines.remove(0);
+        let d = diff(&base, &cand, DiffConfig::default());
+        assert_eq!(d.headlines.len(), 1);
+        assert_eq!(d.headlines[0].key, "tput");
     }
 
     #[test]

@@ -201,7 +201,7 @@ fn write_escaped(out: &mut String, s: &str) {
 }
 
 /// Schema tag of the uniform CLI report envelope: every `--json` report the
-/// observability binaries emit (`obs-report`, `obs-diff`, `obs-meter`) wraps
+/// observability binaries emit (`obs report`, `obs diff`, `obs meter`) wraps
 /// its body in [`report_document`] under this tag, so CI consumers parse one
 /// shape regardless of which tool produced the artifact.
 pub const REPORT_SCHEMA: &str = "cronus-report/v1";

@@ -11,29 +11,29 @@
 //!   (world-switch, context-switch, crypto, memcpy, ring, kernel, recovery,
 //!   mgmt, idle) and emits folded-stack flamegraph lines.
 //! - [`recorder`]: the [`FlightRecorder`] handle tying the three together,
-//!   plus the [`cronus_sim::EventSink`] bridge that keeps metric counters in
-//!   exact agreement with the simulator's event log.
+//!   plus the [`cronus_sim::EventSink`] bridge that counts the simulator's
+//!   events.
 //! - [`causal`]: per-request timelines reconstructed from [`span::ReqId`]-
 //!   stamped spans, critical-path attribution (which category bounds
 //!   latency, per stream and overall) and the p99 outlier report.
 //! - [`queue`]: the queueing & saturation observatory — per-queue depth,
 //!   wait/service split, USE metrics, Little's-law cross-checks and the
-//!   ranked bottleneck-attribution report behind `cargo run --bin obs-report`.
+//!   ranked bottleneck-attribution report behind `cargo run --bin obs -- report`.
 //! - [`slo`]: per-figure p50/p99 wait budgets with error-budget burn rates,
 //!   gated by `scripts/ci.sh --all`.
 //! - [`bundle`]: schema-versioned [`bundle::TelemetryBundle`] archives —
 //!   headlines, critical-path splits, per-queue USE stats with worst-N wait
 //!   exemplars, folded stacks and exemplar timelines — committed per figure
-//!   as `BUNDLE_<name>.json` next to the bench baselines.
+//!   as `BUNDLE_<name>.json`, the bench baseline.
 //! - [`diff`]: the differential forensics engine behind
-//!   `cargo run --bin obs-diff` — ranked per-queue/per-category attribution
+//!   `cargo run --bin obs -- diff` — ranked per-queue/per-category attribution
 //!   verdicts, flamegraph frame diffs and bounding-queue transitions that
-//!   make a red bench gate self-explaining.
+//!   make a moved baseline self-explaining.
 //! - [`meter`]: per-principal resource metering — every simulated quantum
 //!   (CPU/SM/NPU time, DMA bytes, ring-slot and arena occupancy, stage-2
 //!   pages, world switches, crypto) charged to an owning partition with
 //!   stream sub-accounts, balanced against the profiler by an exact
-//!   conservation self-test; behind `cargo run --bin obs-meter`.
+//!   conservation self-test; behind `cargo run --bin obs -- meter`.
 //! - [`fairness`]: Jain's index and dominant-resource shares over the meter
 //!   ledgers, plus the deterministic noisy-neighbor interference matrix
 //!   (backlog waits attributed to the principals occupying the contended
@@ -63,8 +63,7 @@ pub mod slo;
 pub mod span;
 
 pub use bundle::{
-    BundleError, BundleExemplar, BundleHeadline, BundleQueue, Direction, TelemetryBundle,
-    BUNDLE_SCHEMA,
+    BundleError, BundleExemplar, BundleQueue, Direction, Headline, TelemetryBundle, BUNDLE_SCHEMA,
 };
 pub use causal::{canonical_phase, CausalReport, RequestTimeline};
 pub use diff::{

@@ -1,7 +1,6 @@
 //! The flight recorder: one shared handle bundling spans, metrics and the
-//! time profiler, plus the [`cronus_sim::EventSink`] bridge that keeps the
-//! metrics counters in exact agreement with the simulator's [`EventLog`]
-//! (both are driven by the same `Machine::record` call).
+//! time profiler, plus the [`cronus_sim::EventSink`] bridge that turns each
+//! `Machine::record` call into a metrics counter.
 //!
 //! Recording happens on [`RecorderInner`], under the handle's lock. Each
 //! [`FlightRecorder`] method is one locked call of the `RecorderInner`
@@ -9,8 +8,6 @@
 //! operation takes the lock once with [`FlightRecorder::with`] and calls
 //! those methods directly, passing ids it resolved earlier (see
 //! OBSERVABILITY.md, "What observing costs").
-//!
-//! [`EventLog`]: cronus_sim::EventLog
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -434,9 +431,8 @@ impl FlightRecorder {
 
 /// Bridges the simulator's event stream into the recorder.
 ///
-/// Counter names mirror [`EventKind`] variants one-to-one, so equality with
-/// `EventLog` query helpers (`context_switches()`, `world_switches()`, …)
-/// holds by construction: the same `record` call drives both.
+/// Counter names mirror [`EventKind`] variants one-to-one: the counters are
+/// the only tally of the simulator's events.
 pub struct RecorderSink {
     rec: FlightRecorder,
     /// The per-stream / per-partition series resolved so far, by
@@ -482,9 +478,6 @@ impl EventSink for RecorderSink {
                     plain(m, "world_switches", 1);
                     r.meter.add_count(CountResource::WorldSwitches, 1);
                 }
-                EventKind::ContextSwitch { to, .. } => {
-                    one(m, "context_switches", "to", partition_of(to), to);
-                }
                 EventKind::RpcEnqueue { stream } => {
                     one(m, "srpc.enqueued", "stream", *stream, stream);
                 }
@@ -493,10 +486,6 @@ impl EventSink for RecorderSink {
                 }
                 EventKind::RpcSync { stream } => {
                     one(m, "srpc.syncs", "stream", *stream, stream);
-                }
-                EventKind::EncryptedRpc { bytes } => {
-                    plain(m, "encrypted_rpc.messages", 1);
-                    plain(m, "encrypted_rpc.bytes", *bytes);
                 }
                 EventKind::Faulted(_) => {
                     plain(m, "faults", 1);
@@ -546,7 +535,6 @@ pub fn charge_opt(rec: Option<&FlightRecorder>, cat: TimeCategory, d: SimNs) {
 mod tests {
     use super::*;
     use crate::json::is_well_formed;
-    use cronus_sim::AsId;
 
     fn ns(v: u64) -> SimNs {
         SimNs::from_nanos(v)
@@ -556,17 +544,15 @@ mod tests {
     fn sink_counts_match_event_stream() {
         let rec = FlightRecorder::new();
         let mut sink = RecorderSink::new(rec.clone());
-        let a = AsId::new(1);
-        let b = AsId::new(2);
         sink.on_event(ns(1), &EventKind::WorldSwitch);
         sink.on_event(ns(2), &EventKind::WorldSwitch);
-        sink.on_event(ns(3), &EventKind::ContextSwitch { from: a, to: b });
+        sink.on_event(ns(3), &EventKind::RpcSync { stream: 9 });
         sink.on_event(ns(4), &EventKind::RpcEnqueue { stream: 9 });
         sink.on_event(ns(5), &EventKind::RpcDispatch { stream: 9 });
         sink.on_event(ns(6), &EventKind::Marker("phase:warmup"));
         let inner = rec.lock();
         assert_eq!(inner.metrics.counter_total("world_switches"), 2);
-        assert_eq!(inner.metrics.counter_total("context_switches"), 1);
+        assert_eq!(inner.metrics.counter_total("srpc.syncs"), 1);
         assert_eq!(inner.metrics.counter_total("srpc.enqueued"), 1);
         assert_eq!(inner.metrics.counter_total("srpc.dispatched"), 1);
         assert_eq!(inner.metrics.counter_total("markers"), 1);

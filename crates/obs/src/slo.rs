@@ -9,7 +9,7 @@
 //! degrade gracefully (1.7× over budget reads differently from 40×), which
 //! point-estimate comparisons cannot express.
 //!
-//! `ci.sh --all` (gate `slo`) runs `obs-report --slo` over the smoke figures and fails on
+//! `ci.sh --all` (gate `slo`) runs `obs report --slo` over the smoke figures and fails on
 //! any breached objective, so a queue regression fails CI with a named
 //! queue, not just a slower end-to-end headline.
 

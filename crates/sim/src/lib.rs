@@ -14,7 +14,7 @@
 //!   ([`pagetable`], [`smmu`]),
 //! * a validated device tree ([`devtree`]) used by attestation,
 //! * a deterministic virtual clock and calibrated cost model ([`clock`]),
-//! * an event trace ([`trace`]) that tests and figure harnesses inspect.
+//! * the event vocabulary and sink hook ([`trace`]) higher layers observe.
 //!
 //! Every memory access in the simulation is a fallible operation returning
 //! [`Fault`] values rather than UB; the proceed-trap failover protocol of the
@@ -55,6 +55,6 @@ pub use mem::{PhysMem, World};
 pub use pagetable::{PagePerms, PageTable, Stage2Table};
 pub use rng::SimRng;
 pub use smmu::{Smmu, StreamId};
-pub use trace::{Event, EventKind, EventLog, EventSink};
+pub use trace::{EventKind, EventSink};
 pub use tzasc::Tzasc;
 pub use tzpc::{DeviceId, Tzpc};

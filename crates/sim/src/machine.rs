@@ -2,8 +2,8 @@
 //!
 //! [`Machine`] is the hardware root that the Secure Partition Manager drives.
 //! It owns physical memory, the world filters, the per-partition stage-2
-//! tables and the SMMU, and records architecturally visible events into an
-//! [`EventLog`]. Stage-1 tables are owned by each mOS (software), so stage-1
+//! tables and the SMMU, and reports architecturally visible events to the
+//! installed [`EventSink`]. Stage-1 tables are owned by each mOS (software), so stage-1
 //! translation happens in `cronus-mos`; the machine exposes the *physical*
 //! access path `stage-2 → TZASC → DRAM` and the DMA path `SMMU → TZASC → DRAM`.
 
@@ -17,7 +17,7 @@ use crate::fault::Fault;
 use crate::mem::{PhysMem, World};
 use crate::pagetable::{Access, PagePerms, Stage2Table};
 use crate::smmu::{Smmu, StreamId};
-use crate::trace::{EventKind, EventLog, EventSink};
+use crate::trace::{EventKind, EventSink};
 use crate::tzasc::Tzasc;
 use crate::tzpc::Tzpc;
 
@@ -113,7 +113,6 @@ pub struct Machine {
     failed: HashSet<AsId>,
     devtree: Option<DeviceTree>,
     cost: CostModel,
-    log: EventLog,
     monotonic: SimNs,
     sink: Option<Box<dyn EventSink>>,
 }
@@ -123,7 +122,6 @@ impl fmt::Debug for Machine {
         f.debug_struct("Machine")
             .field("partitions", &self.stage2.len())
             .field("failed", &self.failed.len())
-            .field("events", &self.log.len())
             .finish_non_exhaustive()
     }
 }
@@ -147,14 +145,13 @@ impl Machine {
             failed: HashSet::new(),
             devtree: None,
             cost: config.cost,
-            log: EventLog::new(),
             monotonic: SimNs::ZERO,
             sink: None,
         }
     }
 
-    /// Installs an observer that sees every event exactly as it is recorded
-    /// into the log (same instants, same order). Replaces any previous sink.
+    /// Installs the observer that receives every recorded event, in recording
+    /// order. Replaces any previous sink.
     pub fn set_event_sink(&mut self, sink: Box<dyn EventSink>) {
         self.sink = Some(sink);
     }
@@ -169,17 +166,6 @@ impl Machine {
         &self.cost
     }
 
-    /// The event log (read side).
-    pub fn log(&self) -> &EventLog {
-        &self.log
-    }
-
-    /// The event log (write side), for higher layers recording protocol
-    /// events such as RPC enqueues.
-    pub fn log_mut(&mut self) -> &mut EventLog {
-        &mut self.log
-    }
-
     /// Records an event at the machine's monotonic timestamp counter.
     pub fn record(&mut self, kind: EventKind) {
         self.monotonic += SimNs::from_nanos(1);
@@ -187,7 +173,6 @@ impl Machine {
         if let Some(sink) = self.sink.as_mut() {
             sink.on_event(at, &kind);
         }
-        self.log.record(at, kind);
     }
 
     /// Records an event at an explicit simulated instant.
@@ -196,7 +181,6 @@ impl Machine {
         if let Some(sink) = self.sink.as_mut() {
             sink.on_event(at, &kind);
         }
-        self.log.record(at, kind);
     }
 
     /// The TZASC (read-only; programmed at construction and by secure boot).
@@ -438,7 +422,7 @@ impl Machine {
     }
 
     /// Reads physical memory on behalf of partition `asid` executing in
-    /// `world`, enforcing stage-2 then TZASC. Faults are recorded in the log.
+    /// `world`, enforcing stage-2 then TZASC. Faults are reported to the event sink.
     ///
     /// # Errors
     ///
@@ -609,6 +593,23 @@ mod tests {
     const P1: AsId = AsId::new(1);
     const P2: AsId = AsId::new(2);
 
+    type Seen = std::sync::Arc<std::sync::Mutex<Vec<(SimNs, EventKind)>>>;
+
+    /// Collects every recorded event for the test to inspect.
+    struct Collect(Seen);
+
+    impl EventSink for Collect {
+        fn on_event(&mut self, at: SimNs, kind: &EventKind) {
+            self.0.lock().unwrap().push((at, kind.clone()));
+        }
+    }
+
+    fn collect_events(m: &mut Machine) -> Seen {
+        let seen = Seen::default();
+        m.set_event_sink(Box::new(Collect(seen.clone())));
+        seen
+    }
+
     #[test]
     fn partition_needs_stage2_grant_to_access() {
         let mut m = machine();
@@ -629,6 +630,7 @@ mod tests {
     #[test]
     fn partitions_cannot_read_each_others_pages() {
         let mut m = machine();
+        let seen = collect_events(&mut m);
         m.register_partition(P1);
         m.register_partition(P2);
         let frame = m.alloc_frame(World::Secure).unwrap();
@@ -639,7 +641,13 @@ mod tests {
             .mem_read_vec(P2, World::Secure, frame.base(), 6)
             .unwrap_err();
         assert!(err.is_stage2());
-        assert_eq!(m.log().faults(), 1);
+        let faults = seen
+            .lock()
+            .unwrap()
+            .iter()
+            .filter(|(_, k)| matches!(k, EventKind::Faulted(_)))
+            .count();
+        assert_eq!(faults, 1);
     }
 
     #[test]
@@ -758,9 +766,10 @@ mod tests {
     #[test]
     fn record_events_are_ordered() {
         let mut m = machine();
+        let seen = collect_events(&mut m);
         m.record(EventKind::Marker("a"));
         m.record(EventKind::Marker("b"));
-        let events = m.log().events();
-        assert!(events[0].at < events[1].at);
+        let events = seen.lock().unwrap();
+        assert!(events[0].0 < events[1].0);
     }
 }

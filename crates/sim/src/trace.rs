@@ -1,10 +1,8 @@
-//! Event trace of architecturally visible actions.
+//! Architecturally visible events and the observer hook that receives them.
 //!
-//! Tests and figure harnesses assert on this log: e.g. "an sRPC-based run
-//! performs no per-call context switches" or "failover invalidated every
-//! shared stage-2 entry before any clear".
-
-use std::fmt;
+//! The machine keeps no log of its own: [`crate::Machine::record`] hands
+//! each event to the installed [`EventSink`] (the flight recorder in a
+//! booted system, a collecting sink in a test that asserts on order).
 
 use crate::clock::SimNs;
 use crate::fault::Fault;
@@ -15,16 +13,12 @@ use crate::machine::AsId;
 pub enum EventKind {
     /// Normal <-> secure world switch.
     WorldSwitch,
-    /// S-EL2 partition context switch.
-    ContextSwitch { from: AsId, to: AsId },
     /// An sRPC request was enqueued into a trusted shared ring.
     RpcEnqueue { stream: u64 },
     /// An sRPC request was dequeued and dispatched.
     RpcDispatch { stream: u64 },
     /// A synchronization point merged two actor clocks.
     RpcSync { stream: u64 },
-    /// An encrypted RPC message crossed untrusted memory (HIX baseline).
-    EncryptedRpc { bytes: u64 },
     /// A memory/DMA access faulted.
     Faulted(Fault),
     /// The secure monitor marked a partition failed.
@@ -46,233 +40,12 @@ pub enum EventKind {
     Marker(&'static str),
 }
 
-/// A timestamped event.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Event {
-    /// Simulated instant at which the event occurred.
-    pub at: SimNs,
-    /// The event payload.
-    pub kind: EventKind,
-}
-
-impl fmt::Display for Event {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "[{}] {:?}", self.at, self.kind)
-    }
-}
-
 /// Observer hook for events as they are recorded.
 ///
 /// The simulator deliberately does not depend on any observability crate;
 /// higher layers (e.g. `cronus-obs`'s flight recorder) implement this trait
-/// and install themselves with [`crate::Machine::set_event_sink`], so every
-/// consumer sees exactly the same event stream the [`EventLog`] does.
+/// and install themselves with [`crate::Machine::set_event_sink`].
 pub trait EventSink: Send {
     /// Called once per recorded event, in recording order.
     fn on_event(&mut self, at: SimNs, kind: &EventKind);
-}
-
-/// Default retention bound: large enough that unit tests and the figure
-/// harnesses never evict, small enough to bound week-long simulated runs.
-pub const DEFAULT_LOG_CAPACITY: usize = 1 << 20;
-
-/// An append-only event log with bounded retention.
-///
-/// When more than `capacity` events are recorded the oldest quarter is
-/// evicted in one batch (amortizing the memmove) and counted in
-/// [`EventLog::dropped`]. Query helpers operate on the retained window.
-#[derive(Clone, Debug)]
-pub struct EventLog {
-    events: Vec<Event>,
-    capacity: usize,
-    dropped: u64,
-}
-
-impl Default for EventLog {
-    fn default() -> Self {
-        EventLog::with_capacity(DEFAULT_LOG_CAPACITY)
-    }
-}
-
-impl EventLog {
-    /// Creates an empty log with the default retention bound.
-    pub fn new() -> Self {
-        EventLog::default()
-    }
-
-    /// Creates an empty log retaining at most `capacity` events.
-    pub fn with_capacity(capacity: usize) -> Self {
-        EventLog {
-            events: Vec::new(),
-            capacity: capacity.max(1),
-            dropped: 0,
-        }
-    }
-
-    /// Appends an event, evicting the oldest batch if the log is full.
-    pub fn record(&mut self, at: SimNs, kind: EventKind) {
-        if self.events.len() >= self.capacity {
-            let evict = (self.capacity / 4).max(1);
-            self.events.drain(..evict);
-            self.dropped += evict as u64;
-        }
-        self.events.push(Event { at, kind });
-    }
-
-    /// Maximum number of retained events.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Changes the retention bound, evicting oldest events immediately if
-    /// the log is over the new bound.
-    pub fn set_capacity(&mut self, capacity: usize) {
-        self.capacity = capacity.max(1);
-        if self.events.len() > self.capacity {
-            let evict = self.events.len() - self.capacity;
-            self.events.drain(..evict);
-            self.dropped += evict as u64;
-        }
-    }
-
-    /// Events evicted so far to stay within the retention bound.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Total events ever recorded: retained plus evicted.
-    pub fn total_recorded(&self) -> u64 {
-        self.dropped + self.events.len() as u64
-    }
-
-    /// All events in order of recording.
-    pub fn events(&self) -> &[Event] {
-        &self.events
-    }
-
-    /// Number of events satisfying `pred`.
-    pub fn count<F: Fn(&EventKind) -> bool>(&self, pred: F) -> usize {
-        self.events.iter().filter(|e| pred(&e.kind)).count()
-    }
-
-    /// Number of recorded context switches.
-    pub fn context_switches(&self) -> usize {
-        self.count(|k| matches!(k, EventKind::ContextSwitch { .. }))
-    }
-
-    /// Number of recorded world switches.
-    pub fn world_switches(&self) -> usize {
-        self.count(|k| matches!(k, EventKind::WorldSwitch))
-    }
-
-    /// Number of recorded faults.
-    pub fn faults(&self) -> usize {
-        self.count(|k| matches!(k, EventKind::Faulted(_)))
-    }
-
-    /// First event satisfying `pred`, if any.
-    pub fn find<F: Fn(&EventKind) -> bool>(&self, pred: F) -> Option<&Event> {
-        self.events.iter().find(|e| pred(&e.kind))
-    }
-
-    /// Clears the log (between experiment phases), including the dropped
-    /// counter.
-    pub fn clear(&mut self) {
-        self.events.clear();
-        self.dropped = 0;
-    }
-
-    /// Total number of events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Returns true when no events have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn record_and_query() {
-        let mut log = EventLog::new();
-        assert!(log.is_empty());
-        log.record(SimNs::from_nanos(1), EventKind::WorldSwitch);
-        log.record(
-            SimNs::from_nanos(2),
-            EventKind::ContextSwitch {
-                from: AsId::new(0),
-                to: AsId::new(1),
-            },
-        );
-        log.record(SimNs::from_nanos(3), EventKind::RpcEnqueue { stream: 7 });
-        assert_eq!(log.len(), 3);
-        assert_eq!(log.world_switches(), 1);
-        assert_eq!(log.context_switches(), 1);
-        assert_eq!(log.faults(), 0);
-        let e = log
-            .find(|k| matches!(k, EventKind::RpcEnqueue { stream: 7 }))
-            .unwrap();
-        assert_eq!(e.at, SimNs::from_nanos(3));
-    }
-
-    #[test]
-    fn clear_resets() {
-        let mut log = EventLog::new();
-        log.record(SimNs::ZERO, EventKind::Marker("phase-1"));
-        log.clear();
-        assert!(log.is_empty());
-        assert_eq!(log.dropped(), 0);
-    }
-
-    #[test]
-    fn capacity_bound_evicts_oldest_and_counts_drops() {
-        let mut log = EventLog::with_capacity(8);
-        for i in 0..20u64 {
-            log.record(SimNs::from_nanos(i), EventKind::RpcEnqueue { stream: i });
-        }
-        assert!(log.len() <= 8, "retention bound holds");
-        assert_eq!(log.total_recorded(), 20);
-        assert_eq!(log.dropped(), 20 - log.len() as u64);
-        // The retained window is the newest suffix, still in order.
-        let streams: Vec<u64> = log
-            .events()
-            .iter()
-            .map(|e| match e.kind {
-                EventKind::RpcEnqueue { stream } => stream,
-                _ => unreachable!(),
-            })
-            .collect();
-        let expect: Vec<u64> = (20 - streams.len() as u64..20).collect();
-        assert_eq!(streams, expect);
-    }
-
-    #[test]
-    fn shrinking_capacity_evicts_immediately() {
-        let mut log = EventLog::new();
-        for i in 0..10u64 {
-            log.record(SimNs::from_nanos(i), EventKind::WorldSwitch);
-        }
-        log.set_capacity(4);
-        assert_eq!(log.len(), 4);
-        assert_eq!(log.dropped(), 6);
-        assert_eq!(
-            log.world_switches(),
-            4,
-            "query helpers see the retained window"
-        );
-    }
-
-    #[test]
-    fn display_includes_time() {
-        let e = Event {
-            at: SimNs::from_micros(3),
-            kind: EventKind::WorldSwitch,
-        };
-        assert!(e.to_string().contains("3.000us"));
-    }
 }

@@ -450,7 +450,7 @@ impl Spm {
     }
 
     /// Installs a flight recorder: the machine's event stream feeds its
-    /// counters (so they agree with the `EventLog` by construction), the SPM
+    /// counters, the SPM
     /// charges recovery phases to it, and every device HAL gains kernel-level
     /// spans and metrics.
     pub fn set_recorder(&mut self, rec: FlightRecorder) {

@@ -109,17 +109,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("task B resubmitted and is computing again");
 
     // A3: the crashed partition's data was cleared before the restart.
+    let count = |name: &str| sys.recorder().with(|r| r.metrics.counter_total(name));
     println!(
         "events recorded: {} faults, {} partition failures, {} recoveries",
-        sys.spm().machine().log().faults(),
-        sys.spm()
-            .machine()
-            .log()
-            .count(|k| matches!(k, cronus::sim::trace::EventKind::PartitionFailed { .. })),
-        sys.spm()
-            .machine()
-            .log()
-            .count(|k| matches!(k, cronus::sim::trace::EventKind::PartitionRecovered { .. })),
+        count("faults"),
+        count("partition.failed"),
+        count("partition.recovered"),
     );
     println!("failover_demo OK");
     Ok(())

@@ -125,8 +125,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         sys.stream_stats(cuda.stream).expect("stream is open")
     );
     println!(
-        "context switches performed by sRPC: {}",
-        sys.spm().machine().log().context_switches()
+        "world switches performed (sRPC needs none): {}",
+        sys.recorder()
+            .with(|r| r.metrics.counter_total("world_switches"))
     );
     println!("quickstart OK");
     Ok(())

@@ -6,29 +6,25 @@
 #   benchmark   build + self-tests of benchmark/, its own workspace (benchmark/README.md)
 #   lint        cronus-lint v2, ratcheted by LINT_BASELINE.json; accept with scripts/relint.sh (AUDIT.md)
 #   audit       mapping-state audit I1-I5 of every example workload (AUDIT.md)
-#   chaos       smoke fault-injection campaign, A1-A5; nightly: `cargo run --release --bin chaos` (FAULTS.md)
+#   chaos       smoke fault-injection campaign, A1-A5; the full sweep is the figure table's chaos row (FAULTS.md)
 #   forensics   failover timeline reconstruction + ledger verification of the smoke campaign (FORENSICS.md)
 #   slo         Little's-law self-test + per-figure burn-rate budgets (OBSERVABILITY.md)
 #   meter       per-principal conservation on every figure + fig_interference convicts p4 (OBSERVABILITY.md)
-#   figs        regenerate fresh rpc_micro/fig9/saturation reports and bundles for the two rows below
-#   diff        obs-diff of fresh vs committed BUNDLE_*.json reports no significant delta (OBSERVABILITY.md)
-#   bench       headline regressions beyond BENCH_TOLERANCE_PCT (default 10) and queue-bound figures fail;
-#               accept a deliberate change with scripts/rebaseline.sh (EXPERIMENTS.md)
+#   figs        `fig all` regenerates every figure's bundle, then `obs diff` of each fresh bundle against
+#               its committed BUNDLE_*.json must report no significant delta: the binary -> file -> diff
+#               path that tier-1's in-process byte-identity test (tests/baseline_identity.rs) does not
+#               cover; accept a deliberate change with scripts/rebaseline.sh (EXPERIMENTS.md)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 run() { cargo run --offline --release -q "$@"; }
-fig() { run -p cronus-bench --bin "$1" > /dev/null; }
 
-self_diff_bundles() {
+fresh_figures_match() {
+  rm -f target/bench/BUNDLE_*.json
+  run -p cronus-bench --bin fig -- all > /dev/null
   for fresh in target/bench/BUNDLE_*.json; do
-    base="$(basename "$fresh")"
-    if [[ ! -f "$base" ]]; then
-      echo "diff gate: missing committed baseline $base — run scripts/rebaseline.sh and commit it" >&2
-      return 1
-    fi
-    echo "--- obs-diff $base"
-    run --bin obs-diff -- --baseline "$base" --candidate "$fresh" --verdict
+    echo "--- obs diff $(basename "$fresh")"
+    run --bin obs -- diff --baseline "$(basename "$fresh")" --candidate "$fresh" --verdict
   done
 }
 
@@ -44,11 +40,9 @@ GATES=(
   "audit|all|mapping-state audit of the example workloads|run --bin audit"
   "chaos|all|smoke fault-injection campaign|run --bin chaos -- --smoke"
   "forensics|all|failover timeline + ledger verification over the smoke campaign|run --bin forensics > /dev/null && run --bin forensics -- --verify --smoke"
-  "slo|all|queue observatory + burn-rate budgets|run --bin obs-report -- --figure rpc_micro --figure fig9 --figure saturation --slo > /dev/null"
-  "meter|all|conservation over every figure; fig_interference convicts p4|run --bin obs-meter -- --all > /dev/null && run --bin obs-meter -- --figure fig_interference --expect-top p4 > /dev/null"
-  "figs|all|regenerate fresh reports and bundles|fig rpc_micro && fig fig9 && fig saturation"
-  "diff|all|self-diff fresh bundles vs committed BUNDLE_*.json|self_diff_bundles"
-  "bench|all|compare against committed baselines (+ no figure queue-bound)|run -p cronus-bench --bin bench_gate"
+  "slo|all|queue observatory + burn-rate budgets|run --bin obs -- report --figure rpc_micro --figure fig9 --figure saturation --slo > /dev/null"
+  "meter|all|conservation over every figure; fig_interference convicts p4|run --bin obs -- meter --all > /dev/null && run --bin obs -- meter --figure fig_interference --expect-top p4 > /dev/null"
+  "figs|all|fresh bundles of every figure vs committed BUNDLE_*.json|fresh_figures_match"
 )
 
 case "${1:-}" in

@@ -6,24 +6,23 @@
 //! cargo run --bin chaos -- --seed 7     # different (still deterministic) seed
 //! ```
 //!
-//! Exits non-zero if any scenario violates an invariant. The full sweep
-//! additionally emits `target/bench/BENCH_chaos.json` through the bench
-//! baseline machinery, so `cargo run -p cronus-bench --bin bench_gate`
-//! guards the campaign's headline numbers against regressions.
+//! Exits non-zero if any scenario violates an invariant. The full sweep is
+//! the `chaos` row of the figure table (`cronus::bench::experiments`): it
+//! also writes `target/bench/BUNDLE_chaos.json`, whose committed copy
+//! `tests/baseline_identity.rs` holds the campaign's headline numbers to.
 //!
 //! See `FAULTS.md` for the injection taxonomy and how to read the report.
 
 use std::process::ExitCode;
 
-use cronus::bench::baseline::{emit, Headline};
+use cronus::bench::baseline::emit;
+use cronus::bench::experiments::{chaos, figure};
 use cronus::chaos::{run_campaign, InjectionPlan};
-use cronus::obs::FlightRecorder;
-
-const DEFAULT_SEED: u64 = 0xC401;
 
 fn main() -> ExitCode {
+    let row = figure("chaos").expect("the figure table has a chaos row");
     let mut smoke = false;
-    let mut seed = DEFAULT_SEED;
+    let mut seed = row.committed.seed;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -55,22 +54,7 @@ fn main() -> ExitCode {
     print!("{}", report.render());
 
     if !smoke {
-        // Headline the full sweep for the bench-regression gate. The
-        // recorder is empty (each scenario had its own); the headlines are
-        // what the gate compares.
-        let headlines = vec![
-            Headline::higher("scenarios", report.scenarios.len() as f64, "count"),
-            Headline::higher("faults_fired", report.faults_fired() as f64, "count"),
-            Headline::lower("invariant_violations", report.violations() as f64, "count"),
-            Headline::lower("max_recovery_ns", report.max_recovery_ns() as f64, "ns"),
-            Headline::lower("max_queue_depth", report.max_queue_depth() as f64, "slots"),
-            Headline::lower("undrained_scenarios", report.undrained() as f64, "count"),
-        ];
-        let meta = vec![
-            ("seed".to_string(), seed.to_string()),
-            ("mode".to_string(), "full".to_string()),
-        ];
-        emit("chaos", headlines, meta, &FlightRecorder::default());
+        emit(row.name, &chaos::of_campaign(&report, seed));
     }
 
     if report.violations() > 0 {

@@ -27,7 +27,7 @@
 //! * [`mod@bench`] — the harness that regenerates every table and figure.
 //!
 //! Start with `examples/quickstart.rs`, then `cargo run -p cronus-bench
-//! --bin all` to regenerate the paper's evaluation.
+//! --bin fig -- all` to regenerate the paper's evaluation.
 
 pub use cronus_audit as audit;
 pub use cronus_baselines as baselines;

@@ -1,139 +1,105 @@
-//! The simulated results did not move: every gated figure, regenerated
-//! in-process through the entry points its binary calls, must render the
-//! committed repo-root `BENCH_<name>.json` and `BUNDLE_<name>.json` byte for
-//! byte.
+//! The simulated results did not move: every row of the figure table,
+//! regenerated in-process with its committed parameters, must render the
+//! committed repo-root `BUNDLE_<name>.json` byte for byte.
 //!
-//! This is the proof obligation of any change that claims to touch only the
-//! host clock (a faster recorder, a cheaper call path): identity, not a
-//! tolerance. A deliberate change to a simulated result fails here until
-//! `scripts/rebaseline.sh` has been run and its diff committed.
+//! This is the one check on the baselines, and the proof obligation of any
+//! change that claims to touch only the host clock (a faster recorder, a
+//! cheaper call path): identity, not a tolerance. A deliberate change to a
+//! simulated result fails here until `scripts/rebaseline.sh` has been run
+//! and its diff committed. The bundle's `meta` records the run parameters,
+//! so a row edited without rebaselining shows up as a diff in `meta`.
 //!
-//! Each figure runs with the arguments its binary defaults to, which are the
-//! ones the committed files were generated with (the report's `meta` records
-//! them, so a mismatch shows up as a diff in `meta`, not as a mystery).
+//! One test per row, so a run names every figure that moved, not the first;
+//! `every_row_is_checked_and_committed` keeps the tests, the table and the
+//! committed files in step.
 
 use std::path::Path;
 
-use cronus::bench::baseline::{self, Headline};
-use cronus::bench::experiments::{
-    fig10, fig11, fig7, fig8, fig9, interference, rpc_micro, saturation,
-};
-use cronus::obs::FlightRecorder;
+use cronus::bench::baseline::bundle_baseline_path;
+use cronus::bench::experiments::{figure, FIGURES};
 
-fn meta(pairs: &[(&str, &str)]) -> Vec<(String, String)> {
-    pairs
-        .iter()
-        .map(|(k, v)| (k.to_string(), v.to_string()))
-        .collect()
+/// Regenerates row `name` and compares it with the committed bundle.
+fn assert_identical(name: &str) {
+    let row = figure(name).unwrap_or_else(|| panic!("{name} is not in the figure table"));
+    let bundle = (row.run)(row.committed).bundle(name);
+    // The multi-queue fast path's standing contract: per-stream rings and
+    // doorbell batching took protocol queueing off every critical path, so a
+    // figure drifting back to queue-bound is a regression whatever its
+    // headlines say. fig_interference is contended by design: a noisy
+    // neighbor is injected precisely so the victim queues behind it, and the
+    // meter's interference matrix is the check that the blame lands right.
+    if name != "fig_interference" {
+        let bound = bundle.meta.iter().find(|(k, _)| k == "bounding_category");
+        assert_ne!(
+            bound.map(|(_, v)| v.as_str()),
+            Some("queue"),
+            "{name} is queue-bound: the sRPC fast path must keep figures off protocol queueing"
+        );
+    }
+    let file = Path::new(env!("CARGO_MANIFEST_DIR")).join(bundle_baseline_path(name));
+    let committed =
+        std::fs::read_to_string(&file).unwrap_or_else(|e| panic!("{}: {e}", file.display()));
+    assert_eq!(
+        bundle.to_json(),
+        committed,
+        "BUNDLE_{name}.json moved: a simulated result changed"
+    );
 }
 
-/// Renders the report and bundle of one finished run exactly as
-/// `baseline::emit` writes them and compares both with the committed files.
-fn assert_identical(
-    name: &str,
-    headlines: Vec<Headline>,
-    meta: Vec<(String, String)>,
-    rec: &FlightRecorder,
-) {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let committed = |file: String| {
-        std::fs::read_to_string(root.join(&file)).unwrap_or_else(|e| panic!("{file}: {e}"))
+/// Declares one identity test per named row (`<name>_is_byte_identical`)
+/// and the test that their names are exactly the table's.
+macro_rules! identity_tests {
+    ($($test:ident)*) => {
+        /// The row names, from the test names.
+        const TESTED: &[&str] = &[$(stringify!($test)),*];
+
+        fn row_of(test: &str) -> &str {
+            test.strip_suffix("_is_byte_identical")
+                .expect("test named <figure>_is_byte_identical")
+        }
+
+        $(#[test]
+        fn $test() {
+            assert_identical(row_of(stringify!($test)));
+        })*
+
+        /// Table ↔ tests ↔ files: every row has a test here and a committed
+        /// bundle, every committed bundle has a row, and the predecessor
+        /// format is gone.
+        #[test]
+        fn every_row_is_checked_and_committed() {
+            let mut rows: Vec<&str> = FIGURES.iter().map(|f| f.name).collect();
+            let tested: Vec<&str> = TESTED.iter().map(|t| row_of(t)).collect();
+            assert_eq!(tested, rows, "one identity test per table row, in table order");
+
+            let mut committed = Vec::new();
+            for entry in std::fs::read_dir(env!("CARGO_MANIFEST_DIR")).expect("repo root") {
+                let file = entry.expect("dir entry").file_name();
+                let file = file.to_string_lossy().into_owned();
+                assert!(!file.starts_with("BENCH_"), "{file}: BUNDLE_* is the one artefact");
+                if file.starts_with("BUNDLE_") {
+                    committed.push(file);
+                }
+            }
+            committed.sort();
+            rows.sort_unstable();
+            let expected: Vec<_> = rows.iter().map(|r| bundle_baseline_path(r)).collect();
+            let committed: Vec<_> = committed.iter().map(std::path::PathBuf::from).collect();
+            assert_eq!(committed, expected, "one BUNDLE_<name>.json per table row");
+        }
     };
-    let report = baseline::report(name, headlines, meta, rec);
-    assert_eq!(
-        report.to_json(),
-        committed(format!("BENCH_{name}.json")),
-        "BENCH_{name}.json moved: a simulated headline changed"
-    );
-    assert_eq!(
-        baseline::bundle_for(&report, rec).to_json(),
-        committed(format!("BUNDLE_{name}.json")),
-        "BUNDLE_{name}.json moved: simulated telemetry changed"
-    );
 }
 
-#[test]
-fn fig7_is_byte_identical() {
-    let (rows, rec) = fig7::run_recorded(4);
-    assert_identical(
-        "fig7",
-        fig7::headlines(&rows),
-        meta(&[("scale", "4")]),
-        &rec,
-    );
-}
-
-#[test]
-fn fig8_is_byte_identical() {
-    let (rows, rec) = fig8::run_recorded();
-    assert_identical("fig8", fig8::headlines(&rows), Vec::new(), &rec);
-}
-
-#[test]
-fn fig9_is_byte_identical() {
-    let data = fig9::run();
-    assert_identical("fig9", fig9::headlines(&data), Vec::new(), &data.recorder);
-}
-
-#[test]
-fn fig10a_is_byte_identical() {
-    let (rows, rec) = fig10::run_10a_recorded(2);
-    assert_identical(
-        "fig10a",
-        fig10::headlines_10a(&rows),
-        meta(&[("scale", "2")]),
-        &rec,
-    );
-}
-
-#[test]
-fn fig10b_is_byte_identical() {
-    let (rows, rec) = fig10::run_10b_recorded();
-    assert_identical("fig10b", fig10::headlines_10b(&rows), Vec::new(), &rec);
-}
-
-#[test]
-fn fig11a_is_byte_identical() {
-    let (points, rec) = fig11::run_11a_recorded(&[1, 2, 4]);
-    assert_identical("fig11a", fig11::headlines_11a(&points), Vec::new(), &rec);
-}
-
-#[test]
-fn fig11b_is_byte_identical() {
-    let (points, rec) = fig11::run_11b_recorded(&[1, 2, 4]);
-    assert_identical("fig11b", fig11::headlines_11b(&points), Vec::new(), &rec);
-}
-
-#[test]
-fn rpc_micro_is_byte_identical() {
-    let (costs, stats, rec) = rpc_micro::run_recorded(1000);
-    let (grant_per_call, _) = rpc_micro::grant_micro(256);
-    assert_identical(
-        "rpc_micro",
-        rpc_micro::headlines(&costs, &stats, grant_per_call),
-        meta(&[("calls", "1000")]),
-        &rec,
-    );
-}
-
-#[test]
-fn saturation_is_byte_identical() {
-    let rec = saturation::run_recorded(42, 400);
-    assert_identical(
-        "saturation",
-        vec![Headline::ns("total_sim_ns", rec.total_elapsed())],
-        meta(&[("seed", "42"), ("calls", "400")]),
-        &rec,
-    );
-}
-
-#[test]
-fn fig_interference_is_byte_identical() {
-    let run = interference::run_recorded(42, 24);
-    assert_identical(
-        "fig_interference",
-        run.headlines(),
-        run.meta(42, 24),
-        &run.recorder,
-    );
+identity_tests! {
+    fig7_is_byte_identical
+    fig8_is_byte_identical
+    fig9_is_byte_identical
+    fig10a_is_byte_identical
+    fig10b_is_byte_identical
+    fig11a_is_byte_identical
+    fig11b_is_byte_identical
+    rpc_micro_is_byte_identical
+    saturation_is_byte_identical
+    fig_interference_is_byte_identical
+    chaos_is_byte_identical
 }

@@ -1,14 +1,13 @@
 //! Attribution correctness of the differential forensics engine.
 //!
 //! Uses the `cronus_core::inject` completion-delay fault to deterministically
-//! slow one device queue in fig7, then asserts the `obs-diff` engine ranks
+//! slow one device queue in fig7, then asserts the `obs diff` engine ranks
 //! exactly that queue (and the `queue` critical-path category) as the top
 //! regression with the right sign and magnitude. Also pins the two
 //! determinism surfaces the CLI promises: bundles are byte-identical across
 //! runs of the same seed, and a diff is byte-identical per (bundle, bundle)
 //! pair.
 
-use cronus::bench::baseline;
 use cronus::bench::experiments::fig7;
 use cronus::core::{ArmedFault, FaultAction, SrpcPhase};
 use cronus::obs::diff::{diff, AttributionKind, DiffConfig};
@@ -18,17 +17,16 @@ use cronus_sim::SimNs;
 const SCALE: usize = 2;
 const DELAY: SimNs = SimNs::from_millis(500);
 
-/// Runs fig7 (optionally faulted) and captures its telemetry bundle through
-/// the same `report -> bundle_for` path the figure binaries use.
+/// Runs fig7 (optionally faulted) and captures its telemetry bundle the way
+/// the figure's table row does.
 fn fig7_bundle(fault: Option<ArmedFault>) -> TelemetryBundle {
     let (rows, rec) = fig7::run_recorded_faulted(SCALE, fault);
-    let rep = baseline::report(
+    TelemetryBundle::capture(
         "fig7",
         fig7::headlines(&rows),
         vec![("scale".to_string(), SCALE.to_string())],
         &rec,
-    );
-    baseline::bundle_for(&rep, &rec)
+    )
 }
 
 fn delay_fault() -> ArmedFault {

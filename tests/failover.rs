@@ -3,13 +3,14 @@
 //! cycles.
 
 use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex};
 
 use cronus::devices::DeviceKind;
 use cronus::mos::manager::Owner;
 use cronus::mos::manifest::{Manifest, MosId};
 use cronus::mos::shim::{SharedSpinLock, SpinLockError};
 use cronus::sim::machine::AsId;
-use cronus::sim::{EventKind, PhysAddr, SimNs, World};
+use cronus::sim::{EventKind, EventSink, PhysAddr, SimNs, World};
 use cronus::spm::spm::{asid_of, BootConfig, DeviceSpec, PartitionSpec, Spm};
 
 fn boot() -> Spm {
@@ -176,22 +177,29 @@ fn detection_sweep_finds_panicked_mos() {
     assert!(spm.detect_failures().is_empty());
 }
 
-/// The proceed-trap recovery phases land in the event log in order:
+/// The proceed-trap recovery phases reach the event sink in order:
 /// failed → invalidated → cleared → recovered.
 #[test]
 fn recovery_phases_are_ordered() {
+    struct Collect(Arc<Mutex<Vec<EventKind>>>);
+    impl EventSink for Collect {
+        fn on_event(&mut self, _at: SimNs, kind: &EventKind) {
+            self.0.lock().unwrap().push(kind.clone());
+        }
+    }
+
     let mut spm = boot();
+    let events = Arc::new(Mutex::new(Vec::new()));
+    spm.machine_mut()
+        .set_event_sink(Box::new(Collect(events.clone())));
     let gpu = asid_of(MosId(2));
     spm.fail_partition(gpu).expect("fail");
     spm.recover_partition(gpu, b"cuda-mos", "v3")
         .expect("recover");
 
-    let events = spm.machine().log().events();
+    let events = events.lock().unwrap();
     let pos = |want: &dyn Fn(&EventKind) -> bool| {
-        events
-            .iter()
-            .position(|e| want(&e.kind))
-            .expect("phase event present")
+        events.iter().position(want).expect("phase event present")
     };
     let failed =
         pos(&|k| matches!(k, EventKind::PartitionFailed { partition } if *partition == gpu));
