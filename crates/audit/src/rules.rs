@@ -187,7 +187,7 @@ pub const SOURCE_PATHS: [&str; 10] = [
 ];
 
 /// Functions whose arguments become normal-world observable.
-pub const SINK_PATHS: [&str; 49] = [
+pub const SINK_PATHS: [&str; 55] = [
     // Recorder / metrics labels and values.
     "FlightRecorder::counter_add",
     "MetricsRegistry::counter_add",
@@ -229,6 +229,15 @@ pub const SINK_PATHS: [&str; 49] = [
     "StreamObs::retried",
     "StreamObs::timed_out",
     "StreamObs::reopened",
+    // The accelerator path's one-step reporters: a launch payload's kernel
+    // name becomes a label and a span name, DMA and staging lengths become
+    // counter values.
+    "GpuObs::launched",
+    "GpuObs::dma",
+    "NpuObs::ran",
+    "NpuObs::dma",
+    "BusObs::transferred",
+    "StagingObs::chunk",
     // Ledger records and black-box snapshots.
     "Ledger::append",
     "LedgerInner::append",

@@ -8,8 +8,9 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::OnceLock;
 
-use cronus_obs::{FlightRecorder, QueueKind};
+use cronus_obs::{CounterId, FlightRecorder, NameId, QueueKind, StationId, TrackId};
 use cronus_sim::addr::{PhysAddr, PhysRange};
 use cronus_sim::tzpc::DeviceId;
 use cronus_sim::{Fault, Machine, SimNs, StreamId, World};
@@ -59,11 +60,83 @@ impl From<Fault> for BusError {
     }
 }
 
+/// A transfer direction: the `dir` label of the bus counters and the prefix
+/// of the transfer's span name.
+#[derive(Clone, Copy)]
+enum Dir {
+    H2d = 0,
+    D2h = 1,
+    P2p = 2,
+}
+
+const DIRS: [&str; 3] = ["h2d", "d2h", "p2p"];
+
+/// The bus's telemetry handles on the installed recorder, each resolved
+/// once, by the first transfer that needs it (the cells are what lets a
+/// `&self` transfer do that), so reporting a transfer is a single locked
+/// recorder step that looks nothing up by string.
+#[derive(Debug)]
+struct BusObs {
+    rec: FlightRecorder,
+    /// `bus.dma`, declared when the recorder is installed.
+    station: StationId,
+    /// `bus`, created by the first transfer (track creation order numbers
+    /// the rows of the trace).
+    track: OnceLock<TrackId>,
+    /// `(bus.dma_bytes, bus.dma_transfers)` by [`Dir`].
+    counters: OnceLock<[(CounterId, CounterId); 3]>,
+}
+
+/// A slot on the bus and its interned `<dir>:<device>` span names, by
+/// [`Dir`], on the installed recorder.
+#[derive(Debug)]
+struct Registered {
+    slot: PcieSlot,
+    span_names: OnceLock<[NameId; 3]>,
+}
+
+impl BusObs {
+    /// One transfer of `bytes` by `by` taking `t`: the direction's byte and
+    /// transfer counters, the span on the bus track and the transfer
+    /// engine's queue station.
+    fn transferred(&self, dir: Dir, by: &Registered, bytes: u64, t: SimNs) {
+        let device = by.slot.device;
+        self.rec.with(|r| {
+            let (dma_bytes, dma_transfers) = self.counters.get_or_init(|| {
+                DIRS.map(|dir| {
+                    (
+                        r.metrics.counter_id("bus.dma_bytes", &[("dir", dir)]),
+                        r.metrics.counter_id("bus.dma_transfers", &[("dir", dir)]),
+                    )
+                })
+            })[dir as usize];
+            let name = by
+                .span_names
+                .get_or_init(|| DIRS.map(|dir| r.spans.intern(&format!("{dir}:{device}"))))
+                [dir as usize];
+            r.metrics.counter_bump(dma_bytes, bytes);
+            r.metrics.counter_bump(dma_transfers, 1);
+            // Device-timebase span, not attributed to the ambient request:
+            // the sRPC layer covers the request's transfer time on the
+            // stream/enclave tracks, and mixing the bus timebase into the
+            // request window would surface as a phantom queue gap.
+            let track = *self.track.get_or_init(|| r.spans.track("bus"));
+            let start = r.profiler.total_elapsed();
+            let req = r.spans.current_req();
+            r.spans.set_current_req(None);
+            r.complete_span(track, name, "dma", start, start + t);
+            r.spans.set_current_req(req);
+            r.queues.at(self.station).enqueue(start);
+            r.queue_dequeue(self.station, start + t, SimNs::ZERO, t);
+        });
+    }
+}
+
 /// The PCIe bus: a registry of slots plus a DMA engine.
 #[derive(Debug, Default)]
 pub struct PcieBus {
-    slots: HashMap<DeviceId, PcieSlot>,
-    recorder: Option<FlightRecorder>,
+    slots: HashMap<DeviceId, Registered>,
+    obs: Option<BusObs>,
 }
 
 impl PcieBus {
@@ -78,28 +151,29 @@ impl PcieBus {
     pub fn set_recorder(&mut self, rec: FlightRecorder) {
         // One serial transfer engine; nothing waits in the simulated model,
         // so the station's utilization is the interesting USE signal.
-        rec.queue_declare("bus.dma", QueueKind::Dma, 1);
-        self.recorder = Some(rec);
+        let station = rec.queue_declare("bus.dma", QueueKind::Dma, 1);
+        for registered in self.slots.values_mut() {
+            registered.span_names = OnceLock::new();
+        }
+        self.obs = Some(BusObs {
+            rec,
+            station,
+            track: OnceLock::new(),
+            counters: OnceLock::new(),
+        });
     }
 
-    /// Records one DMA transfer of `bytes` taking `t`.
-    fn record_dma(&self, dir: &str, device: DeviceId, bytes: u64, t: SimNs) {
-        if let Some(rec) = &self.recorder {
-            rec.counter_add("bus.dma_bytes", &[("dir", dir)], bytes);
-            rec.counter_add("bus.dma_transfers", &[("dir", dir)], 1);
-            // Device-timebase span, not attributed to the ambient request:
-            // the sRPC layer covers the request's transfer time on the
-            // stream/enclave tracks, and mixing the bus timebase into the
-            // request window would surface as a phantom queue gap.
-            let track = rec.track("bus");
-            let start = rec.total_elapsed();
-            let req = rec.current_req();
-            rec.set_current_req(None);
-            rec.complete_span(track, format!("{dir}:{device}"), "dma", start, start + t);
-            rec.set_current_req(req);
-            rec.queue_enqueue("bus.dma", start);
-            rec.queue_dequeue("bus.dma", start + t, SimNs::ZERO, t);
+    /// Records one DMA transfer of `bytes` by `by` taking `t`.
+    fn record_dma(&self, dir: Dir, by: &Registered, bytes: u64, t: SimNs) {
+        if let Some(obs) = &self.obs {
+            obs.transferred(dir, by, bytes, t);
         }
+    }
+
+    fn registered(&self, device: DeviceId) -> Result<&Registered, BusError> {
+        self.slots
+            .get(&device)
+            .ok_or(BusError::UnknownDevice(device))
     }
 
     /// Registers a device slot.
@@ -111,31 +185,30 @@ impl PcieBus {
         if self.slots.contains_key(&slot.device) {
             return Err(BusError::DuplicateDevice(slot.device));
         }
-        for existing in self.slots.values() {
+        for existing in self.slots() {
             if existing.bar.overlaps(slot.bar) {
                 return Err(BusError::BarOverlap(existing.device, slot.device));
             }
         }
-        self.slots.insert(slot.device, slot);
+        let span_names = OnceLock::new();
+        self.slots
+            .insert(slot.device, Registered { slot, span_names });
         Ok(())
     }
 
     /// Looks up a slot.
     pub fn slot(&self, device: DeviceId) -> Option<&PcieSlot> {
-        self.slots.get(&device)
+        self.slots.get(&device).map(|r| &r.slot)
     }
 
     /// All registered slots.
     pub fn slots(&self) -> impl Iterator<Item = &PcieSlot> {
-        self.slots.values()
+        self.slots.values().map(|r| &r.slot)
     }
 
     /// Which device (if any) claims the MMIO address `pa`.
     pub fn route_mmio(&self, pa: PhysAddr) -> Option<DeviceId> {
-        self.slots
-            .values()
-            .find(|s| s.bar.contains(pa))
-            .map(|s| s.device)
+        self.slots().find(|s| s.bar.contains(pa)).map(|s| s.device)
     }
 
     /// DMA from host memory into a device-provided buffer.
@@ -153,13 +226,10 @@ impl PcieBus {
         host_src: PhysAddr,
         buf: &mut [u8],
     ) -> Result<SimNs, BusError> {
-        let slot = self
-            .slots
-            .get(&device)
-            .ok_or(BusError::UnknownDevice(device))?;
-        machine.dma_read(slot.stream, slot.world, host_src, buf)?;
+        let by = self.registered(device)?;
+        machine.dma_read(by.slot.stream, by.slot.world, host_src, buf)?;
         let t = machine.cost().pcie_copy(buf.len() as u64);
-        self.record_dma("h2d", device, buf.len() as u64, t);
+        self.record_dma(Dir::H2d, by, buf.len() as u64, t);
         Ok(t)
     }
 
@@ -175,13 +245,10 @@ impl PcieBus {
         host_dst: PhysAddr,
         data: &[u8],
     ) -> Result<SimNs, BusError> {
-        let slot = self
-            .slots
-            .get(&device)
-            .ok_or(BusError::UnknownDevice(device))?;
-        machine.dma_write(slot.stream, slot.world, host_dst, data)?;
+        let by = self.registered(device)?;
+        machine.dma_write(by.slot.stream, by.slot.world, host_dst, data)?;
         let t = machine.cost().pcie_copy(data.len() as u64);
-        self.record_dma("d2h", device, data.len() as u64, t);
+        self.record_dma(Dir::D2h, by, data.len() as u64, t);
         Ok(t)
     }
 
@@ -199,14 +266,10 @@ impl PcieBus {
         to: DeviceId,
         bytes: u64,
     ) -> Result<SimNs, BusError> {
-        if !self.slots.contains_key(&from) {
-            return Err(BusError::UnknownDevice(from));
-        }
-        if !self.slots.contains_key(&to) {
-            return Err(BusError::UnknownDevice(to));
-        }
+        let by = self.registered(from)?;
+        self.registered(to)?;
         let t = machine.cost().pcie_copy(bytes);
-        self.record_dma("p2p", from, bytes, t);
+        self.record_dma(Dir::P2p, by, bytes, t);
         Ok(t)
     }
 }

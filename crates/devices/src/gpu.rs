@@ -18,10 +18,14 @@ use std::fmt;
 use std::sync::Arc;
 
 use cronus_crypto::{KeyPair, PublicKey, Signature};
-use cronus_obs::{FlightRecorder, QueueKind};
+use cronus_obs::metrics::MetricsRegistry;
+use cronus_obs::{
+    CounterId, FlightRecorder, GaugeId, HistogramId, NameId, QueueKind, StationId, TrackId,
+};
 use cronus_sim::tzpc::DeviceId;
 use cronus_sim::{CostModel, SimNs, StreamId};
 
+pub use crate::view::{BufView, BufViewMut, F32Cell};
 use crate::{device_rot_keypair, DeviceKind, SimDevice};
 
 /// Completion-IRQ queue slots a driver ring would provide.
@@ -110,57 +114,32 @@ impl fmt::Display for GpuError {
 
 impl std::error::Error for GpuError {}
 
-/// Device-memory access handed to a running kernel. All reads and writes are
-/// confined to the launching context's buffers.
+/// What a kernel does with the buffers it was lent: the exclusive views
+/// come first, in the order they were asked for, then the shared ones.
+pub type KernelBody<'f> =
+    dyn FnMut(&mut [BufViewMut<'_>], &[BufView<'_>]) -> Result<(), GpuError> + 'f;
+
+/// Device-memory access handed to a running kernel. Memory is lent, not
+/// copied: the kernel computes on the launching context's own buffers, and
+/// only on those.
 pub trait GpuMemAccess {
-    /// Reads bytes from a buffer.
+    /// Lends `exclusive` buffers for reading and writing and `shared` ones
+    /// for reading, and runs `body` on them. A shared buffer that is also
+    /// lent exclusively is a snapshot taken before `body` runs, so a kernel
+    /// never observes its own writes through an input.
     ///
     /// # Errors
     ///
-    /// [`GpuError::UnknownBuffer`] or [`GpuError::OutOfBounds`].
-    fn read_bytes(&self, buf: GpuBuffer, offset: u64, out: &mut [u8]) -> Result<(), GpuError>;
-
-    /// Writes bytes to a buffer.
-    ///
-    /// # Errors
-    ///
-    /// [`GpuError::UnknownBuffer`] or [`GpuError::OutOfBounds`].
-    fn write_bytes(&mut self, buf: GpuBuffer, offset: u64, data: &[u8]) -> Result<(), GpuError>;
-
-    /// Length of a buffer in bytes.
-    ///
-    /// # Errors
-    ///
-    /// [`GpuError::UnknownBuffer`].
-    fn buffer_len(&self, buf: GpuBuffer) -> Result<u64, GpuError>;
-
-    /// Reads a whole buffer as `f32`s.
-    ///
-    /// # Errors
-    ///
-    /// Propagates buffer errors; the length is truncated to whole floats.
-    fn read_f32s(&self, buf: GpuBuffer) -> Result<Vec<f32>, GpuError> {
-        let len = self.buffer_len(buf)? as usize / 4 * 4;
-        let mut bytes = vec![0u8; len];
-        self.read_bytes(buf, 0, &mut bytes)?;
-        Ok(bytes
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes")))
-            .collect())
-    }
-
-    /// Overwrites a buffer prefix with `values` as little-endian `f32`s.
-    ///
-    /// # Errors
-    ///
-    /// Propagates buffer errors.
-    fn write_f32s(&mut self, buf: GpuBuffer, values: &[f32]) -> Result<(), GpuError> {
-        let mut bytes = Vec::with_capacity(values.len() * 4);
-        for v in values {
-            bytes.extend_from_slice(&v.to_le_bytes());
-        }
-        self.write_bytes(buf, 0, &bytes)
-    }
+    /// [`GpuError::UnknownBuffer`] for a handle the launching context does
+    /// not own, [`GpuError::BadArg`] when one buffer is asked for
+    /// exclusively twice, else whatever `body` returns. The buffers are back
+    /// in the context either way.
+    fn lend(
+        &mut self,
+        exclusive: &[GpuBuffer],
+        shared: &[GpuBuffer],
+        body: &mut KernelBody<'_>,
+    ) -> Result<(), GpuError>;
 }
 
 /// A kernel implementation: the Rust closure standing in for compiled SASS.
@@ -191,45 +170,63 @@ struct ContextMem<'a> {
 }
 
 impl GpuMemAccess for ContextMem<'_> {
-    fn read_bytes(&self, buf: GpuBuffer, offset: u64, out: &mut [u8]) -> Result<(), GpuError> {
-        let data = self
-            .buffers
-            .get(&buf.0)
-            .ok_or(GpuError::UnknownBuffer(buf))?;
-        let end = offset as usize + out.len();
-        if end > data.len() {
-            return Err(GpuError::OutOfBounds {
-                buffer: buf,
-                offset,
-                len: out.len() as u64,
-            });
+    fn lend(
+        &mut self,
+        exclusive: &[GpuBuffer],
+        shared: &[GpuBuffer],
+        body: &mut KernelBody<'_>,
+    ) -> Result<(), GpuError> {
+        // An exclusively lent buffer leaves the context's map while the body
+        // runs: nothing else can name it, and the borrow checker sees it as
+        // disjoint from the shared ones. It returns whatever the body did.
+        let mut held = Vec::with_capacity(exclusive.len());
+        let result = self.lend_held(&mut held, exclusive, shared, body);
+        for (buf, data) in held {
+            self.buffers.insert(buf.0, data);
         }
-        out.copy_from_slice(&data[offset as usize..end]);
-        Ok(())
+        result
     }
+}
 
-    fn write_bytes(&mut self, buf: GpuBuffer, offset: u64, data: &[u8]) -> Result<(), GpuError> {
-        let dst = self
-            .buffers
-            .get_mut(&buf.0)
-            .ok_or(GpuError::UnknownBuffer(buf))?;
-        let end = offset as usize + data.len();
-        if end > dst.len() {
-            return Err(GpuError::OutOfBounds {
-                buffer: buf,
-                offset,
-                len: data.len() as u64,
-            });
+impl ContextMem<'_> {
+    fn lend_held(
+        &mut self,
+        held: &mut Vec<(GpuBuffer, Vec<u8>)>,
+        exclusive: &[GpuBuffer],
+        shared: &[GpuBuffer],
+        body: &mut KernelBody<'_>,
+    ) -> Result<(), GpuError> {
+        for &buf in exclusive {
+            match self.buffers.remove(&buf.0) {
+                Some(data) => held.push((buf, data)),
+                None if held.iter().any(|(h, _)| *h == buf) => {
+                    return Err(GpuError::BadArg(format!(
+                        "{buf:?} is written through two arguments"
+                    )))
+                }
+                None => return Err(GpuError::UnknownBuffer(buf)),
+            }
         }
-        dst[offset as usize..end].copy_from_slice(data);
-        Ok(())
-    }
-
-    fn buffer_len(&self, buf: GpuBuffer) -> Result<u64, GpuError> {
-        self.buffers
-            .get(&buf.0)
-            .map(|d| d.len() as u64)
-            .ok_or(GpuError::UnknownBuffer(buf))
+        let snapshots: Vec<(GpuBuffer, Vec<u8>)> = held
+            .iter()
+            .filter(|(h, _)| shared.contains(h))
+            .cloned()
+            .collect();
+        let inputs = shared
+            .iter()
+            .map(|&buf| {
+                let live = self.buffers.get(&buf.0);
+                let snapshot = || snapshots.iter().find(|(h, _)| *h == buf).map(|(_, d)| d);
+                live.or_else(snapshot)
+                    .map(|data| BufView::new(buf, data))
+                    .ok_or(GpuError::UnknownBuffer(buf))
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut outputs: Vec<_> = held
+            .iter_mut()
+            .map(|(buf, data)| BufViewMut::new(*buf, data))
+            .collect();
+        body(&mut outputs, &inputs)
     }
 }
 
@@ -247,7 +244,168 @@ pub struct GpuDevice {
     total_launches: u64,
     pending_irqs: u32,
     irq_raised_at: VecDeque<SimNs>,
-    recorder: Option<FlightRecorder>,
+    obs: Option<GpuObs>,
+}
+
+/// A DMA direction, as the `dir` label of `gpu.dma_bytes`.
+#[derive(Clone, Copy)]
+enum Dma {
+    H2d = 0,
+    D2h = 1,
+}
+
+/// The series of one kernel name.
+#[derive(Clone, Copy)]
+struct KernelObs {
+    launches: CounterId,
+    latency: HistogramId,
+    span: NameId,
+}
+
+/// The device-wide series.
+#[derive(Clone, Copy)]
+struct DeviceSeries {
+    active_contexts: GaugeId,
+    mem_used: GaugeId,
+    sm_occupancy: GaugeId,
+    /// `gpu.dma_bytes{dir}`, indexed by [`Dma`].
+    dma_bytes: [CounterId; 2],
+}
+
+/// The device's telemetry handles on the installed recorder, each resolved
+/// once, by the first step that needs it: the device-wide series by the
+/// first launch or transfer, a kernel's by its first launch. Each reporting
+/// method below is one locked recorder step. The handles outlive
+/// [`SimDevice::reset`] (the recorder does) and are dropped when another
+/// recorder is installed.
+struct GpuObs {
+    rec: FlightRecorder,
+    /// `gpu:<id>.completion`, declared when the recorder is installed.
+    station: StationId,
+    /// `gpu:<id>`, created by the first launch: track creation order numbers
+    /// the rows of the trace.
+    track: Option<TrackId>,
+    id: u32,
+    series: Option<DeviceSeries>,
+    kernels: HashMap<Box<str>, KernelObs>,
+}
+
+/// What one launch reports besides its kernel name and duration.
+struct Launched {
+    active_contexts: u32,
+    mem_used: u64,
+    sm_occupancy_pct: i64,
+}
+
+impl GpuObs {
+    fn install(rec: FlightRecorder, id: DeviceId) -> GpuObs {
+        let id = id.as_u32();
+        let station = rec.queue_declare(
+            &format!("gpu:{id}.completion"),
+            QueueKind::Completion,
+            IRQ_QUEUE_SLOTS,
+        );
+        GpuObs {
+            rec,
+            station,
+            track: None,
+            id,
+            series: None,
+            kernels: HashMap::new(),
+        }
+    }
+
+    fn series(series: &mut Option<DeviceSeries>, m: &mut MetricsRegistry) -> DeviceSeries {
+        *series.get_or_insert_with(|| DeviceSeries {
+            active_contexts: m.gauge_id("gpu.active_contexts", &[]),
+            mem_used: m.gauge_id("gpu.mem_used", &[]),
+            sm_occupancy: m.gauge_id("gpu.sm_occupancy_pct", &[]),
+            dma_bytes: [
+                m.counter_id("gpu.dma_bytes", &[("dir", "h2d")]),
+                m.counter_id("gpu.dma_bytes", &[("dir", "d2h")]),
+            ],
+        })
+    }
+
+    /// One finished launch of `kernel` taking `t`: its count and latency,
+    /// the device gauges, the span on the device track and the completion
+    /// IRQ's arrival on its queue. Returns when the IRQ was raised.
+    fn launched(&mut self, kernel: &str, t: SimNs, l: Launched) -> SimNs {
+        self.rec.with(|r| {
+            let k = match self.kernels.get(kernel) {
+                Some(k) => *k,
+                None => {
+                    let labels = [("kernel", kernel)];
+                    let k = KernelObs {
+                        launches: r.metrics.counter_id("gpu.kernel_launches", &labels),
+                        latency: r.metrics.histogram_id("gpu.kernel_ns", &labels),
+                        span: r.spans.intern(kernel),
+                    };
+                    self.kernels.insert(kernel.into(), k);
+                    k
+                }
+            };
+            let s = Self::series(&mut self.series, &mut r.metrics);
+            r.metrics.counter_bump(k.launches, 1);
+            r.metrics.histogram_record(k.latency, t);
+            r.metrics
+                .gauge_store(s.active_contexts, l.active_contexts as i64);
+            r.metrics.gauge_store(s.mem_used, l.mem_used as i64);
+            r.metrics.gauge_store(s.sm_occupancy, l.sm_occupancy_pct);
+            // Span on the device track (time profiling stays in the sRPC
+            // layer, which charges the handler's execution time). The span
+            // is deliberately not attributed to the ambient request: it uses
+            // the device's own timebase, and the sRPC layer already covers
+            // the request's kernel phase on the stream track — attaching
+            // this one too would stretch the request window with a
+            // clock-skew gap the causal report would misread as queueing.
+            let track = *self
+                .track
+                .get_or_insert_with(|| r.spans.track(&format!("gpu:{}", self.id)));
+            let start = r.profiler.total_elapsed();
+            let req = r.spans.current_req();
+            r.spans.set_current_req(None);
+            r.complete_span(track, k.span, "kernel", start, start + t);
+            r.spans.set_current_req(req);
+            // The completion IRQ is raised when the kernel finishes; it sits
+            // queued until the driver's ISR (take_irqs) services it.
+            let raised = start + t;
+            r.queues.at(self.station).enqueue(raised);
+            raised
+        })
+    }
+
+    /// The ISR serviced the completion IRQs raised at `raised`.
+    fn irqs_taken(&self, raised: &mut VecDeque<SimNs>) {
+        self.rec.with(|r| {
+            let now = r.profiler.total_elapsed();
+            for at in raised.drain(..) {
+                r.queue_dequeue(
+                    self.station,
+                    now.max(at),
+                    now.saturating_sub(at),
+                    SimNs::ZERO,
+                );
+            }
+        });
+    }
+
+    /// `bytes` crossed the device's DMA engine.
+    fn dma(&mut self, dir: Dma, bytes: u64) {
+        self.rec.with(|r| {
+            let s = Self::series(&mut self.series, &mut r.metrics);
+            r.metrics.counter_bump(s.dma_bytes[dir as usize], bytes);
+        });
+    }
+
+    /// A reset discarded the in-flight completions: flush the queue station
+    /// so the observatory sees the drop rather than a stuck depth.
+    fn reset(&self) {
+        self.rec.with(|r| {
+            let now = r.profiler.total_elapsed();
+            r.queues.at(self.station).flush(now);
+        });
+    }
 }
 
 impl fmt::Debug for GpuDevice {
@@ -278,7 +436,7 @@ impl GpuDevice {
             total_launches: 0,
             pending_irqs: 0,
             irq_raised_at: VecDeque::new(),
-            recorder: None,
+            obs: None,
         }
     }
 
@@ -286,12 +444,7 @@ impl GpuDevice {
     /// `gpu:<id>` track plus launch/latency/occupancy metrics, and the
     /// completion-IRQ queue reports to the queue observatory.
     pub fn set_recorder(&mut self, rec: FlightRecorder) {
-        rec.queue_declare(
-            &format!("gpu:{}.completion", self.id.as_u32()),
-            QueueKind::Completion,
-            IRQ_QUEUE_SLOTS,
-        );
-        self.recorder = Some(rec);
+        self.obs = Some(GpuObs::install(rec, self.id));
     }
 
     /// Creates a GTX 2080-class GPU (8 GiB, 46 SMs) scaled to the cost
@@ -395,8 +548,78 @@ impl GpuDevice {
         Ok(())
     }
 
-    /// Copies host bytes into a device buffer (the device side of
-    /// `cudaMemcpyHostToDevice`; the PCIe/SMMU cost is charged by the HAL).
+    /// The bytes `[offset, offset + len)` of a context's buffer.
+    fn span_of(
+        contexts: &mut HashMap<u32, GpuContextState>,
+        ctx: GpuContextId,
+        buf: GpuBuffer,
+        offset: u64,
+        len: usize,
+    ) -> Result<&mut [u8], GpuError> {
+        let state = contexts
+            .get_mut(&ctx.0)
+            .ok_or(GpuError::UnknownContext(ctx))?;
+        let data = state
+            .buffers
+            .get_mut(&buf.0)
+            .ok_or(GpuError::UnknownBuffer(buf))?;
+        usize::try_from(offset)
+            .ok()
+            .and_then(|from| data.get_mut(from..from.checked_add(len)?))
+            .ok_or(GpuError::OutOfBounds {
+                buffer: buf,
+                offset,
+                len: len as u64,
+            })
+    }
+
+    /// Inbound DMA: lends `[offset, offset + len)` of a buffer to `fill`,
+    /// which writes the arriving bytes straight into device memory (the
+    /// device side of `cudaMemcpyHostToDevice`; the PCIe/SMMU cost is
+    /// charged by the HAL). The bytes count as transferred once `fill`
+    /// succeeds.
+    ///
+    /// # Errors
+    ///
+    /// Buffer/context errors as above, else whatever `fill` returns.
+    pub fn dma_in<T, E: From<GpuError>>(
+        &mut self,
+        ctx: GpuContextId,
+        buf: GpuBuffer,
+        offset: u64,
+        len: usize,
+        fill: impl FnOnce(&mut [u8]) -> Result<T, E>,
+    ) -> Result<T, E> {
+        let out = fill(Self::span_of(&mut self.contexts, ctx, buf, offset, len)?)?;
+        if let Some(obs) = &mut self.obs {
+            obs.dma(Dma::H2d, len as u64);
+        }
+        Ok(out)
+    }
+
+    /// Outbound DMA: lends `[offset, offset + len)` of a buffer to `drain`,
+    /// which reads the departing bytes straight out of device memory
+    /// (`cudaMemcpyDeviceToHost`).
+    ///
+    /// # Errors
+    ///
+    /// Buffer/context errors as above, else whatever `drain` returns.
+    pub fn dma_out<T, E: From<GpuError>>(
+        &mut self,
+        ctx: GpuContextId,
+        buf: GpuBuffer,
+        offset: u64,
+        len: usize,
+        drain: impl FnOnce(&[u8]) -> Result<T, E>,
+    ) -> Result<T, E> {
+        let src = Self::span_of(&mut self.contexts, ctx, buf, offset, len)?;
+        if let Some(obs) = &mut self.obs {
+            obs.dma(Dma::D2h, len as u64);
+        }
+        drain(src)
+    }
+
+    /// Copies host bytes into a device buffer.
     ///
     /// # Errors
     ///
@@ -408,17 +631,13 @@ impl GpuDevice {
         offset: u64,
         data: &[u8],
     ) -> Result<(), GpuError> {
-        if let Some(rec) = &self.recorder {
-            rec.counter_add("gpu.dma_bytes", &[("dir", "h2d")], data.len() as u64);
-        }
-        let state = self.ctx_mut(ctx)?;
-        ContextMem {
-            buffers: &mut state.buffers,
-        }
-        .write_bytes(buf, offset, data)
+        self.dma_in(ctx, buf, offset, data.len(), |dst| {
+            dst.copy_from_slice(data);
+            Ok(())
+        })
     }
 
-    /// Copies a device buffer out to host bytes (`cudaMemcpyDeviceToHost`).
+    /// Copies a device buffer out to host bytes.
     ///
     /// # Errors
     ///
@@ -430,14 +649,10 @@ impl GpuDevice {
         offset: u64,
         out: &mut [u8],
     ) -> Result<(), GpuError> {
-        if let Some(rec) = &self.recorder {
-            rec.counter_add("gpu.dma_bytes", &[("dir", "d2h")], out.len() as u64);
-        }
-        let state = self.ctx_mut(ctx)?;
-        ContextMem {
-            buffers: &mut state.buffers,
-        }
-        .read_bytes(buf, offset, out)
+        self.dma_out(ctx, buf, offset, out.len(), |src| {
+            out.copy_from_slice(src);
+            Ok(())
+        })
     }
 
     /// Length of a buffer.
@@ -503,34 +718,18 @@ impl GpuDevice {
         // Completion interrupt for the driver to service.
         self.pending_irqs += 1;
         let t = Self::exec_time(cost, sm_count, active, desc);
-        if let Some(rec) = &self.recorder {
-            rec.counter_add("gpu.kernel_launches", &[("kernel", kernel)], 1);
-            rec.observe("gpu.kernel_ns", &[("kernel", kernel)], t);
-            rec.gauge_set("gpu.active_contexts", &[], active as i64);
-            rec.gauge_set("gpu.mem_used", &[], self.used as i64);
+        if let Some(obs) = &mut self.obs {
             // Device-wide SM occupancy under the MPS split.
             let sms_avail = (sm_count as f64 / active as f64).max(1.0);
             let sms_used = (desc.sm_demand.max(1) as f64).min(sms_avail);
             let pct = (sms_used * active as f64 / sm_count as f64 * 100.0).min(100.0);
-            rec.gauge_set("gpu.sm_occupancy_pct", &[], pct as i64);
-            // Span on the device track (time profiling stays in the sRPC
-            // layer, which charges the handler's execution time). The span
-            // is deliberately not attributed to the ambient request: it uses
-            // the device's own timebase, and the sRPC layer already covers
-            // the request's kernel phase on the stream track — attaching
-            // this one too would stretch the request window with a
-            // clock-skew gap the causal report would misread as queueing.
-            let track = rec.track(&format!("gpu:{}", self.id.as_u32()));
-            let start = rec.total_elapsed();
-            let req = rec.current_req();
-            rec.set_current_req(None);
-            rec.complete_span(track, kernel.to_string(), "kernel", start, start + t);
-            rec.set_current_req(req);
-            // The completion IRQ is raised when the kernel finishes; it sits
-            // queued until the driver's ISR (take_irqs) services it.
-            let raised = start + t;
-            self.irq_raised_at.push_back(raised);
-            rec.queue_enqueue(&format!("gpu:{}.completion", self.id.as_u32()), raised);
+            let launched = Launched {
+                active_contexts: active,
+                mem_used: self.used,
+                sm_occupancy_pct: pct as i64,
+            };
+            self.irq_raised_at
+                .push_back(obs.launched(kernel, t, launched));
         }
         Ok(t)
     }
@@ -575,19 +774,11 @@ impl GpuDevice {
     /// interrupt service routine.
     pub fn take_irqs(&mut self) -> u32 {
         let n = std::mem::take(&mut self.pending_irqs);
-        if let Some(rec) = &self.recorder {
-            let now = rec.total_elapsed();
-            let qname = format!("gpu:{}.completion", self.id.as_u32());
-            while let Some(raised) = self.irq_raised_at.pop_front() {
-                rec.queue_dequeue(
-                    &qname,
-                    now.max(raised),
-                    now.saturating_sub(raised),
-                    SimNs::ZERO,
-                );
+        if !self.irq_raised_at.is_empty() {
+            match &self.obs {
+                Some(obs) => obs.irqs_taken(&mut self.irq_raised_at),
+                None => self.irq_raised_at.clear(),
             }
-        } else {
-            self.irq_raised_at.clear();
         }
         n
     }
@@ -647,11 +838,8 @@ impl SimDevice for GpuDevice {
         self.used = 0;
         self.total_launches = 0;
         self.pending_irqs = 0;
-        // Reset discards in-flight completions: flush the queue station so
-        // the observatory sees the drop rather than a stuck depth.
-        if let Some(rec) = &self.recorder {
-            let now = rec.total_elapsed();
-            rec.queue_flush(&format!("gpu:{}.completion", self.id.as_u32()), now);
+        if let Some(obs) = &self.obs {
+            obs.reset();
         }
         self.irq_raised_at.clear();
         self.next_ctx = 1;
@@ -673,12 +861,39 @@ mod tests {
                 [KernelArg::Buffer(b), KernelArg::Float(f)] => (*b, *f),
                 _ => return Err(GpuError::BadArg("expected (buffer, float)".into())),
             };
-            let mut vals = mem.read_f32s(buf)?;
-            for v in &mut vals {
-                *v *= factor;
-            }
-            mem.write_f32s(buf, &vals)
+            mem.lend(&[buf], &[], &mut |outs, _| {
+                for mut v in outs[0].f32s_mut() {
+                    v.set(v.get() * factor);
+                }
+                Ok(())
+            })
         })
+    }
+
+    const TINY: GpuKernelDesc = GpuKernelDesc {
+        flops: 1.0,
+        mem_bytes: 1.0,
+        sm_demand: 1,
+    };
+
+    /// Registers `body` as kernel `k` of `ctx` and launches it on `args`.
+    fn launch_body(
+        g: &mut GpuDevice,
+        ctx: GpuContextId,
+        args: &[KernelArg],
+        body: impl Fn(&mut dyn GpuMemAccess, &[KernelArg]) -> Result<(), GpuError>
+            + Send
+            + Sync
+            + 'static,
+    ) -> Result<SimNs, GpuError> {
+        g.register_kernel(ctx, "k", Arc::new(body)).unwrap();
+        g.launch(&CostModel::default(), ctx, "k", args, TINY)
+    }
+
+    fn bytes_of(g: &mut GpuDevice, ctx: GpuContextId, buf: GpuBuffer, len: usize) -> Vec<u8> {
+        let mut out = vec![0u8; len];
+        g.read_buffer(ctx, buf, 0, &mut out).unwrap();
+        out
     }
 
     #[test]
@@ -702,6 +917,114 @@ mod tests {
         let mut out = [0u8; 1];
         let err = g.read_buffer(b, buf, 0, &mut out).unwrap_err();
         assert_eq!(err, GpuError::UnknownBuffer(buf));
+    }
+
+    #[test]
+    fn a_kernel_is_lent_only_its_own_contexts_buffers() {
+        let mut g = gpu();
+        let a = g.create_context(4096).unwrap();
+        let b = g.create_context(4096).unwrap();
+        let mine = g.alloc(a, 16).unwrap();
+        let theirs = g.alloc(b, 16).unwrap();
+        g.write_buffer(b, theirs, 0, &[7; 16]).unwrap();
+        for (exclusive, shared) in [(vec![theirs], vec![]), (vec![mine], vec![theirs])] {
+            let err = launch_body(&mut g, a, &[], move |mem, _| {
+                mem.lend(&exclusive, &shared, &mut |_, _| {
+                    panic!("a foreign buffer must not be lent")
+                })
+            })
+            .unwrap_err();
+            assert_eq!(err, GpuError::UnknownBuffer(theirs));
+        }
+        // A freed handle is as unknown as a foreign one.
+        g.free(a, mine).unwrap();
+        let err = launch_body(&mut g, a, &[], move |mem, _| {
+            mem.lend(&[], &[mine], &mut |_, _| Ok(()))
+        })
+        .unwrap_err();
+        assert_eq!(err, GpuError::UnknownBuffer(mine));
+        assert_eq!(bytes_of(&mut g, b, theirs, 16), [7; 16], "untouched");
+    }
+
+    #[test]
+    fn exclusive_buffers_return_even_when_the_kernel_fails() {
+        let mut g = gpu();
+        let ctx = g.create_context(100).unwrap();
+        let out = g.alloc(ctx, 64).unwrap();
+        let inp = g.alloc(ctx, 16).unwrap();
+        let err = launch_body(&mut g, ctx, &[], move |mem, _| {
+            mem.lend(&[out], &[inp], &mut |outs, _| {
+                outs[0].set_u32(0, 0xDEAD_BEEF)?;
+                outs[0].set_u32(16, 1)
+            })
+        })
+        .unwrap_err();
+        assert!(
+            matches!(err, GpuError::OutOfBounds { buffer, offset: 64, len: 4 } if buffer == out)
+        );
+        // The buffer is back in its context, with what the kernel wrote
+        // before it failed, and is zeroed and released by free as ever.
+        assert_eq!(bytes_of(&mut g, ctx, out, 4), 0xDEAD_BEEFu32.to_le_bytes());
+        assert_eq!(g.kernels_launched(ctx).unwrap(), 0);
+        g.free(ctx, out).unwrap();
+        assert_eq!(
+            g.free(ctx, out).unwrap_err(),
+            GpuError::UnknownBuffer(out),
+            "freed exactly once"
+        );
+        let again = g.alloc(ctx, 64).expect("quota was released");
+        assert_eq!(bytes_of(&mut g, ctx, again, 64), [0; 64]);
+        // Lending the same buffer exclusively twice fails before the body
+        // runs, and gives back the one already taken.
+        let err = launch_body(&mut g, ctx, &[], move |mem, _| {
+            mem.lend(&[again, again], &[], &mut |_, _| {
+                panic!("two exclusive views of one buffer")
+            })
+        })
+        .unwrap_err();
+        assert!(matches!(err, GpuError::BadArg(_)));
+        assert_eq!(g.buffer_len(ctx, again).unwrap(), 64);
+    }
+
+    #[test]
+    fn an_input_that_is_also_an_output_is_a_snapshot() {
+        let mut g = gpu();
+        let ctx = g.create_context(4096).unwrap();
+        let buf = g.alloc(ctx, 12).unwrap();
+        let init: Vec<u8> = [1u32, 2, 3].iter().flat_map(|v| v.to_le_bytes()).collect();
+        g.write_buffer(ctx, buf, 0, &init).unwrap();
+        // out[i] = in[i] + in[(i + 1) % 3], with in == out.
+        launch_body(&mut g, ctx, &[], move |mem, _| {
+            mem.lend(&[buf], &[buf], &mut |outs, ins| {
+                for i in 0..3 {
+                    outs[0].set_u32(i, ins[0].u32(i)? + ins[0].u32((i + 1) % 3)?)?;
+                }
+                Ok(())
+            })
+        })
+        .unwrap();
+        let want: Vec<u8> = [3u32, 5, 4].iter().flat_map(|v| v.to_le_bytes()).collect();
+        assert_eq!(bytes_of(&mut g, ctx, buf, 12), want);
+    }
+
+    #[test]
+    fn reset_zeroes_what_kernels_wrote() {
+        let mut g = gpu();
+        let ctx = g.create_context(4096).unwrap();
+        let buf = g.alloc(ctx, 8).unwrap();
+        launch_body(&mut g, ctx, &[], move |mem, _| {
+            mem.lend(&[buf], &[], &mut |outs, _| outs[0].set_f32(1, 4.5))
+        })
+        .unwrap();
+        assert_eq!(bytes_of(&mut g, ctx, buf, 8)[4..], 4.5f32.to_le_bytes());
+        g.reset();
+        assert_eq!(g.context_count(), 0);
+        let ctx = g.create_context(4096).unwrap();
+        let err = launch_body(&mut g, ctx, &[], move |mem, _| {
+            mem.lend(&[], &[buf], &mut |_, _| Ok(()))
+        })
+        .unwrap_err();
+        assert_eq!(err, GpuError::UnknownBuffer(buf), "old handles are dead");
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //!   "allows devices in the secure PCIe bus to conduct DMA access only to
 //!   the secure memory region",
 //! * [`gpu`] — an SM-based GPU with per-context virtual memory isolation,
-//!   named kernels that really compute, and an MPS-style spatial-sharing
-//!   contention model,
+//!   named kernels that really compute on device memory lent to them as
+//!   checked [`view`]s, and an MPS-style spatial-sharing contention model,
 //! * [`npu`] — a VTA-class NPU executing a LOAD/GEMM/ALU/STORE instruction
 //!   set over int8 tensors (the reproduction's analogue of `fsim`),
 //! * [`cpu`] — a trivial CPU "device" so CPU mEnclaves fit the same model.
@@ -25,11 +25,13 @@ pub mod bus;
 pub mod cpu;
 pub mod gpu;
 pub mod npu;
+pub mod view;
 
 pub use bus::{BusError, PcieBus, PcieSlot};
 pub use cpu::CpuDevice;
 pub use gpu::{
-    GpuBuffer, GpuContextId, GpuDevice, GpuError, GpuKernelDesc, GpuMemAccess, KernelArg, KernelFn,
+    BufView, BufViewMut, GpuBuffer, GpuContextId, GpuDevice, GpuError, GpuKernelDesc, GpuMemAccess,
+    KernelArg, KernelFn,
 };
 pub use npu::{AluOp, NpuBuffer, NpuContextId, NpuDevice, NpuError, VtaInsn, VtaProgram};
 

@@ -11,7 +11,9 @@ use std::collections::{HashMap, VecDeque};
 use std::fmt;
 
 use cronus_crypto::{KeyPair, PublicKey, Signature};
-use cronus_obs::{FlightRecorder, QueueKind};
+use cronus_obs::{
+    CounterId, FlightRecorder, HistogramId, NameId, QueueKind, RecorderInner, StationId, TrackId,
+};
 use cronus_sim::tzpc::DeviceId;
 use cronus_sim::{CostModel, SimNs, StreamId};
 
@@ -199,7 +201,130 @@ pub struct NpuDevice {
     next_buf: u64,
     pending_irqs: u32,
     irq_raised_at: VecDeque<SimNs>,
-    recorder: Option<FlightRecorder>,
+    obs: Option<NpuObs>,
+}
+
+/// A DMA direction, as the `dir` label of `npu.dma_bytes`.
+#[derive(Clone, Copy)]
+enum Dma {
+    H2d = 0,
+    D2h = 1,
+}
+
+/// The device-wide series.
+#[derive(Clone, Copy)]
+struct DeviceSeries {
+    programs_run: CounterId,
+    insns_run: CounterId,
+    program_ns: HistogramId,
+    span: NameId,
+    /// `npu.dma_bytes{dir}`, indexed by [`Dma`].
+    dma_bytes: [CounterId; 2],
+}
+
+/// The device's telemetry handles on the installed recorder, resolved once
+/// by the first program or transfer; each reporting method is one locked
+/// recorder step (see the GPU device, whose scheme this follows).
+struct NpuObs {
+    rec: FlightRecorder,
+    /// `npu:<id>.completion`, declared when the recorder is installed.
+    station: StationId,
+    /// `npu:<id>`, created by the first program run (track creation order
+    /// numbers the rows of the trace).
+    track: Option<TrackId>,
+    id: u32,
+    series: Option<DeviceSeries>,
+}
+
+impl NpuObs {
+    fn install(rec: FlightRecorder, id: DeviceId) -> NpuObs {
+        let id = id.as_u32();
+        let station = rec.queue_declare(
+            &format!("npu:{id}.completion"),
+            QueueKind::Completion,
+            crate::gpu::IRQ_QUEUE_SLOTS,
+        );
+        NpuObs {
+            rec,
+            station,
+            track: None,
+            id,
+            series: None,
+        }
+    }
+
+    fn series(series: &mut Option<DeviceSeries>, r: &mut RecorderInner) -> DeviceSeries {
+        *series.get_or_insert_with(|| DeviceSeries {
+            programs_run: r.metrics.counter_id("npu.programs_run", &[]),
+            insns_run: r.metrics.counter_id("npu.insns_run", &[]),
+            program_ns: r.metrics.histogram_id("npu.program_ns", &[]),
+            span: r.spans.intern("vta-program"),
+            dma_bytes: [
+                r.metrics.counter_id("npu.dma_bytes", &[("dir", "h2d")]),
+                r.metrics.counter_id("npu.dma_bytes", &[("dir", "d2h")]),
+            ],
+        })
+    }
+
+    /// One finished program of `insns` instructions taking `total`: the run
+    /// counters, the span on the device track and the completion IRQ's
+    /// arrival on its queue. Returns when the IRQ was raised.
+    fn ran(&mut self, insns: u64, total: SimNs) -> SimNs {
+        self.rec.with(|r| {
+            let s = Self::series(&mut self.series, r);
+            r.metrics.counter_bump(s.programs_run, 1);
+            r.metrics.counter_bump(s.insns_run, insns);
+            r.metrics.histogram_record(s.program_ns, total);
+            // Device-timebase span, not attributed to the ambient request
+            // (the sRPC layer covers the request's kernel phase on the
+            // stream track; see the GPU device for the rationale).
+            let track = *self
+                .track
+                .get_or_insert_with(|| r.spans.track(&format!("npu:{}", self.id)));
+            let start = r.profiler.total_elapsed();
+            let req = r.spans.current_req();
+            r.spans.set_current_req(None);
+            r.complete_span(track, s.span, "kernel", start, start + total);
+            r.spans.set_current_req(req);
+            // Completion IRQ raised when the program finishes; queued until
+            // the driver's ISR services it.
+            let raised = start + total;
+            r.queues.at(self.station).enqueue(raised);
+            raised
+        })
+    }
+
+    /// The ISR serviced the completion IRQs raised at `raised`.
+    fn irqs_taken(&self, raised: &mut VecDeque<SimNs>) {
+        self.rec.with(|r| {
+            let now = r.profiler.total_elapsed();
+            for at in raised.drain(..) {
+                r.queue_dequeue(
+                    self.station,
+                    now.max(at),
+                    now.saturating_sub(at),
+                    SimNs::ZERO,
+                );
+            }
+        });
+    }
+
+    /// `bytes` crossed the device's DMA engine.
+    fn dma(&mut self, dir: Dma, bytes: u64) {
+        self.rec.with(|r| {
+            let s = Self::series(&mut self.series, r);
+            r.metrics.counter_bump(s.dma_bytes[dir as usize], bytes);
+        });
+    }
+
+    /// A reset discarded the in-flight completions: flush the queue station
+    /// so the observatory sees the drop rather than a stuck depth.
+    fn reset(&self) {
+        self.rec.with(|r| {
+            let now = r.profiler.total_elapsed();
+            r.queues.at(self.station).flush(now);
+        });
+    }
 }
 
 impl fmt::Debug for NpuDevice {
@@ -225,7 +350,7 @@ impl NpuDevice {
             next_buf: 1,
             pending_irqs: 0,
             irq_raised_at: VecDeque::new(),
-            recorder: None,
+            obs: None,
         }
     }
 
@@ -233,12 +358,7 @@ impl NpuDevice {
     /// track plus run-count/latency metrics, and the completion-IRQ queue
     /// reports to the queue observatory.
     pub fn set_recorder(&mut self, rec: FlightRecorder) {
-        rec.queue_declare(
-            &format!("npu:{}.completion", self.id.as_u32()),
-            QueueKind::Completion,
-            crate::gpu::IRQ_QUEUE_SLOTS,
-        );
-        self.recorder = Some(rec);
+        self.obs = Some(NpuObs::install(rec, self.id));
     }
 
     /// A VTA-class device (256 MiB).
@@ -317,6 +437,74 @@ impl NpuDevice {
         Ok(NpuBuffer(handle))
     }
 
+    /// The bytes `[offset, offset + len)` of a context's buffer.
+    fn span_of(
+        contexts: &mut HashMap<u32, NpuContextState>,
+        ctx: NpuContextId,
+        buf: NpuBuffer,
+        offset: u64,
+        len: usize,
+    ) -> Result<&mut [u8], NpuError> {
+        let state = contexts
+            .get_mut(&ctx.0)
+            .ok_or(NpuError::UnknownContext(ctx))?;
+        let data = state
+            .buffers
+            .get_mut(&buf.0)
+            .ok_or(NpuError::UnknownBuffer(buf))?;
+        usize::try_from(offset)
+            .ok()
+            .and_then(|from| data.get_mut(from..from.checked_add(len)?))
+            .ok_or(NpuError::OutOfBounds {
+                buffer: buf,
+                offset,
+                len: len as u64,
+            })
+    }
+
+    /// Inbound DMA: lends `[offset, offset + len)` of a buffer to `fill`,
+    /// which writes the arriving bytes straight into device memory. The
+    /// bytes count as transferred once `fill` succeeds.
+    ///
+    /// # Errors
+    ///
+    /// Buffer/context errors, else whatever `fill` returns.
+    pub fn dma_in<T, E: From<NpuError>>(
+        &mut self,
+        ctx: NpuContextId,
+        buf: NpuBuffer,
+        offset: u64,
+        len: usize,
+        fill: impl FnOnce(&mut [u8]) -> Result<T, E>,
+    ) -> Result<T, E> {
+        let out = fill(Self::span_of(&mut self.contexts, ctx, buf, offset, len)?)?;
+        if let Some(obs) = &mut self.obs {
+            obs.dma(Dma::H2d, len as u64);
+        }
+        Ok(out)
+    }
+
+    /// Outbound DMA: lends `[offset, offset + len)` of a buffer to `drain`,
+    /// which reads the departing bytes straight out of device memory.
+    ///
+    /// # Errors
+    ///
+    /// Buffer/context errors, else whatever `drain` returns.
+    pub fn dma_out<T, E: From<NpuError>>(
+        &mut self,
+        ctx: NpuContextId,
+        buf: NpuBuffer,
+        offset: u64,
+        len: usize,
+        drain: impl FnOnce(&[u8]) -> Result<T, E>,
+    ) -> Result<T, E> {
+        let src = Self::span_of(&mut self.contexts, ctx, buf, offset, len)?;
+        if let Some(obs) = &mut self.obs {
+            obs.dma(Dma::D2h, len as u64);
+        }
+        drain(src)
+    }
+
     /// Writes host bytes into a device buffer.
     ///
     /// # Errors
@@ -329,24 +517,10 @@ impl NpuDevice {
         offset: u64,
         data: &[u8],
     ) -> Result<(), NpuError> {
-        if let Some(rec) = &self.recorder {
-            rec.counter_add("npu.dma_bytes", &[("dir", "h2d")], data.len() as u64);
-        }
-        let state = self.ctx_mut(ctx)?;
-        let dst = state
-            .buffers
-            .get_mut(&buf.0)
-            .ok_or(NpuError::UnknownBuffer(buf))?;
-        let end = offset as usize + data.len();
-        if end > dst.len() {
-            return Err(NpuError::OutOfBounds {
-                buffer: buf,
-                offset,
-                len: data.len() as u64,
-            });
-        }
-        dst[offset as usize..end].copy_from_slice(data);
-        Ok(())
+        self.dma_in(ctx, buf, offset, data.len(), |dst| {
+            dst.copy_from_slice(data);
+            Ok(())
+        })
     }
 
     /// Reads a device buffer into host bytes.
@@ -361,24 +535,10 @@ impl NpuDevice {
         offset: u64,
         out: &mut [u8],
     ) -> Result<(), NpuError> {
-        if let Some(rec) = &self.recorder {
-            rec.counter_add("npu.dma_bytes", &[("dir", "d2h")], out.len() as u64);
-        }
-        let state = self.ctx_mut(ctx)?;
-        let src = state
-            .buffers
-            .get(&buf.0)
-            .ok_or(NpuError::UnknownBuffer(buf))?;
-        let end = offset as usize + out.len();
-        if end > src.len() {
-            return Err(NpuError::OutOfBounds {
-                buffer: buf,
-                offset,
-                len: out.len() as u64,
-            });
-        }
-        out.copy_from_slice(&src[offset as usize..end]);
-        Ok(())
+        self.dma_out(ctx, buf, offset, out.len(), |src| {
+            out.copy_from_slice(src);
+            Ok(())
+        })
     }
 
     /// Runs a program to completion, returning the simulated execution time.
@@ -401,30 +561,9 @@ impl NpuDevice {
         }
         state.programs_run += 1;
         self.pending_irqs += 1;
-        if let Some(rec) = &self.recorder {
-            rec.counter_add("npu.programs_run", &[], 1);
-            rec.counter_add("npu.insns_run", &[], program.insns.len() as u64);
-            rec.observe("npu.program_ns", &[], total);
-            // Device-timebase span, not attributed to the ambient request
-            // (the sRPC layer covers the request's kernel phase on the
-            // stream track; see the GPU device for the rationale).
-            let track = rec.track(&format!("npu:{}", self.id.as_u32()));
-            let start = rec.total_elapsed();
-            let req = rec.current_req();
-            rec.set_current_req(None);
-            rec.complete_span(
-                track,
-                "vta-program".to_string(),
-                "kernel",
-                start,
-                start + total,
-            );
-            rec.set_current_req(req);
-            // Completion IRQ raised when the program finishes; queued until
-            // the driver's ISR services it.
-            let raised = start + total;
-            self.irq_raised_at.push_back(raised);
-            rec.queue_enqueue(&format!("npu:{}.completion", self.id.as_u32()), raised);
+        if let Some(obs) = &mut self.obs {
+            self.irq_raised_at
+                .push_back(obs.ran(program.insns.len() as u64, total));
         }
         Ok(total)
     }
@@ -585,19 +724,11 @@ impl NpuDevice {
     /// Takes (and clears) the pending completion interrupts.
     pub fn take_irqs(&mut self) -> u32 {
         let n = std::mem::take(&mut self.pending_irqs);
-        if let Some(rec) = &self.recorder {
-            let now = rec.total_elapsed();
-            let qname = format!("npu:{}.completion", self.id.as_u32());
-            while let Some(raised) = self.irq_raised_at.pop_front() {
-                rec.queue_dequeue(
-                    &qname,
-                    now.max(raised),
-                    now.saturating_sub(raised),
-                    SimNs::ZERO,
-                );
+        if !self.irq_raised_at.is_empty() {
+            match &self.obs {
+                Some(obs) => obs.irqs_taken(&mut self.irq_raised_at),
+                None => self.irq_raised_at.clear(),
             }
-        } else {
-            self.irq_raised_at.clear();
         }
         n
     }
@@ -653,11 +784,8 @@ impl SimDevice for NpuDevice {
         self.contexts.clear();
         self.used = 0;
         self.pending_irqs = 0;
-        // Reset discards in-flight completions: flush the queue station so
-        // the observatory sees the drop rather than a stuck depth.
-        if let Some(rec) = &self.recorder {
-            let now = rec.total_elapsed();
-            rec.queue_flush(&format!("npu:{}.completion", self.id.as_u32()), now);
+        if let Some(obs) = &self.obs {
+            obs.reset();
         }
         self.irq_raised_at.clear();
         self.next_ctx = 1;

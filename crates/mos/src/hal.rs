@@ -333,101 +333,82 @@ impl DeviceHal {
         }
     }
 
-    /// `cudaMemcpyHostToDevice`: DMA host physical memory into a GPU buffer.
-    /// Returns the simulated transfer time.
+    /// Host→device copy (`cudaMemcpyHostToDevice` and its NPU twin): the bus
+    /// DMAs host physical memory straight into the bytes the device lends
+    /// of buffer `dst` (a raw handle of `ctx`'s device). Returns the
+    /// simulated transfer time.
     ///
     /// # Errors
     ///
-    /// Bus/SMMU faults, GPU buffer errors, or [`HalError::WrongKind`].
+    /// Bus/SMMU faults, device buffer errors, or [`HalError::WrongKind`]
+    /// when `ctx` is not a context of the managed device.
     #[allow(clippy::too_many_arguments)] // DMA descriptors are wide
-    pub fn gpu_copy_h2d(
+    pub fn copy_h2d(
         &mut self,
         machine: &mut Machine,
         bus: &PcieBus,
-        ctx: GpuContextId,
-        dst: GpuBuffer,
+        ctx: DeviceCtx,
+        dst: u64,
         dst_offset: u64,
         host_src: PhysAddr,
         len: usize,
     ) -> Result<SimNs, HalError> {
         let device = self.device_id();
-        let gpu = self.gpu_mut()?;
-        let mut staging = vec![0u8; len];
-        let t = bus.dma_to_device(machine, device, host_src, &mut staging)?;
-        gpu.write_buffer(ctx, dst, dst_offset, &staging)?;
-        Ok(t)
+        let dma = |dst: &mut [u8]| -> Result<SimNs, HalError> {
+            Ok(bus.dma_to_device(machine, device, host_src, dst)?)
+        };
+        match (self, ctx) {
+            (DeviceHal::Gpu(d), DeviceCtx::Gpu(c)) => {
+                d.dma_in(c, GpuBuffer::from_raw(dst), dst_offset, len, dma)
+            }
+            (DeviceHal::Npu(d), DeviceCtx::Npu(c)) => {
+                d.dma_in(c, NpuBuffer::from_raw(dst), dst_offset, len, dma)
+            }
+            (hal, ctx) => Err(hal.not_a_context(ctx)),
+        }
     }
 
-    /// `cudaMemcpyDeviceToHost`: DMA a GPU buffer into host physical memory.
+    /// Device→host copy: the bus DMAs the bytes the device lends of buffer
+    /// `src` straight into host physical memory.
     ///
     /// # Errors
     ///
-    /// Same as [`DeviceHal::gpu_copy_h2d`].
+    /// Same as [`DeviceHal::copy_h2d`].
     #[allow(clippy::too_many_arguments)] // DMA descriptors are wide
-    pub fn gpu_copy_d2h(
+    pub fn copy_d2h(
         &mut self,
         machine: &mut Machine,
         bus: &PcieBus,
-        ctx: GpuContextId,
-        src: GpuBuffer,
+        ctx: DeviceCtx,
+        src: u64,
         src_offset: u64,
         host_dst: PhysAddr,
         len: usize,
     ) -> Result<SimNs, HalError> {
         let device = self.device_id();
-        let gpu = self.gpu_mut()?;
-        let mut staging = vec![0u8; len];
-        gpu.read_buffer(ctx, src, src_offset, &mut staging)?;
-        let t = bus.dma_from_device(machine, device, host_dst, &staging)?;
-        Ok(t)
+        let dma = |src: &[u8]| -> Result<SimNs, HalError> {
+            Ok(bus.dma_from_device(machine, device, host_dst, src)?)
+        };
+        match (self, ctx) {
+            (DeviceHal::Gpu(d), DeviceCtx::Gpu(c)) => {
+                d.dma_out(c, GpuBuffer::from_raw(src), src_offset, len, dma)
+            }
+            (DeviceHal::Npu(d), DeviceCtx::Npu(c)) => {
+                d.dma_out(c, NpuBuffer::from_raw(src), src_offset, len, dma)
+            }
+            (hal, ctx) => Err(hal.not_a_context(ctx)),
+        }
     }
 
-    /// Host→NPU copy.
-    ///
-    /// # Errors
-    ///
-    /// Bus/SMMU faults, NPU buffer errors, or [`HalError::WrongKind`].
-    #[allow(clippy::too_many_arguments)] // DMA descriptors are wide
-    pub fn npu_copy_h2d(
-        &mut self,
-        machine: &mut Machine,
-        bus: &PcieBus,
-        ctx: NpuContextId,
-        dst: NpuBuffer,
-        dst_offset: u64,
-        host_src: PhysAddr,
-        len: usize,
-    ) -> Result<SimNs, HalError> {
-        let device = self.device_id();
-        let npu = self.npu_mut()?;
-        let mut staging = vec![0u8; len];
-        let t = bus.dma_to_device(machine, device, host_src, &mut staging)?;
-        npu.write_buffer(ctx, dst, dst_offset, &staging)?;
-        Ok(t)
-    }
-
-    /// NPU→host copy.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`DeviceHal::npu_copy_h2d`].
-    #[allow(clippy::too_many_arguments)] // DMA descriptors are wide
-    pub fn npu_copy_d2h(
-        &mut self,
-        machine: &mut Machine,
-        bus: &PcieBus,
-        ctx: NpuContextId,
-        src: NpuBuffer,
-        src_offset: u64,
-        host_dst: PhysAddr,
-        len: usize,
-    ) -> Result<SimNs, HalError> {
-        let device = self.device_id();
-        let npu = self.npu_mut()?;
-        let mut staging = vec![0u8; len];
-        npu.read_buffer(ctx, src, src_offset, &mut staging)?;
-        let t = bus.dma_from_device(machine, device, host_dst, &staging)?;
-        Ok(t)
+    fn not_a_context(&self, ctx: DeviceCtx) -> HalError {
+        HalError::WrongKind {
+            expected: match ctx {
+                DeviceCtx::Cpu(_) => DeviceKind::Cpu,
+                DeviceCtx::Gpu(_) => DeviceKind::Gpu,
+                DeviceCtx::Npu(_) => DeviceKind::Npu,
+            },
+            actual: self.kind(),
+        }
     }
 }
 
@@ -446,6 +427,14 @@ mod tests {
             1 << 20,
             46,
         ))
+    }
+
+    /// Allocates `len` device bytes in `ctx`, returning the raw handle.
+    fn alloc(hal: &mut DeviceHal, ctx: DeviceCtx, len: u64) -> u64 {
+        let DeviceCtx::Gpu(ctx) = ctx else {
+            panic!("expected gpu ctx");
+        };
+        hal.gpu_mut().unwrap().alloc(ctx, len).unwrap().as_raw()
     }
 
     fn secure_bus(device: DeviceId, stream: StreamId) -> PcieBus {
@@ -505,10 +494,8 @@ mod tests {
         let mut hal = gpu_hal();
         let bus = secure_bus(hal.device_id(), hal.dma_stream());
 
-        let DeviceCtx::Gpu(ctx) = hal.create_context(4096).unwrap() else {
-            panic!("expected gpu ctx");
-        };
-        let buf = hal.gpu_mut().unwrap().alloc(ctx, 8).unwrap();
+        let ctx = hal.create_context(4096).unwrap();
+        let buf = alloc(&mut hal, ctx, 8);
 
         // Stage host data in secure memory with an SMMU grant.
         let frame = machine.alloc_frame(World::Secure).unwrap();
@@ -520,7 +507,7 @@ mod tests {
             .unwrap();
 
         let t1 = hal
-            .gpu_copy_h2d(&mut machine, &bus, ctx, buf, 0, frame.base(), 8)
+            .copy_h2d(&mut machine, &bus, ctx, buf, 0, frame.base(), 8)
             .unwrap();
         assert!(t1 > SimNs::ZERO);
 
@@ -528,7 +515,7 @@ mod tests {
         machine
             .phys_write(World::Secure, frame.base(), &[0u8; 8])
             .unwrap();
-        hal.gpu_copy_d2h(&mut machine, &bus, ctx, buf, 0, frame.base(), 8)
+        hal.copy_d2h(&mut machine, &bus, ctx, buf, 0, frame.base(), 8)
             .unwrap();
         let host = machine
             .phys_read_vec(World::Secure, frame.base(), 8)
@@ -541,15 +528,56 @@ mod tests {
         let mut machine = Machine::new(MachineConfig::default());
         let mut hal = gpu_hal();
         let bus = secure_bus(hal.device_id(), hal.dma_stream());
-        let DeviceCtx::Gpu(ctx) = hal.create_context(4096).unwrap() else {
-            panic!("expected gpu ctx");
-        };
-        let buf = hal.gpu_mut().unwrap().alloc(ctx, 8).unwrap();
+        let ctx = hal.create_context(4096).unwrap();
+        let buf = alloc(&mut hal, ctx, 8);
         let frame = machine.alloc_frame(World::Secure).unwrap();
         let err = hal
-            .gpu_copy_h2d(&mut machine, &bus, ctx, buf, 0, frame.base(), 8)
+            .copy_h2d(&mut machine, &bus, ctx, buf, 0, frame.base(), 8)
             .unwrap_err();
         assert!(matches!(err, HalError::Bus(BusError::DmaFault(_))));
+    }
+
+    #[test]
+    fn memcpy_checks_the_device_side_before_moving_a_byte() {
+        let mut machine = Machine::new(MachineConfig::default());
+        let mut hal = gpu_hal();
+        let bus = secure_bus(hal.device_id(), hal.dma_stream());
+        let ctx = hal.create_context(4096).unwrap();
+        let buf = alloc(&mut hal, ctx, 8);
+        let frame = machine.alloc_frame(World::Secure).unwrap();
+        machine
+            .smmu_mut()
+            .grant(hal.dma_stream(), frame.page(), PagePerms::RW);
+        machine
+            .phys_write(World::Secure, frame.base(), &[0xAA; 16])
+            .unwrap();
+        // Past the end of the buffer, an unknown handle, a context of another
+        // device kind: typed errors, host memory untouched.
+        let err = hal
+            .copy_d2h(&mut machine, &bus, ctx, buf, 4, frame.base(), 8)
+            .unwrap_err();
+        assert!(matches!(err, HalError::Gpu(GpuError::OutOfBounds { .. })));
+        let err = hal
+            .copy_h2d(&mut machine, &bus, ctx, buf + 1, 0, frame.base(), 8)
+            .unwrap_err();
+        assert!(matches!(err, HalError::Gpu(GpuError::UnknownBuffer(_))));
+        let npu_ctx = DeviceHal::Npu(NpuDevice::vta(DeviceId::new(2), StreamId::new(2)))
+            .create_context(4096)
+            .unwrap();
+        let err = hal
+            .copy_d2h(&mut machine, &bus, npu_ctx, buf, 0, frame.base(), 8)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            HalError::WrongKind {
+                expected: DeviceKind::Npu,
+                actual: DeviceKind::Gpu
+            }
+        );
+        let host = machine
+            .phys_read_vec(World::Secure, frame.base(), 16)
+            .unwrap();
+        assert_eq!(host, vec![0xAA; 16]);
     }
 
     #[test]

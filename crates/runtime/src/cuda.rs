@@ -7,10 +7,8 @@
 //! drive a CUDA mEnclave over sRPC, plus the server-side mECall handlers
 //! that execute inside the GPU partition.
 //!
-//! Bulk data moves through a dedicated trusted shared *staging buffer*
-//! (distinct from the descriptor ring), and from there to the device by
-//! SMMU-checked DMA — the same structure as pinned bounce buffers in a real
-//! CUDA stack.
+//! Bulk data moves through the trusted shared staging buffer of
+//! [`crate::staging`].
 
 use std::collections::BTreeMap;
 
@@ -23,11 +21,16 @@ use cronus_devices::DeviceKind;
 use cronus_mos::hal::DeviceCtx;
 use cronus_mos::manifest::{Manifest, McallDecl};
 use cronus_obs::{CountResource, MeterScope, Principal, TimeCategory};
-use cronus_sim::addr::{VirtAddr, PAGE_SIZE};
-use cronus_sim::pagetable::{Access, PagePerms};
 use cronus_sim::SimNs;
 
+use crate::staging::{Staging, StagingNames};
 use crate::wire::{Reader, Writer};
+
+const STAGING: StagingNames = StagingNames {
+    h2d_call: "cuMemcpyH2D",
+    d2h_call: "cuMemcpyD2H",
+    bytes_metric: "cuda.memcpy_bytes",
+};
 
 /// A device pointer (CUDA `CUdeviceptr` analogue).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -119,9 +122,7 @@ pub struct CudaContext {
     pub gpu: EnclaveRef,
     /// The sRPC stream.
     pub stream: StreamId,
-    staging_caller_va: VirtAddr,
-    staging_bytes: u64,
-    staging_cursor: u64,
+    staging: Staging,
 }
 
 impl CudaContext {
@@ -155,42 +156,18 @@ impl CudaContext {
             .open()?;
 
         // Staging buffer: a second trusted shared region for bulk data.
-        let (staging_share, staging_caller_va, staging_callee_va) = sys
-            .spm_mut()
-            .share_memory((cpu.asid, cpu.eid), (gpu.asid, gpu.eid), opts.staging_pages)
-            .map_err(|e| CudaError::System(e.into()))?;
-
-        // The GPU's DMA engine must reach the staging pages (SMMU grants).
-        let pages = sys
-            .spm()
-            .share_pages(staging_share)
-            .map_err(|e| CudaError::System(e.into()))?
-            .to_vec();
-        let dma_stream = sys
-            .spm()
-            .mos(gpu.asid)
-            .map_err(|e| CudaError::System(e.into()))?
-            .hal()
-            .dma_stream();
-        for ppn in &pages {
-            sys.spm_mut()
-                .machine_mut()
-                .smmu_mut()
-                .grant(dma_stream, *ppn, PagePerms::RW);
-        }
+        let staging = Staging::open(sys, cpu, gpu, stream, opts.staging_pages, &STAGING)
+            .map_err(CudaError::System)?;
 
         // Look up the device context backing the CUDA mEnclave.
         let gctx = Self::gpu_ctx(sys, gpu)?;
-
-        Self::register_handlers(sys, gpu, gctx, staging_callee_va);
+        Self::register_handlers(sys, gpu, gctx);
 
         Ok(CudaContext {
             cpu,
             gpu,
             stream,
-            staging_caller_va,
-            staging_bytes: opts.staging_pages as u64 * PAGE_SIZE,
-            staging_cursor: 0,
+            staging,
         })
     }
 
@@ -208,12 +185,7 @@ impl CudaContext {
         }
     }
 
-    fn register_handlers(
-        sys: &mut CronusSystem,
-        gpu: EnclaveRef,
-        gctx: GpuContextId,
-        staging_va: VirtAddr,
-    ) {
+    fn register_handlers(sys: &mut CronusSystem, gpu: EnclaveRef, gctx: GpuContextId) {
         // cuMalloc(len) -> handle
         sys.register_handler(
             gpu,
@@ -239,72 +211,6 @@ impl CudaContext {
                 let gpu_dev = mos.hal_mut().gpu_mut()?;
                 gpu_dev.free(gctx, GpuBuffer::from_raw(raw))?;
                 Ok((Vec::new(), SimNs::from_micros(1)))
-            }),
-        );
-
-        // cuMemcpyH2D(dst, dst_off, staging_off, len): staging -> device DMA.
-        sys.register_handler(
-            gpu,
-            "cuMemcpyH2D",
-            Box::new(move |ctx, payload| {
-                let mut r = Reader::new(payload);
-                let dst = GpuBuffer::from_raw(r.u64()?);
-                let dst_off = r.u64()?;
-                let staging_off = r.u64()?;
-                let len = r.u64()?;
-                let eid = ctx.eid;
-                let (mos, machine, bus) = ctx.spm.mos_machine_bus(ctx.asid)?;
-                let mut total = SimNs::ZERO;
-                let mut done = 0u64;
-                while done < len {
-                    let va = staging_va.add(staging_off + done);
-                    let pa = mos.translate(eid, va, Access::Read)?;
-                    let n = (len - done).min(PAGE_SIZE - va.page_offset());
-                    total += mos.hal_mut().gpu_copy_h2d(
-                        machine,
-                        bus,
-                        gctx,
-                        dst,
-                        dst_off + done,
-                        pa,
-                        n as usize,
-                    )?;
-                    done += n;
-                }
-                Ok((Vec::new(), total))
-            }),
-        );
-
-        // cuMemcpyD2H(src, src_off, staging_off, len): device -> staging DMA.
-        sys.register_handler(
-            gpu,
-            "cuMemcpyD2H",
-            Box::new(move |ctx, payload| {
-                let mut r = Reader::new(payload);
-                let src = GpuBuffer::from_raw(r.u64()?);
-                let src_off = r.u64()?;
-                let staging_off = r.u64()?;
-                let len = r.u64()?;
-                let eid = ctx.eid;
-                let (mos, machine, bus) = ctx.spm.mos_machine_bus(ctx.asid)?;
-                let mut total = SimNs::ZERO;
-                let mut done = 0u64;
-                while done < len {
-                    let va = staging_va.add(staging_off + done);
-                    let pa = mos.translate(eid, va, Access::Write)?;
-                    let n = (len - done).min(PAGE_SIZE - va.page_offset());
-                    total += mos.hal_mut().gpu_copy_d2h(
-                        machine,
-                        bus,
-                        gctx,
-                        src,
-                        src_off + done,
-                        pa,
-                        n as usize,
-                    )?;
-                    done += n;
-                }
-                Ok((Vec::new(), total))
             }),
         );
 
@@ -392,18 +298,6 @@ impl CudaContext {
         Ok(())
     }
 
-    fn stage_reserve(&mut self, sys: &mut CronusSystem, len: u64) -> Result<u64, CudaError> {
-        debug_assert!(len <= self.staging_bytes);
-        if self.staging_cursor + len > self.staging_bytes {
-            // Staging exhausted: wait for the consumer, then reuse from 0.
-            sys.sync(self.stream)?;
-            self.staging_cursor = 0;
-        }
-        let off = self.staging_cursor;
-        self.staging_cursor += len;
-        Ok(off)
-    }
-
     /// `cudaMemcpyHostToDevice`: copies host bytes into device memory via
     /// the staging buffer. The caller pays the staging write; the device
     /// copy streams asynchronously.
@@ -417,45 +311,7 @@ impl CudaContext {
         dst: DevPtr,
         data: &[u8],
     ) -> Result<(), CudaError> {
-        let chunk_max = self.staging_bytes;
-        let mut done = 0u64;
-        while done < data.len() as u64 {
-            let n = (data.len() as u64 - done).min(chunk_max);
-            let off = self.stage_reserve(sys, n)?;
-            // One request per chunk: the staging write, any trap it takes,
-            // and the device-side copy all trace back to the same id.
-            let req = sys.alloc_req();
-            sys.set_current_req(Some(req));
-            // Caller writes the chunk into staging (charged as a memcpy).
-            sys.shared_write(
-                self.cpu,
-                self.staging_caller_va.add(off),
-                &data[done as usize..(done + n) as usize],
-            )?;
-            let cost = sys.spm().machine().cost().memcpy(n);
-            sys.advance_enclave(self.cpu, cost);
-            let rec = sys.recorder();
-            let prev = rec.set_meter_scope(
-                MeterScope::principal(Principal(self.cpu.asid.as_u32()))
-                    .with_stream(self.stream.as_u64()),
-            );
-            rec.charge_detail(TimeCategory::Memcpy, "staging_write", cost);
-            rec.meter_count(CountResource::DmaBytes, n);
-            rec.set_meter_scope(prev);
-            rec.counter_add("cuda.memcpy_bytes", &[("dir", "h2d")], n);
-            let track = rec.track(&format!("enclave:{}", self.cpu.eid));
-            let now = sys.enclave_time(self.cpu);
-            rec.complete_span(track, "staging_write", "memcpy", now - cost, now);
-
-            let mut w = Writer::new();
-            w.u64(dst.0).u64(done).u64(off).u64(n);
-            sys.call(self.stream, "cuMemcpyH2D")
-                .payload(&w.finish())
-                .req(req)
-                .start()?;
-            done += n;
-        }
-        Ok(())
+        Ok(self.staging.h2d(sys, dst.0, data)?)
     }
 
     /// `cudaMemcpyDeviceToHost`: synchronous copy back to the host.
@@ -469,44 +325,7 @@ impl CudaContext {
         src: DevPtr,
         len: u64,
     ) -> Result<Vec<u8>, CudaError> {
-        let mut out = Vec::with_capacity(len as usize);
-        let chunk_max = self.staging_bytes;
-        let mut done = 0u64;
-        while done < len {
-            let n = (len - done).min(chunk_max);
-            let off = self.stage_reserve(sys, n)?;
-            let req = sys.alloc_req();
-            let mut w = Writer::new();
-            w.u64(src.0).u64(done).u64(off).u64(n);
-            sys.call(self.stream, "cuMemcpyD2H")
-                .payload(&w.finish())
-                .req(req)
-                .sync()?;
-            // Caller reads the chunk out of staging, still under the same
-            // request so the read-back traces to the device copy.
-            sys.set_current_req(Some(req));
-            let mut buf = vec![0u8; n as usize];
-            let read = sys.shared_read(self.cpu, self.staging_caller_va.add(off), &mut buf);
-            let cost = sys.spm().machine().cost().memcpy(n);
-            sys.advance_enclave(self.cpu, cost);
-            let rec = sys.recorder();
-            let prev = rec.set_meter_scope(
-                MeterScope::principal(Principal(self.cpu.asid.as_u32()))
-                    .with_stream(self.stream.as_u64()),
-            );
-            rec.charge_detail(TimeCategory::Memcpy, "staging_read", cost);
-            rec.meter_count(CountResource::DmaBytes, n);
-            rec.set_meter_scope(prev);
-            rec.counter_add("cuda.memcpy_bytes", &[("dir", "d2h")], n);
-            let track = rec.track(&format!("enclave:{}", self.cpu.eid));
-            let now = sys.enclave_time(self.cpu);
-            rec.complete_span(track, "staging_read", "memcpy", now - cost, now);
-            sys.set_current_req(None);
-            read?;
-            out.extend_from_slice(&buf);
-            done += n;
-        }
-        Ok(out)
+        Ok(self.staging.d2h(sys, src.0, len)?)
     }
 
     /// `cudaLaunchKernel` (asynchronous).
@@ -550,7 +369,7 @@ impl CudaContext {
     /// RPC errors, including peer failure.
     pub fn synchronize(&mut self, sys: &mut CronusSystem) -> Result<(), CudaError> {
         sys.sync(self.stream)?;
-        self.staging_cursor = 0;
+        self.staging.rewind();
         Ok(())
     }
 
@@ -651,12 +470,12 @@ mod tests {
                 [KernelArg::Float(a), KernelArg::Buffer(x), KernelArg::Buffer(y)] => (*a, *x, *y),
                 _ => return Err(GpuError::BadArg("saxpy(a, x, y)".into())),
             };
-            let xs = mem.read_f32s(x)?;
-            let mut ys = mem.read_f32s(y)?;
-            for (yi, xi) in ys.iter_mut().zip(&xs) {
-                *yi += a * xi;
-            }
-            mem.write_f32s(y, &ys)
+            mem.lend(&[y], &[x], &mut |outs, ins| {
+                for (mut yi, xi) in outs[0].f32s_mut().zip(ins[0].f32s()) {
+                    yi.set(yi.get() + a * xi);
+                }
+                Ok(())
+            })
         })
     }
 

@@ -19,6 +19,7 @@
 
 pub mod cpu;
 pub mod cuda;
+mod staging;
 pub mod vta;
 pub mod wire;
 

@@ -16,12 +16,16 @@ use cronus_devices::npu::{AluOp, NpuBuffer, NpuContextId, VtaInsn, VtaProgram};
 use cronus_devices::DeviceKind;
 use cronus_mos::hal::DeviceCtx;
 use cronus_mos::manifest::{Manifest, McallDecl};
-use cronus_obs::{CountResource, MeterScope, Principal, TimeCategory};
-use cronus_sim::addr::{VirtAddr, PAGE_SIZE};
-use cronus_sim::pagetable::{Access, PagePerms};
 use cronus_sim::SimNs;
 
+use crate::staging::{Staging, StagingNames};
 use crate::wire::{Reader, WireError, Writer};
+
+const STAGING: StagingNames = StagingNames {
+    h2d_call: "vtaMemcpyH2D",
+    d2h_call: "vtaMemcpyD2H",
+    bytes_metric: "vta.memcpy_bytes",
+};
 
 /// An NPU device pointer.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -226,9 +230,7 @@ pub struct VtaContext {
     pub npu: EnclaveRef,
     /// sRPC stream.
     pub stream: StreamId,
-    staging_caller_va: VirtAddr,
-    staging_bytes: u64,
-    staging_cursor: u64,
+    staging: Staging,
 }
 
 impl VtaContext {
@@ -259,38 +261,17 @@ impl VtaContext {
             .pages(opts.ring_pages)
             .open()?;
 
-        let (staging_share, staging_caller_va, staging_callee_va) = sys
-            .spm_mut()
-            .share_memory((cpu.asid, cpu.eid), (npu.asid, npu.eid), opts.staging_pages)
-            .map_err(|e| VtaError::System(e.into()))?;
-        let pages = sys
-            .spm()
-            .share_pages(staging_share)
-            .map_err(|e| VtaError::System(e.into()))?
-            .to_vec();
-        let dma_stream = sys
-            .spm()
-            .mos(npu.asid)
-            .map_err(|e| VtaError::System(e.into()))?
-            .hal()
-            .dma_stream();
-        for ppn in &pages {
-            sys.spm_mut()
-                .machine_mut()
-                .smmu_mut()
-                .grant(dma_stream, *ppn, PagePerms::RW);
-        }
+        let staging = Staging::open(sys, cpu, npu, stream, opts.staging_pages, &STAGING)
+            .map_err(VtaError::System)?;
 
         let nctx = Self::npu_ctx(sys, npu)?;
-        Self::register_handlers(sys, npu, nctx, staging_callee_va);
+        Self::register_handlers(sys, npu, nctx);
 
         Ok(VtaContext {
             cpu,
             npu,
             stream,
-            staging_caller_va,
-            staging_bytes: opts.staging_pages as u64 * PAGE_SIZE,
-            staging_cursor: 0,
+            staging,
         })
     }
 
@@ -308,12 +289,7 @@ impl VtaContext {
         }
     }
 
-    fn register_handlers(
-        sys: &mut CronusSystem,
-        npu: EnclaveRef,
-        nctx: NpuContextId,
-        staging_va: VirtAddr,
-    ) {
+    fn register_handlers(sys: &mut CronusSystem, npu: EnclaveRef, nctx: NpuContextId) {
         sys.register_handler(
             npu,
             "vtaAlloc",
@@ -325,70 +301,6 @@ impl VtaContext {
                 let mut w = Writer::new();
                 w.u64(buf.as_raw());
                 Ok((w.finish(), SimNs::from_micros(2)))
-            }),
-        );
-
-        sys.register_handler(
-            npu,
-            "vtaMemcpyH2D",
-            Box::new(move |ctx, payload| {
-                let mut r = Reader::new(payload);
-                let dst = NpuBuffer::from_raw(r.u64()?);
-                let dst_off = r.u64()?;
-                let staging_off = r.u64()?;
-                let len = r.u64()?;
-                let eid = ctx.eid;
-                let (mos, machine, bus) = ctx.spm.mos_machine_bus(ctx.asid)?;
-                let mut total = SimNs::ZERO;
-                let mut done = 0u64;
-                while done < len {
-                    let va = staging_va.add(staging_off + done);
-                    let pa = mos.translate(eid, va, Access::Read)?;
-                    let n = (len - done).min(PAGE_SIZE - va.page_offset());
-                    total += mos.hal_mut().npu_copy_h2d(
-                        machine,
-                        bus,
-                        nctx,
-                        dst,
-                        dst_off + done,
-                        pa,
-                        n as usize,
-                    )?;
-                    done += n;
-                }
-                Ok((Vec::new(), total))
-            }),
-        );
-
-        sys.register_handler(
-            npu,
-            "vtaMemcpyD2H",
-            Box::new(move |ctx, payload| {
-                let mut r = Reader::new(payload);
-                let src = NpuBuffer::from_raw(r.u64()?);
-                let src_off = r.u64()?;
-                let staging_off = r.u64()?;
-                let len = r.u64()?;
-                let eid = ctx.eid;
-                let (mos, machine, bus) = ctx.spm.mos_machine_bus(ctx.asid)?;
-                let mut total = SimNs::ZERO;
-                let mut done = 0u64;
-                while done < len {
-                    let va = staging_va.add(staging_off + done);
-                    let pa = mos.translate(eid, va, Access::Write)?;
-                    let n = (len - done).min(PAGE_SIZE - va.page_offset());
-                    total += mos.hal_mut().npu_copy_d2h(
-                        machine,
-                        bus,
-                        nctx,
-                        src,
-                        src_off + done,
-                        pa,
-                        n as usize,
-                    )?;
-                    done += n;
-                }
-                Ok((Vec::new(), total))
             }),
         );
 
@@ -423,16 +335,6 @@ impl VtaContext {
         ))
     }
 
-    fn stage_reserve(&mut self, sys: &mut CronusSystem, len: u64) -> Result<u64, VtaError> {
-        if self.staging_cursor + len > self.staging_bytes {
-            sys.sync(self.stream)?;
-            self.staging_cursor = 0;
-        }
-        let off = self.staging_cursor;
-        self.staging_cursor += len;
-        Ok(off)
-    }
-
     /// Host → NPU copy through staging.
     ///
     /// # Errors
@@ -444,42 +346,7 @@ impl VtaContext {
         dst: NpuPtr,
         data: &[u8],
     ) -> Result<(), VtaError> {
-        let chunk_max = self.staging_bytes;
-        let mut done = 0u64;
-        while done < data.len() as u64 {
-            let n = (data.len() as u64 - done).min(chunk_max);
-            let off = self.stage_reserve(sys, n)?;
-            // Same request id for the staging write and the device copy.
-            let req = sys.alloc_req();
-            sys.set_current_req(Some(req));
-            sys.shared_write(
-                self.cpu,
-                self.staging_caller_va.add(off),
-                &data[done as usize..(done + n) as usize],
-            )?;
-            let cost = sys.spm().machine().cost().memcpy(n);
-            sys.advance_enclave(self.cpu, cost);
-            let rec = sys.recorder();
-            let prev = rec.set_meter_scope(
-                MeterScope::principal(Principal(self.cpu.asid.as_u32()))
-                    .with_stream(self.stream.as_u64()),
-            );
-            rec.charge_detail(TimeCategory::Memcpy, "staging_write", cost);
-            rec.meter_count(CountResource::DmaBytes, n);
-            rec.set_meter_scope(prev);
-            rec.counter_add("vta.memcpy_bytes", &[("dir", "h2d")], n);
-            let track = rec.track(&format!("enclave:{}", self.cpu.eid));
-            let now = sys.enclave_time(self.cpu);
-            rec.complete_span(track, "staging_write", "memcpy", now - cost, now);
-            let mut w = Writer::new();
-            w.u64(dst.0).u64(done).u64(off).u64(n);
-            sys.call(self.stream, "vtaMemcpyH2D")
-                .payload(&w.finish())
-                .req(req)
-                .start()?;
-            done += n;
-        }
-        Ok(())
+        Ok(self.staging.h2d(sys, dst.0, data)?)
     }
 
     /// NPU → host copy (synchronous).
@@ -493,42 +360,7 @@ impl VtaContext {
         src: NpuPtr,
         len: u64,
     ) -> Result<Vec<u8>, VtaError> {
-        let mut out = Vec::with_capacity(len as usize);
-        let chunk_max = self.staging_bytes;
-        let mut done = 0u64;
-        while done < len {
-            let n = (len - done).min(chunk_max);
-            let off = self.stage_reserve(sys, n)?;
-            let req = sys.alloc_req();
-            let mut w = Writer::new();
-            w.u64(src.0).u64(done).u64(off).u64(n);
-            sys.call(self.stream, "vtaMemcpyD2H")
-                .payload(&w.finish())
-                .req(req)
-                .sync()?;
-            sys.set_current_req(Some(req));
-            let mut buf = vec![0u8; n as usize];
-            let read = sys.shared_read(self.cpu, self.staging_caller_va.add(off), &mut buf);
-            let cost = sys.spm().machine().cost().memcpy(n);
-            sys.advance_enclave(self.cpu, cost);
-            let rec = sys.recorder();
-            let prev = rec.set_meter_scope(
-                MeterScope::principal(Principal(self.cpu.asid.as_u32()))
-                    .with_stream(self.stream.as_u64()),
-            );
-            rec.charge_detail(TimeCategory::Memcpy, "staging_read", cost);
-            rec.meter_count(CountResource::DmaBytes, n);
-            rec.set_meter_scope(prev);
-            rec.counter_add("vta.memcpy_bytes", &[("dir", "d2h")], n);
-            let track = rec.track(&format!("enclave:{}", self.cpu.eid));
-            let now = sys.enclave_time(self.cpu);
-            rec.complete_span(track, "staging_read", "memcpy", now - cost, now);
-            sys.set_current_req(None);
-            read?;
-            out.extend_from_slice(&buf);
-            done += n;
-        }
-        Ok(out)
+        Ok(self.staging.d2h(sys, src.0, len)?)
     }
 
     /// Submits a compiled program asynchronously.
@@ -550,7 +382,7 @@ impl VtaContext {
     /// RPC errors.
     pub fn synchronize(&mut self, sys: &mut CronusSystem) -> Result<(), VtaError> {
         sys.sync(self.stream)?;
-        self.staging_cursor = 0;
+        self.staging.rewind();
         Ok(())
     }
 }

@@ -135,7 +135,10 @@ pub trait GpuBackend {
 ///
 /// Propagates backend errors.
 pub fn h2d_f32(backend: &mut dyn GpuBackend, dst: u64, data: &[f32]) -> Result<(), BackendError> {
-    let bytes: Vec<u8> = data.iter().flat_map(|v| v.to_le_bytes()).collect();
+    let mut bytes = vec![0u8; data.len() * 4];
+    for (chunk, v) in bytes.chunks_exact_mut(4).zip(data) {
+        chunk.copy_from_slice(&v.to_le_bytes());
+    }
     backend.h2d(dst, &bytes)
 }
 

@@ -13,7 +13,7 @@
 //!   relu / SGD kernels on device memory) whose loss provably decreases;
 //!   used by tests and the quickstart example to show the stack computes.
 
-use cronus_devices::gpu::GpuKernelDesc;
+use cronus_devices::gpu::{GpuError, GpuKernelDesc, KernelArg, KernelFn};
 use cronus_sim::SimNs;
 
 use crate::backend::{d2h_f32, h2d_f32, Arg, BackendError, GpuBackend};
@@ -188,6 +188,72 @@ pub fn train(
     })
 }
 
+/// The shape of [`train_real_mlp`]'s network: inputs, hidden units, batch.
+const IN: usize = 4;
+const HIDDEN: usize = 8;
+const BATCH: usize = 16;
+
+/// `mlp_backward(x, y, w2, h, pred, err, gw1, gw2)`: the output error and
+/// both weight gradients of [`train_real_mlp`]'s network.
+pub fn mlp_backward_kernel() -> KernelFn {
+    std::sync::Arc::new(|mem, args| {
+        let bufs: Vec<_> = args
+            .iter()
+            .map(|a| match a {
+                KernelArg::Buffer(b) => Ok(*b),
+                _ => Err(GpuError::BadArg("mlp_backward takes buffers".into())),
+            })
+            .collect::<Result<_, _>>()?;
+        let [x, y, w2, h, pred, err, gw1, gw2] = bufs[..] else {
+            return Err(GpuError::BadArg("mlp_backward arity".into()));
+        };
+        mem.lend(&[err, gw1, gw2], &[x, y, w2, h, pred], &mut |outs, ins| {
+            let ([errv, gw1v, gw2v], [xs, ys, w2v, hv, predv]) = (outs, ins) else {
+                return Err(GpuError::BadArg("mlp_backward arity".into()));
+            };
+            let mut errv = errv.slice_mut(0, BATCH)?;
+            let mut gw1v = gw1v.slice_mut(0, IN * HIDDEN)?;
+            let mut gw2v = gw2v.slice_mut(0, HIDDEN)?;
+            gw1v.bytes_mut().fill(0);
+            gw2v.bytes_mut().fill(0);
+            for b in 0..BATCH {
+                let e = 2.0 * (predv.f32(b)? - ys.f32(b)?) / BATCH as f32;
+                errv.set_f32(b, e)?;
+                for j in 0..HIDDEN {
+                    let hbj = hv.f32(b * HIDDEN + j)?;
+                    gw2v.set_f32(j, gw2v.f32(j)? + e * hbj)?;
+                    // relu'(h) = 1 if h > 0
+                    if hbj > 0.0 {
+                        let dh = e * w2v.f32(j)?;
+                        for i in 0..IN {
+                            let g = gw1v.f32(i * HIDDEN + j)? + dh * xs.f32(b * IN + i)?;
+                            gw1v.set_f32(i * HIDDEN + j, g)?;
+                        }
+                    }
+                }
+            }
+            Ok(())
+        })
+    })
+}
+
+/// `mse_loss(pred, y, loss)`: `loss[0]` = the batch's mean squared error.
+pub fn mse_loss_kernel() -> KernelFn {
+    std::sync::Arc::new(|mem, args| {
+        let (pred, y, loss) = match args {
+            [KernelArg::Buffer(p), KernelArg::Buffer(y), KernelArg::Buffer(l)] => (*p, *y, *l),
+            _ => return Err(GpuError::BadArg("mse_loss(pred, y, loss)".into())),
+        };
+        mem.lend(&[loss], &[pred, y], &mut |outs, ins| {
+            let squares = ins[0]
+                .f32s()
+                .zip(ins[1].f32s())
+                .map(|(a, b)| (a - b) * (a - b));
+            outs[0].set_f32(0, squares.sum::<f32>() / BATCH as f32)
+        })
+    })
+}
+
 /// Trains a real two-layer MLP (`y = W2·relu(W1·x)`) on a synthetic
 /// regression task with genuine device kernels and returns the loss after
 /// each iteration. The loss must decrease — tests assert it.
@@ -199,9 +265,6 @@ pub fn train_real_mlp(
     backend: &mut dyn GpuBackend,
     iterations: usize,
 ) -> Result<Vec<f32>, BackendError> {
-    const IN: usize = 4;
-    const HIDDEN: usize = 8;
-    const BATCH: usize = 16;
     let lr = 0.25f32;
 
     // Deterministic data: y = sum(x) (learnable by a linear net).
@@ -232,65 +295,8 @@ pub fn train_real_mlp(
     h2d_f32(backend, d_w2, &w2_init)?;
 
     // Gradient kernels specific to this MLP.
-    backend.register_kernel(
-        "mlp_backward",
-        std::sync::Arc::new(move |mem, args| {
-            use cronus_devices::gpu::{GpuError, KernelArg};
-            let bufs: Vec<_> = args
-                .iter()
-                .map(|a| match a {
-                    KernelArg::Buffer(b) => Ok(*b),
-                    _ => Err(GpuError::BadArg("mlp_backward takes buffers".into())),
-                })
-                .collect::<Result<_, _>>()?;
-            let [x, y, w2, h, pred, err, gw1, gw2] = bufs[..] else {
-                return Err(GpuError::BadArg("mlp_backward arity".into()));
-            };
-            let xs = mem.read_f32s(x)?;
-            let ys = mem.read_f32s(y)?;
-            let w2v = mem.read_f32s(w2)?;
-            let hv = mem.read_f32s(h)?;
-            let predv = mem.read_f32s(pred)?;
-            let mut errv = vec![0.0f32; BATCH];
-            let mut gw1v = vec![0.0f32; IN * HIDDEN];
-            let mut gw2v = vec![0.0f32; HIDDEN];
-            for b in 0..BATCH {
-                errv[b] = 2.0 * (predv[b] - ys[b]) / BATCH as f32;
-                for j in 0..HIDDEN {
-                    gw2v[j] += errv[b] * hv[b * HIDDEN + j];
-                    // relu'(h) = 1 if h > 0
-                    if hv[b * HIDDEN + j] > 0.0 {
-                        let dh = errv[b] * w2v[j];
-                        for i in 0..IN {
-                            gw1v[i * HIDDEN + j] += dh * xs[b * IN + i];
-                        }
-                    }
-                }
-            }
-            mem.write_f32s(err, &errv)?;
-            mem.write_f32s(gw1, &gw1v)?;
-            mem.write_f32s(gw2, &gw2v)
-        }),
-    )?;
-    backend.register_kernel(
-        "mse_loss",
-        std::sync::Arc::new(move |mem, args| {
-            use cronus_devices::gpu::{GpuError, KernelArg};
-            let (pred, y, loss) = match args {
-                [KernelArg::Buffer(p), KernelArg::Buffer(y), KernelArg::Buffer(l)] => (*p, *y, *l),
-                _ => return Err(GpuError::BadArg("mse_loss(pred, y, loss)".into())),
-            };
-            let p = mem.read_f32s(pred)?;
-            let yv = mem.read_f32s(y)?;
-            let loss_val: f32 = p
-                .iter()
-                .zip(&yv)
-                .map(|(a, b)| (a - b) * (a - b))
-                .sum::<f32>()
-                / BATCH as f32;
-            mem.write_f32s(loss, &[loss_val])
-        }),
-    )?;
+    backend.register_kernel("mlp_backward", mlp_backward_kernel())?;
+    backend.register_kernel("mse_loss", mse_loss_kernel())?;
 
     let mut losses = Vec::with_capacity(iterations);
     for _ in 0..iterations {

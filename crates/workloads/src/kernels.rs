@@ -5,14 +5,23 @@
 //! is built by the caller from its problem size; the implementations here
 //! define *what* the kernel does so the workloads can assert correctness
 //! against CPU references.
+//!
+//! A kernel body asks the device to lend it its buffers
+//! ([`GpuMemAccess::lend`]) and updates them in place. Shapes, indices and
+//! offsets arrive in the launch payload or sit in device memory, so a body
+//! sizes its views against them first and reaches elements only through
+//! checked accessors: a launch that does not fit its buffers fails with a
+//! [`GpuError`], it does not panic.
 
 use std::sync::Arc;
 
-use cronus_devices::gpu::{GpuError, GpuKernelDesc, KernelArg, KernelFn};
+use cronus_devices::gpu::{
+    BufView, GpuBuffer, GpuError, GpuKernelDesc, GpuMemAccess, KernelArg, KernelFn,
+};
 
 use crate::backend::{BackendError, GpuBackend};
 
-fn want_buffer(args: &[KernelArg], i: usize) -> Result<cronus_devices::gpu::GpuBuffer, GpuError> {
+fn want_buffer(args: &[KernelArg], i: usize) -> Result<GpuBuffer, GpuError> {
     match args.get(i) {
         Some(KernelArg::Buffer(b)) => Ok(*b),
         other => Err(GpuError::BadArg(format!(
@@ -21,9 +30,9 @@ fn want_buffer(args: &[KernelArg], i: usize) -> Result<cronus_devices::gpu::GpuB
     }
 }
 
-fn want_int(args: &[KernelArg], i: usize) -> Result<i64, GpuError> {
+fn want_len(args: &[KernelArg], i: usize) -> Result<usize, GpuError> {
     match args.get(i) {
-        Some(KernelArg::Int(v)) => Ok(*v),
+        Some(KernelArg::Int(v)) => len_of(*v),
         other => Err(GpuError::BadArg(format!(
             "arg {i}: expected int, got {other:?}"
         ))),
@@ -39,84 +48,94 @@ fn want_float(args: &[KernelArg], i: usize) -> Result<f32, GpuError> {
     }
 }
 
+/// A launch-supplied count, dimension or index.
+pub(crate) fn len_of(v: i64) -> Result<usize, GpuError> {
+    usize::try_from(v).map_err(|_| GpuError::BadArg(format!("{v} is not a size")))
+}
+
+/// `a * b` elements.
+pub(crate) fn area(a: usize, b: usize) -> Result<usize, GpuError> {
+    a.checked_mul(b)
+        .ok_or_else(|| GpuError::BadArg(format!("a {a} x {b} shape overflows")))
+}
+
 /// `saxpy(a, x, y)`: `y += a * x`.
 pub fn saxpy() -> KernelFn {
     Arc::new(|mem, args| {
         let a = want_float(args, 0)?;
         let x = want_buffer(args, 1)?;
         let y = want_buffer(args, 2)?;
-        let xs = mem.read_f32s(x)?;
-        let mut ys = mem.read_f32s(y)?;
-        for (yi, xi) in ys.iter_mut().zip(&xs) {
-            *yi += a * xi;
+        mem.lend(&[y], &[x], &mut |outs, ins| {
+            for (mut yi, xi) in outs[0].f32s_mut().zip(ins[0].f32s()) {
+                yi.set(yi.get() + a * xi);
+            }
+            Ok(())
+        })
+    })
+}
+
+/// `c[m x n] (+)= a[m x k] * b[k x n]` for launch arguments
+/// `(a, b, c, m, n, k)`: each row of `c` gathers the rows of `b` scaled by
+/// its row of `a`. `overwrite` starts `c` from zero and skips the zeros of
+/// `a`; otherwise the product accumulates onto what `c` holds.
+fn gemm(mem: &mut dyn GpuMemAccess, args: &[KernelArg], overwrite: bool) -> Result<(), GpuError> {
+    let a = want_buffer(args, 0)?;
+    let b = want_buffer(args, 1)?;
+    let c = want_buffer(args, 2)?;
+    let m = want_len(args, 3)?;
+    let n = want_len(args, 4)?;
+    let k = want_len(args, 5)?;
+    let (mk, kn, mn) = (area(m, k)?, area(k, n)?, area(m, n)?);
+    mem.lend(&[c], &[a, b], &mut |outs, ins| {
+        let (av, bv) = (ins[0], ins[1]);
+        if av.elems() < mk || bv.elems() < kn {
+            return Err(GpuError::BadArg("matmul operand too small".into()));
         }
-        mem.write_f32s(y, &ys)
+        let mut cv = outs[0].slice_mut(0, mn)?;
+        if mn == 0 {
+            // No cell of `c` to compute; and `m` alone bounds nothing.
+            return Ok(());
+        }
+        if overwrite {
+            cv.bytes_mut().fill(0);
+        }
+        for i in 0..m {
+            let mut crow = cv.slice_mut(i * n, n)?;
+            for kk in 0..k {
+                let aik = av.f32(i * k + kk)?;
+                if overwrite && aik == 0.0 {
+                    continue;
+                }
+                let brow = bv.slice(kk * n, n)?;
+                for (mut cj, bj) in crow.f32s_mut().zip(brow.f32s()) {
+                    cj.set(cj.get() + aik * bj);
+                }
+            }
+        }
+        Ok(())
     })
 }
 
 /// `matmul(a, b, c, m, n, k)`: `c[m x n] = a[m x k] * b[k x n]`.
 pub fn matmul() -> KernelFn {
-    Arc::new(|mem, args| {
-        let a = want_buffer(args, 0)?;
-        let b = want_buffer(args, 1)?;
-        let c = want_buffer(args, 2)?;
-        let m = want_int(args, 3)? as usize;
-        let n = want_int(args, 4)? as usize;
-        let k = want_int(args, 5)? as usize;
-        let av = mem.read_f32s(a)?;
-        let bv = mem.read_f32s(b)?;
-        if av.len() < m * k || bv.len() < k * n {
-            return Err(GpuError::BadArg("matmul operand too small".into()));
-        }
-        let mut cv = vec![0.0f32; m * n];
-        for i in 0..m {
-            for kk in 0..k {
-                let aik = av[i * k + kk];
-                if aik == 0.0 {
-                    continue;
-                }
-                for j in 0..n {
-                    cv[i * n + j] += aik * bv[kk * n + j];
-                }
-            }
-        }
-        mem.write_f32s(c, &cv)
-    })
+    Arc::new(|mem, args| gemm(mem, args, true))
 }
 
 /// `matmul_acc(a, b, c, m, n, k)`: `c += a * b` (for gradient accumulation).
 pub fn matmul_acc() -> KernelFn {
-    Arc::new(|mem, args| {
-        let a = want_buffer(args, 0)?;
-        let b = want_buffer(args, 1)?;
-        let c = want_buffer(args, 2)?;
-        let m = want_int(args, 3)? as usize;
-        let n = want_int(args, 4)? as usize;
-        let k = want_int(args, 5)? as usize;
-        let av = mem.read_f32s(a)?;
-        let bv = mem.read_f32s(b)?;
-        let mut cv = mem.read_f32s(c)?;
-        for i in 0..m {
-            for kk in 0..k {
-                let aik = av[i * k + kk];
-                for j in 0..n {
-                    cv[i * n + j] += aik * bv[kk * n + j];
-                }
-            }
-        }
-        mem.write_f32s(c, &cv)
-    })
+    Arc::new(|mem, args| gemm(mem, args, false))
 }
 
 /// `relu(x)`: elementwise `max(0, x)` in place.
 pub fn relu() -> KernelFn {
     Arc::new(|mem, args| {
         let x = want_buffer(args, 0)?;
-        let mut xs = mem.read_f32s(x)?;
-        for v in &mut xs {
-            *v = v.max(0.0);
-        }
-        mem.write_f32s(x, &xs)
+        mem.lend(&[x], &[], &mut |outs, _| {
+            for mut v in outs[0].f32s_mut() {
+                v.set(v.get().max(0.0));
+            }
+            Ok(())
+        })
     })
 }
 
@@ -125,11 +144,12 @@ pub fn scale() -> KernelFn {
     Arc::new(|mem, args| {
         let x = want_buffer(args, 0)?;
         let a = want_float(args, 1)?;
-        let mut xs = mem.read_f32s(x)?;
-        for v in &mut xs {
-            *v *= a;
-        }
-        mem.write_f32s(x, &xs)
+        mem.lend(&[x], &[], &mut |outs, _| {
+            for mut v in outs[0].f32s_mut() {
+                v.set(v.get() * a);
+            }
+            Ok(())
+        })
     })
 }
 
@@ -139,12 +159,12 @@ pub fn sgd_update() -> KernelFn {
         let w = want_buffer(args, 0)?;
         let g = want_buffer(args, 1)?;
         let lr = want_float(args, 2)?;
-        let mut ws = mem.read_f32s(w)?;
-        let gs = mem.read_f32s(g)?;
-        for (wi, gi) in ws.iter_mut().zip(&gs) {
-            *wi -= lr * gi;
-        }
-        mem.write_f32s(w, &ws)
+        mem.lend(&[w], &[g], &mut |outs, ins| {
+            for (mut wi, gi) in outs[0].f32s_mut().zip(ins[0].f32s()) {
+                wi.set(wi.get() - lr * gi);
+            }
+            Ok(())
+        })
     })
 }
 
@@ -153,10 +173,34 @@ pub fn reduce_sum() -> KernelFn {
     Arc::new(|mem, args| {
         let x = want_buffer(args, 0)?;
         let out = want_buffer(args, 1)?;
-        let xs = mem.read_f32s(x)?;
-        let sum: f32 = xs.iter().sum();
-        mem.write_f32s(out, &[sum])
+        mem.lend(&[out], &[x], &mut |outs, ins| {
+            outs[0].set_f32(0, ins[0].f32s().sum())
+        })
     })
+}
+
+/// The 5-point neighbourhood `[centre, up, down, left, right]` of cell
+/// `(r, c)` of a `rows x cols` grid; past an edge the centre stands in.
+pub(crate) fn neighbours(
+    grid: BufView<'_>,
+    (rows, cols): (usize, usize),
+    (r, c): (usize, usize),
+) -> Result<[f32; 5], GpuError> {
+    let idx = r * cols + c;
+    let center = grid.f32(idx)?;
+    let up = if r > 0 { grid.f32(idx - cols)? } else { center };
+    let down = if r + 1 < rows {
+        grid.f32(idx + cols)?
+    } else {
+        center
+    };
+    let left = if c > 0 { grid.f32(idx - 1)? } else { center };
+    let right = if c + 1 < cols {
+        grid.f32(idx + 1)?
+    } else {
+        center
+    };
+    Ok([center, up, down, left, right])
 }
 
 /// `stencil5(src, dst, rows, cols, alpha)`: 5-point stencil
@@ -165,26 +209,25 @@ pub fn stencil5() -> KernelFn {
     Arc::new(|mem, args| {
         let src = want_buffer(args, 0)?;
         let dst = want_buffer(args, 1)?;
-        let rows = want_int(args, 2)? as usize;
-        let cols = want_int(args, 3)? as usize;
+        let rows = want_len(args, 2)?;
+        let cols = want_len(args, 3)?;
         let alpha = want_float(args, 4)?;
-        let s = mem.read_f32s(src)?;
-        if s.len() < rows * cols {
-            return Err(GpuError::BadArg("stencil grid too small".into()));
-        }
-        let mut d = vec![0.0f32; rows * cols];
-        for r in 0..rows {
-            for c in 0..cols {
-                let idx = r * cols + c;
-                let center = s[idx];
-                let up = if r > 0 { s[idx - cols] } else { center };
-                let down = if r + 1 < rows { s[idx + cols] } else { center };
-                let left = if c > 0 { s[idx - 1] } else { center };
-                let right = if c + 1 < cols { s[idx + 1] } else { center };
-                d[idx] = center + alpha * (up + down + left + right - 4.0 * center);
+        let cells = area(rows, cols)?;
+        mem.lend(&[dst], &[src], &mut |outs, ins| {
+            if ins[0].elems() < cells {
+                return Err(GpuError::BadArg("stencil grid too small".into()));
             }
-        }
-        mem.write_f32s(dst, &d)
+            let mut d = outs[0].slice_mut(0, cells)?;
+            // An empty grid has nothing to update, however many rows.
+            for r in 0..rows.min(cells) {
+                for c in 0..cols {
+                    let [center, up, down, left, right] = neighbours(ins[0], (rows, cols), (r, c))?;
+                    let v = center + alpha * (up + down + left + right - 4.0 * center);
+                    d.set_f32(r * cols + c, v)?;
+                }
+            }
+            Ok(())
+        })
     })
 }
 
@@ -194,10 +237,14 @@ pub fn vec_sub_sq() -> KernelFn {
         let a = want_buffer(args, 0)?;
         let b = want_buffer(args, 1)?;
         let out = want_buffer(args, 2)?;
-        let av = mem.read_f32s(a)?;
-        let bv = mem.read_f32s(b)?;
-        let o: Vec<f32> = av.iter().zip(&bv).map(|(x, y)| (x - y) * (x - y)).collect();
-        mem.write_f32s(out, &o)
+        mem.lend(&[out], &[a, b], &mut |outs, ins| {
+            let (av, bv) = (ins[0], ins[1]);
+            let mut o = outs[0].slice_mut(0, av.elems().min(bv.elems()))?;
+            for (mut oi, (x, y)) in o.f32s_mut().zip(av.f32s().zip(bv.f32s())) {
+                oi.set((x - y) * (x - y));
+            }
+            Ok(())
+        })
     })
 }
 

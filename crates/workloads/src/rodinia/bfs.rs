@@ -56,54 +56,65 @@ pub fn reference_levels(offsets: &[u32], targets: &[u32]) -> Vec<u32> {
     level
 }
 
-fn read_u32_buf(
-    mem: &dyn cronus_devices::gpu::GpuMemAccess,
-    buf: cronus_devices::gpu::GpuBuffer,
-) -> Result<Vec<u32>, GpuError> {
-    let len = mem.buffer_len(buf)? as usize;
-    let mut bytes = vec![0u8; len];
-    mem.read_bytes(buf, 0, &mut bytes)?;
-    Ok(bytes_to_u32s(&bytes))
-}
-
-fn write_u32_buf(
-    mem: &mut dyn cronus_devices::gpu::GpuMemAccess,
-    buf: cronus_devices::gpu::GpuBuffer,
-    data: &[u32],
-) -> Result<(), GpuError> {
-    mem.write_bytes(buf, 0, &u32s_to_bytes(data))
-}
-
 /// The per-level frontier expansion kernel:
 /// `bfs_level(offsets, targets, levels, depth, changed_flag)`.
 pub fn bfs_level_kernel() -> cronus_devices::gpu::KernelFn {
     Arc::new(|mem, args| {
         let (offsets_b, targets_b, levels_b, depth, flag_b) = match args {
             [KernelArg::Buffer(o), KernelArg::Buffer(t), KernelArg::Buffer(l), KernelArg::Int(d), KernelArg::Buffer(f)] => {
-                (*o, *t, *l, *d as u32, *f)
+                (*o, *t, *l, *d, *f)
             }
             _ => return Err(GpuError::BadArg("bfs_level(o, t, l, depth, flag)".into())),
         };
-        let offsets = read_u32_buf(mem, offsets_b)?;
-        let targets = read_u32_buf(mem, targets_b)?;
-        let mut levels = read_u32_buf(mem, levels_b)?;
-        let mut changed = 0u32;
-        let n = offsets.len() - 1;
-        for u in 0..n {
-            if levels[u] != depth {
-                continue;
-            }
-            for &t in &targets[offsets[u] as usize..offsets[u + 1] as usize] {
-                let v = t as usize;
-                if levels[v] == UNVISITED {
-                    levels[v] = depth + 1;
-                    changed = 1;
+        // `depth + 1` must stay a level, i.e. below the UNVISITED mark.
+        let depth = u32::try_from(depth)
+            .ok()
+            .filter(|d| *d < UNVISITED - 1)
+            .ok_or_else(|| GpuError::BadArg(format!("bfs depth {depth}")))?;
+        mem.lend(
+            &[levels_b, flag_b],
+            &[offsets_b, targets_b],
+            &mut |outs, ins| {
+                let [levels, flag] = outs else {
+                    return Err(GpuError::BadArg("bfs_level writes levels and flag".into()));
+                };
+                let (offsets, targets) = (ins[0], ins[1]);
+                // The CSR arrays are device data: an edge range or a target that
+                // does not fit is an error of the launch, found where it is used.
+                let n = offsets
+                    .elems()
+                    .checked_sub(1)
+                    .ok_or_else(|| GpuError::BadArg("bfs offsets are empty".into()))?;
+                let mut changed = 0u32;
+                for u in 0..n {
+                    if levels.u32(u)? != depth {
+                        continue;
+                    }
+                    let (from, to) = (offsets.u32(u)? as usize, offsets.u32(u + 1)? as usize);
+                    let edges = to
+                        .checked_sub(from)
+                        .ok_or_else(|| GpuError::BadArg(format!("bfs edge range {from}..{to}")))?;
+                    for t in targets.slice(from, edges)?.u32s() {
+                        let v = t as usize;
+                        if levels.u32(v)? == UNVISITED {
+                            levels.set_u32(v, depth + 1)?;
+                            changed = 1;
+                        }
+                    }
                 }
-            }
-        }
-        write_u32_buf(mem, levels_b, &levels)?;
-        write_u32_buf(mem, flag_b, &[changed])
+                flag.set_u32(0, changed)
+            },
+        )
     })
+}
+
+/// The checksum [`run`] at `scale` must produce, computed on the CPU alone.
+pub fn reference_checksum(scale: usize) -> f64 {
+    let (offsets, targets) = build_graph(256 * scale.max(1), 4);
+    reference_levels(&offsets, &targets)
+        .iter()
+        .map(|l| if *l == UNVISITED { 0.0 } else { *l as f64 })
+        .sum()
 }
 
 /// Runs BFS at `scale` (nodes = 256 * scale).
@@ -185,12 +196,7 @@ mod tests {
     fn levels_match_cpu_reference() {
         cronus_backend_fixture(|backend| {
             let result = run(backend, 1).unwrap();
-            let (offsets, targets) = build_graph(256, 4);
-            let reference: f64 = reference_levels(&offsets, &targets)
-                .iter()
-                .map(|l| if *l == UNVISITED { 0.0 } else { *l as f64 })
-                .sum();
-            assert_eq!(result.checksum, reference);
+            assert_eq!(result.checksum, reference_checksum(1));
         });
     }
 

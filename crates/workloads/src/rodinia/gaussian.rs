@@ -9,6 +9,7 @@ use std::sync::Arc;
 use cronus_devices::gpu::{GpuError, GpuKernelDesc, KernelArg};
 
 use crate::backend::{d2h_f32, h2d_f32, Arg, BackendError, GpuBackend};
+use crate::kernels::{area, len_of};
 use crate::rodinia::{det_f32s, RodiniaRun};
 
 /// Builds a well-conditioned `n x n` system `(A, b)`.
@@ -54,16 +55,19 @@ pub fn fan1_kernel() -> cronus_devices::gpu::KernelFn {
     Arc::new(|mem, args| {
         let (a_b, m_b, n, k) = match args {
             [KernelArg::Buffer(a), KernelArg::Buffer(m), KernelArg::Int(n), KernelArg::Int(k)] => {
-                (*a, *m, *n as usize, *k as usize)
+                (*a, *m, len_of(*n)?, len_of(*k)?)
             }
             _ => return Err(GpuError::BadArg("fan1(a, m, n, k)".into())),
         };
-        let a = mem.read_f32s(a_b)?;
-        let mut mul = mem.read_f32s(m_b)?;
-        for i in k + 1..n {
-            mul[i] = a[i * n + k] / a[k * n + k];
-        }
-        mem.write_f32s(m_b, &mul)
+        let cells = area(n, n)?;
+        mem.lend(&[m_b], &[a_b], &mut |outs, ins| {
+            let a = ins[0].slice(0, cells)?;
+            let mut mul = outs[0].slice_mut(0, n)?;
+            for i in k + 1..n {
+                mul.set_f32(i, a.f32(i * n + k)? / a.f32(k * n + k)?)?;
+            }
+            Ok(())
+        })
     })
 }
 
@@ -72,22 +76,35 @@ pub fn fan2_kernel() -> cronus_devices::gpu::KernelFn {
     Arc::new(|mem, args| {
         let (a_b, b_b, m_b, n, k) = match args {
             [KernelArg::Buffer(a), KernelArg::Buffer(b), KernelArg::Buffer(m), KernelArg::Int(n), KernelArg::Int(k)] => {
-                (*a, *b, *m, *n as usize, *k as usize)
+                (*a, *b, *m, len_of(*n)?, len_of(*k)?)
             }
             _ => return Err(GpuError::BadArg("fan2(a, b, m, n, k)".into())),
         };
-        let mut a = mem.read_f32s(a_b)?;
-        let mut b = mem.read_f32s(b_b)?;
-        let mul = mem.read_f32s(m_b)?;
-        for i in k + 1..n {
-            for j in k..n {
-                a[i * n + j] -= mul[i] * a[k * n + j];
+        let cells = area(n, n)?;
+        mem.lend(&[a_b, b_b], &[m_b], &mut |outs, ins| {
+            let [a, b] = outs else {
+                return Err(GpuError::BadArg("fan2 writes a and b".into()));
+            };
+            let (mut a, mut b) = (a.slice_mut(0, cells)?, b.slice_mut(0, n)?);
+            let mul = ins[0].slice(0, n)?;
+            for i in k + 1..n {
+                let mi = mul.f32(i)?;
+                for j in k..n {
+                    a.set_f32(i * n + j, a.f32(i * n + j)? - mi * a.f32(k * n + j)?)?;
+                }
+                b.set_f32(i, b.f32(i)? - mi * b.f32(k)?)?;
             }
-            b[i] -= mul[i] * b[k];
-        }
-        mem.write_f32s(a_b, &a)?;
-        mem.write_f32s(b_b, &b)
+            Ok(())
+        })
     })
+}
+
+/// The checksum [`run`] at `scale` must produce, computed on the CPU alone.
+pub fn reference_checksum(scale: usize) -> f64 {
+    reference_solve(16 * scale.max(1))
+        .iter()
+        .map(|v| *v as f64)
+        .sum()
 }
 
 /// Runs elimination at `scale` (n = 16 * scale).
@@ -169,7 +186,7 @@ mod tests {
     fn solution_matches_cpu_reference() {
         cronus_backend_fixture(|backend| {
             let result = run(backend, 1).unwrap();
-            let reference: f64 = reference_solve(16).iter().map(|v| *v as f64).sum();
+            let reference = reference_checksum(1);
             assert!(
                 (result.checksum - reference).abs() < 1e-3,
                 "{} vs {}",

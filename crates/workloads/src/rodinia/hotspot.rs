@@ -41,6 +41,15 @@ pub fn reference_final(rows: usize, cols: usize, steps: usize) -> Vec<f32> {
     src
 }
 
+/// The checksum [`run`] at `scale` must produce, computed on the CPU alone.
+pub fn reference_checksum(scale: usize) -> f64 {
+    let side = 16 * scale.max(1);
+    reference_final(side, side, STEPS)
+        .iter()
+        .map(|v| *v as f64)
+        .sum()
+}
+
 /// Runs hotspot at `scale` (grid = (16*scale) x (16*scale), 20 steps).
 ///
 /// # Errors
@@ -94,10 +103,7 @@ mod tests {
     fn grid_matches_cpu_reference() {
         cronus_backend_fixture(|backend| {
             let result = run(backend, 1).unwrap();
-            let reference: f64 = reference_final(16, 16, STEPS)
-                .iter()
-                .map(|v| *v as f64)
-                .sum();
+            let reference = reference_checksum(1);
             assert!(
                 (result.checksum - reference).abs() / reference.abs() < 1e-5,
                 "{} vs {}",

@@ -8,7 +8,8 @@ use std::sync::Arc;
 use cronus_devices::gpu::{GpuError, GpuKernelDesc, KernelArg};
 
 use crate::backend::{h2d_f32, Arg, BackendError, GpuBackend};
-use crate::rodinia::{bytes_to_u32s, det_f32s, u32s_to_bytes, RodiniaRun};
+use crate::kernels::{area, len_of};
+use crate::rodinia::{bytes_to_u32s, det_f32s, RodiniaRun};
 
 const DIMS: usize = 4;
 const K: usize = 5;
@@ -23,24 +24,29 @@ fn initial_centroids(points: &[f32]) -> Vec<f32> {
     points[..K * DIMS].to_vec()
 }
 
+/// The centroid nearest to `point` (the first of equals).
+fn nearest(point: &[f32; DIMS], centroids: &[f32; K * DIMS]) -> u32 {
+    let mut best = 0u32;
+    let mut best_d = f32::INFINITY;
+    for c in 0..K {
+        let mut d = 0.0f32;
+        for j in 0..DIMS {
+            let diff = point[j] - centroids[c * DIMS + j];
+            d += diff * diff;
+        }
+        if d < best_d {
+            best_d = d;
+            best = c as u32;
+        }
+    }
+    best
+}
+
 fn assign_cpu(points: &[f32], centroids: &[f32], n: usize) -> Vec<u32> {
-    (0..n)
-        .map(|i| {
-            let mut best = 0u32;
-            let mut best_d = f32::INFINITY;
-            for c in 0..K {
-                let mut d = 0.0f32;
-                for j in 0..DIMS {
-                    let diff = points[i * DIMS + j] - centroids[c * DIMS + j];
-                    d += diff * diff;
-                }
-                if d < best_d {
-                    best_d = d;
-                    best = c as u32;
-                }
-            }
-            best
-        })
+    let centroids = centroids[..K * DIMS].try_into().expect("K centroids");
+    points[..n * DIMS]
+        .chunks_exact(DIMS)
+        .map(|p| nearest(p.try_into().expect("one point"), centroids))
         .collect()
 }
 
@@ -81,15 +87,36 @@ pub fn assign_kernel() -> cronus_devices::gpu::KernelFn {
     Arc::new(|mem, args| {
         let (p_b, c_b, m_b, n) = match args {
             [KernelArg::Buffer(p), KernelArg::Buffer(c), KernelArg::Buffer(m), KernelArg::Int(n)] => {
-                (*p, *c, *m, *n as usize)
+                (*p, *c, *m, len_of(*n)?)
             }
             _ => return Err(GpuError::BadArg("kmeans_assign(p, c, m, n)".into())),
         };
-        let points = mem.read_f32s(p_b)?;
-        let centroids = mem.read_f32s(c_b)?;
-        let membership = assign_cpu(&points, &centroids, n);
-        mem.write_bytes(m_b, 0, &u32s_to_bytes(&membership))
+        let coords = area(n, DIMS)?;
+        mem.lend(&[m_b], &[p_b, c_b], &mut |outs, ins| {
+            let points = ins[0].slice(0, coords)?;
+            let mut centroids = [0.0f32; K * DIMS];
+            for (c, v) in centroids.iter_mut().zip(ins[1].slice(0, K * DIMS)?.f32s()) {
+                *c = v;
+            }
+            let mut membership = outs[0].slice_mut(0, n)?;
+            let mut point = [0.0f32; DIMS];
+            for i in 0..n {
+                for (p, v) in point.iter_mut().zip(points.slice(i * DIMS, DIMS)?.f32s()) {
+                    *p = v;
+                }
+                membership.set_u32(i, nearest(&point, &centroids))?;
+            }
+            Ok(())
+        })
     })
+}
+
+/// The checksum [`run`] at `scale` must produce, computed on the CPU alone.
+pub fn reference_checksum(scale: usize) -> f64 {
+    reference_membership(128 * scale.max(1), ITERS)
+        .iter()
+        .map(|m| *m as f64)
+        .sum()
 }
 
 /// Runs kmeans at `scale` (points = 128 * scale).
@@ -153,11 +180,7 @@ mod tests {
     fn membership_matches_cpu_reference() {
         cronus_backend_fixture(|backend| {
             let result = run(backend, 1).unwrap();
-            let reference: f64 = reference_membership(128, ITERS)
-                .iter()
-                .map(|m| *m as f64)
-                .sum();
-            assert_eq!(result.checksum, reference);
+            assert_eq!(result.checksum, reference_checksum(1));
         });
     }
 

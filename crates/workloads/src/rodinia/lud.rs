@@ -6,6 +6,7 @@ use std::sync::Arc;
 use cronus_devices::gpu::{GpuError, GpuKernelDesc, KernelArg};
 
 use crate::backend::{d2h_f32, h2d_f32, Arg, BackendError, GpuBackend};
+use crate::kernels::{area, len_of};
 use crate::rodinia::{det_f32s, RodiniaRun};
 
 /// Builds a diagonally dominant matrix so no pivoting is needed.
@@ -60,19 +61,31 @@ pub fn lud_step_kernel() -> cronus_devices::gpu::KernelFn {
     Arc::new(|mem, args| {
         let (a_b, n, k) = match args {
             [KernelArg::Buffer(a), KernelArg::Int(n), KernelArg::Int(k)] => {
-                (*a, *n as usize, *k as usize)
+                (*a, len_of(*n)?, len_of(*k)?)
             }
             _ => return Err(GpuError::BadArg("lud_step(a, n, k)".into())),
         };
-        let mut a = mem.read_f32s(a_b)?;
-        for i in k + 1..n {
-            a[i * n + k] /= a[k * n + k];
-            for j in k + 1..n {
-                a[i * n + j] -= a[i * n + k] * a[k * n + j];
+        let cells = area(n, n)?;
+        mem.lend(&[a_b], &[], &mut |outs, _| {
+            let mut a = outs[0].slice_mut(0, cells)?;
+            for i in k + 1..n {
+                let l = a.f32(i * n + k)? / a.f32(k * n + k)?;
+                a.set_f32(i * n + k, l)?;
+                for j in k + 1..n {
+                    a.set_f32(i * n + j, a.f32(i * n + j)? - l * a.f32(k * n + j)?)?;
+                }
             }
-        }
-        mem.write_f32s(a_b, &a)
+            Ok(())
+        })
     })
+}
+
+/// The checksum [`run`] at `scale` must produce, computed on the CPU alone.
+pub fn reference_checksum(scale: usize) -> f64 {
+    reference_lu(16 * scale.max(1))
+        .iter()
+        .map(|v| *v as f64)
+        .sum()
 }
 
 /// Runs LUD at `scale` (n = 16 * scale).
@@ -123,7 +136,7 @@ mod tests {
     fn decomposition_matches_cpu_reference() {
         cronus_backend_fixture(|backend| {
             let result = run(backend, 1).unwrap();
-            let reference: f64 = reference_lu(16).iter().map(|v| *v as f64).sum();
+            let reference = reference_checksum(1);
             assert!(
                 (result.checksum - reference).abs() < 1e-2,
                 "{} vs {}",

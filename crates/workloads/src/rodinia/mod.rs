@@ -86,7 +86,11 @@ pub(crate) fn det_u32s(seed: u64, count: usize, modulo: u32) -> Vec<u32> {
 
 /// Packs u32s into bytes (device buffers are untyped).
 pub(crate) fn u32s_to_bytes(v: &[u32]) -> Vec<u8> {
-    v.iter().flat_map(|x| x.to_le_bytes()).collect()
+    let mut bytes = vec![0u8; v.len() * 4];
+    for (chunk, x) in bytes.chunks_exact_mut(4).zip(v) {
+        chunk.copy_from_slice(&x.to_le_bytes());
+    }
+    bytes
 }
 
 /// Unpacks bytes into u32s.

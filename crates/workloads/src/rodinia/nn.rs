@@ -7,6 +7,7 @@ use std::sync::Arc;
 use cronus_devices::gpu::{GpuError, GpuKernelDesc, KernelArg};
 
 use crate::backend::{d2h_f32, h2d_f32, Arg, BackendError, GpuBackend};
+use crate::kernels::{area, len_of};
 use crate::rodinia::{det_f32s, RodiniaRun};
 
 const TOP_K: usize = 5;
@@ -45,19 +46,31 @@ pub fn distance_kernel() -> cronus_devices::gpu::KernelFn {
     Arc::new(|mem, args| {
         let (r_b, o_b, n, qx, qy) = match args {
             [KernelArg::Buffer(r), KernelArg::Buffer(o), KernelArg::Int(n), KernelArg::Float(qx), KernelArg::Float(qy)] => {
-                (*r, *o, *n as usize, *qx, *qy)
+                (*r, *o, len_of(*n)?, *qx, *qy)
             }
             _ => return Err(GpuError::BadArg("nn_distance(r, o, n, qx, qy)".into())),
         };
-        let records = mem.read_f32s(r_b)?;
-        let mut out = vec![0.0f32; n];
-        for i in 0..n {
-            let dx = records[i * 2] - qx;
-            let dy = records[i * 2 + 1] - qy;
-            out[i] = (dx * dx + dy * dy).sqrt();
-        }
-        mem.write_f32s(o_b, &out)
+        let coords = area(n, 2)?;
+        mem.lend(&[o_b], &[r_b], &mut |outs, ins| {
+            let records = ins[0].slice(0, coords)?;
+            let mut out = outs[0].slice_mut(0, n)?;
+            for (mut o, i) in out.f32s_mut().zip(0..) {
+                let dx = records.f32(i * 2)? - qx;
+                let dy = records.f32(i * 2 + 1)? - qy;
+                o.set((dx * dx + dy * dy).sqrt());
+            }
+            Ok(())
+        })
     })
+}
+
+/// The checksum [`run`] at `scale` must produce, computed on the CPU alone.
+pub fn reference_checksum(scale: usize) -> f64 {
+    let records = build_records(512 * scale.max(1));
+    top_k(&reference_distances(&records), TOP_K)
+        .iter()
+        .map(|v| *v as f64)
+        .sum()
 }
 
 /// Runs nn at `scale` (records = 512 * scale).
@@ -113,10 +126,7 @@ mod tests {
     fn nearest_neighbors_match_cpu_reference() {
         cronus_backend_fixture(|backend| {
             let result = run(backend, 1).unwrap();
-            let reference: f64 = top_k(&reference_distances(&build_records(512)), TOP_K)
-                .iter()
-                .map(|v| *v as f64)
-                .sum();
+            let reference = reference_checksum(1);
             assert!((result.checksum - reference).abs() < 1e-3);
         });
     }

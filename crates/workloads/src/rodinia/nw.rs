@@ -9,6 +9,7 @@ use std::sync::Arc;
 use cronus_devices::gpu::{GpuError, GpuKernelDesc, KernelArg};
 
 use crate::backend::{h2d_f32, Arg, BackendError, GpuBackend};
+use crate::kernels::{area, len_of};
 use crate::rodinia::{det_u32s, RodiniaRun};
 
 const GAP: f32 = -1.0;
@@ -51,39 +52,36 @@ pub fn wave_kernel() -> cronus_devices::gpu::KernelFn {
     Arc::new(|mem, args| {
         let (dp_b, s1_b, s2_b, n, wave) = match args {
             [KernelArg::Buffer(dp), KernelArg::Buffer(s1), KernelArg::Buffer(s2), KernelArg::Int(n), KernelArg::Int(w)] => {
-                (*dp, *s1, *s2, *n as usize, *w as usize)
+                (*dp, *s1, *s2, len_of(*n)?, len_of(*w)?)
             }
             _ => return Err(GpuError::BadArg("nw_wave(dp, s1, s2, n, wave)".into())),
         };
         let w = n + 1;
-        let mut dp = mem.read_f32s(dp_b)?;
-        // Sequences are u32s packed in f32 buffers' bytes.
-        let mut s1_bytes = vec![0u8; n * 4];
-        mem.read_bytes(s1_b, 0, &mut s1_bytes)?;
-        let mut s2_bytes = vec![0u8; n * 4];
-        mem.read_bytes(s2_b, 0, &mut s2_bytes)?;
-        let s1: Vec<u32> = s1_bytes
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
-            .collect();
-        let s2: Vec<u32> = s2_bytes
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
-            .collect();
-        // Cells (i, j) with i + j == wave + 1, 1 <= i, j <= n.
-        for i in 1..=n {
-            let j = (wave + 2).checked_sub(i);
-            let Some(j) = j else { continue };
-            if j < 1 || j > n {
-                continue;
+        let cells = area(w, w)?;
+        mem.lend(&[dp_b], &[s1_b, s2_b], &mut |outs, ins| {
+            let mut dp = outs[0].slice_mut(0, cells)?;
+            // Sequences are u32s packed in f32 buffers' bytes.
+            let (s1, s2) = (ins[0].slice(0, n)?, ins[1].slice(0, n)?);
+            // Cells (i, j) with i + j == wave + 2, 1 <= i, j <= n.
+            for i in 1..=n {
+                let j = (wave + 2).checked_sub(i);
+                let Some(j) = j else { continue };
+                if j < 1 || j > n {
+                    continue;
+                }
+                let diag = dp.f32((i - 1) * w + (j - 1))? + score(s1.u32(i - 1)?, s2.u32(j - 1)?);
+                let up = dp.f32((i - 1) * w + j)? + GAP;
+                let left = dp.f32(i * w + (j - 1))? + GAP;
+                dp.set_f32(i * w + j, diag.max(up).max(left))?;
             }
-            let diag = dp[(i - 1) * w + (j - 1)] + score(s1[i - 1], s2[j - 1]);
-            let up = dp[(i - 1) * w + j] + GAP;
-            let left = dp[i * w + (j - 1)] + GAP;
-            dp[i * w + j] = diag.max(up).max(left);
-        }
-        mem.write_f32s(dp_b, &dp)
+            Ok(())
+        })
     })
+}
+
+/// The checksum [`run`] at `scale` must produce, computed on the CPU alone.
+pub fn reference_checksum(scale: usize) -> f64 {
+    reference_score(32 * scale.max(1)) as f64
 }
 
 /// Runs nw at `scale` (sequence length = 32 * scale).
@@ -153,7 +151,7 @@ mod tests {
     fn alignment_matches_cpu_reference() {
         cronus_backend_fixture(|backend| {
             let result = run(backend, 1).unwrap();
-            assert_eq!(result.checksum, reference_score(32) as f64);
+            assert_eq!(result.checksum, reference_checksum(1));
         });
     }
 

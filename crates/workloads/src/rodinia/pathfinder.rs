@@ -6,6 +6,7 @@ use std::sync::Arc;
 use cronus_devices::gpu::{GpuError, GpuKernelDesc, KernelArg};
 
 use crate::backend::{d2h_f32, h2d_f32, Arg, BackendError, GpuBackend};
+use crate::kernels::{area, len_of};
 use crate::rodinia::{det_u32s, RodiniaRun};
 
 /// Deterministic cost grid (`rows x cols`).
@@ -42,7 +43,7 @@ pub fn row_kernel() -> cronus_devices::gpu::KernelFn {
     Arc::new(|mem, args| {
         let (g_b, cur_b, next_b, cols, row) = match args {
             [KernelArg::Buffer(g), KernelArg::Buffer(c), KernelArg::Buffer(n), KernelArg::Int(cols), KernelArg::Int(row)] => {
-                (*g, *c, *n, *cols as usize, *row as usize)
+                (*g, *c, *n, len_of(*cols)?, len_of(*row)?)
             }
             _ => {
                 return Err(GpuError::BadArg(
@@ -50,21 +51,32 @@ pub fn row_kernel() -> cronus_devices::gpu::KernelFn {
                 ))
             }
         };
-        let grid = mem.read_f32s(g_b)?;
-        let cur = mem.read_f32s(cur_b)?;
-        let mut next = vec![0.0f32; cols];
-        for c in 0..cols {
-            let mut best = cur[c];
-            if c > 0 {
-                best = best.min(cur[c - 1]);
+        let row_start = area(row, cols)?;
+        mem.lend(&[next_b], &[g_b, cur_b], &mut |outs, ins| {
+            let grid_row = ins[0].slice(row_start, cols)?;
+            let cur = ins[1].slice(0, cols)?;
+            let mut next = outs[0].slice_mut(0, cols)?;
+            for c in 0..cols {
+                let mut best = cur.f32(c)?;
+                if c > 0 {
+                    best = best.min(cur.f32(c - 1)?);
+                }
+                if c + 1 < cols {
+                    best = best.min(cur.f32(c + 1)?);
+                }
+                next.set_f32(c, grid_row.f32(c)? + best)?;
             }
-            if c + 1 < cols {
-                best = best.min(cur[c + 1]);
-            }
-            next[c] = grid[row * cols + c] + best;
-        }
-        mem.write_f32s(next_b, &next)
+            Ok(())
+        })
     })
+}
+
+/// The checksum [`run`] at `scale` must produce, computed on the CPU alone.
+pub fn reference_checksum(scale: usize) -> f64 {
+    reference_result(8 * scale.max(1), 64 * scale.max(1))
+        .iter()
+        .map(|v| *v as f64)
+        .sum()
 }
 
 /// Runs pathfinder at `scale` (grid = (8*scale) rows x (64*scale) cols).
@@ -129,8 +141,7 @@ mod tests {
     fn costs_match_cpu_reference() {
         cronus_backend_fixture(|backend| {
             let result = run(backend, 1).unwrap();
-            let reference: f64 = reference_result(8, 64).iter().map(|v| *v as f64).sum();
-            assert_eq!(result.checksum, reference);
+            assert_eq!(result.checksum, reference_checksum(1));
         });
     }
 

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use cronus_devices::gpu::{GpuError, KernelArg};
 
 use crate::backend::{d2h_f32, h2d_f32, Arg, BackendError, GpuBackend};
-use crate::kernels::stencil_desc;
+use crate::kernels::{area, len_of, neighbours, stencil_desc};
 use crate::rodinia::{det_f32s, RodiniaRun};
 
 const LAMBDA: f32 = 0.25;
@@ -26,26 +26,43 @@ fn srad_step_cpu(img: &[f32], rows: usize, cols: usize) -> Vec<f32> {
     update(img, &coef, rows, cols)
 }
 
+/// The 5-point neighbourhood of cell `idx = r * cols + c` of a host image;
+/// see [`neighbours`] for the device-memory twin.
+fn host_neighbours(img: &[f32], rows: usize, cols: usize, r: usize, c: usize) -> [f32; 5] {
+    let idx = r * cols + c;
+    let center = img[idx];
+    let up = if r > 0 { img[idx - cols] } else { center };
+    let down = if r + 1 < rows {
+        img[idx + cols]
+    } else {
+        center
+    };
+    let left = if c > 0 { img[idx - 1] } else { center };
+    let right = if c + 1 < cols { img[idx + 1] } else { center };
+    [center, up, down, left, right]
+}
+
+/// The diffusion coefficient of one cell.
+fn coefficient([center, up, down, left, right]: [f32; 5]) -> f32 {
+    let grad = (up - center).abs()
+        + (down - center).abs()
+        + (left - center).abs()
+        + (right - center).abs();
+    let q = grad / center.max(1e-6);
+    1.0 / (1.0 + q * q)
+}
+
+/// One cell's next intensity given its diffusion coefficient.
+fn diffused([center, up, down, left, right]: [f32; 5], coef: f32) -> f32 {
+    let div = up + down + left + right - 4.0 * center;
+    center + LAMBDA * coef * div
+}
+
 fn coefficients(img: &[f32], rows: usize, cols: usize) -> Vec<f32> {
     let mut coef = vec![0.0f32; rows * cols];
     for r in 0..rows {
         for c in 0..cols {
-            let idx = r * cols + c;
-            let center = img[idx];
-            let up = if r > 0 { img[idx - cols] } else { center };
-            let down = if r + 1 < rows {
-                img[idx + cols]
-            } else {
-                center
-            };
-            let left = if c > 0 { img[idx - 1] } else { center };
-            let right = if c + 1 < cols { img[idx + 1] } else { center };
-            let grad = (up - center).abs()
-                + (down - center).abs()
-                + (left - center).abs()
-                + (right - center).abs();
-            let q = grad / center.max(1e-6);
-            coef[idx] = 1.0 / (1.0 + q * q);
+            coef[r * cols + c] = coefficient(host_neighbours(img, rows, cols, r, c));
         }
     }
     coef
@@ -56,17 +73,7 @@ fn update(img: &[f32], coef: &[f32], rows: usize, cols: usize) -> Vec<f32> {
     for r in 0..rows {
         for c in 0..cols {
             let idx = r * cols + c;
-            let center = img[idx];
-            let up = if r > 0 { img[idx - cols] } else { center };
-            let down = if r + 1 < rows {
-                img[idx + cols]
-            } else {
-                center
-            };
-            let left = if c > 0 { img[idx - 1] } else { center };
-            let right = if c + 1 < cols { img[idx + 1] } else { center };
-            let div = up + down + left + right - 4.0 * center;
-            out[idx] = center + LAMBDA * coef[idx] * div;
+            out[idx] = diffused(host_neighbours(img, rows, cols, r, c), coef[idx]);
         }
     }
     out
@@ -86,12 +93,23 @@ pub fn coef_kernel() -> cronus_devices::gpu::KernelFn {
     Arc::new(|mem, args| {
         let (i_b, c_b, rows, cols) = match args {
             [KernelArg::Buffer(i), KernelArg::Buffer(c), KernelArg::Int(r), KernelArg::Int(cl)] => {
-                (*i, *c, *r as usize, *cl as usize)
+                (*i, *c, len_of(*r)?, len_of(*cl)?)
             }
             _ => return Err(GpuError::BadArg("srad_coef(img, coef, rows, cols)".into())),
         };
-        let img = mem.read_f32s(i_b)?;
-        mem.write_f32s(c_b, &coefficients(&img, rows, cols))
+        let cells = area(rows, cols)?;
+        mem.lend(&[c_b], &[i_b], &mut |outs, ins| {
+            let img = ins[0].slice(0, cells)?;
+            let mut coef = outs[0].slice_mut(0, cells)?;
+            // An empty image has nothing to update, however many rows.
+            for r in 0..rows.min(cells) {
+                for c in 0..cols {
+                    let around = neighbours(img, (rows, cols), (r, c))?;
+                    coef.set_f32(r * cols + c, coefficient(around))?;
+                }
+            }
+            Ok(())
+        })
     })
 }
 
@@ -100,7 +118,7 @@ pub fn update_kernel() -> cronus_devices::gpu::KernelFn {
     Arc::new(|mem, args| {
         let (i_b, c_b, o_b, rows, cols) = match args {
             [KernelArg::Buffer(i), KernelArg::Buffer(c), KernelArg::Buffer(o), KernelArg::Int(r), KernelArg::Int(cl)] => {
-                (*i, *c, *o, *r as usize, *cl as usize)
+                (*i, *c, *o, len_of(*r)?, len_of(*cl)?)
             }
             _ => {
                 return Err(GpuError::BadArg(
@@ -108,10 +126,30 @@ pub fn update_kernel() -> cronus_devices::gpu::KernelFn {
                 ))
             }
         };
-        let img = mem.read_f32s(i_b)?;
-        let coef = mem.read_f32s(c_b)?;
-        mem.write_f32s(o_b, &update(&img, &coef, rows, cols))
+        let cells = area(rows, cols)?;
+        mem.lend(&[o_b], &[i_b, c_b], &mut |outs, ins| {
+            let (img, coef) = (ins[0].slice(0, cells)?, ins[1].slice(0, cells)?);
+            let mut out = outs[0].slice_mut(0, cells)?;
+            // An empty image has nothing to update, however many rows.
+            for r in 0..rows.min(cells) {
+                for c in 0..cols {
+                    let idx = r * cols + c;
+                    let around = neighbours(img, (rows, cols), (r, c))?;
+                    out.set_f32(idx, diffused(around, coef.f32(idx)?))?;
+                }
+            }
+            Ok(())
+        })
     })
+}
+
+/// The checksum [`run`] at `scale` must produce, computed on the CPU alone.
+pub fn reference_checksum(scale: usize) -> f64 {
+    let side = 16 * scale.max(1);
+    reference_final(side, side, ITERS)
+        .iter()
+        .map(|v| *v as f64)
+        .sum()
 }
 
 /// Runs srad at `scale` (image = (16*scale)^2, 6 iterations).
@@ -182,10 +220,7 @@ mod tests {
     fn image_matches_cpu_reference() {
         cronus_backend_fixture(|backend| {
             let result = run(backend, 1).unwrap();
-            let reference: f64 = reference_final(16, 16, ITERS)
-                .iter()
-                .map(|v| *v as f64)
-                .sum();
+            let reference = reference_checksum(1);
             assert!(
                 (result.checksum - reference).abs() / reference.abs() < 1e-5,
                 "{} vs {}",

@@ -74,12 +74,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     ))
                 }
             };
-            let xs = mem.read_f32s(x)?;
-            let mut ys = mem.read_f32s(y)?;
-            for (yi, xi) in ys.iter_mut().zip(&xs) {
-                *yi += a * xi;
-            }
-            mem.write_f32s(y, &ys)
+            // The device lends the kernel `y` to update in place and `x`
+            // to read: no copy of either is made.
+            mem.lend(&[y], &[x], &mut |outs, ins| {
+                for (mut yi, xi) in outs[0].f32s_mut().zip(ins[0].f32s()) {
+                    yi.set(yi.get() + a * xi);
+                }
+                Ok(())
+            })
         }),
     )?;
 

@@ -96,3 +96,63 @@ fn mlp_learns_identically_everywhere() {
     }
     assert!(reference.last().expect("losses") < &(reference[0] * 0.6));
 }
+
+/// The benchmark's `accel_apps` check, where tier-1 can see it: the
+/// ten-program suite at the benchmark's scale computes the same bits behind
+/// sRPC as on the native backend, and what each program's CPU reference
+/// computes (exactly where the program is integer- or max-plus-valued,
+/// within its own unit test's tolerance where the host sums in another
+/// order).
+#[test]
+fn rodinia_at_benchmark_scale_matches_native_and_cpu_references() {
+    const SCALE: usize = 4;
+    use rodinia::{backprop, bfs, gaussian, hotspot, kmeans, lud, nn, nw, pathfinder, srad};
+    // (reference checksum, absolute tolerance, relative tolerance)
+    let references: [(&str, f64, f64, f64); 10] = [
+        ("backprop", backprop::reference_checksum(SCALE), 0.5, 0.5),
+        ("bfs", bfs::reference_checksum(SCALE), 0.0, 0.0),
+        ("gaussian", gaussian::reference_checksum(SCALE), 1e-3, 0.0),
+        ("hotspot", hotspot::reference_checksum(SCALE), 0.0, 1e-5),
+        ("kmeans", kmeans::reference_checksum(SCALE), 0.0, 0.0),
+        ("lud", lud::reference_checksum(SCALE), 1e-2, 0.0),
+        ("nn", nn::reference_checksum(SCALE), 1e-3, 0.0),
+        ("nw", nw::reference_checksum(SCALE), 0.0, 0.0),
+        (
+            "pathfinder",
+            pathfinder::reference_checksum(SCALE),
+            0.0,
+            0.0,
+        ),
+        ("srad", srad::reference_checksum(SCALE), 0.0, 1e-5),
+    ];
+    let run_suite = |backend: &mut dyn GpuBackend| -> Vec<f64> {
+        register_standard_kernels(backend).expect("kernels");
+        rodinia::suite()
+            .into_iter()
+            .map(|(name, f)| {
+                f(backend, SCALE)
+                    .unwrap_or_else(|e| panic!("{name}: {e}"))
+                    .checksum
+            })
+            .collect()
+    };
+    let native = run_suite(&mut native_backend());
+    let cronus = with_cronus_backend(run_suite);
+    for (i, (name, _)) in rodinia::suite().iter().enumerate() {
+        let (ref_name, reference, abs, rel) = references[i];
+        assert_eq!(*name, ref_name, "suite order");
+        assert_eq!(
+            cronus[i].to_bits(),
+            native[i].to_bits(),
+            "{name}: cronus {} vs native {}",
+            cronus[i],
+            native[i]
+        );
+        let off = (cronus[i] - reference).abs();
+        assert!(
+            off <= abs + rel * reference.abs(),
+            "{name}: {} vs its CPU reference {reference}",
+            cronus[i]
+        );
+    }
+}

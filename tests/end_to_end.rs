@@ -88,11 +88,12 @@ fn paas_application_lifecycle() {
             let [KernelArg::Buffer(b)] = args else {
                 return Err(cronus::devices::gpu::GpuError::BadArg("scale2(buf)".into()));
             };
-            let mut v = mem.read_f32s(*b)?;
-            for x in &mut v {
-                *x *= 2.0;
-            }
-            mem.write_f32s(*b, &v)
+            mem.lend(&[*b], &[], &mut |outs, _| {
+                for mut x in outs[0].f32s_mut() {
+                    x.set(x.get() * 2.0);
+                }
+                Ok(())
+            })
         }),
     )
     .expect("kernel");
