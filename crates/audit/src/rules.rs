@@ -232,10 +232,10 @@ pub const SINK_PATHS: [&str; 55] = [
     // The accelerator path's one-step reporters: a launch payload's kernel
     // name becomes a label and a span name, DMA and staging lengths become
     // counter values.
-    "GpuObs::launched",
-    "GpuObs::dma",
-    "NpuObs::ran",
-    "NpuObs::dma",
+    "LaunchSeries::launched",
+    "ProgramSeries::ran",
+    "DeviceObs::completed",
+    "DeviceObs::dma",
     "BusObs::transferred",
     "StagingObs::chunk",
     // Ledger records and black-box snapshots.

@@ -94,11 +94,6 @@ impl DirectBackend {
         self.protection
     }
 
-    /// Raw device access (for spatial-sharing experiments).
-    pub fn device_mut(&mut self) -> &mut GpuDevice {
-        &mut self.device
-    }
-
     fn call_overhead(&self, payload_bytes: u64, messages: u64) -> SimNs {
         match self.protection {
             Protection::Native => SUBMIT * messages,

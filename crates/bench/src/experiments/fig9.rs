@@ -104,8 +104,8 @@ pub fn run() -> Fig9Data {
     let _task_a = CudaContext::new(&mut sys, cpu, CudaOptions::default()).expect("task A");
     let mut task_b = CudaContext::new(&mut sys, cpu, CudaOptions::default()).expect("task B");
     // The dispatcher placed the second context on the second GPU partition.
-    let crashed = task_b.gpu.asid;
-    let stale = task_b.malloc(&mut sys, 4096).expect("task B buffer");
+    let crashed = task_b.dev.asid;
+    let stale = task_b.alloc(&mut sys, 4096).expect("task B buffer");
     sys.mark("fig9:crash");
     sys.inject_partition_failure(crashed)
         .expect("failure injection");

@@ -93,8 +93,8 @@ pub fn run_recorded(seed: u64, calls: u64) -> FlightRecorder {
         .expect("saxpy");
     let vec_len = 256usize;
     let bytes = (vec_len * 4) as u64;
-    let x = cuda.malloc(&mut sys, bytes).expect("x");
-    let y = cuda.malloc(&mut sys, bytes).expect("y");
+    let x = cuda.alloc(&mut sys, bytes).expect("x");
+    let y = cuda.alloc(&mut sys, bytes).expect("y");
     let host: Vec<u8> = (0..vec_len)
         .flat_map(|i| (i as f32).to_le_bytes())
         .collect();

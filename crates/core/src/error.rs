@@ -12,8 +12,7 @@
 
 use std::fmt;
 
-use cronus_devices::gpu::GpuError;
-use cronus_devices::npu::NpuError;
+use cronus_devices::DeviceError;
 use cronus_mos::hal::HalError;
 use cronus_mos::manager::ManagerError;
 use cronus_mos::mos::MosError;
@@ -37,10 +36,9 @@ pub enum FaultKind {
     Mos,
     /// SPM failure.
     Spm,
-    /// GPU device failure.
-    Gpu,
-    /// NPU device failure.
-    Npu,
+    /// Accelerator device failure. (Tag 7 was the NPU's own kind while the
+    /// GPU and the NPU had separate error types; it is retired, not reused.)
+    Device,
     /// The request descriptor was malformed.
     BadRequest,
     /// Application-defined handler failure.
@@ -58,8 +56,7 @@ impl FaultKind {
             FaultKind::ArchFault => 3,
             FaultKind::Mos => 4,
             FaultKind::Spm => 5,
-            FaultKind::Gpu => 6,
-            FaultKind::Npu => 7,
+            FaultKind::Device => 6,
             FaultKind::BadRequest => 8,
             FaultKind::App => 9,
             FaultKind::NoHandler => 10,
@@ -74,8 +71,7 @@ impl FaultKind {
             3 => FaultKind::ArchFault,
             4 => FaultKind::Mos,
             5 => FaultKind::Spm,
-            6 => FaultKind::Gpu,
-            7 => FaultKind::Npu,
+            6 => FaultKind::Device,
             8 => FaultKind::BadRequest,
             9 => FaultKind::App,
             10 => FaultKind::NoHandler,
@@ -92,8 +88,7 @@ impl fmt::Display for FaultKind {
             FaultKind::ArchFault => "arch-fault",
             FaultKind::Mos => "mos",
             FaultKind::Spm => "spm",
-            FaultKind::Gpu => "gpu",
-            FaultKind::Npu => "npu",
+            FaultKind::Device => "device",
             FaultKind::BadRequest => "bad-request",
             FaultKind::App => "app",
             FaultKind::NoHandler => "no-handler",
@@ -111,10 +106,8 @@ pub enum CronusError {
     Mos(MosError),
     /// SPM failure.
     Spm(SpmError),
-    /// GPU device failure.
-    Gpu(GpuError),
-    /// NPU device failure.
-    Npu(NpuError),
+    /// Accelerator device failure.
+    Device(DeviceError),
     /// The mECall's request descriptor was malformed.
     BadRequest,
     /// Application-defined failure with an app-chosen code.
@@ -153,20 +146,10 @@ impl CronusError {
             CronusError::Mos(_) => FaultKind::Mos,
             CronusError::Spm(SpmError::Mos(MosError::Fault(_))) => FaultKind::ArchFault,
             CronusError::Spm(_) => FaultKind::Spm,
-            CronusError::Gpu(_) => FaultKind::Gpu,
-            CronusError::Npu(_) => FaultKind::Npu,
+            CronusError::Device(_) => FaultKind::Device,
             CronusError::BadRequest => FaultKind::BadRequest,
             CronusError::App { .. } => FaultKind::App,
             CronusError::Remote { kind, .. } => *kind,
-        }
-    }
-
-    /// The architectural [`Fault`] at the root of this error, if any.
-    pub fn arch_fault(&self) -> Option<Fault> {
-        match self {
-            CronusError::Mos(MosError::Fault(f))
-            | CronusError::Spm(SpmError::Mos(MosError::Fault(f))) => Some(*f),
-            _ => None,
         }
     }
 
@@ -197,8 +180,7 @@ impl fmt::Display for CronusError {
         match self {
             CronusError::Mos(e) => write!(f, "mos error: {e}"),
             CronusError::Spm(e) => write!(f, "spm error: {e}"),
-            CronusError::Gpu(e) => write!(f, "gpu error: {e}"),
-            CronusError::Npu(e) => write!(f, "npu error: {e}"),
+            CronusError::Device(e) => write!(f, "device error: {e}"),
             CronusError::BadRequest => f.write_str("malformed request descriptor"),
             CronusError::App { code, detail } => {
                 write!(f, "application error (code {code}): {detail}")
@@ -215,8 +197,7 @@ impl std::error::Error for CronusError {
         match self {
             CronusError::Mos(e) => Some(e),
             CronusError::Spm(e) => Some(e),
-            CronusError::Gpu(e) => Some(e),
-            CronusError::Npu(e) => Some(e),
+            CronusError::Device(e) => Some(e),
             CronusError::BadRequest | CronusError::App { .. } | CronusError::Remote { .. } => None,
         }
     }
@@ -234,15 +215,9 @@ impl From<SpmError> for CronusError {
     }
 }
 
-impl From<GpuError> for CronusError {
-    fn from(e: GpuError) -> Self {
-        CronusError::Gpu(e)
-    }
-}
-
-impl From<NpuError> for CronusError {
-    fn from(e: NpuError) -> Self {
-        CronusError::Npu(e)
+impl From<DeviceError> for CronusError {
+    fn from(e: DeviceError) -> Self {
+        CronusError::Device(e)
     }
 }
 
@@ -284,8 +259,7 @@ mod tests {
             FaultKind::ArchFault,
             FaultKind::Mos,
             FaultKind::Spm,
-            FaultKind::Gpu,
-            FaultKind::Npu,
+            FaultKind::Device,
             FaultKind::BadRequest,
             FaultKind::App,
             FaultKind::NoHandler,
@@ -293,6 +267,7 @@ mod tests {
             assert_eq!(FaultKind::from_tag(kind.as_tag()), Some(kind));
         }
         assert_eq!(FaultKind::from_tag(0), None);
+        assert_eq!(FaultKind::from_tag(7), None, "retired");
         assert_eq!(FaultKind::from_tag(200), None);
     }
 

@@ -77,7 +77,6 @@ pub mod dispatcher;
 pub mod error;
 mod executor;
 pub mod inject;
-pub mod pipe;
 pub mod recovery;
 pub mod reliability;
 pub mod ring;
@@ -92,7 +91,6 @@ pub use cronus_forensics::MONITOR_CHAIN;
 pub use dispatcher::{Dispatcher, PartitionInfo};
 pub use error::{CronusError, FaultKind};
 pub use inject::{ArmedFault, FaultAction, FiredFault, SrpcPhase};
-pub use pipe::PipeId;
 pub use reliability::{retryable, RetryPolicy, StallWarning};
 pub use srpc::{SrpcError, StreamId, StreamStats};
 pub use stream::{StreamBuilder, StreamConfig};

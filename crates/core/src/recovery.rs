@@ -265,11 +265,6 @@ impl CronusSystem {
         self.injector.armed.replace(fault)
     }
 
-    /// Disarms the armed fault, if any, returning it.
-    pub fn disarm_fault(&mut self) -> Option<ArmedFault> {
-        self.injector.armed.take()
-    }
-
     /// Faults that actually fired, in firing order.
     pub fn fired_faults(&self) -> &[FiredFault] {
         &self.injector.fired

@@ -11,8 +11,7 @@
 //! This file holds boot, the audit and telemetry hooks, apps, enclaves and
 //! direct ECalls. The rest of `impl CronusSystem` lives beside the state it
 //! drives: the sRPC protocol in [`crate::transport`], proceed-trap
-//! conversion, failover and fault injection in [`crate::recovery`], byte
-//! pipes in [`crate::pipe`].
+//! conversion, failover and fault injection in [`crate::recovery`].
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -33,7 +32,6 @@ use crate::dispatcher::{Dispatcher, PartitionInfo};
 use crate::error::CronusError;
 use crate::executor::Executor;
 use crate::inject::Injector;
-use crate::pipe::{PipeId, PipeState};
 use crate::srpc::{SrpcError, StreamId, StreamState};
 
 /// A handle to a created mEnclave.
@@ -174,10 +172,8 @@ pub struct CronusSystem {
     pub(crate) streams: HashMap<StreamId, StreamState>,
     /// The executors `.shared()` streams drain on, by callee partition.
     pub(crate) partition_executors: BTreeMap<AsId, Executor>,
-    pub(crate) pipes: HashMap<PipeId, PipeState>,
     pub(crate) injector: Injector,
     pub(crate) next_stream: u64,
-    pub(crate) next_pipe: u64,
     next_app: u32,
     next_dh: u64,
     #[cfg(feature = "audit-hooks")]
@@ -228,10 +224,8 @@ impl CronusSystem {
             handlers: HashMap::new(),
             streams: HashMap::new(),
             partition_executors: BTreeMap::new(),
-            pipes: HashMap::new(),
             injector: Injector::default(),
             next_stream: 1,
-            next_pipe: 1,
             next_app: 1,
             next_dh: 1,
             #[cfg(feature = "audit-hooks")]
@@ -253,12 +247,6 @@ impl CronusSystem {
     #[cfg(feature = "audit-hooks")]
     pub fn set_audit_hook(&mut self, hook: AuditHook) {
         self.audit_hook = Some(hook);
-    }
-
-    /// Removes the installed audit hook, returning it.
-    #[cfg(feature = "audit-hooks")]
-    pub fn clear_audit_hook(&mut self) -> Option<AuditHook> {
-        self.audit_hook.take()
     }
 
     /// Installs the mapping-state digest hook: black boxes captured at
@@ -581,8 +569,7 @@ impl CronusSystem {
     ///
     /// Unknown enclaves.
     pub fn destroy_enclave(&mut self, e: EnclaveRef) -> Result<(), SystemError> {
-        // Reclaim untouched poisoned shares of this enclave's streams and
-        // pipes.
+        // Reclaim untouched poisoned shares of this enclave's streams.
         let stream_ids: Vec<StreamId> = self
             .streams
             .values()
@@ -595,17 +582,6 @@ impl CronusSystem {
                 if let Some(arena) = &s.arena {
                     let _ = self.spm.reclaim_share(arena.share);
                 }
-            }
-        }
-        let pipe_ids: Vec<PipeId> = self
-            .pipes
-            .values()
-            .filter(|p| p.writer.1.eid == e.eid || p.reader.1.eid == e.eid)
-            .map(|p| p.id)
-            .collect();
-        for id in pipe_ids {
-            if let Some(p) = self.pipes.remove(&id) {
-                let _ = self.spm.reclaim_share(p.share);
             }
         }
         let (mos, machine) = self.spm.mos_and_machine(e.asid)?;

@@ -1,4 +1,4 @@
-//! Property-based tests for the sRPC protocol and pipes.
+//! Property-based tests for the sRPC protocol.
 //!
 //! The full generated suite lives in the gated `full` module (enable with the
 //! non-default `proptest` feature, e.g. `cargo test --all-features`); the
@@ -254,40 +254,6 @@ mod full {
             let stats = sys.stream_stats(stream).expect("stats");
             prop_assert_eq!(stats.zero_copy_grants, expected_grants);
             prop_assert_eq!(stats.zero_copy_bytes, expected_bytes);
-        }
-
-        /// Pipes deliver bytes FIFO for arbitrary write/read chunkings.
-        #[test]
-        fn pipe_is_fifo(
-            writes in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 1..200), 1..20),
-            read_chunk in 1usize..300,
-        ) {
-            let (mut sys, cpu, gpu) = setup();
-            let pipe = sys.open_pipe(cpu, gpu, 2).expect("pipe");
-            let mut sent = Vec::new();
-            let mut received = Vec::new();
-            for w in &writes {
-                let mut remaining: &[u8] = w;
-                while !remaining.is_empty() {
-                    let n = sys.pipe_write(pipe, remaining).expect("write");
-                    sent.extend_from_slice(&remaining[..n]);
-                    remaining = &remaining[n..];
-                    if n == 0 {
-                        // Back-pressure: drain some.
-                        let got = sys.pipe_read(pipe, read_chunk).expect("read");
-                        prop_assert!(!got.is_empty(), "full pipe must have data");
-                        received.extend_from_slice(&got);
-                    }
-                }
-            }
-            loop {
-                let got = sys.pipe_read(pipe, read_chunk).expect("read");
-                if got.is_empty() {
-                    break;
-                }
-                received.extend_from_slice(&got);
-            }
-            prop_assert_eq!(received, sent);
         }
 
         /// The caller's clock is monotone and never exceeds the executor's by

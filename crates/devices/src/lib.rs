@@ -9,11 +9,15 @@
 //!   machine's SMMU and TZASC, mirroring the paper's modified QEMU bus that
 //!   "allows devices in the secure PCIe bus to conduct DMA access only to
 //!   the secure memory region",
-//! * [`gpu`] — an SM-based GPU with per-context virtual memory isolation,
-//!   named kernels that really compute on device memory lent to them as
-//!   checked [`view`]s, and an MPS-style spatial-sharing contention model,
-//! * [`npu`] — a VTA-class NPU executing a LOAD/GEMM/ALU/STORE instruction
-//!   set over int8 tensors (the reproduction's analogue of `fsim`),
+//! * [`accel`] — what every accelerator has in common: identity and
+//!   root-of-trust key, device DRAM partitioned into per-context buffers
+//!   with quotas and zero-on-release, the DMA engine, the completion
+//!   interrupt line and their telemetry,
+//! * [`gpu`] — the GPU's command set over it: named kernels that really
+//!   compute on device memory lent to them as checked [`view`]s, and an
+//!   MPS-style spatial-sharing contention model,
+//! * [`npu`] — the VTA-class NPU's: a LOAD/GEMM/ALU/STORE instruction set
+//!   over int8 tensors (the reproduction's analogue of `fsim`),
 //! * [`cpu`] — a trivial CPU "device" so CPU mEnclaves fit the same model.
 //!
 //! Every device carries a hardware root-of-trust key pair used by CRONUS's
@@ -21,19 +25,21 @@
 //! [`SimDevice::reset`] for failover clearing (§IV-D), and reports
 //! per-operation costs from the machine's [`cronus_sim::CostModel`].
 
+pub mod accel;
 pub mod bus;
 pub mod cpu;
 pub mod gpu;
 pub mod npu;
 pub mod view;
 
+pub use accel::{Accelerator, BufferId, ContextId, DeviceError, Dma, IRQ_QUEUE_SLOTS};
 pub use bus::{BusError, PcieBus, PcieSlot};
 pub use cpu::CpuDevice;
 pub use gpu::{
     BufView, BufViewMut, GpuBuffer, GpuContextId, GpuDevice, GpuError, GpuKernelDesc, GpuMemAccess,
     KernelArg, KernelFn,
 };
-pub use npu::{AluOp, NpuBuffer, NpuContextId, NpuDevice, NpuError, VtaInsn, VtaProgram};
+pub use npu::{AluOp, NpuBuffer, NpuDevice, VtaInsn, VtaProgram};
 
 use cronus_crypto::{KeyPair, PublicKey};
 use cronus_sim::tzpc::DeviceId;

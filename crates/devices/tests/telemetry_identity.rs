@@ -23,7 +23,7 @@ use cronus_sim::{CostModel, Machine, MachineConfig, SimNs, StreamId, World};
 /// for call and in that order.
 mod reference {
     use super::*;
-    use cronus_devices::gpu::IRQ_QUEUE_SLOTS;
+    use cronus_devices::IRQ_QUEUE_SLOTS;
     use cronus_obs::QueueKind;
 
     pub fn declare(rec: &FlightRecorder) {

@@ -4,6 +4,9 @@
 //! hardware resources for different mEnclaves ... Overall, HAL works as a
 //! 'driver' and virtualization layer for a device" (§IV-B). Each mOS owns
 //! exactly one [`DeviceHal`] wrapping the one device its partition manages.
+//! Contexts, memory, DMA and interrupts of an accelerator go through the
+//! [`Accelerator`] every accelerator driver is built on; only a device's
+//! command set is reached through its typed accessor.
 //!
 //! Host↔device copies go through the machine's DMA path, so they are checked
 //! by the SMMU and TZASC like real transfers.
@@ -13,9 +16,9 @@ use std::fmt;
 use cronus_crypto::{PublicKey, Signature};
 use cronus_devices::bus::{BusError, PcieBus};
 use cronus_devices::cpu::{CpuDevice, CpuError};
-use cronus_devices::gpu::{GpuBuffer, GpuContextId, GpuDevice, GpuError};
-use cronus_devices::npu::{NpuBuffer, NpuContextId, NpuDevice, NpuError};
-use cronus_devices::{DeviceKind, SimDevice};
+use cronus_devices::gpu::GpuDevice;
+use cronus_devices::npu::NpuDevice;
+use cronus_devices::{Accelerator, BufferId, ContextId, DeviceError, DeviceKind, Dma, SimDevice};
 use cronus_sim::addr::PhysAddr;
 use cronus_sim::tzpc::DeviceId;
 use cronus_sim::{Machine, SimNs, StreamId};
@@ -28,10 +31,8 @@ pub enum HalError {
         expected: DeviceKind,
         actual: DeviceKind,
     },
-    /// GPU driver error.
-    Gpu(GpuError),
-    /// NPU driver error.
-    Npu(NpuError),
+    /// Accelerator driver error.
+    Device(DeviceError),
     /// CPU driver error.
     Cpu(CpuError),
     /// DMA/bus error.
@@ -47,8 +48,7 @@ impl fmt::Display for HalError {
                     "hal manages a {actual} device, operation expects {expected}"
                 )
             }
-            HalError::Gpu(e) => write!(f, "gpu: {e}"),
-            HalError::Npu(e) => write!(f, "npu: {e}"),
+            HalError::Device(e) => write!(f, "device: {e}"),
             HalError::Cpu(e) => write!(f, "cpu: {e}"),
             HalError::Bus(e) => write!(f, "bus: {e}"),
         }
@@ -57,15 +57,9 @@ impl fmt::Display for HalError {
 
 impl std::error::Error for HalError {}
 
-impl From<GpuError> for HalError {
-    fn from(e: GpuError) -> Self {
-        HalError::Gpu(e)
-    }
-}
-
-impl From<NpuError> for HalError {
-    fn from(e: NpuError) -> Self {
-        HalError::Npu(e)
+impl From<DeviceError> for HalError {
+    fn from(e: DeviceError) -> Self {
+        HalError::Device(e)
     }
 }
 
@@ -86,10 +80,18 @@ impl From<BusError> for HalError {
 pub enum DeviceCtx {
     /// CPU function-table context.
     Cpu(u32),
-    /// GPU context.
-    Gpu(GpuContextId),
-    /// NPU context.
-    Npu(NpuContextId),
+    /// A context of an accelerator of the given kind.
+    Accel(DeviceKind, ContextId),
+}
+
+impl DeviceCtx {
+    /// The kind of device this is a context of.
+    pub fn kind(self) -> DeviceKind {
+        match self {
+            DeviceCtx::Cpu(_) => DeviceKind::Cpu,
+            DeviceCtx::Accel(kind, _) => kind,
+        }
+    }
 }
 
 /// A device's attestation evidence: the accelerator signs its configuration
@@ -136,109 +138,103 @@ impl fmt::Debug for DeviceHal {
 }
 
 impl DeviceHal {
+    /// The managed device, as what every device is.
+    pub fn device(&self) -> &dyn SimDevice {
+        match self {
+            DeviceHal::Cpu(d) => d,
+            DeviceHal::Gpu(d) => &**d,
+            DeviceHal::Npu(d) => &**d,
+        }
+    }
+
+    fn device_mut(&mut self) -> &mut dyn SimDevice {
+        match self {
+            DeviceHal::Cpu(d) => d,
+            DeviceHal::Gpu(d) => &mut **d,
+            DeviceHal::Npu(d) => &mut **d,
+        }
+    }
+
+    /// The managed device, as what every accelerator is built on.
+    fn accel_mut(&mut self) -> Option<&mut Accelerator> {
+        match self {
+            DeviceHal::Cpu(_) => None,
+            DeviceHal::Gpu(d) => Some(d),
+            DeviceHal::Npu(d) => Some(d),
+        }
+    }
+
+    /// The managed accelerator and `ctx` as a context of it: the memory,
+    /// DMA and interrupt surface every accelerator shares.
+    ///
+    /// # Errors
+    ///
+    /// [`HalError::WrongKind`] when `ctx` is not a context of the managed
+    /// device.
+    pub fn accel(&mut self, ctx: DeviceCtx) -> Result<(&mut Accelerator, ContextId), HalError> {
+        let actual = self.kind();
+        match (ctx, self.accel_mut()) {
+            (DeviceCtx::Accel(kind, c), Some(accel)) if kind == actual => Ok((accel, c)),
+            _ => Err(HalError::WrongKind {
+                expected: ctx.kind(),
+                actual,
+            }),
+        }
+    }
+
     /// The managed device's kind.
     pub fn kind(&self) -> DeviceKind {
-        match self {
-            DeviceHal::Cpu(d) => d.kind(),
-            DeviceHal::Gpu(d) => d.kind(),
-            DeviceHal::Npu(d) => d.kind(),
-        }
+        self.device().kind()
     }
 
     /// Bus id of the managed device.
     pub fn device_id(&self) -> DeviceId {
-        match self {
-            DeviceHal::Cpu(d) => d.id(),
-            DeviceHal::Gpu(d) => d.id(),
-            DeviceHal::Npu(d) => d.id(),
-        }
+        self.device().id()
     }
 
     /// SMMU stream of the managed device.
     pub fn dma_stream(&self) -> StreamId {
-        match self {
-            DeviceHal::Cpu(d) => d.dma_stream(),
-            DeviceHal::Gpu(d) => d.dma_stream(),
-            DeviceHal::Npu(d) => d.dma_stream(),
-        }
+        self.device().dma_stream()
     }
 
     /// Live device contexts (spatial-sharing tenants).
     pub fn context_count(&self) -> usize {
-        match self {
-            DeviceHal::Cpu(d) => d.context_count(),
-            DeviceHal::Gpu(d) => d.context_count(),
-            DeviceHal::Npu(d) => d.context_count(),
-        }
+        self.device().context_count()
     }
 
     /// Interrupt service routine: drains the device's pending completion
     /// interrupts ("HAL also handles page faults and interruptions from the
     /// device", §IV-B). Returns the number serviced.
     pub fn service_irqs(&mut self) -> u32 {
-        match self {
-            DeviceHal::Cpu(_) => 0,
-            DeviceHal::Gpu(d) => d.take_irqs(),
-            DeviceHal::Npu(d) => d.take_irqs(),
-        }
+        self.accel_mut().map_or(0, Accelerator::take_irqs)
     }
 
     /// Fully clears device state (failover step 2).
     pub fn reset_device(&mut self) {
-        match self {
-            DeviceHal::Cpu(d) => d.reset(),
-            DeviceHal::Gpu(d) => d.reset(),
-            DeviceHal::Npu(d) => d.reset(),
-        }
+        self.device_mut().reset();
     }
 
     /// Produces the device's attestation evidence over its current
     /// configuration description.
     pub fn attest_device(&self) -> DeviceAttestation {
-        let (kind, compatible, config, rot_public, signature) = match self {
-            DeviceHal::Cpu(d) => {
-                let cfg = format!("cpu:{}", d.id()).into_bytes();
-                (
-                    d.kind(),
-                    d.compatible().to_string(),
-                    cfg.clone(),
-                    d.rot_public(),
-                    d.sign_config(&cfg),
-                )
-            }
-            DeviceHal::Gpu(d) => {
-                let cfg = format!(
-                    "gpu:{}:sms={}:mem={}",
-                    d.id(),
-                    d.sm_count(),
-                    d.memory_capacity()
-                )
-                .into_bytes();
-                (
-                    d.kind(),
-                    d.compatible().to_string(),
-                    cfg.clone(),
-                    d.rot_public(),
-                    d.sign_config(&cfg),
-                )
-            }
-            DeviceHal::Npu(d) => {
-                let cfg = format!("npu:{}", d.id()).into_bytes();
-                (
-                    d.kind(),
-                    d.compatible().to_string(),
-                    cfg.clone(),
-                    d.rot_public(),
-                    d.sign_config(&cfg),
-                )
-            }
-        };
+        let config = match self {
+            DeviceHal::Cpu(d) => format!("cpu:{}", d.id()),
+            DeviceHal::Gpu(d) => format!(
+                "gpu:{}:sms={}:mem={}",
+                d.id(),
+                d.sm_count(),
+                d.memory_capacity()
+            ),
+            DeviceHal::Npu(d) => format!("npu:{}", d.id()),
+        }
+        .into_bytes();
+        let device = self.device();
         DeviceAttestation {
-            kind,
-            compatible,
-            rot_public,
+            kind: device.kind(),
+            compatible: device.compatible().to_string(),
+            rot_public: device.rot_public(),
+            signature: device.sign_config(&config),
             config,
-            signature,
         }
     }
 
@@ -249,10 +245,9 @@ impl DeviceHal {
     ///
     /// Device-specific out-of-memory errors.
     pub fn create_context(&mut self, quota: u64) -> Result<DeviceCtx, HalError> {
-        Ok(match self {
-            DeviceHal::Cpu(d) => DeviceCtx::Cpu(d.create_context()),
-            DeviceHal::Gpu(d) => DeviceCtx::Gpu(d.create_context(quota)?),
-            DeviceHal::Npu(d) => DeviceCtx::Npu(d.create_context(quota)?),
+        Ok(match self.accel_mut() {
+            Some(accel) => DeviceCtx::Accel(accel.kind(), accel.create_context(quota)?),
+            None => DeviceCtx::Cpu(self.cpu_mut()?.create_context()),
         })
     }
 
@@ -264,12 +259,17 @@ impl DeviceHal {
     pub fn destroy_context(&mut self, ctx: DeviceCtx) -> Result<(), HalError> {
         match (self, ctx) {
             (DeviceHal::Cpu(d), DeviceCtx::Cpu(c)) => Ok(d.destroy_context(c)?),
-            (DeviceHal::Gpu(d), DeviceCtx::Gpu(c)) => Ok(d.destroy_context(c)?),
-            (DeviceHal::Npu(d), DeviceCtx::Npu(c)) => Ok(d.destroy_context(c)?),
-            (hal, _) => Err(HalError::WrongKind {
-                expected: hal.kind(),
-                actual: hal.kind(),
-            }),
+            (hal, ctx) => {
+                let (accel, c) = hal.accel(ctx)?;
+                Ok(accel.destroy_context(c)?)
+            }
+        }
+    }
+
+    fn wrong_kind(&self, expected: DeviceKind) -> HalError {
+        HalError::WrongKind {
+            expected,
+            actual: self.kind(),
         }
     }
 
@@ -281,25 +281,7 @@ impl DeviceHal {
     pub fn gpu_mut(&mut self) -> Result<&mut GpuDevice, HalError> {
         match self {
             DeviceHal::Gpu(d) => Ok(d),
-            other => Err(HalError::WrongKind {
-                expected: DeviceKind::Gpu,
-                actual: other.kind(),
-            }),
-        }
-    }
-
-    /// Typed read access to the GPU driver.
-    ///
-    /// # Errors
-    ///
-    /// [`HalError::WrongKind`].
-    pub fn gpu(&self) -> Result<&GpuDevice, HalError> {
-        match self {
-            DeviceHal::Gpu(d) => Ok(d),
-            other => Err(HalError::WrongKind {
-                expected: DeviceKind::Gpu,
-                actual: other.kind(),
-            }),
+            other => Err(other.wrong_kind(DeviceKind::Gpu)),
         }
     }
 
@@ -311,10 +293,7 @@ impl DeviceHal {
     pub fn npu_mut(&mut self) -> Result<&mut NpuDevice, HalError> {
         match self {
             DeviceHal::Npu(d) => Ok(d),
-            other => Err(HalError::WrongKind {
-                expected: DeviceKind::Npu,
-                actual: other.kind(),
-            }),
+            other => Err(other.wrong_kind(DeviceKind::Npu)),
         }
     }
 
@@ -326,88 +305,41 @@ impl DeviceHal {
     pub fn cpu_mut(&mut self) -> Result<&mut CpuDevice, HalError> {
         match self {
             DeviceHal::Cpu(d) => Ok(d),
-            other => Err(HalError::WrongKind {
-                expected: DeviceKind::Cpu,
-                actual: other.kind(),
-            }),
+            other => Err(other.wrong_kind(DeviceKind::Cpu)),
         }
     }
 
-    /// Host→device copy (`cudaMemcpyHostToDevice` and its NPU twin): the bus
-    /// DMAs host physical memory straight into the bytes the device lends
-    /// of buffer `dst` (a raw handle of `ctx`'s device). Returns the
-    /// simulated transfer time.
+    /// Host↔device copy (`cudaMemcpy` and its NPU twin): the bus DMAs
+    /// between host physical memory at `host` and the `len` bytes the
+    /// device lends of buffer `buf` (a raw handle of `ctx`'s device) from
+    /// `offset`, in direction `dir`. Returns the simulated transfer time.
     ///
     /// # Errors
     ///
     /// Bus/SMMU faults, device buffer errors, or [`HalError::WrongKind`]
     /// when `ctx` is not a context of the managed device.
     #[allow(clippy::too_many_arguments)] // DMA descriptors are wide
-    pub fn copy_h2d(
+    pub fn copy(
         &mut self,
         machine: &mut Machine,
         bus: &PcieBus,
+        dir: Dma,
         ctx: DeviceCtx,
-        dst: u64,
-        dst_offset: u64,
-        host_src: PhysAddr,
+        buf: u64,
+        offset: u64,
+        host: PhysAddr,
         len: usize,
     ) -> Result<SimNs, HalError> {
         let device = self.device_id();
-        let dma = |dst: &mut [u8]| -> Result<SimNs, HalError> {
-            Ok(bus.dma_to_device(machine, device, host_src, dst)?)
-        };
-        match (self, ctx) {
-            (DeviceHal::Gpu(d), DeviceCtx::Gpu(c)) => {
-                d.dma_in(c, GpuBuffer::from_raw(dst), dst_offset, len, dma)
-            }
-            (DeviceHal::Npu(d), DeviceCtx::Npu(c)) => {
-                d.dma_in(c, NpuBuffer::from_raw(dst), dst_offset, len, dma)
-            }
-            (hal, ctx) => Err(hal.not_a_context(ctx)),
-        }
-    }
-
-    /// Device→host copy: the bus DMAs the bytes the device lends of buffer
-    /// `src` straight into host physical memory.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`DeviceHal::copy_h2d`].
-    #[allow(clippy::too_many_arguments)] // DMA descriptors are wide
-    pub fn copy_d2h(
-        &mut self,
-        machine: &mut Machine,
-        bus: &PcieBus,
-        ctx: DeviceCtx,
-        src: u64,
-        src_offset: u64,
-        host_dst: PhysAddr,
-        len: usize,
-    ) -> Result<SimNs, HalError> {
-        let device = self.device_id();
-        let dma = |src: &[u8]| -> Result<SimNs, HalError> {
-            Ok(bus.dma_from_device(machine, device, host_dst, src)?)
-        };
-        match (self, ctx) {
-            (DeviceHal::Gpu(d), DeviceCtx::Gpu(c)) => {
-                d.dma_out(c, GpuBuffer::from_raw(src), src_offset, len, dma)
-            }
-            (DeviceHal::Npu(d), DeviceCtx::Npu(c)) => {
-                d.dma_out(c, NpuBuffer::from_raw(src), src_offset, len, dma)
-            }
-            (hal, ctx) => Err(hal.not_a_context(ctx)),
-        }
-    }
-
-    fn not_a_context(&self, ctx: DeviceCtx) -> HalError {
-        HalError::WrongKind {
-            expected: match ctx {
-                DeviceCtx::Cpu(_) => DeviceKind::Cpu,
-                DeviceCtx::Gpu(_) => DeviceKind::Gpu,
-                DeviceCtx::Npu(_) => DeviceKind::Npu,
-            },
-            actual: self.kind(),
+        let (accel, ctx) = self.accel(ctx)?;
+        let buf = BufferId::from_raw(buf);
+        match dir {
+            Dma::H2d => accel.dma_in(ctx, buf, offset, len, |dst| {
+                Ok(bus.dma_to_device(machine, device, host, dst)?)
+            }),
+            Dma::D2h => accel.dma_out(ctx, buf, offset, len, |src| {
+                Ok(bus.dma_from_device(machine, device, host, src)?)
+            }),
         }
     }
 }
@@ -431,10 +363,8 @@ mod tests {
 
     /// Allocates `len` device bytes in `ctx`, returning the raw handle.
     fn alloc(hal: &mut DeviceHal, ctx: DeviceCtx, len: u64) -> u64 {
-        let DeviceCtx::Gpu(ctx) = ctx else {
-            panic!("expected gpu ctx");
-        };
-        hal.gpu_mut().unwrap().alloc(ctx, len).unwrap().as_raw()
+        let (accel, ctx) = hal.accel(ctx).unwrap();
+        accel.alloc(ctx, len).unwrap().as_raw()
     }
 
     fn secure_bus(device: DeviceId, stream: StreamId) -> PcieBus {
@@ -474,6 +404,39 @@ mod tests {
             HalError::WrongKind { .. }
         ));
         assert!(hal.gpu_mut().is_ok());
+
+        // A context handle of another device kind names both kinds, whatever
+        // the operation.
+        let mut machine = Machine::new(MachineConfig::default());
+        let bus = secure_bus(hal.device_id(), hal.dma_stream());
+        let host = machine.alloc_frame(World::Secure).unwrap().base();
+        let mut npu = DeviceHal::Npu(NpuDevice::vta(DeviceId::new(2), StreamId::new(2)));
+        let mut cpu = DeviceHal::Cpu(CpuDevice::new(DeviceId::new(3), StreamId::new(3)));
+        for (other, expected) in [(&mut npu, DeviceKind::Npu), (&mut cpu, DeviceKind::Cpu)] {
+            let foreign = other.create_context(4096).unwrap();
+            let wrong = HalError::WrongKind {
+                expected,
+                actual: DeviceKind::Gpu,
+            };
+            assert_eq!(hal.destroy_context(foreign).unwrap_err(), wrong);
+            let err = hal
+                .copy(&mut machine, &bus, Dma::H2d, foreign, 1, 0, host, 8)
+                .unwrap_err();
+            assert_eq!(err, wrong);
+            let said = wrong.to_string();
+            assert!(
+                said.contains("a gpu device") && said.contains(&format!("expects {expected}")),
+                "{said}"
+            );
+            // And the other way round.
+            let mine = hal.create_context(4096).unwrap();
+            let wrong = HalError::WrongKind {
+                expected: DeviceKind::Gpu,
+                actual: expected,
+            };
+            assert_eq!(other.destroy_context(mine).unwrap_err(), wrong);
+            hal.destroy_context(mine).unwrap();
+        }
     }
 
     #[test]
@@ -507,7 +470,7 @@ mod tests {
             .unwrap();
 
         let t1 = hal
-            .copy_h2d(&mut machine, &bus, ctx, buf, 0, frame.base(), 8)
+            .copy(&mut machine, &bus, Dma::H2d, ctx, buf, 0, frame.base(), 8)
             .unwrap();
         assert!(t1 > SimNs::ZERO);
 
@@ -515,7 +478,7 @@ mod tests {
         machine
             .phys_write(World::Secure, frame.base(), &[0u8; 8])
             .unwrap();
-        hal.copy_d2h(&mut machine, &bus, ctx, buf, 0, frame.base(), 8)
+        hal.copy(&mut machine, &bus, Dma::D2h, ctx, buf, 0, frame.base(), 8)
             .unwrap();
         let host = machine
             .phys_read_vec(World::Secure, frame.base(), 8)
@@ -532,7 +495,7 @@ mod tests {
         let buf = alloc(&mut hal, ctx, 8);
         let frame = machine.alloc_frame(World::Secure).unwrap();
         let err = hal
-            .copy_h2d(&mut machine, &bus, ctx, buf, 0, frame.base(), 8)
+            .copy(&mut machine, &bus, Dma::H2d, ctx, buf, 0, frame.base(), 8)
             .unwrap_err();
         assert!(matches!(err, HalError::Bus(BusError::DmaFault(_))));
     }
@@ -554,18 +517,42 @@ mod tests {
         // Past the end of the buffer, an unknown handle, a context of another
         // device kind: typed errors, host memory untouched.
         let err = hal
-            .copy_d2h(&mut machine, &bus, ctx, buf, 4, frame.base(), 8)
+            .copy(&mut machine, &bus, Dma::D2h, ctx, buf, 4, frame.base(), 8)
             .unwrap_err();
-        assert!(matches!(err, HalError::Gpu(GpuError::OutOfBounds { .. })));
+        assert!(matches!(
+            err,
+            HalError::Device(DeviceError::OutOfBounds { .. })
+        ));
         let err = hal
-            .copy_h2d(&mut machine, &bus, ctx, buf + 1, 0, frame.base(), 8)
+            .copy(
+                &mut machine,
+                &bus,
+                Dma::H2d,
+                ctx,
+                buf + 1,
+                0,
+                frame.base(),
+                8,
+            )
             .unwrap_err();
-        assert!(matches!(err, HalError::Gpu(GpuError::UnknownBuffer(_))));
+        assert!(matches!(
+            err,
+            HalError::Device(DeviceError::UnknownBuffer(_))
+        ));
         let npu_ctx = DeviceHal::Npu(NpuDevice::vta(DeviceId::new(2), StreamId::new(2)))
             .create_context(4096)
             .unwrap();
         let err = hal
-            .copy_d2h(&mut machine, &bus, npu_ctx, buf, 0, frame.base(), 8)
+            .copy(
+                &mut machine,
+                &bus,
+                Dma::D2h,
+                npu_ctx,
+                buf,
+                0,
+                frame.base(),
+                8,
+            )
             .unwrap_err();
         assert_eq!(
             err,

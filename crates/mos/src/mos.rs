@@ -189,11 +189,6 @@ impl MicroOs {
         tables
     }
 
-    /// The shim kernel library.
-    pub fn shim_mut(&mut self) -> &mut ShimKernel {
-        &mut self.shim
-    }
-
     /// The enclave manager (read side).
     pub fn manager(&self) -> &EnclaveManager {
         &self.manager

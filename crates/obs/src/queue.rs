@@ -337,11 +337,6 @@ impl QueueStation {
         &self.wait
     }
 
-    /// Per-request service-time histogram.
-    pub fn service_histogram(&self) -> &Histogram {
-        &self.service
-    }
-
     /// The retained depth-sample stream.
     pub fn samples(&self) -> &[QueueSample] {
         &self.samples
@@ -638,13 +633,6 @@ impl QueueObservatory {
     ) {
         if let Some(s) = self.station_mut(name) {
             s.dequeue_req(at, wait, service, req);
-        }
-    }
-
-    /// Records an error on `name`.
-    pub fn error(&mut self, name: &str, at: SimNs) {
-        if let Some(s) = self.station_mut(name) {
-            s.error(at);
         }
     }
 

@@ -249,11 +249,6 @@ impl FlightRecorder {
         });
     }
 
-    /// Records a queue error (full-ring stall, drop) on `name`.
-    pub fn queue_error(&self, name: &str, at: SimNs) {
-        self.with(|r| r.queues.error(name, at));
-    }
-
     /// Discards everything queued on `name` (quarantine teardown),
     /// returning the number of flushed items.
     pub fn queue_flush(&self, name: &str, at: SimNs) -> u64 {

@@ -2,84 +2,30 @@
 //!
 //! The paper builds its CUDA mEnclave runtime from gdev + ocelot over the
 //! nouveau driver (§V-B); this module is the equivalent layer over the
-//! simulated GPU: a client-side API (`cudaMalloc`/`cudaMemcpy`/
-//! `cudaLaunchKernel`/`cudaDeviceSynchronize`) that a CPU mEnclave uses to
-//! drive a CUDA mEnclave over sRPC, plus the server-side mECall handlers
-//! that execute inside the GPU partition.
-//!
-//! Bulk data moves through the trusted shared staging buffer of
-//! [`crate::staging`].
+//! simulated GPU: what CUDA adds to the accelerator [`Session`]
+//! (`cudaMalloc`/`cudaMemcpy`/`cudaDeviceSynchronize` are the session's) —
+//! `cudaFree`, module loading and `cudaLaunchKernel`, each a client-side
+//! call a CPU mEnclave makes over sRPC plus the server-side mECall handler
+//! that executes inside the GPU partition.
 
-use std::collections::BTreeMap;
+use std::ops::{Deref, DerefMut};
 
-use cronus_core::{
-    Actor, CronusError, CronusSystem, EnclaveRef, SrpcError, StreamId, SystemError,
-    DEFAULT_RING_PAGES,
-};
+use cronus_core::{CronusError, CronusSystem, EnclaveRef, DEFAULT_RING_PAGES};
 use cronus_devices::gpu::{GpuBuffer, GpuContextId, GpuKernelDesc, KernelArg, KernelFn};
 use cronus_devices::DeviceKind;
 use cronus_mos::hal::DeviceCtx;
 use cronus_mos::manifest::{Manifest, McallDecl};
-use cronus_obs::{CountResource, MeterScope, Principal, TimeCategory};
 use cronus_sim::SimNs;
 
-use crate::staging::{Staging, StagingNames};
+use crate::session::{DevPtr, RuntimeError, Session, SessionNames};
 use crate::wire::{Reader, Writer};
 
-const STAGING: StagingNames = StagingNames {
+const NAMES: SessionNames = SessionNames {
+    alloc_call: "cuMalloc",
     h2d_call: "cuMemcpyH2D",
     d2h_call: "cuMemcpyD2H",
     bytes_metric: "cuda.memcpy_bytes",
 };
-
-/// A device pointer (CUDA `CUdeviceptr` analogue).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct DevPtr(pub u64);
-
-/// Errors from the CUDA runtime.
-#[derive(Clone, Debug, PartialEq)]
-#[non_exhaustive]
-pub enum CudaError {
-    /// sRPC transport error (including peer-partition failure).
-    Srpc(SrpcError),
-    /// Enclave or stream setup rejected by the system layer.
-    Setup(SystemError),
-    /// Typed SPM/HAL/device error during setup or control operations.
-    System(CronusError),
-    /// Malformed response descriptor.
-    Protocol,
-    /// The enclave's device context is not a GPU context.
-    WrongDeviceCtx,
-}
-
-impl std::fmt::Display for CudaError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CudaError::Srpc(e) => write!(f, "srpc: {e}"),
-            CudaError::Setup(e) => write!(f, "setup: {e}"),
-            CudaError::System(e) => write!(f, "system: {e}"),
-            CudaError::Protocol => f.write_str("malformed cuda rpc response"),
-            CudaError::WrongDeviceCtx => f.write_str("enclave is not backed by a gpu context"),
-        }
-    }
-}
-
-impl std::error::Error for CudaError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            CudaError::Srpc(e) => Some(e),
-            CudaError::Setup(e) => Some(e),
-            CudaError::System(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<SrpcError> for CudaError {
-    fn from(e: SrpcError) -> Self {
-        CudaError::Srpc(e)
-    }
-}
 
 /// Options for creating a CUDA context.
 #[derive(Clone, Copy, Debug)]
@@ -113,16 +59,25 @@ pub fn cuda_manifest(memory: u64) -> Manifest {
         .with_memory(memory)
 }
 
-/// A live CUDA context: a CPU mEnclave driving a CUDA mEnclave over sRPC.
+/// A live CUDA context: a [`Session`] with a CUDA mEnclave (`dev`).
 #[derive(Debug)]
 pub struct CudaContext {
-    /// The caller (CPU) enclave.
-    pub cpu: EnclaveRef,
-    /// The CUDA mEnclave.
-    pub gpu: EnclaveRef,
-    /// The sRPC stream.
-    pub stream: StreamId,
-    staging: Staging,
+    session: Session,
+    gctx: GpuContextId,
+}
+
+impl Deref for CudaContext {
+    type Target = Session;
+
+    fn deref(&self) -> &Session {
+        &self.session
+    }
+}
+
+impl DerefMut for CudaContext {
+    fn deref_mut(&mut self) -> &mut Session {
+        &mut self.session
+    }
 }
 
 impl CudaContext {
@@ -137,86 +92,35 @@ impl CudaContext {
         sys: &mut CronusSystem,
         cpu: EnclaveRef,
         opts: CudaOptions,
-    ) -> Result<Self, CudaError> {
-        let gpu = sys
-            .create_enclave(
-                Actor::Enclave(cpu),
-                cuda_manifest(opts.memory),
-                &BTreeMap::new(),
-            )
-            .map_err(CudaError::Setup)?;
-        // A device context models one in-order command queue (CUDA default-
-        // stream / VTA instruction-fetch semantics), so its sRPC stream is
-        // pinned to a single lane: commands must not overlap on the virtual
-        // clock. Multi-lane geometry is for independent service streams.
-        let stream = sys
-            .stream(cpu, gpu)
-            .rings(1)
-            .pages(opts.ring_pages)
-            .open()?;
-
-        // Staging buffer: a second trusted shared region for bulk data.
-        let staging = Staging::open(sys, cpu, gpu, stream, opts.staging_pages, &STAGING)
-            .map_err(CudaError::System)?;
-
-        // Look up the device context backing the CUDA mEnclave.
-        let gctx = Self::gpu_ctx(sys, gpu)?;
-        Self::register_handlers(sys, gpu, gctx);
-
-        Ok(CudaContext {
+    ) -> Result<Self, RuntimeError> {
+        let manifest = cuda_manifest(opts.memory);
+        let (session, dctx) = Session::open(
+            sys,
             cpu,
-            gpu,
-            stream,
-            staging,
-        })
-    }
-
-    fn gpu_ctx(sys: &CronusSystem, gpu: EnclaveRef) -> Result<GpuContextId, CudaError> {
-        let entry = sys
-            .spm()
-            .mos(gpu.asid)
-            .map_err(|e| CudaError::System(e.into()))?
-            .manager()
-            .entry(gpu.eid)
-            .map_err(|e| CudaError::System(e.into()))?;
-        match entry.ctx {
-            DeviceCtx::Gpu(ctx) => Ok(ctx),
-            _ => Err(CudaError::WrongDeviceCtx),
-        }
-    }
-
-    fn register_handlers(sys: &mut CronusSystem, gpu: EnclaveRef, gctx: GpuContextId) {
-        // cuMalloc(len) -> handle
-        sys.register_handler(
-            gpu,
-            "cuMalloc",
-            Box::new(move |ctx, payload| {
-                let len = Reader::new(payload).u64()?;
-                let mos = ctx.spm.mos_mut(ctx.asid)?;
-                let gpu_dev = mos.hal_mut().gpu_mut()?;
-                let buf = gpu_dev.alloc(gctx, len)?;
-                let mut w = Writer::new();
-                w.u64(buf.as_raw());
-                Ok((w.finish(), SimNs::from_micros(2)))
-            }),
-        );
+            manifest,
+            opts.ring_pages,
+            opts.staging_pages,
+            &NAMES,
+        )?;
+        let DeviceCtx::Accel(DeviceKind::Gpu, gctx) = dctx else {
+            return Err(RuntimeError::WrongDeviceCtx);
+        };
 
         // cuFree(handle)
         sys.register_handler(
-            gpu,
+            session.dev,
             "cuFree",
             Box::new(move |ctx, payload| {
                 let raw = Reader::new(payload).u64()?;
-                let mos = ctx.spm.mos_mut(ctx.asid)?;
-                let gpu_dev = mos.hal_mut().gpu_mut()?;
-                gpu_dev.free(gctx, GpuBuffer::from_raw(raw))?;
+                let gpu = ctx.spm.mos_mut(ctx.asid)?.hal_mut().gpu_mut()?;
+                gpu.free(gctx, GpuBuffer::from_raw(raw))?;
                 Ok((Vec::new(), SimNs::from_micros(1)))
             }),
         );
 
         // cuLaunchKernel(name, args, desc)
         sys.register_handler(
-            gpu,
+            session.dev,
             "cuLaunchKernel",
             Box::new(move |ctx, payload| {
                 let mut r = Reader::new(payload);
@@ -238,50 +142,30 @@ impl CudaContext {
                     sm_demand: r.u32()?,
                 };
                 let cm = ctx.spm.machine().cost().clone();
-                let mos = ctx.spm.mos_mut(ctx.asid)?;
-                let gpu_dev = mos.hal_mut().gpu_mut()?;
-                let t = gpu_dev.launch(&cm, gctx, &name, &args, desc)?;
+                let gpu = ctx.spm.mos_mut(ctx.asid)?.hal_mut().gpu_mut()?;
+                let t = gpu.launch(&cm, gctx, &name, &args, desc)?;
                 Ok((Vec::new(), t))
             }),
         );
+        Ok(CudaContext { session, gctx })
     }
 
     /// Registers a kernel implementation on the device (module loading).
     ///
     /// # Errors
     ///
-    /// [`CudaError::System`] on HAL errors.
+    /// [`RuntimeError::System`] on HAL errors.
     pub fn load_kernel(
         &self,
         sys: &mut CronusSystem,
         name: &str,
         f: KernelFn,
-    ) -> Result<(), CudaError> {
-        let gctx = Self::gpu_ctx(sys, self.gpu)?;
-        sys.spm_mut()
-            .mos_mut(self.gpu.asid)
-            .map_err(|e| CudaError::System(e.into()))?
-            .hal_mut()
-            .gpu_mut()
-            .map_err(|e| CudaError::System(e.into()))?
-            .register_kernel(gctx, name, f)
-            .map_err(|e| CudaError::System(e.into()))
-    }
-
-    /// `cudaMalloc`.
-    ///
-    /// # Errors
-    ///
-    /// RPC or device out-of-memory errors.
-    pub fn malloc(&mut self, sys: &mut CronusSystem, len: u64) -> Result<DevPtr, CudaError> {
-        let mut w = Writer::new();
-        w.u64(len);
-        let out = sys
-            .call(self.stream, "cuMalloc")
-            .payload(&w.finish())
-            .sync()?;
-        let raw = Reader::new(&out).u64().map_err(|_| CudaError::Protocol)?;
-        Ok(DevPtr(raw))
+    ) -> Result<(), RuntimeError> {
+        let load = || -> Result<(), CronusError> {
+            let gpu = sys.spm_mut().mos_mut(self.dev.asid)?.hal_mut().gpu_mut()?;
+            Ok(gpu.register_kernel(self.gctx, name, f)?)
+        };
+        load().map_err(RuntimeError::System)
     }
 
     /// `cudaFree` (asynchronous).
@@ -289,43 +173,13 @@ impl CudaContext {
     /// # Errors
     ///
     /// RPC errors.
-    pub fn free(&mut self, sys: &mut CronusSystem, ptr: DevPtr) -> Result<(), CudaError> {
+    pub fn free(&mut self, sys: &mut CronusSystem, ptr: DevPtr) -> Result<(), RuntimeError> {
         let mut w = Writer::new();
         w.u64(ptr.0);
         sys.call(self.stream, "cuFree")
             .payload(&w.finish())
             .start()?;
         Ok(())
-    }
-
-    /// `cudaMemcpyHostToDevice`: copies host bytes into device memory via
-    /// the staging buffer. The caller pays the staging write; the device
-    /// copy streams asynchronously.
-    ///
-    /// # Errors
-    ///
-    /// RPC or device errors.
-    pub fn memcpy_h2d(
-        &mut self,
-        sys: &mut CronusSystem,
-        dst: DevPtr,
-        data: &[u8],
-    ) -> Result<(), CudaError> {
-        Ok(self.staging.h2d(sys, dst.0, data)?)
-    }
-
-    /// `cudaMemcpyDeviceToHost`: synchronous copy back to the host.
-    ///
-    /// # Errors
-    ///
-    /// RPC or device errors.
-    pub fn memcpy_d2h(
-        &mut self,
-        sys: &mut CronusSystem,
-        src: DevPtr,
-        len: u64,
-    ) -> Result<Vec<u8>, CudaError> {
-        Ok(self.staging.d2h(sys, src.0, len)?)
     }
 
     /// `cudaLaunchKernel` (asynchronous).
@@ -339,7 +193,7 @@ impl CudaContext {
         kernel: &str,
         args: &[LaunchArg],
         desc: GpuKernelDesc,
-    ) -> Result<(), CudaError> {
+    ) -> Result<(), RuntimeError> {
         let mut w = Writer::new();
         w.str(kernel).u32(args.len() as u32);
         for a in args {
@@ -361,61 +215,6 @@ impl CudaContext {
             .start()?;
         Ok(())
     }
-
-    /// `cudaDeviceSynchronize`.
-    ///
-    /// # Errors
-    ///
-    /// RPC errors, including peer failure.
-    pub fn synchronize(&mut self, sys: &mut CronusSystem) -> Result<(), CudaError> {
-        sys.sync(self.stream)?;
-        self.staging.rewind();
-        Ok(())
-    }
-
-    /// Peer-to-peer copy to another GPU context's device over PCIe
-    /// (Fig. 11b's direct GPU-GPU path over trusted shared device memory).
-    /// Returns the simulated transfer time, charged to the caller enclave.
-    ///
-    /// # Errors
-    ///
-    /// Bus errors when either device is missing.
-    pub fn p2p_copy(
-        &mut self,
-        sys: &mut CronusSystem,
-        other: &CudaContext,
-        bytes: u64,
-    ) -> Result<SimNs, CudaError> {
-        let from = sys
-            .spm()
-            .mos(self.gpu.asid)
-            .map_err(|e| CudaError::System(e.into()))?
-            .hal()
-            .device_id();
-        let to = sys
-            .spm()
-            .mos(other.gpu.asid)
-            .map_err(|e| CudaError::System(e.into()))?
-            .hal()
-            .device_id();
-        let t = {
-            let spm = sys.spm();
-            spm.bus()
-                .dma_peer_to_peer(spm.machine(), from, to, bytes)
-                .map_err(|e| CudaError::System(e.into()))?
-        };
-        sys.advance_enclave(self.cpu, t);
-        let rec = sys.recorder();
-        let prev = rec.set_meter_scope(
-            MeterScope::principal(Principal(self.cpu.asid.as_u32()))
-                .with_stream(self.stream.as_u64()),
-        );
-        rec.charge_detail(TimeCategory::Memcpy, "p2p", t);
-        rec.meter_count(CountResource::DmaBytes, bytes);
-        rec.set_meter_scope(prev);
-        rec.counter_add("cuda.memcpy_bytes", &[("dir", "p2p")], bytes);
-        Ok(t)
-    }
 }
 
 /// A kernel launch argument (client side).
@@ -432,9 +231,10 @@ pub enum LaunchArg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cronus_core::CronusSystem;
+    use cronus_core::{Actor, SrpcError};
     use cronus_devices::gpu::GpuError;
     use cronus_spm::spm::{BootConfig, DeviceSpec, PartitionSpec};
+    use std::collections::BTreeMap;
     use std::sync::Arc;
 
     fn boot() -> (CronusSystem, EnclaveRef) {
@@ -499,8 +299,8 @@ mod tests {
         let xs: Vec<f32> = (0..n).map(|i| i as f32).collect();
         let ys: Vec<f32> = vec![1.0; n];
 
-        let dx = cuda.malloc(&mut sys, (n * 4) as u64).unwrap();
-        let dy = cuda.malloc(&mut sys, (n * 4) as u64).unwrap();
+        let dx = cuda.alloc(&mut sys, (n * 4) as u64).unwrap();
+        let dy = cuda.alloc(&mut sys, (n * 4) as u64).unwrap();
         cuda.memcpy_h2d(&mut sys, dx, &f32s_to_bytes(&xs)).unwrap();
         cuda.memcpy_h2d(&mut sys, dy, &f32s_to_bytes(&ys)).unwrap();
         cuda.launch(
@@ -542,7 +342,7 @@ mod tests {
         .unwrap();
         // 64 KiB through an 8 KiB staging buffer.
         let data: Vec<u8> = (0..65536u32).map(|i| (i % 251) as u8).collect();
-        let d = cuda.malloc(&mut sys, data.len() as u64).unwrap();
+        let d = cuda.alloc(&mut sys, data.len() as u64).unwrap();
         cuda.memcpy_h2d(&mut sys, d, &data).unwrap();
         let out = cuda.memcpy_d2h(&mut sys, d, data.len() as u64).unwrap();
         assert_eq!(out, data);
@@ -602,11 +402,11 @@ mod tests {
     fn gpu_partition_failure_propagates() {
         let (mut sys, cpu) = boot();
         let mut cuda = CudaContext::new(&mut sys, cpu, CudaOptions::default()).unwrap();
-        let d = cuda.malloc(&mut sys, 1024).unwrap();
-        sys.inject_partition_failure(cuda.gpu.asid).unwrap();
+        let d = cuda.alloc(&mut sys, 1024).unwrap();
+        sys.inject_partition_failure(cuda.dev.asid).unwrap();
         let err = cuda.memcpy_h2d(&mut sys, d, &[0u8; 16]).unwrap_err();
         assert!(
-            matches!(err, CudaError::Srpc(SrpcError::PeerFailed { .. })),
+            matches!(err, RuntimeError::Srpc(SrpcError::PeerFailed { .. })),
             "got {err:?}"
         );
     }

@@ -5,11 +5,14 @@
 //! ... and a CUDA executable file" (§IV-A). This crate provides three
 //! execution models over `cronus-core`:
 //!
-//! * [`cuda`] — a CUDA-like runtime (the gdev/ocelot analogue): device
-//!   memory management, host↔device copies through a trusted staging buffer
-//!   with SMMU-checked DMA, and asynchronous kernel launches over sRPC;
-//! * [`vta`] — a VTA/TVM-like NPU runtime: buffer management plus
-//!   submission of compiled [`cronus_devices::VtaProgram`]s;
+//! * [`session`] — what the two accelerator runtimes share: the device
+//!   mEnclave and its in-order sRPC stream, device memory management,
+//!   host↔device copies through a trusted staging buffer with SMMU-checked
+//!   DMA, synchronization, and one error type;
+//! * [`cuda`] — the CUDA-like runtime (the gdev/ocelot analogue) over it:
+//!   module loading, `cudaFree` and asynchronous kernel launches;
+//! * [`vta`] — the VTA/TVM-like NPU runtime over it: submission of compiled
+//!   [`cronus_devices::VtaProgram`]s;
 //! * [`cpu`] — the CPU mEnclave runtime (the musl/LibOS analogue):
 //!   registered functions invoked as mECalls.
 //!
@@ -19,10 +22,12 @@
 
 pub mod cpu;
 pub mod cuda;
+pub mod session;
 mod staging;
 pub mod vta;
 pub mod wire;
 
 pub use cpu::{cpu_manifest, CpuEnclaveBuilder};
-pub use cuda::{cuda_manifest, CudaContext, CudaError, CudaOptions, DevPtr, LaunchArg};
-pub use vta::{vta_manifest, NpuPtr, VtaContext, VtaError, VtaOptions};
+pub use cuda::{cuda_manifest, CudaContext, CudaOptions, LaunchArg};
+pub use session::{DevPtr, RuntimeError, Session};
+pub use vta::{vta_manifest, VtaContext, VtaOptions};

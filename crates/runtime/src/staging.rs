@@ -1,4 +1,4 @@
-//! The staging protocol the CUDA and VTA runtimes share.
+//! The staging protocol of an accelerator [`crate::session::Session`].
 //!
 //! Bulk data moves through a dedicated trusted shared *staging buffer*
 //! (distinct from the descriptor ring), and from there to the device by
@@ -9,6 +9,7 @@
 //! staging and device memory.
 
 use cronus_core::{CronusError, CronusSystem, EnclaveRef, ServerCtx, SrpcError, StreamId};
+use cronus_devices::Dma;
 use cronus_mos::hal::DeviceCtx;
 use cronus_obs::{
     CountResource, CounterId, FrameId, GaugeId, MeterScope, NameId, Principal, RecorderInner,
@@ -18,24 +19,8 @@ use cronus_sim::addr::{VirtAddr, PAGE_SIZE};
 use cronus_sim::pagetable::{Access, PagePerms};
 use cronus_sim::SimNs;
 
+use crate::session::SessionNames;
 use crate::wire::{Reader, Writer};
-
-/// What distinguishes one runtime's staging from the other's.
-#[derive(Debug)]
-pub(crate) struct StagingNames {
-    /// The asynchronous staging → device copy mECall.
-    pub h2d_call: &'static str,
-    /// The synchronous device → staging copy mECall.
-    pub d2h_call: &'static str,
-    /// The `<runtime>.memcpy_bytes{dir}` counter.
-    pub bytes_metric: &'static str,
-}
-
-#[derive(Clone, Copy, Debug)]
-enum Dir {
-    H2d = 0,
-    D2h = 1,
-}
 
 /// The telemetry handles of one staging buffer, resolved by its first chunk.
 #[derive(Debug)]
@@ -46,7 +31,7 @@ struct StagingObs {
     ledger_evicted: GaugeId,
     /// `enclave:<caller>`.
     track: TrackId,
-    /// By [`Dir`]: the `memcpy;staging_{write,read}` frame, the byte counter
+    /// By [`Dma`]: the `memcpy;staging_{write,read}` frame, the byte counter
     /// and the interned span name.
     dirs: [(FrameId, CounterId, NameId); 2],
 }
@@ -56,7 +41,7 @@ struct StagingObs {
 pub(crate) struct Staging {
     cpu: EnclaveRef,
     stream: StreamId,
-    names: &'static StagingNames,
+    pub(crate) names: &'static SessionNames,
     caller_va: VirtAddr,
     bytes: u64,
     cursor: u64,
@@ -65,35 +50,34 @@ pub(crate) struct Staging {
 
 impl Staging {
     /// Shares `pages` of staging memory between `cpu` and the device enclave
-    /// `dev`, lets the device's DMA engine reach them, and registers the two
-    /// copy handlers in `dev`'s partition.
+    /// `dev` (backed by device context `dctx`), lets the device's DMA engine
+    /// reach them, and registers the two copy handlers in `dev`'s partition.
     ///
     /// # Errors
     ///
-    /// Sharing failures; an enclave that is unknown to its mOS.
+    /// Sharing failures.
     pub(crate) fn open(
         sys: &mut CronusSystem,
         cpu: EnclaveRef,
         dev: EnclaveRef,
         stream: StreamId,
         pages: usize,
-        names: &'static StagingNames,
+        dctx: DeviceCtx,
+        names: &'static SessionNames,
     ) -> Result<Staging, CronusError> {
         let (share, caller_va, callee_va) =
             sys.spm_mut()
                 .share_memory((cpu.asid, cpu.eid), (dev.asid, dev.eid), pages)?;
         // The device's DMA engine must reach the staging pages (SMMU grants).
         let granted = sys.spm().share_pages(share)?.to_vec();
-        let mos = sys.spm().mos(dev.asid)?;
-        let dma_stream = mos.hal().dma_stream();
-        let dctx = mos.manager().entry(dev.eid)?.ctx;
+        let dma_stream = sys.spm().mos(dev.asid)?.hal().dma_stream();
         for ppn in granted {
             sys.spm_mut()
                 .machine_mut()
                 .smmu_mut()
                 .grant(dma_stream, ppn, PagePerms::RW);
         }
-        for (call, dir) in [(names.h2d_call, Dir::H2d), (names.d2h_call, Dir::D2h)] {
+        for (call, dir) in [(names.h2d_call, Dma::H2d), (names.d2h_call, Dma::D2h)] {
             sys.register_handler(
                 dev,
                 call,
@@ -151,7 +135,7 @@ impl Staging {
             sys.set_current_req(Some(req));
             // Caller writes the chunk into staging (charged as a memcpy).
             sys.shared_write(self.cpu, self.caller_va.add(off), chunk)?;
-            self.copied(sys, Dir::H2d, n);
+            self.copied(sys, Dma::H2d, n);
             let mut w = Writer::new();
             w.u64(dst).u64(done).u64(off).u64(n);
             sys.call(self.stream, self.names.h2d_call)
@@ -191,7 +175,7 @@ impl Staging {
             // request so the read-back traces to the device copy.
             sys.set_current_req(Some(req));
             let read = sys.shared_read(self.cpu, self.caller_va.add(off), tail);
-            self.copied(sys, Dir::D2h, n);
+            self.copied(sys, Dma::D2h, n);
             sys.set_current_req(None);
             read?;
             done += n;
@@ -202,7 +186,7 @@ impl Staging {
     /// The caller moved one chunk of `n` bytes between its memory and
     /// staging: advances its clock by the memcpy and reports it, as one
     /// locked recorder step.
-    fn copied(&mut self, sys: &mut CronusSystem, dir: Dir, n: u64) {
+    fn copied(&mut self, sys: &mut CronusSystem, dir: Dma, n: u64) {
         let cost = sys.spm().machine().cost().memcpy(n);
         sys.advance_enclave(self.cpu, cost);
         let now = sys.enclave_time(self.cpu);
@@ -225,7 +209,7 @@ impl StagingObs {
         r: &mut RecorderInner,
         cpu: EnclaveRef,
         stream: StreamId,
-        names: &StagingNames,
+        names: &SessionNames,
     ) -> StagingObs {
         let dir = |r: &mut RecorderInner, label: &str, what: &str| {
             (
@@ -253,7 +237,7 @@ impl StagingObs {
     fn chunk(
         &self,
         r: &mut RecorderInner,
-        dir: Dir,
+        dir: Dma,
         n: u64,
         cost: SimNs,
         now: SimNs,
@@ -282,7 +266,7 @@ fn serve_copy(
     payload: &[u8],
     dctx: DeviceCtx,
     staging_va: VirtAddr,
-    dir: Dir,
+    dir: Dma,
 ) -> Result<(Vec<u8>, SimNs), CronusError> {
     let mut r = Reader::new(payload);
     let buf = r.u64()?;
@@ -296,18 +280,14 @@ fn serve_copy(
     while done < len {
         let va = staging_va.add(staging_off + done);
         let n = (len - done).min(PAGE_SIZE - va.page_offset());
-        total += match dir {
-            Dir::H2d => {
-                let pa = mos.translate(eid, va, Access::Read)?;
-                mos.hal_mut()
-                    .copy_h2d(machine, bus, dctx, buf, buf_off + done, pa, n as usize)?
-            }
-            Dir::D2h => {
-                let pa = mos.translate(eid, va, Access::Write)?;
-                mos.hal_mut()
-                    .copy_d2h(machine, bus, dctx, buf, buf_off + done, pa, n as usize)?
-            }
+        let access = match dir {
+            Dma::H2d => Access::Read,
+            Dma::D2h => Access::Write,
         };
+        let pa = mos.translate(eid, va, access)?;
+        total +=
+            mos.hal_mut()
+                .copy(machine, bus, dir, dctx, buf, buf_off + done, pa, n as usize)?;
         done += n;
     }
     Ok((Vec::new(), total))

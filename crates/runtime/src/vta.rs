@@ -1,80 +1,28 @@
 //! The VTA NPU execution model.
 //!
 //! The paper "uses the fsim runtime code for the NPU mEnclave and the fsim
-//! driver code for its mOS's HAL" (§V-B). This module is the client/server
-//! pair over the simulated VTA device: buffer management, host↔device
-//! copies through a trusted staging buffer, and submission of compiled
-//! [`VtaProgram`]s.
+//! driver code for its mOS's HAL" (§V-B). This module is what VTA adds to
+//! the accelerator [`Session`] (buffer management, host↔device copies and
+//! synchronization are the session's): the wire codec of compiled
+//! [`VtaProgram`]s and their submission.
 
-use std::collections::BTreeMap;
+use std::ops::{Deref, DerefMut};
 
-use cronus_core::{
-    Actor, CronusError, CronusSystem, EnclaveRef, SrpcError, StreamId, SystemError,
-    DEFAULT_RING_PAGES,
-};
-use cronus_devices::npu::{AluOp, NpuBuffer, NpuContextId, VtaInsn, VtaProgram};
+use cronus_core::{CronusSystem, EnclaveRef, DEFAULT_RING_PAGES};
+use cronus_devices::npu::{AluOp, NpuBuffer, VtaInsn, VtaProgram};
 use cronus_devices::DeviceKind;
 use cronus_mos::hal::DeviceCtx;
 use cronus_mos::manifest::{Manifest, McallDecl};
-use cronus_sim::SimNs;
 
-use crate::staging::{Staging, StagingNames};
+use crate::session::{RuntimeError, Session, SessionNames};
 use crate::wire::{Reader, WireError, Writer};
 
-const STAGING: StagingNames = StagingNames {
+const NAMES: SessionNames = SessionNames {
+    alloc_call: "vtaAlloc",
     h2d_call: "vtaMemcpyH2D",
     d2h_call: "vtaMemcpyD2H",
     bytes_metric: "vta.memcpy_bytes",
 };
-
-/// An NPU device pointer.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct NpuPtr(pub u64);
-
-/// Errors from the VTA runtime.
-#[derive(Clone, Debug, PartialEq)]
-#[non_exhaustive]
-pub enum VtaError {
-    /// sRPC transport error.
-    Srpc(SrpcError),
-    /// Enclave or stream setup rejected by the system layer.
-    Setup(SystemError),
-    /// Typed SPM/HAL/device error during setup or control operations.
-    System(CronusError),
-    /// Malformed response.
-    Protocol,
-    /// The enclave's device context is not an NPU context.
-    WrongDeviceCtx,
-}
-
-impl std::fmt::Display for VtaError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            VtaError::Srpc(e) => write!(f, "srpc: {e}"),
-            VtaError::Setup(e) => write!(f, "setup: {e}"),
-            VtaError::System(e) => write!(f, "system: {e}"),
-            VtaError::Protocol => f.write_str("malformed vta rpc response"),
-            VtaError::WrongDeviceCtx => f.write_str("enclave is not backed by an npu context"),
-        }
-    }
-}
-
-impl std::error::Error for VtaError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            VtaError::Srpc(e) => Some(e),
-            VtaError::Setup(e) => Some(e),
-            VtaError::System(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<SrpcError> for VtaError {
-    fn from(e: SrpcError) -> Self {
-        VtaError::Srpc(e)
-    }
-}
 
 /// Options for the VTA context.
 #[derive(Clone, Copy, Debug)]
@@ -221,16 +169,24 @@ pub fn decode_program(bytes: &[u8]) -> Result<VtaProgram, WireError> {
     Ok(prog)
 }
 
-/// A live VTA context: a CPU mEnclave driving an NPU mEnclave over sRPC.
+/// A live VTA context: a [`Session`] with an NPU mEnclave (`dev`).
 #[derive(Debug)]
 pub struct VtaContext {
-    /// Caller (CPU) enclave.
-    pub cpu: EnclaveRef,
-    /// NPU mEnclave.
-    pub npu: EnclaveRef,
-    /// sRPC stream.
-    pub stream: StreamId,
-    staging: Staging,
+    session: Session,
+}
+
+impl Deref for VtaContext {
+    type Target = Session;
+
+    fn deref(&self) -> &Session {
+        &self.session
+    }
+}
+
+impl DerefMut for VtaContext {
+    fn deref_mut(&mut self) -> &mut Session {
+        &mut self.session
+    }
 }
 
 impl VtaContext {
@@ -243,124 +199,31 @@ impl VtaContext {
         sys: &mut CronusSystem,
         cpu: EnclaveRef,
         opts: VtaOptions,
-    ) -> Result<Self, VtaError> {
-        let npu = sys
-            .create_enclave(
-                Actor::Enclave(cpu),
-                vta_manifest(opts.memory),
-                &BTreeMap::new(),
-            )
-            .map_err(VtaError::Setup)?;
-        // A device context models one in-order command queue (CUDA default-
-        // stream / VTA instruction-fetch semantics), so its sRPC stream is
-        // pinned to a single lane: commands must not overlap on the virtual
-        // clock. Multi-lane geometry is for independent service streams.
-        let stream = sys
-            .stream(cpu, npu)
-            .rings(1)
-            .pages(opts.ring_pages)
-            .open()?;
-
-        let staging = Staging::open(sys, cpu, npu, stream, opts.staging_pages, &STAGING)
-            .map_err(VtaError::System)?;
-
-        let nctx = Self::npu_ctx(sys, npu)?;
-        Self::register_handlers(sys, npu, nctx);
-
-        Ok(VtaContext {
+    ) -> Result<Self, RuntimeError> {
+        let manifest = vta_manifest(opts.memory);
+        let (session, dctx) = Session::open(
+            sys,
             cpu,
-            npu,
-            stream,
-            staging,
-        })
-    }
-
-    fn npu_ctx(sys: &CronusSystem, npu: EnclaveRef) -> Result<NpuContextId, VtaError> {
-        let entry = sys
-            .spm()
-            .mos(npu.asid)
-            .map_err(|e| VtaError::System(e.into()))?
-            .manager()
-            .entry(npu.eid)
-            .map_err(|e| VtaError::System(e.into()))?;
-        match entry.ctx {
-            DeviceCtx::Npu(ctx) => Ok(ctx),
-            _ => Err(VtaError::WrongDeviceCtx),
-        }
-    }
-
-    fn register_handlers(sys: &mut CronusSystem, npu: EnclaveRef, nctx: NpuContextId) {
+            manifest,
+            opts.ring_pages,
+            opts.staging_pages,
+            &NAMES,
+        )?;
+        let DeviceCtx::Accel(DeviceKind::Npu, nctx) = dctx else {
+            return Err(RuntimeError::WrongDeviceCtx);
+        };
         sys.register_handler(
-            npu,
-            "vtaAlloc",
-            Box::new(move |ctx, payload| {
-                let len = Reader::new(payload).u64()?;
-                let mos = ctx.spm.mos_mut(ctx.asid)?;
-                let dev = mos.hal_mut().npu_mut()?;
-                let buf = dev.alloc(nctx, len)?;
-                let mut w = Writer::new();
-                w.u64(buf.as_raw());
-                Ok((w.finish(), SimNs::from_micros(2)))
-            }),
-        );
-
-        sys.register_handler(
-            npu,
+            session.dev,
             "vtaRun",
             Box::new(move |ctx, payload| {
                 let prog = decode_program(payload)?;
                 let cm = ctx.spm.machine().cost().clone();
-                let mos = ctx.spm.mos_mut(ctx.asid)?;
-                let dev = mos.hal_mut().npu_mut()?;
-                let t = dev.run(&cm, nctx, &prog)?;
+                let npu = ctx.spm.mos_mut(ctx.asid)?.hal_mut().npu_mut()?;
+                let t = npu.run(&cm, nctx, &prog)?;
                 Ok((Vec::new(), t))
             }),
         );
-    }
-
-    /// Allocates NPU device memory.
-    ///
-    /// # Errors
-    ///
-    /// RPC/device errors.
-    pub fn alloc(&mut self, sys: &mut CronusSystem, len: u64) -> Result<NpuPtr, VtaError> {
-        let mut w = Writer::new();
-        w.u64(len);
-        let out = sys
-            .call(self.stream, "vtaAlloc")
-            .payload(&w.finish())
-            .sync()?;
-        Ok(NpuPtr(
-            Reader::new(&out).u64().map_err(|_| VtaError::Protocol)?,
-        ))
-    }
-
-    /// Host → NPU copy through staging.
-    ///
-    /// # Errors
-    ///
-    /// RPC/device errors.
-    pub fn memcpy_h2d(
-        &mut self,
-        sys: &mut CronusSystem,
-        dst: NpuPtr,
-        data: &[u8],
-    ) -> Result<(), VtaError> {
-        Ok(self.staging.h2d(sys, dst.0, data)?)
-    }
-
-    /// NPU → host copy (synchronous).
-    ///
-    /// # Errors
-    ///
-    /// RPC/device errors.
-    pub fn memcpy_d2h(
-        &mut self,
-        sys: &mut CronusSystem,
-        src: NpuPtr,
-        len: u64,
-    ) -> Result<Vec<u8>, VtaError> {
-        Ok(self.staging.d2h(sys, src.0, len)?)
+        Ok(VtaContext { session })
     }
 
     /// Submits a compiled program asynchronously.
@@ -368,21 +231,10 @@ impl VtaContext {
     /// # Errors
     ///
     /// RPC errors.
-    pub fn run(&mut self, sys: &mut CronusSystem, prog: &VtaProgram) -> Result<(), VtaError> {
+    pub fn run(&mut self, sys: &mut CronusSystem, prog: &VtaProgram) -> Result<(), RuntimeError> {
         sys.call(self.stream, "vtaRun")
             .payload(&encode_program(prog))
             .start()?;
-        Ok(())
-    }
-
-    /// Waits for all submitted work.
-    ///
-    /// # Errors
-    ///
-    /// RPC errors.
-    pub fn synchronize(&mut self, sys: &mut CronusSystem) -> Result<(), VtaError> {
-        sys.sync(self.stream)?;
-        self.staging.rewind();
         Ok(())
     }
 }
@@ -390,7 +242,9 @@ impl VtaContext {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cronus_core::{Actor, SrpcError};
     use cronus_spm::spm::{BootConfig, DeviceSpec, PartitionSpec};
+    use std::collections::BTreeMap;
 
     fn boot() -> (CronusSystem, EnclaveRef) {
         let mut sys = CronusSystem::boot(BootConfig {
@@ -492,10 +346,10 @@ mod tests {
         let (mut sys, cpu) = boot();
         let mut vta = VtaContext::new(&mut sys, cpu, VtaOptions::default()).unwrap();
         let buf = vta.alloc(&mut sys, 16).unwrap();
-        sys.inject_partition_failure(vta.npu.asid).unwrap();
+        sys.inject_partition_failure(vta.dev.asid).unwrap();
         let err = vta.memcpy_h2d(&mut sys, buf, &[1, 2, 3]).unwrap_err();
         assert!(
-            matches!(err, VtaError::Srpc(SrpcError::PeerFailed { .. })),
+            matches!(err, RuntimeError::Srpc(SrpcError::PeerFailed { .. })),
             "{err:?}"
         );
     }

@@ -156,11 +156,6 @@ impl Machine {
         self.sink = Some(sink);
     }
 
-    /// Removes the installed event sink, if any.
-    pub fn clear_event_sink(&mut self) -> Option<Box<dyn EventSink>> {
-        self.sink.take()
-    }
-
     /// The cost model in effect.
     pub fn cost(&self) -> &CostModel {
         &self.cost
@@ -170,14 +165,6 @@ impl Machine {
     pub fn record(&mut self, kind: EventKind) {
         self.monotonic += SimNs::from_nanos(1);
         let at = self.monotonic;
-        if let Some(sink) = self.sink.as_mut() {
-            sink.on_event(at, &kind);
-        }
-    }
-
-    /// Records an event at an explicit simulated instant.
-    pub fn record_at(&mut self, at: SimNs, kind: EventKind) {
-        self.monotonic = self.monotonic.max(at);
         if let Some(sink) = self.sink.as_mut() {
             sink.on_event(at, &kind);
         }
@@ -269,17 +256,6 @@ impl Machine {
     pub fn register_partition(&mut self, asid: AsId) {
         self.stage2.entry(asid).or_default();
         self.failed.remove(&asid);
-    }
-
-    /// Removes a partition and its stage-2 table entirely.
-    pub fn remove_partition(&mut self, asid: AsId) {
-        self.stage2.remove(&asid);
-        self.failed.remove(&asid);
-    }
-
-    /// Returns true if the partition is registered.
-    pub fn has_partition(&self, asid: AsId) -> bool {
-        self.stage2.contains_key(&asid)
     }
 
     /// Marks a partition failed (`r_f = 1` in the paper): all consecutive new

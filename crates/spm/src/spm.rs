@@ -24,7 +24,7 @@ use cronus_devices::bus::{PcieBus, PcieSlot};
 use cronus_devices::cpu::CpuDevice;
 use cronus_devices::gpu::GpuDevice;
 use cronus_devices::npu::NpuDevice;
-use cronus_devices::{endorse_device, vendor_keypair, DeviceKind, SimDevice};
+use cronus_devices::{endorse_device, vendor_keypair, DeviceKind};
 use cronus_forensics::{Ledger, SecurityEvent, MONITOR_CHAIN};
 use cronus_mos::hal::DeviceHal;
 use cronus_mos::manager::Owner;
@@ -387,11 +387,8 @@ impl Spm {
             // Vendor endorsement of the device's ROM key.
             let vendor_name = spec.device.vendor();
             let vendor = vendor_keypair(vendor_name);
-            let (endorsement, rot_digest) = match &hal {
-                DeviceHal::Cpu(d) => (endorse_device(&vendor, d.rot_public()), d.rot_digest()),
-                DeviceHal::Gpu(d) => (endorse_device(&vendor, d.rot_public()), d.rot_digest()),
-                DeviceHal::Npu(d) => (endorse_device(&vendor, d.rot_public()), d.rot_digest()),
-            };
+            let endorsement = endorse_device(&vendor, hal.device().rot_public());
+            let rot_digest = hal.device().rot_digest();
             vendors.insert(device, (vendor_name.to_string(), endorsement));
             ledger.append(
                 asid.as_u32(),

@@ -12,7 +12,7 @@ use std::fmt;
 
 use cronus_core::CronusSystem;
 use cronus_devices::gpu::{GpuKernelDesc, KernelFn};
-use cronus_runtime::{CudaContext, CudaError, DevPtr, LaunchArg};
+use cronus_runtime::{CudaContext, DevPtr, LaunchArg, RuntimeError};
 use cronus_sim::SimNs;
 
 /// A kernel launch argument, backend-neutral.
@@ -53,11 +53,11 @@ impl fmt::Display for BackendError {
 
 impl std::error::Error for BackendError {}
 
-impl From<CudaError> for BackendError {
-    fn from(e: CudaError) -> Self {
+impl From<RuntimeError> for BackendError {
+    fn from(e: RuntimeError) -> Self {
         let peer_failed = matches!(
             &e,
-            CudaError::Srpc(cronus_core::SrpcError::PeerFailed { .. })
+            RuntimeError::Srpc(cronus_core::SrpcError::PeerFailed { .. })
         );
         BackendError {
             message: e.to_string(),
@@ -199,7 +199,7 @@ impl GpuBackend for CronusGpuBackend<'_> {
     }
 
     fn alloc(&mut self, len: u64) -> Result<u64, BackendError> {
-        Ok(self.cuda.malloc(self.sys, len)?.0)
+        Ok(self.cuda.alloc(self.sys, len)?.0)
     }
 
     fn free(&mut self, ptr: u64) -> Result<(), BackendError> {

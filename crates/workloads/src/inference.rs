@@ -9,7 +9,7 @@
 
 use cronus_core::CronusSystem;
 use cronus_devices::npu::{AluOp, NpuBuffer, VtaInsn, VtaProgram};
-use cronus_runtime::{VtaContext, VtaError};
+use cronus_runtime::{RuntimeError, VtaContext};
 use cronus_sim::{CostModel, SimNs};
 
 use crate::dnn::models::Model;
@@ -98,7 +98,7 @@ pub fn run_quant_mlp(
     x: &[i8; 16],
     w1: &[i8; 16 * 16],
     w2: &[i8; 16 * 16],
-) -> Result<Vec<i8>, VtaError> {
+) -> Result<Vec<i8>, RuntimeError> {
     let to_u8 = |s: &[i8]| s.iter().map(|v| *v as u8).collect::<Vec<u8>>();
     let d_x = vta.alloc(sys, 16)?;
     let d_w1 = vta.alloc(sys, 256)?;

@@ -7,7 +7,7 @@
 
 use cronus_core::CronusSystem;
 use cronus_devices::npu::{AluOp, NpuBuffer, VtaInsn, VtaProgram};
-use cronus_runtime::{VtaContext, VtaError};
+use cronus_runtime::{RuntimeError, VtaContext};
 use cronus_sim::SimNs;
 
 /// One vta-bench result row.
@@ -86,7 +86,7 @@ pub fn run_gemm(
     vta: &mut VtaContext,
     dim: usize,
     tile: usize,
-) -> Result<VtaBenchRun, VtaError> {
+) -> Result<VtaBenchRun, RuntimeError> {
     assert!(dim.is_multiple_of(tile), "dim must be a multiple of tile");
     let bytes = (dim * dim) as u64;
     let inp = vta.alloc(sys, bytes)?;
@@ -126,7 +126,7 @@ pub fn run_alu(
     vta: &mut VtaContext,
     dim: usize,
     reps: usize,
-) -> Result<VtaBenchRun, VtaError> {
+) -> Result<VtaBenchRun, RuntimeError> {
     let bytes = (dim * dim) as u64;
     let buf = vta.alloc(sys, bytes)?;
     let data: Vec<u8> = (0..bytes).map(|i| (i % 97) as u8).collect();
@@ -176,7 +176,7 @@ pub fn suite(
     sys: &mut CronusSystem,
     vta: &mut VtaContext,
     scale: usize,
-) -> Result<Vec<VtaBenchRun>, VtaError> {
+) -> Result<Vec<VtaBenchRun>, RuntimeError> {
     let dim = 16 * scale.max(1);
     Ok(vec![
         run_gemm(sys, vta, dim, 16)?,

@@ -54,24 +54,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut task_b = CudaContext::new(&mut sys, cpu, CudaOptions::default())?;
     println!(
         "task A on partition {}, task B on partition {}",
-        task_a.gpu.asid, task_b.gpu.asid
+        task_a.dev.asid, task_b.dev.asid
     );
     assert_ne!(
-        task_a.gpu.asid, task_b.gpu.asid,
+        task_a.dev.asid, task_b.dev.asid,
         "dispatcher spread the GPUs"
     );
 
-    let da = task_a.malloc(&mut sys, 4096)?;
-    let db = task_b.malloc(&mut sys, 4096)?;
+    let da = task_a.alloc(&mut sys, 4096)?;
+    let db = task_b.alloc(&mut sys, 4096)?;
     task_a.memcpy_h2d(&mut sys, da, &[1u8; 4096])?;
     task_b.memcpy_h2d(&mut sys, db, &[2u8; 4096])?;
     println!("both tasks computing normally");
 
     // CRASH: the untrusted OS kills task B's partition.
-    let (invalidated, proceed_time) = sys.inject_partition_failure(task_b.gpu.asid)?;
+    let (invalidated, proceed_time) = sys.inject_partition_failure(task_b.dev.asid)?;
     println!(
         "partition {} crashed: {} stage-2/SMMU entries invalidated in {} (proceed step)",
-        task_b.gpu.asid, invalidated, proceed_time
+        task_b.dev.asid, invalidated, proceed_time
     );
 
     // Task A is completely unaffected (fault isolation, R3.1).
@@ -83,17 +83,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Task B's next access traps and turns into a failure signal — no
     // TOCTOU leak to a substituted peer, no deadlock (A1/A2).
     match task_b.memcpy_h2d(&mut sys, db, &[4u8; 16]) {
-        Err(cronus::runtime::CudaError::Srpc(SrpcError::PeerFailed { signalled })) => {
+        Err(cronus::runtime::RuntimeError::Srpc(SrpcError::PeerFailed { signalled })) => {
             println!("task B received the failure signal (delivered to {signalled})");
         }
         other => panic!("expected PeerFailed, got {other:?}"),
     }
 
     // Recovery: only the faulting partition clears and reloads its mOS.
-    let stats = sys.recover_partition(task_b.gpu.asid)?;
+    let stats = sys.recover_partition(task_b.dev.asid)?;
     println!(
         "recovered partition {}: clear {} + mOS restart {} = {} total (machine reboot would be {})",
-        task_b.gpu.asid,
+        task_b.dev.asid,
         stats.clear_time,
         stats.restart_time,
         stats.total(),
@@ -102,7 +102,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The task resubmits onto the recovered partition and works again.
     let mut task_b2 = CudaContext::new(&mut sys, cpu, CudaOptions::default())?;
-    let db2 = task_b2.malloc(&mut sys, 4096)?;
+    let db2 = task_b2.alloc(&mut sys, 4096)?;
     task_b2.memcpy_h2d(&mut sys, db2, &[5u8; 64])?;
     let out = task_b2.memcpy_d2h(&mut sys, db2, 64)?;
     assert_eq!(out, vec![5u8; 64]);

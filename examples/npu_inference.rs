@@ -30,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &BTreeMap::new(),
     )?;
     let mut vta = VtaContext::new(&mut sys, cpu, VtaOptions::default())?;
-    println!("NPU mEnclave {} ready behind sRPC", vta.npu.eid);
+    println!("NPU mEnclave {} ready behind sRPC", vta.dev.eid);
 
     // Real quantized inference: a 16-16-16 int8 MLP executed by the VTA ISA
     // interpreter, checked bit-for-bit against a CPU reference.

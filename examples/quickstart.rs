@@ -58,7 +58,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut cuda = CudaContext::new(&mut sys, cpu, CudaOptions::default())?;
     println!(
         "created CUDA mEnclave {} and opened sRPC stream",
-        cuda.gpu.eid
+        cuda.dev.eid
     );
 
     // 4. Load a kernel (the analogue of shipping a .cubin in the manifest).
@@ -90,8 +90,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n = 1 << 16;
     let xs: Vec<u8> = (0..n).flat_map(|i| (i as f32).to_le_bytes()).collect();
     let ys: Vec<u8> = (0..n).flat_map(|_| 1.0f32.to_le_bytes()).collect();
-    let dx = cuda.malloc(&mut sys, (n * 4) as u64)?;
-    let dy = cuda.malloc(&mut sys, (n * 4) as u64)?;
+    let dx = cuda.alloc(&mut sys, (n * 4) as u64)?;
+    let dy = cuda.alloc(&mut sys, (n * 4) as u64)?;
     cuda.memcpy_h2d(&mut sys, dx, &xs)?;
     cuda.memcpy_h2d(&mut sys, dy, &ys)?;
     cuda.launch(

@@ -62,3 +62,5 @@ done
 echo "CI gate passed."
 echo "trusted-surface LOC: $(cat $(find crates/{sim,crypto,mos,spm,core}/src -name '*.rs') | wc -l)"
 echo "tooling LOC:         $(cat $(find crates/{obs,audit,forensics,chaos,bench}/src -name '*.rs') src/bin/*.rs scripts/*.sh | wc -l)"
+# Lines before the unit-test module of the GPU/NPU stack: devices, their HAL, their runtimes.
+echo "accelerator-stack LOC: $(awk 'FNR == 1 { t = 0 } /^#\[cfg\(test\)\]/ { t = 1 } !t' crates/{devices,runtime}/src/*.rs crates/mos/src/hal.rs | wc -l)"

@@ -78,7 +78,7 @@ fn paas_application_lifecycle() {
     // 3. The CPU mEnclave spins up both accelerators.
     let mut cuda = CudaContext::new(&mut sys, cpu, CudaOptions::default()).expect("cuda");
     let mut vta = VtaContext::new(&mut sys, cpu, VtaOptions::default()).expect("vta");
-    assert_ne!(cuda.gpu.asid, vta.npu.asid);
+    assert_ne!(cuda.dev.asid, vta.dev.asid);
 
     // 4. GPU work: scale a vector.
     cuda.load_kernel(
@@ -97,7 +97,7 @@ fn paas_application_lifecycle() {
         }),
     )
     .expect("kernel");
-    let d = cuda.malloc(&mut sys, 16).expect("malloc");
+    let d = cuda.alloc(&mut sys, 16).expect("malloc");
     let input: Vec<u8> = [1.0f32, 2.0, 3.0, 4.0]
         .iter()
         .flat_map(|v| v.to_le_bytes())
@@ -156,11 +156,11 @@ fn paas_application_lifecycle() {
 
     // 6. Teardown: destroying the accelerator enclaves reclaims everything;
     //    further stream use fails cleanly.
-    let gpu_ref = cuda.gpu;
+    let gpu_ref = cuda.dev;
     sys.destroy_enclave(gpu_ref).expect("destroy");
     assert!(matches!(
-        cuda.malloc(&mut sys, 4).unwrap_err(),
-        cronus::runtime::CudaError::Srpc(SrpcError::UnknownStream(_))
+        cuda.alloc(&mut sys, 4).unwrap_err(),
+        cronus::runtime::RuntimeError::Srpc(SrpcError::UnknownStream(_))
     ));
 }
 
@@ -179,7 +179,7 @@ fn trust_is_scoped_per_partition() {
         .expect("cpu enclave");
     let cuda = CudaContext::new(&mut sys, cpu, CudaOptions::default()).expect("cuda");
 
-    let gpu_report = sys.attestation_report(cuda.gpu).expect("gpu report");
+    let gpu_report = sys.attestation_report(cuda.dev).expect("gpu report");
     assert_eq!(gpu_report.report.vendor, "nvidia");
     // The GPU partition's report lists only GPU-partition enclaves.
     for (eid, _) in &gpu_report.report.enclaves {
@@ -202,9 +202,9 @@ fn accelerator_failure_does_not_cross_partitions() {
     let mut vta = VtaContext::new(&mut sys, cpu, VtaOptions::default()).expect("vta");
 
     // Kill the GPU partition mid-flight.
-    sys.inject_partition_failure(cuda.gpu.asid)
+    sys.inject_partition_failure(cuda.dev.asid)
         .expect("failure");
-    let d = cuda.malloc(&mut sys, 4);
+    let d = cuda.alloc(&mut sys, 4);
     assert!(d.is_err(), "GPU path is dead");
 
     // The NPU path is untouched.
@@ -213,10 +213,10 @@ fn accelerator_failure_does_not_cross_partitions() {
         .expect("npu alive");
 
     // Recover the GPU and start fresh.
-    sys.recover_partition(cuda.gpu.asid).expect("recovery");
+    sys.recover_partition(cuda.dev.asid).expect("recovery");
     let mut cuda2 = CudaContext::new(&mut sys, cpu, CudaOptions::default()).expect("fresh cuda");
     let d2 = cuda2
-        .malloc(&mut sys, 64)
+        .alloc(&mut sys, 64)
         .expect("alloc on recovered partition");
     cuda2.memcpy_h2d(&mut sys, d2, &[9u8; 64]).expect("h2d");
     assert_eq!(
