@@ -352,13 +352,14 @@ pub fn run(set: &SourceSet) -> Report {
         }
     }
 
-    // ---- 4 & 5. wall clock, string errors ---------------------------
+    // ---- 4, 5 & 6. wall clock, string errors, hash order ------------
     for file in &parsed_owned {
         rules::wall_clock_findings(file, &mut findings);
         rules::string_error_findings(file, &mut findings);
+        rules::hash_order_findings(file, &mut findings);
     }
 
-    // ---- 6. allowlist hygiene ---------------------------------------
+    // ---- 7. allowlist hygiene ---------------------------------------
     for e in &allow {
         if !e.used {
             findings.push(Finding {

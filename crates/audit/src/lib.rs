@@ -14,8 +14,8 @@
 //! * [`install_hooks`] wires the audit into
 //!   [`cronus_core::CronusSystem`]'s reconfiguration points (enclave
 //!   create/destroy, stream open/close/reopen, ecall, failure injection,
-//!   recovery) via the `audit-hooks` feature, so every state transition is
-//!   re-verified during tests and campaigns;
+//!   recovery) through `CronusSystem::set_audit_hook`, so every state
+//!   transition is re-verified during tests and campaigns;
 //! * the **cronus-lint v2** static-analysis engine — a hand-written
 //!   lexer ([`lex`]), brace-tree item parser ([`syntax`]), per-function
 //!   fact extraction ([`facts`]), a repo-wide call graph ([`graph`]),

@@ -41,7 +41,7 @@ pub struct Rule {
 }
 
 /// Every rule the engine can emit, in report order.
-pub const RULES: [Rule; 6] = [
+pub const RULES: [Rule; 7] = [
     Rule {
         name: "secret-taint",
         summary: "secret values must not reach observable sinks unredacted",
@@ -85,6 +85,19 @@ benchmark/ break simulation determinism; everything else runs on the \
 simulated clock. The deterministic observatory files \
 crates/obs/src/{queue,slo,bundle,diff,meter,fairness}.rs are carved out of \
 the exemption: they promise byte-identical output per seed.",
+    },
+    Rule {
+        name: "hash-order",
+        summary: "trusted state tables iterate in key order: no HashMap/HashSet",
+        explain: "HashMap/HashSet in non-test code of crates/{sim,mos,spm,core}/src \
+is a finding: a walk over one visits entries in an order that differs from run \
+to run, and walks there append ledger records, free frames and install \
+recorders, so the order reaches output that FORENSICS.md and FAULTS.md promise \
+is byte-identical per seed (destroy_enclave reclaimed four streams' shares in \
+hash order, and 19 of 20 identical runs exported a different ledger). Entity \
+tables are BTreeMaps or id-indexed Vecs, ordered by construction, so no caller \
+has to remember to sort. Files that keep a hashed table are listed, each with \
+its reason, in HASH_ORDER_EXEMPT.",
     },
     Rule {
         name: "no-string-errors",
@@ -137,6 +150,23 @@ pub const STRICT_OBS_FILES: [&str; 7] = [
     "crates/obs/src/queue.rs",
     "crates/obs/src/slo.rs",
 ];
+
+/// Trusted crates whose state tables must iterate in key order.
+pub const HASH_ORDER_SCOPES: [&str; 4] = [
+    "crates/sim/src",
+    "crates/mos/src",
+    "crates/spm/src",
+    "crates/core/src",
+];
+
+/// Files under [`HASH_ORDER_SCOPES`] that may keep a hashed table, each with
+/// the reason it is safe there.
+pub const HASH_ORDER_EXEMPT: [(&str, &str); 1] = [(
+    "crates/sim/src/pagetable.rs",
+    "page-granular tables, keyed by page number: large, probed on every \
+     checked access, never walked to produce ordered output (the exports that \
+     reach the auditor and the ledger sort by page)",
+)];
 
 /// Directories whose public APIs must not use `String` errors.
 pub const NO_STRING_ERROR_SCOPES: [&str; 5] = [
@@ -357,6 +387,31 @@ pub fn wall_clock_findings(file: &ParsedFile, out: &mut Vec<Finding>) {
                 chain: Vec::new(),
             });
         }
+    }
+}
+
+/// `hash-order`: `HashMap`/`HashSet` in a trusted crate's non-test code,
+/// outside the files [`HASH_ORDER_EXEMPT`] names.
+pub fn hash_order_findings(file: &ParsedFile, out: &mut Vec<Finding>) {
+    let exempt = HASH_ORDER_EXEMPT.iter().any(|(p, _)| *p == file.path);
+    if !in_scope(&file.path, &HASH_ORDER_SCOPES) || exempt {
+        return;
+    }
+    for (i, t) in file.tokens.iter().enumerate() {
+        let Tok::Ident(id) = &t.tok else { continue };
+        if (id != "HashMap" && id != "HashSet") || file.is_test_token(i) {
+            continue;
+        }
+        out.push(Finding {
+            rule: "hash-order",
+            path: file.path.clone(),
+            line: t.line,
+            message: format!(
+                "`{id}` in a trusted state table iterates in an order that differs \
+                 from run to run; use a BTreeMap/BTreeSet or an id-indexed Vec"
+            ),
+            chain: Vec::new(),
+        });
     }
 }
 

@@ -8,8 +8,6 @@
 //! which CRONUS tolerates through ownership assurance and per-partition
 //! manifest checks — the tests in `cronus-core` exercise exactly that.
 
-use std::collections::HashMap;
-
 use cronus_devices::DeviceKind;
 use cronus_mos::manifest::MosId;
 use cronus_sim::machine::AsId;
@@ -27,14 +25,14 @@ pub struct PartitionInfo {
     pub image: Vec<u8>,
     /// mOS version label.
     pub version: String,
+    /// Requests dispatched to it so far (utilization bookkeeping).
+    pub dispatched: u64,
 }
 
 /// The normal-world dispatcher.
 #[derive(Debug, Default)]
 pub struct Dispatcher {
     partitions: Vec<PartitionInfo>,
-    /// Requests dispatched per partition (utilization bookkeeping).
-    dispatched: HashMap<AsId, u64>,
     /// Attack injection: forces requests for a device kind to a wrong
     /// partition (the malicious-dispatch threat of §III-B).
     misroute: Option<(DeviceKind, AsId)>,
@@ -64,14 +62,14 @@ impl Dispatcher {
     pub fn route(&mut self, kind: DeviceKind) -> Option<AsId> {
         let asid = match self.misroute {
             Some((bad_kind, target)) if bad_kind == kind => target,
-            _ => self
-                .partitions
-                .iter()
-                .filter(|p| p.kind == kind)
-                .map(|p| p.asid)
-                .min_by_key(|asid| self.dispatched.get(asid).copied().unwrap_or(0))?,
+            _ => {
+                let of_kind = self.partitions.iter().filter(|p| p.kind == kind);
+                of_kind.min_by_key(|p| p.dispatched)?.asid
+            }
         };
-        *self.dispatched.entry(asid).or_default() += 1;
+        if let Some(p) = self.partitions.iter_mut().find(|p| p.asid == asid) {
+            p.dispatched += 1;
+        }
         Some(asid)
     }
 
@@ -81,11 +79,6 @@ impl Dispatcher {
             .iter()
             .find(|p| p.asid == asid)
             .map(|p| (p.image.as_slice(), p.version.as_str()))
-    }
-
-    /// Number of requests dispatched to `asid`.
-    pub fn dispatch_count(&self, asid: AsId) -> u64 {
-        self.dispatched.get(&asid).copied().unwrap_or(0)
     }
 
     /// ATTACK INJECTION: make the (untrusted) dispatcher misroute requests
@@ -111,6 +104,7 @@ mod tests {
             kind,
             image: vec![mos],
             version: "v1".into(),
+            dispatched: 0,
         }
     }
 
@@ -122,7 +116,7 @@ mod tests {
         assert_eq!(d.route(DeviceKind::Gpu), Some(AsId::new(2)));
         assert_eq!(d.route(DeviceKind::Cpu), Some(AsId::new(1)));
         assert_eq!(d.route(DeviceKind::Npu), None);
-        assert_eq!(d.dispatch_count(AsId::new(2)), 1);
+        assert_eq!(d.partitions()[1].dispatched, 1);
     }
 
     #[test]

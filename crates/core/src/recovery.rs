@@ -227,17 +227,13 @@ impl CronusSystem {
     /// sync points; a stream that accumulates lag beyond the bound means
     /// the executor is wedged (or was delayed by an injected fault).
     pub fn check_stalls(&self, bound: SimNs) -> Vec<StallWarning> {
-        let mut warnings: Vec<StallWarning> = self
+        // In stream-id order, like the table.
+        let warnings: Vec<StallWarning> = self
             .streams
             .values()
             .filter(|s| s.open && s.backlog() > 0)
             .filter_map(|s| {
-                let caller_now = self
-                    .clocks
-                    .get(&s.caller.1)
-                    .map(|c| c.now())
-                    .unwrap_or(SimNs::ZERO);
-                let lag = caller_now.saturating_sub(s.frontier);
+                let lag = self.clock_of(s.caller.1).saturating_sub(s.frontier);
                 (lag > bound).then_some(StallWarning {
                     stream: s.id,
                     backlog: s.backlog(),
@@ -245,7 +241,6 @@ impl CronusSystem {
                 })
             })
             .collect();
-        warnings.sort_by_key(|w| w.stream.0);
         // Every watchdog finding is a security event: a wedged stream is
         // the liveness failure the proceed-trap design exists to bound.
         let at = self.ledger_now();
@@ -284,12 +279,8 @@ impl CronusSystem {
         let Some(armed) = self.injector.take_matching(phase, id) else {
             return;
         };
-        let at = self
-            .streams
-            .get(&id)
-            .and_then(|s| self.clocks.get(&s.caller.1))
-            .map(|c| c.now())
-            .unwrap_or(SimNs::ZERO);
+        let caller = self.streams.get(&id).map(|s| s.caller.1);
+        let at = caller.map_or(SimNs::ZERO, |eid| self.clock_of(eid));
         self.apply_fault_action(id, armed.action, lane, slot_index);
         self.injector.fired.push(FiredFault {
             fault: armed,

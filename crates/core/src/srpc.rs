@@ -36,7 +36,7 @@ use crate::ring::{CodecError, MultiRingLayout};
 use crate::stream_obs::StreamObs;
 
 /// Handle to an open sRPC stream.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct StreamId(pub(crate) u64);
 
 impl StreamId {

@@ -17,7 +17,7 @@ use cronus_sim::{SimNs, PAGE_SIZE};
 
 use crate::ring::{MultiRingLayout, RESULT_SLOT_SIZE, SLOT_SIZE};
 use crate::srpc::{SrpcError, StreamId};
-use crate::system::{CronusSystem, EnclaveRef, DEFAULT_ARENA_PAGES, DEFAULT_RING_PAGES};
+use crate::system::{CronusSystem, EnclaveRef, DEFAULT_RING_PAGES};
 
 /// Resolved stream parameters handed to the system's open/reopen path.
 #[derive(Clone, Copy, Debug)]
@@ -26,8 +26,6 @@ pub struct StreamConfig {
     pub layout: MultiRingLayout,
     /// Zero-copy grant threshold in bytes, if enabled.
     pub zero_copy: Option<usize>,
-    /// Pages backing the grant arena (only meaningful with `zero_copy`).
-    pub arena_pages: usize,
     /// Default deadline for synchronous calls.
     pub deadline: Option<SimNs>,
     /// Drain on the callee partition's executor, shared with every other
@@ -128,7 +126,6 @@ impl<'a> StreamBuilder<'a> {
         StreamConfig {
             layout: self.layout(),
             zero_copy: self.zero_copy,
-            arena_pages: DEFAULT_ARENA_PAGES,
             deadline: self.deadline,
             shared: self.shared,
         }

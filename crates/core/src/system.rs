@@ -13,7 +13,7 @@
 //! drives: the sRPC protocol in [`crate::transport`], proceed-trap
 //! conversion, failover and fault injection in [`crate::recovery`].
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use cronus_crypto::dh::DhKeyPair;
 use cronus_devices::DeviceKind;
@@ -44,7 +44,7 @@ pub struct EnclaveRef {
 }
 
 /// A normal-world application id.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct AppId(pub u32);
 
 /// Who is creating an enclave / making a call.
@@ -99,14 +99,12 @@ pub const DEFAULT_ARENA_PAGES: usize = 64;
 /// An isolation-audit hook (see the `cronus-audit` crate): invoked with the
 /// whole system after every reconfiguration point, returns the number of
 /// invariant violations it found.
-#[cfg(feature = "audit-hooks")]
 pub type AuditHook = Box<dyn Fn(&CronusSystem) -> usize>;
 
 /// A mapping-state digest hook (see `cronus_audit::install_digest_hook`):
 /// invoked at black-box capture time, returns a digest of the canonical
 /// isolation-model rendering so the crash snapshot commits to the exact
 /// mapping state at trap time.
-#[cfg(feature = "audit-hooks")]
 pub type DigestHook = Box<dyn Fn(&CronusSystem) -> cronus_crypto::Digest>;
 
 /// System-level errors (enclave lifecycle; sRPC errors are [`SrpcError`]).
@@ -160,34 +158,39 @@ impl From<SpmError> for SystemError {
     }
 }
 
+/// What the system keeps per mEnclave, from `create_enclave` (or the first
+/// mention of its eid) to `destroy_enclave`.
+#[derive(Default)]
+pub(crate) struct EnclaveState {
+    pub(crate) clock: SimClock,
+    /// The owner's side of `secret_dhke`, once the enclave is created.
+    pub(crate) owner_secret: Option<[u8; 32]>,
+    /// mECall handlers by name: a handful per enclave, scanned.
+    handlers: Vec<(String, McallHandler)>,
+}
+
 /// The CRONUS system.
 pub struct CronusSystem {
     pub(crate) spm: Spm,
     pub(crate) dispatcher: Dispatcher,
-    pub(crate) clocks: HashMap<Eid, SimClock>,
-    app_clocks: HashMap<AppId, SimClock>,
-    pub(crate) owner_secrets: HashMap<Eid, [u8; 32]>,
-    /// mECall handlers, by enclave then name.
-    handlers: HashMap<Eid, HashMap<String, McallHandler>>,
-    pub(crate) streams: HashMap<StreamId, StreamState>,
+    pub(crate) enclaves: BTreeMap<Eid, EnclaveState>,
+    app_clocks: BTreeMap<AppId, SimClock>,
+    pub(crate) streams: BTreeMap<StreamId, StreamState>,
     /// The executors `.shared()` streams drain on, by callee partition.
     pub(crate) partition_executors: BTreeMap<AsId, Executor>,
     pub(crate) injector: Injector,
     pub(crate) next_stream: u64,
     next_app: u32,
     next_dh: u64,
-    #[cfg(feature = "audit-hooks")]
     audit_hook: Option<AuditHook>,
-    #[cfg(feature = "audit-hooks")]
     audit_violations: usize,
-    #[cfg(feature = "audit-hooks")]
     digest_hook: Option<DigestHook>,
 }
 
 impl std::fmt::Debug for CronusSystem {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CronusSystem")
-            .field("enclaves", &self.clocks.len())
+            .field("enclaves", &self.enclaves.len())
             .field("streams", &self.streams.len())
             .finish_non_exhaustive()
     }
@@ -213,26 +216,22 @@ impl CronusSystem {
                 kind,
                 image: spec.image.clone(),
                 version: spec.version.clone(),
+                dispatched: 0,
             });
         }
         CronusSystem {
             spm,
             dispatcher,
-            clocks: HashMap::new(),
-            app_clocks: HashMap::new(),
-            owner_secrets: HashMap::new(),
-            handlers: HashMap::new(),
-            streams: HashMap::new(),
+            enclaves: BTreeMap::new(),
+            app_clocks: BTreeMap::new(),
+            streams: BTreeMap::new(),
             partition_executors: BTreeMap::new(),
             injector: Injector::default(),
             next_stream: 1,
             next_app: 1,
             next_dh: 1,
-            #[cfg(feature = "audit-hooks")]
             audit_hook: None,
-            #[cfg(feature = "audit-hooks")]
             audit_violations: 0,
-            #[cfg(feature = "audit-hooks")]
             digest_hook: None,
         }
     }
@@ -244,27 +243,23 @@ impl CronusSystem {
     /// accumulate in [`CronusSystem::audit_violations`] and the
     /// `audit.violations` metric. Hooks may also panic on violation for
     /// fail-stop behavior — `cronus_audit::install_hooks` does.
-    #[cfg(feature = "audit-hooks")]
     pub fn set_audit_hook(&mut self, hook: AuditHook) {
         self.audit_hook = Some(hook);
     }
 
     /// Installs the mapping-state digest hook: black boxes captured at
     /// proceed-trap time carry its result as their `mapping_digest`.
-    #[cfg(feature = "audit-hooks")]
     pub fn set_digest_hook(&mut self, hook: DigestHook) {
         self.digest_hook = Some(hook);
     }
 
     /// Total invariant violations reported by the audit hook so far.
-    #[cfg(feature = "audit-hooks")]
     pub fn audit_violations(&self) -> usize {
         self.audit_violations
     }
 
     /// Runs the installed audit hook, if any, attributing findings to the
     /// reconfiguration point `point`.
-    #[cfg(feature = "audit-hooks")]
     pub(crate) fn run_audit_hook(&mut self, point: &'static str) {
         // Take/call/restore so the hook can borrow the whole system.
         if let Some(hook) = self.audit_hook.take() {
@@ -278,11 +273,6 @@ impl CronusSystem {
             }
         }
     }
-
-    /// Compiled to nothing without the `audit-hooks` feature.
-    #[cfg(not(feature = "audit-hooks"))]
-    #[inline(always)]
-    pub(crate) fn run_audit_hook(&mut self, _point: &'static str) {}
 
     /// Runs `f` with the resource meter's ambient scope set to `scope`,
     /// restoring the previous scope afterwards (even across `?`-style early
@@ -423,10 +413,14 @@ impl CronusSystem {
 
     /// An enclave's current virtual time.
     pub fn enclave_time(&self, e: EnclaveRef) -> SimNs {
-        self.clocks
-            .get(&e.eid)
-            .map(|c| c.now())
-            .unwrap_or(SimNs::ZERO)
+        self.clock_of(e.eid)
+    }
+
+    /// `eid`'s current virtual time; zero for an enclave never heard of.
+    pub(crate) fn clock_of(&self, eid: Eid) -> SimNs {
+        self.enclaves
+            .get(&eid)
+            .map_or(SimNs::ZERO, |e| e.clock.now())
     }
 
     /// An app's current virtual time.
@@ -440,11 +434,11 @@ impl CronusSystem {
     /// Charges local computation time to an enclave (e.g. CPU preprocessing
     /// between kernel launches).
     pub fn advance_enclave(&mut self, e: EnclaveRef, d: SimNs) {
-        self.clocks.entry(e.eid).or_default().advance(d);
+        self.clock_mut(e.eid).advance(d);
     }
 
     pub(crate) fn clock_mut(&mut self, eid: Eid) -> &mut SimClock {
-        self.clocks.entry(eid).or_default()
+        &mut self.enclaves.entry(eid).or_default().clock
     }
 
     // ---- enclave lifecycle --------------------------------------------------
@@ -492,16 +486,11 @@ impl CronusSystem {
             .map_err(SystemError::Spm)?;
 
         // Complete the owner side of the DH exchange.
-        let enclave_dh_public = self
-            .spm
-            .mos(asid)
-            .expect("partition exists")
-            .manager()
-            .entry(eid)
-            .expect("just created")
+        let created = self.spm.mos(asid)?.manager().entry(eid);
+        let enclave_dh_public = created
+            .map_err(|_| SystemError::UnknownEnclave(eid))?
             .dh_public;
         let secret = dh.agree(enclave_dh_public);
-        self.owner_secrets.insert(eid, *secret.as_bytes());
 
         // Charge creation costs to the creating actor.
         let cost = {
@@ -543,7 +532,14 @@ impl CronusSystem {
             rec.queue_enqueue("dispatch.requests", start.saturating_sub(cost));
             rec.queue_dequeue("dispatch.requests", start, SimNs::ZERO, cost);
         }
-        self.clocks.insert(eid, SimClock::at(start));
+        self.enclaves.insert(
+            eid,
+            EnclaveState {
+                clock: SimClock::at(start),
+                owner_secret: Some(*secret.as_bytes()),
+                handlers: Vec::new(),
+            },
+        );
         // Ledger the exchange before the creation record: key agreement is
         // what makes the enclave addressable by its owner.
         self.spm.ledger().append(
@@ -587,9 +583,7 @@ impl CronusSystem {
         let (mos, machine) = self.spm.mos_and_machine(e.asid)?;
         mos.destroy_enclave(machine, e.eid)
             .map_err(|err| SystemError::Spm(SpmError::Mos(err)))?;
-        self.clocks.remove(&e.eid);
-        self.owner_secrets.remove(&e.eid);
-        self.handlers.remove(&e.eid);
+        self.enclaves.remove(&e.eid);
         self.spm.ledger().append(
             e.asid.as_u32(),
             self.ledger_now(),
@@ -603,10 +597,11 @@ impl CronusSystem {
 
     /// Registers an mECall handler (the execution-model runtime's job).
     pub fn register_handler(&mut self, e: EnclaveRef, name: &str, handler: McallHandler) {
-        self.handlers
-            .entry(e.eid)
-            .or_default()
-            .insert(name.to_string(), handler);
+        let handlers = &mut self.enclaves.entry(e.eid).or_default().handlers;
+        match handlers.iter_mut().find(|(n, _)| n == name) {
+            Some((_, registered)) => *registered = handler,
+            None => handlers.push((name.to_string(), handler)),
+        }
     }
 
     /// Produces the signed remote-attestation report for an enclave's
@@ -637,11 +632,10 @@ impl CronusSystem {
     ) -> Result<Vec<u8>, SystemError> {
         // Ownership assurance: the mOS checks the caller is the owner.
         {
-            let mos = self.spm.mos(target.asid)?;
-            mos.manager()
+            let manager = self.spm.mos(target.asid)?.manager();
+            let entry = manager
                 .authorize(target.eid, Owner::App(app.0))
                 .map_err(|_| SystemError::NotOwner)?;
-            let entry = mos.manager().entry(target.eid).expect("authorized above");
             if entry.manifest.mecall(name).is_none() {
                 return Err(SystemError::UnknownMcall(name.to_string()));
             }
@@ -706,11 +700,11 @@ impl CronusSystem {
         name: &str,
         payload: &[u8],
     ) -> Result<(Vec<u8>, SimNs), SrpcError> {
-        let handler = self
-            .handlers
+        let registered = self
+            .enclaves
             .get_mut(&target.eid)
-            .and_then(|of_enclave| of_enclave.get_mut(name))
-            .ok_or_else(|| SrpcError::NoHandler(name.to_string()))?;
+            .and_then(|e| e.handlers.iter_mut().find(|(n, _)| n == name));
+        let (_, handler) = registered.ok_or_else(|| SrpcError::NoHandler(name.to_string()))?;
         let mut ctx = ServerCtx {
             spm: &mut self.spm,
             asid: target.asid,
@@ -721,7 +715,6 @@ impl CronusSystem {
 
     /// The isolation-audit mapping-state digest, if a digest hook is
     /// installed (see `cronus_audit::install_digest_hook`); zero otherwise.
-    #[cfg(feature = "audit-hooks")]
     pub(crate) fn mapping_digest(&mut self) -> cronus_crypto::Digest {
         // Take/call/restore so the hook can borrow the whole system.
         if let Some(hook) = self.digest_hook.take() {
@@ -731,12 +724,6 @@ impl CronusSystem {
         } else {
             cronus_crypto::Digest::ZERO
         }
-    }
-
-    /// Compiled to a zero digest without the `audit-hooks` feature.
-    #[cfg(not(feature = "audit-hooks"))]
-    pub(crate) fn mapping_digest(&mut self) -> cronus_crypto::Digest {
-        cronus_crypto::Digest::ZERO
     }
 }
 
@@ -1060,7 +1047,7 @@ mod tests {
             SrpcError::UnknownStream(_)
         ));
         // The CPU enclave survives.
-        assert!(sys.clocks.contains_key(&cpu.eid));
+        assert!(sys.enclaves.contains_key(&cpu.eid));
     }
 
     #[test]

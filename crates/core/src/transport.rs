@@ -40,7 +40,7 @@ use crate::srpc::{
 };
 use crate::stream::{StreamBuilder, StreamConfig};
 use crate::stream_obs::{self, StreamObs};
-use crate::system::{Ambient, CronusSystem, EnclaveRef, DEFAULT_STREAM_LANES};
+use crate::system::{Ambient, CronusSystem, EnclaveRef, DEFAULT_ARENA_PAGES, DEFAULT_STREAM_LANES};
 
 impl CronusSystem {
     /// Meter scope for caller-side work on a stream (enqueue, sync,
@@ -106,9 +106,10 @@ impl CronusSystem {
             .authorize(callee.eid, Owner::Enclave(caller.eid))
             .map_err(|_| SrpcError::NotOwner)?;
 
-        let secret = *self
-            .owner_secrets
+        let secret = self
+            .enclaves
             .get(&callee.eid)
+            .and_then(|e| e.owner_secret)
             .ok_or(SrpcError::NotOwner)?;
 
         // Local attestation of the callee (automatic, §IV-C).
@@ -174,18 +175,17 @@ impl CronusSystem {
         // cover granted payload pages exactly like ring pages.
         let arena = match cfg.zero_copy {
             Some(threshold) => {
-                let arena_pages = cfg.arena_pages.max(1);
                 let (a_share, a_caller_va, a_callee_va) = self.spm.share_memory(
                     (caller.asid, caller.eid),
                     (callee.asid, callee.eid),
-                    arena_pages,
+                    DEFAULT_ARENA_PAGES,
                 )?;
                 Some(GrantArena {
                     threshold,
                     share: a_share,
                     caller_va: a_caller_va,
                     callee_va: a_callee_va,
-                    bytes: arena_pages as u64 * PAGE_SIZE,
+                    bytes: DEFAULT_ARENA_PAGES as u64 * PAGE_SIZE,
                     head: 0,
                     tail: 0,
                 })
@@ -324,13 +324,11 @@ impl CronusSystem {
         Ok(self.stream_ref(id)?.stats)
     }
 
-    /// Read-only views of every stream (open, closed or quarantined),
-    /// sorted by stream id — used by the isolation auditor to tie share
-    /// grants back to the sRPC endpoints that justify them.
+    /// Read-only views of every stream (open, closed or quarantined), in
+    /// stream-id order — used by the isolation auditor to tie share grants
+    /// back to the sRPC endpoints that justify them.
     pub fn stream_states(&self) -> Vec<&StreamState> {
-        let mut streams: Vec<&StreamState> = self.streams.values().collect();
-        streams.sort_by_key(|s| s.id.0);
-        streams
+        self.streams.values().collect()
     }
 
     /// The stream's completion frontier: the virtual time its executor has

@@ -1,8 +1,7 @@
 //! Property-based tests for the sRPC protocol.
 //!
-//! The full generated suite lives in the gated `full` module (enable with the
-//! non-default `proptest` feature, e.g. `cargo test --all-features`); the
-//! `smoke` module keeps a deterministic subset always on.
+//! Cases come from the in-repo `proptest` shim (`crates/ptest`): seeded by the
+//! test's name, so every run generates the same ones.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -76,7 +75,6 @@ fn register_log_handlers(
     log
 }
 
-#[cfg(feature = "proptest")]
 mod full {
     use super::*;
 
@@ -280,106 +278,5 @@ mod full {
             // stall can occur.
             prop_assert!(per_call < 1_000, "async call cost {per_call}ns");
         }
-    }
-}
-
-mod smoke {
-    use super::*;
-
-    #[test]
-    fn srpc_exactly_once_in_order_fixed() {
-        let (mut sys, cpu, gpu) = setup();
-        let seen = register_log_handlers(&mut sys, gpu, SimNs::from_nanos(50));
-        let stream = sys.stream(cpu, gpu).open().expect("stream");
-        for i in 0..32u8 {
-            sys.call(stream, "append")
-                .payload(&[i])
-                .start()
-                .expect("call");
-        }
-        sys.sync(stream).expect("sync");
-        assert_eq!(*seen.lock().expect("lock"), (0..32u8).collect::<Vec<u8>>());
-    }
-
-    #[test]
-    fn doorbell_batches_coalesce_fixed() {
-        let (mut sys, cpu, gpu) = setup();
-        let seen = register_log_handlers(&mut sys, gpu, SimNs::from_nanos(50));
-        let stream = sys.stream(cpu, gpu).rings(4).open().expect("stream");
-        // Two batches of 8, separated by a sync that drains the first.
-        for i in 0..8u8 {
-            sys.call(stream, "append")
-                .payload(&[i])
-                .start()
-                .expect("call");
-        }
-        sys.sync(stream).expect("sync");
-        for i in 8..16u8 {
-            sys.call(stream, "append")
-                .payload(&[i])
-                .start()
-                .expect("call");
-        }
-        sys.sync(stream).expect("sync");
-        assert_eq!(*seen.lock().expect("lock"), (0..16u8).collect::<Vec<u8>>());
-        let stats = sys.stream_stats(stream).expect("stats");
-        assert_eq!(stats.doorbells_rung, 2, "one doorbell per batch");
-        assert_eq!(stats.doorbells_coalesced, 14);
-    }
-
-    #[test]
-    fn wraparound_with_depth_one_lanes_fixed() {
-        let (mut sys, cpu, gpu) = setup();
-        let seen = register_log_handlers(&mut sys, gpu, SimNs::from_micros(1));
-        // 2 lanes x 1 slot: capacity 2, so 12 calls wrap + stall repeatedly.
-        let stream = sys
-            .stream(cpu, gpu)
-            .rings(2)
-            .depth(1)
-            .open()
-            .expect("stream");
-        for i in 0..12u8 {
-            sys.call(stream, "append")
-                .payload(&[i])
-                .start()
-                .expect("call");
-        }
-        sys.sync(stream).expect("sync");
-        assert_eq!(*seen.lock().expect("lock"), (0..12u8).collect::<Vec<u8>>());
-        let stats = sys.stream_stats(stream).expect("stats");
-        assert!(stats.ring_full_stalls > 0, "capacity 2 must stall");
-    }
-
-    #[test]
-    fn zero_copy_grant_round_trip_fixed() {
-        let (mut sys, cpu, gpu) = setup();
-        let sums: Arc<Mutex<Vec<u64>>> = Arc::new(Mutex::new(Vec::new()));
-        let sink = Arc::clone(&sums);
-        sys.register_handler(
-            gpu,
-            "append",
-            Box::new(move |_, p| {
-                sink.lock()
-                    .expect("lock")
-                    .push(p.iter().map(|b| u64::from(*b)).sum());
-                Ok((Vec::new(), SimNs::from_nanos(100)))
-            }),
-        );
-        let stream = sys.stream(cpu, gpu).zero_copy(256).open().expect("stream");
-        let small = vec![7u8; 100];
-        let large = vec![9u8; 1500]; // far beyond the 480-byte slot payload
-        sys.call(stream, "append")
-            .payload(&small)
-            .start()
-            .expect("small");
-        sys.call(stream, "append")
-            .payload(&large)
-            .start()
-            .expect("large");
-        sys.sync(stream).expect("sync");
-        assert_eq!(*sums.lock().expect("lock"), vec![700, 13_500]);
-        let stats = sys.stream_stats(stream).expect("stats");
-        assert_eq!(stats.zero_copy_grants, 1);
-        assert_eq!(stats.zero_copy_bytes, 1500);
     }
 }

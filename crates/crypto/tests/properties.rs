@@ -1,10 +1,8 @@
 //! Property-based tests for the crypto substrate.
 //!
-//! The full generated suite lives in the gated `full` module (enable with the
-//! non-default `proptest` feature, e.g. `cargo test --all-features`); the
-//! `smoke` module keeps a deterministic subset always on.
+//! Cases come from the in-repo `proptest` shim (`crates/ptest`): seeded by the
+//! test's name, so every run generates the same ones.
 
-#[cfg(feature = "proptest")]
 mod full {
     use proptest::prelude::*;
 
@@ -90,57 +88,5 @@ mod full {
             tampered[idx] ^= 0x01;
             prop_assert!(kp.public().verify(&tampered, &sig).is_err());
         }
-    }
-}
-
-mod smoke {
-    use cronus_crypto::group::{mul_mod, pow_mod};
-    use cronus_crypto::{hmac_sha256, sha256, DhKeyPair, KeyPair, Sha256};
-
-    #[test]
-    fn modular_arithmetic_fixed() {
-        for (a, b, m) in [
-            (3u64, 5, 7),
-            (u64::MAX - 3, u64::MAX - 9, u64::MAX - 58),
-            (1 << 40, (1 << 40) + 1, (1 << 61) - 1),
-        ] {
-            assert_eq!(
-                mul_mod(a, b, m) as u128,
-                (a as u128 * b as u128) % m as u128
-            );
-        }
-        let (base, m) = (12_345u64, (1 << 30) + 7);
-        let mut naive = 1u64;
-        for e in 0..32u64 {
-            assert_eq!(pow_mod(base, e, m), naive);
-            naive = mul_mod(naive, base, m);
-        }
-    }
-
-    #[test]
-    fn hashing_and_hmac_fixed() {
-        let data: Vec<u8> = (0..300u32).map(|i| (i % 251) as u8).collect();
-        let mut h = Sha256::new();
-        h.update(&data[..97]);
-        h.update(&data[97..200]);
-        h.update(&data[200..]);
-        assert_eq!(h.finalize(), sha256(&data));
-        assert_ne!(sha256(b"a"), sha256(b"b"));
-        assert_ne!(
-            hmac_sha256(&[1u8; 16], &data),
-            hmac_sha256(&[2u8; 16], &data)
-        );
-    }
-
-    #[test]
-    fn dh_and_signatures_fixed() {
-        let a = DhKeyPair::from_seed("alice");
-        let b = DhKeyPair::from_seed("bob");
-        assert_eq!(a.agree(b.public()), b.agree(a.public()));
-
-        let kp = KeyPair::from_seed("signer");
-        let sig = kp.sign(b"report");
-        assert!(kp.public().verify(b"report", &sig).is_ok());
-        assert!(kp.public().verify(b"repost", &sig).is_err());
     }
 }

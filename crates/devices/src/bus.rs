@@ -6,7 +6,7 @@
 //! per-slot BARs and worlds and performs DMA *through the machine*, so every
 //! transfer is filtered by the SMMU and the TZASC.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -135,7 +135,7 @@ impl BusObs {
 /// The PCIe bus: a registry of slots plus a DMA engine.
 #[derive(Debug, Default)]
 pub struct PcieBus {
-    slots: HashMap<DeviceId, Registered>,
+    slots: BTreeMap<DeviceId, Registered>,
     obs: Option<BusObs>,
 }
 
@@ -201,7 +201,7 @@ impl PcieBus {
         self.slots.get(&device).map(|r| &r.slot)
     }
 
-    /// All registered slots.
+    /// All registered slots, in device-id order.
     pub fn slots(&self) -> impl Iterator<Item = &PcieSlot> {
         self.slots.values().map(|r| &r.slot)
     }

@@ -1,10 +1,8 @@
 //! Property-based tests for the device simulators.
 //!
-//! The full generated suite lives in the gated `full` module (enable with the
-//! non-default `proptest` feature, e.g. `cargo test --all-features`); the
-//! `smoke` module keeps a deterministic subset always on.
+//! Cases come from the in-repo `proptest` shim (`crates/ptest`): seeded by the
+//! test's name, so every run generates the same ones.
 
-#[cfg(feature = "proptest")]
 mod full {
     use proptest::prelude::*;
 
@@ -121,27 +119,5 @@ mod full {
             // Full capacity available to a new tenant.
             prop_assert!(dev.create_context(1 << 20).is_ok());
         }
-    }
-}
-
-mod smoke {
-    use cronus_devices::gpu::GpuDevice;
-    use cronus_sim::tzpc::DeviceId;
-    use cronus_sim::StreamId;
-
-    #[test]
-    fn gpu_quota_and_buffer_roundtrip_fixed() {
-        let mut dev = GpuDevice::new(DeviceId::new(1), StreamId::new(1), 1 << 22, 46);
-        let quota = 1 << 20;
-        let ctx = dev.create_context(quota).expect("context");
-        let a = dev.alloc(ctx, 4096).expect("alloc");
-        let data: Vec<u8> = (0..256u32).map(|i| i as u8).collect();
-        dev.write_buffer(ctx, a, 128, &data).expect("write");
-        let mut out = vec![0u8; data.len()];
-        dev.read_buffer(ctx, a, 128, &mut out).expect("read");
-        assert_eq!(out, data);
-        dev.free(ctx, a).expect("free");
-        let big = dev.alloc(ctx, quota).expect("full quota available again");
-        dev.free(ctx, big).expect("free");
     }
 }

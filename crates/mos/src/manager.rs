@@ -11,12 +11,14 @@
 //! Diffie–Hellman into creation: creator and enclave share `secret_dhke`,
 //! and every pre-channel message is authenticated under it.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 
 use cronus_crypto::dh::{DhKeyPair, SharedSecret};
 use cronus_crypto::hmac::{hmac_sha256, verify_hmac};
 use cronus_crypto::{measure, Digest, Sha256};
+use cronus_sim::pagetable::PageTable;
+use cronus_sim::Frame;
 
 use crate::hal::DeviceCtx;
 use crate::manifest::{Eid, Manifest, ManifestError, MosId};
@@ -73,6 +75,21 @@ impl From<ManifestError> for ManagerError {
     }
 }
 
+/// Base of the per-enclave virtual address space for mapped pages.
+pub(crate) const ENCLAVE_VA_BASE: u64 = 0x0001_0000;
+
+/// An mEnclave's address space: created and torn down with its entry, so a
+/// live enclave always has one.
+#[derive(Clone, Debug)]
+pub(crate) struct AddressSpace {
+    /// The stage-1 table.
+    pub(crate) stage1: PageTable,
+    /// Where the next mapping goes.
+    pub(crate) next_va: u64,
+    /// Private frames, returned to the machine on teardown.
+    pub(crate) owned_frames: Vec<Frame>,
+}
+
 /// Book-keeping for one live mEnclave.
 #[derive(Clone, Debug)]
 pub struct EnclaveEntry {
@@ -89,6 +106,7 @@ pub struct EnclaveEntry {
     /// The enclave's DH public share (sent back to the creator).
     pub dh_public: u64,
     secret: SharedSecret,
+    pub(crate) space: AddressSpace,
 }
 
 impl EnclaveEntry {
@@ -115,7 +133,7 @@ impl EnclaveEntry {
 pub struct EnclaveManager {
     mos: MosId,
     next_local: u32,
-    enclaves: HashMap<Eid, EnclaveEntry>,
+    enclaves: BTreeMap<Eid, EnclaveEntry>,
 }
 
 impl EnclaveManager {
@@ -124,7 +142,7 @@ impl EnclaveManager {
         EnclaveManager {
             mos,
             next_local: 1,
-            enclaves: HashMap::new(),
+            enclaves: BTreeMap::new(),
         }
     }
 
@@ -175,6 +193,11 @@ impl EnclaveManager {
                 ctx,
                 dh_public: dh.public(),
                 secret,
+                space: AddressSpace {
+                    stage1: PageTable::new(),
+                    next_va: ENCLAVE_VA_BASE,
+                    owned_frames: Vec::new(),
+                },
             },
         );
         Ok(eid)
@@ -203,6 +226,13 @@ impl EnclaveManager {
             .ok_or(ManagerError::UnknownEnclave(eid))
     }
 
+    /// [`EnclaveManager::entry`], to update the enclave's address space.
+    pub(crate) fn entry_mut(&mut self, eid: Eid) -> Result<&mut EnclaveEntry, ManagerError> {
+        self.enclaves
+            .get_mut(&eid)
+            .ok_or(ManagerError::UnknownEnclave(eid))
+    }
+
     /// Checks that `caller` owns `eid` (mECall authorization).
     ///
     /// # Errors
@@ -216,21 +246,20 @@ impl EnclaveManager {
         Ok(entry)
     }
 
-    /// Destroys an enclave, returning its device context for the HAL to
-    /// tear down.
+    /// Destroys an enclave, returning its entry: the device context for the
+    /// HAL and the private frames for the machine to take back.
     ///
     /// # Errors
     ///
     /// [`ManagerError::UnknownEnclave`].
-    pub fn destroy(&mut self, eid: Eid) -> Result<DeviceCtx, ManagerError> {
+    pub fn destroy(&mut self, eid: Eid) -> Result<EnclaveEntry, ManagerError> {
         self.enclaves
             .remove(&eid)
-            .map(|e| e.ctx)
             .ok_or(ManagerError::UnknownEnclave(eid))
     }
 
-    /// All live enclaves.
-    pub fn enclaves(&self) -> impl Iterator<Item = &EnclaveEntry> {
+    /// Every live enclave, in eid order.
+    pub(crate) fn entries(&self) -> impl Iterator<Item = &EnclaveEntry> {
         self.enclaves.values()
     }
 
@@ -244,16 +273,10 @@ impl EnclaveManager {
         self.enclaves.is_empty()
     }
 
-    /// Measurements of all live enclaves, sorted by eid (attestation input:
+    /// Measurements of all live enclaves, in eid order (attestation input:
     /// "mOSes measure the hashes of mEnclaves").
     pub fn enclave_measurements(&self) -> Vec<(Eid, Digest)> {
-        let mut v: Vec<(Eid, Digest)> = self
-            .enclaves
-            .values()
-            .map(|e| (e.eid, e.measurement))
-            .collect();
-        v.sort_by_key(|(eid, _)| *eid);
-        v
+        self.entries().map(|e| (e.eid, e.measurement)).collect()
     }
 }
 
@@ -349,7 +372,7 @@ mod tests {
     fn destroy_removes_and_returns_ctx() {
         let mut mgr = manager();
         let eid = create_one(&mut mgr, Owner::App(1));
-        assert_eq!(mgr.destroy(eid).unwrap(), DeviceCtx::Cpu(0));
+        assert_eq!(mgr.destroy(eid).unwrap().ctx, DeviceCtx::Cpu(0));
         assert!(mgr.entry(eid).is_err());
         assert_eq!(
             mgr.destroy(eid).unwrap_err(),

@@ -1,14 +1,15 @@
 //! The MicroOS proper: one partition's OS image.
 //!
 //! `MicroOs` combines the [`EnclaveManager`], the [`DeviceHal`] and the
-//! [`ShimKernel`] with per-enclave stage-1 page tables. Every enclave memory
-//! access walks `stage-1 (here) → stage-2 (machine) → TZASC (machine)`.
+//! [`ShimKernel`]. An enclave's stage-1 table lives in its manager entry;
+//! every enclave memory access walks
+//! `stage-1 (here) → stage-2 (machine) → TZASC (machine)`.
 //!
 //! The mOS itself can *fail* (status flips to [`MosStatus::Failed`]) and be
 //! *restarted* from its image — the SPM drives the full §IV-D recovery
 //! sequence around these two operations.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 
 use cronus_crypto::{measure, Digest};
@@ -16,7 +17,7 @@ use cronus_devices::DeviceKind;
 use cronus_sim::addr::{PhysAddr, VirtAddr, PAGE_SIZE};
 use cronus_sim::machine::AsId;
 use cronus_sim::pagetable::{Access, PagePerms, PageTable};
-use cronus_sim::{Fault, Frame, Machine, World};
+use cronus_sim::{Fault, Machine, World};
 
 use crate::hal::{DeviceHal, HalError};
 use crate::manager::{EnclaveManager, ManagerError, Owner};
@@ -89,9 +90,6 @@ impl From<Fault> for MosError {
     }
 }
 
-/// Base of the per-enclave virtual address space for mapped pages.
-const ENCLAVE_VA_BASE: u64 = 0x0001_0000;
-
 /// One MicroOS instance.
 pub struct MicroOs {
     id: MosId,
@@ -102,9 +100,6 @@ pub struct MicroOs {
     shim: ShimKernel,
     manager: EnclaveManager,
     status: MosStatus,
-    stage1: HashMap<Eid, PageTable>,
-    next_va: HashMap<Eid, u64>,
-    owned_frames: HashMap<Eid, Vec<Frame>>,
 }
 
 impl fmt::Debug for MicroOs {
@@ -133,9 +128,6 @@ impl MicroOs {
             shim: ShimKernel::new(),
             manager: EnclaveManager::new(id),
             status: MosStatus::Running,
-            stage1: HashMap::new(),
-            next_va: HashMap::new(),
-            owned_frames: HashMap::new(),
         }
     }
 
@@ -180,13 +172,11 @@ impl MicroOs {
         &mut self.hal
     }
 
-    /// Every enclave's stage-1 table, sorted by enclave id — the full
+    /// Every enclave's stage-1 table, in enclave-id order — the full
     /// stage-1 mapping state, used by the isolation auditor.
     pub fn stage1_tables(&self) -> Vec<(Eid, &PageTable)> {
-        let mut tables: Vec<(Eid, &PageTable)> =
-            self.stage1.iter().map(|(eid, pt)| (*eid, pt)).collect();
-        tables.sort_by_key(|(eid, _)| *eid);
-        tables
+        let entries = self.manager.entries();
+        entries.map(|e| (e.eid, &e.space.stage1)).collect()
     }
 
     /// The enclave manager (read side).
@@ -227,21 +217,14 @@ impl MicroOs {
             )));
         }
         let ctx = self.hal.create_context(manifest.resources.memory_bytes)?;
-        let eid = match self
+        let created = self
             .manager
-            .create(manifest, images, owner, owner_dh_public, ctx)
-        {
-            Ok(eid) => eid,
-            Err(e) => {
-                // Roll back the device context on manifest failure.
-                let _ = self.hal.destroy_context(ctx);
-                return Err(e.into());
-            }
-        };
-        self.stage1.insert(eid, PageTable::new());
-        self.next_va.insert(eid, ENCLAVE_VA_BASE);
-        self.owned_frames.insert(eid, Vec::new());
-        Ok(eid)
+            .create(manifest, images, owner, owner_dh_public, ctx);
+        created.map_err(|e| {
+            // Roll back the device context on manifest failure.
+            let _ = self.hal.destroy_context(ctx);
+            e.into()
+        })
     }
 
     /// Destroys an mEnclave, tearing down its device context, stage-1 table
@@ -251,11 +234,9 @@ impl MicroOs {
     ///
     /// [`ManagerError::UnknownEnclave`] via [`MosError::Manager`].
     pub fn destroy_enclave(&mut self, machine: &mut Machine, eid: Eid) -> Result<(), MosError> {
-        let ctx = self.manager.destroy(eid)?;
-        let _ = self.hal.destroy_context(ctx);
-        self.stage1.remove(&eid);
-        self.next_va.remove(&eid);
-        for frame in self.owned_frames.remove(&eid).unwrap_or_default() {
+        let entry = self.manager.destroy(eid)?;
+        let _ = self.hal.destroy_context(entry.ctx);
+        for frame in entry.space.owned_frames {
             machine.stage2_revoke(self.asid, frame.page());
             machine.free_frame(frame);
         }
@@ -284,12 +265,12 @@ impl MicroOs {
             machine.stage2_grant(self.asid, frame.page(), PagePerms::RW)?;
         }
         let ppns: Vec<u64> = frames.iter().map(|f| f.page()).collect();
-        self.owned_frames
-            .get_mut(&eid)
-            .expect("owned_frames exists for live enclave")
+        self.manager
+            .entry_mut(eid)?
+            .space
+            .owned_frames
             .extend(frames);
-        let va = self.map_pages(eid, &ppns, PagePerms::RW)?;
-        Ok(va)
+        self.map_pages(eid, &ppns, PagePerms::RW)
     }
 
     /// Maps already-granted physical pages into an enclave's stage-1 table
@@ -304,20 +285,12 @@ impl MicroOs {
         ppns: &[u64],
         perms: PagePerms,
     ) -> Result<VirtAddr, MosError> {
-        self.manager.entry(eid)?;
-        let next = self
-            .next_va
-            .get_mut(&eid)
-            .expect("next_va exists for live enclave");
-        let base = VirtAddr::new(*next);
-        let table = self
-            .stage1
-            .get_mut(&eid)
-            .expect("stage1 exists for live enclave");
+        let space = &mut self.manager.entry_mut(eid)?.space;
+        let base = VirtAddr::new(space.next_va);
         for (i, ppn) in ppns.iter().enumerate() {
-            table.map(base.page_number() + i as u64, *ppn, perms);
+            space.stage1.map(base.page_number() + i as u64, *ppn, perms);
         }
-        *next += ppns.len() as u64 * PAGE_SIZE;
+        space.next_va += ppns.len() as u64 * PAGE_SIZE;
         Ok(base)
     }
 
@@ -326,10 +299,11 @@ impl MicroOs {
     /// asks P_i to invalidate the mEnclave's page table entries that map
     /// memory to P_a's" (§IV-D step 3).
     pub fn unmap_phys_pages(&mut self, eid: Eid, ppns: &[u64]) -> usize {
-        match self.stage1.get_mut(&eid) {
-            Some(table) => table.unmap_where(|ppn| ppns.contains(&ppn)).len(),
-            None => 0,
-        }
+        let Ok(entry) = self.manager.entry_mut(eid) else {
+            return 0;
+        };
+        let table = &mut entry.space.stage1;
+        table.unmap_where(|ppn| ppns.contains(&ppn)).len()
     }
 
     /// Translates an enclave VA (stage-1 only).
@@ -338,10 +312,7 @@ impl MicroOs {
     ///
     /// Stage-1 faults; unknown eids.
     pub fn translate(&self, eid: Eid, va: VirtAddr, access: Access) -> Result<PhysAddr, MosError> {
-        let table = self
-            .stage1
-            .get(&eid)
-            .ok_or(MosError::Manager(ManagerError::UnknownEnclave(eid)))?;
+        let table = &self.manager.entry(eid)?.space.stage1;
         Ok(table.translate(self.asid, va, access)?)
     }
 
@@ -405,18 +376,14 @@ impl MicroOs {
     /// shared memory *before* calling this.
     pub fn restart(&mut self, machine: &mut Machine, image: &[u8], version: &str) {
         self.hal.reset_device();
-        for (_, frames) in self.owned_frames.drain() {
-            for frame in frames {
-                machine.stage2_revoke(self.asid, frame.page());
-                machine.free_frame(frame);
-            }
+        let wiped = std::mem::replace(&mut self.manager, EnclaveManager::new(self.id));
+        for frame in wiped.entries().flat_map(|e| &e.space.owned_frames) {
+            machine.stage2_revoke(self.asid, frame.page());
+            machine.free_frame(*frame);
         }
         for frame in self.shim.drain_heap() {
             machine.free_frame(frame);
         }
-        self.stage1.clear();
-        self.next_va.clear();
-        self.manager = EnclaveManager::new(self.id);
         self.image_digest = measure("mos-image", image);
         self.version = version.to_string();
         self.status = MosStatus::Running;
@@ -426,6 +393,7 @@ impl MicroOs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::manager::ENCLAVE_VA_BASE;
     use cronus_devices::gpu::GpuDevice;
     use cronus_sim::tzpc::DeviceId;
     use cronus_sim::{MachineConfig, StreamId};

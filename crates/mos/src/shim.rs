@@ -15,7 +15,7 @@
 //!   such a lock — our lock faults through the machine exactly like any
 //!   other shared-memory access, so the proceed-trap protocol covers it.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 
 use cronus_sim::addr::{PhysAddr, PhysRange};
@@ -162,7 +162,7 @@ impl SharedSpinLock {
 #[derive(Debug, Default)]
 pub struct ShimKernel {
     heap: Vec<Frame>,
-    ioremaps: HashMap<u64, PhysRange>,
+    ioremaps: BTreeMap<u64, PhysRange>,
     next_iomap: u64,
 }
 

@@ -1,10 +1,8 @@
 //! Property-based tests for the MicroOS layer.
 //!
-//! The full generated suite lives in the gated `full` module (enable with the
-//! non-default `proptest` feature, e.g. `cargo test --all-features`); the
-//! `smoke` module keeps a deterministic subset always on.
+//! Cases come from the in-repo `proptest` shim (`crates/ptest`): seeded by the
+//! test's name, so every run generates the same ones.
 
-#[cfg(feature = "proptest")]
 mod full {
     use std::collections::BTreeMap;
 
@@ -135,66 +133,5 @@ mod full {
             let entry = mos.manager().entry(eid).expect("entry");
             prop_assert_eq!(*entry.secret_dhke(), dh.agree(entry.dh_public));
         }
-    }
-}
-
-mod smoke {
-    use std::collections::BTreeMap;
-
-    use cronus_devices::gpu::GpuDevice;
-    use cronus_devices::DeviceKind;
-    use cronus_mos::hal::DeviceHal;
-    use cronus_mos::manager::Owner;
-    use cronus_mos::manifest::{Manifest, McallDecl, MosId};
-    use cronus_mos::mos::MicroOs;
-    use cronus_sim::machine::AsId;
-    use cronus_sim::tzpc::DeviceId;
-    use cronus_sim::{Machine, MachineConfig, StreamId, World};
-
-    fn setup() -> (Machine, MicroOs) {
-        let mut machine = Machine::new(MachineConfig::default());
-        let asid = AsId::new(2);
-        machine.register_partition(asid);
-        let gpu = GpuDevice::new(DeviceId::new(1), StreamId::new(1), 1 << 26, 46);
-        let mos = MicroOs::new(MosId(2), asid, b"image", "v1", DeviceHal::Gpu(gpu));
-        (machine, mos)
-    }
-
-    #[test]
-    fn enclave_lifecycle_conserves_memory_fixed() {
-        let (mut machine, mut mos) = setup();
-        let before = machine.free_pages(World::Secure);
-        let mut eids = Vec::new();
-        for pages in [1usize, 3, 5] {
-            let eid = mos
-                .create_enclave(
-                    Manifest::new(DeviceKind::Gpu).with_memory(1 << 16),
-                    &BTreeMap::new(),
-                    Owner::App(1),
-                    7,
-                )
-                .expect("create");
-            mos.alloc_enclave_pages(&mut machine, eid, pages)
-                .expect("alloc");
-            eids.push(eid);
-        }
-        for eid in eids {
-            mos.destroy_enclave(&mut machine, eid).expect("destroy");
-        }
-        assert_eq!(machine.free_pages(World::Secure), before);
-        assert_eq!(mos.hal().context_count(), 0);
-    }
-
-    #[test]
-    fn manifest_measurement_tracks_mecalls_fixed() {
-        let with_calls = Manifest::new(DeviceKind::Gpu)
-            .with_mecall(McallDecl::asynchronous("alpha"))
-            .with_mecall(McallDecl::asynchronous("beta"));
-        let flipped = Manifest::new(DeviceKind::Gpu)
-            .with_mecall(McallDecl::synchronous("alpha"))
-            .with_mecall(McallDecl::asynchronous("beta"));
-        let without = Manifest::new(DeviceKind::Gpu);
-        assert_ne!(with_calls.measurement(), without.measurement());
-        assert_ne!(with_calls.measurement(), flipped.measurement());
     }
 }

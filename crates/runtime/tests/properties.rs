@@ -1,10 +1,8 @@
 //! Property-based tests for the runtime wire formats.
 //!
-//! The full generated suite lives in the gated `full` module (enable with the
-//! non-default `proptest` feature, e.g. `cargo test --all-features`); the
-//! `smoke` module keeps a deterministic subset always on.
+//! Cases come from the in-repo `proptest` shim (`crates/ptest`): seeded by the
+//! test's name, so every run generates the same ones.
 
-#[cfg(feature = "proptest")]
 mod full {
     use proptest::prelude::*;
 
@@ -116,64 +114,5 @@ mod full {
             prop_assert_eq!(r.bytes().expect("bytes"), raw);
             prop_assert!(r.is_done());
         }
-    }
-}
-
-mod smoke {
-    use cronus_devices::npu::{AluOp, NpuBuffer, VtaInsn, VtaProgram};
-    use cronus_runtime::vta::{decode_program, encode_program};
-    use cronus_runtime::wire::{Reader, Writer};
-
-    #[test]
-    fn vta_program_roundtrip_fixed() {
-        let mut prog = VtaProgram::new();
-        prog.push(VtaInsn::LoadInp {
-            src: NpuBuffer::from_raw(7),
-            offset: 3,
-            rows: 4,
-            cols: 5,
-            stride: 6,
-        });
-        prog.push(VtaInsn::LoadWgt {
-            src: NpuBuffer::from_raw(9),
-            offset: 0,
-            rows: 2,
-            cols: 2,
-            stride: 2,
-        });
-        prog.push(VtaInsn::ResetAcc { rows: 4, cols: 5 });
-        prog.push(VtaInsn::Gemm);
-        prog.push(VtaInsn::Alu(AluOp::AddImm(-3)));
-        prog.push(VtaInsn::Alu(AluOp::ShrImm(2)));
-        prog.push(VtaInsn::StoreAcc {
-            dst: NpuBuffer::from_raw(11),
-            offset: 1,
-            stride: 5,
-        });
-        let encoded = encode_program(&prog);
-        assert_eq!(decode_program(&encoded).expect("well-formed"), prog);
-        assert!(decode_program(&encoded[..encoded.len() - 1]).is_err());
-    }
-
-    #[test]
-    fn wire_scalar_roundtrip_fixed() {
-        let mut w = Writer::new();
-        w.u64(42)
-            .i64(-7)
-            .f32(1.5)
-            .f64(-2.25)
-            .u8(9)
-            .str("kernel")
-            .bytes(&[1, 2, 3]);
-        let buf = w.finish();
-        let mut r = Reader::new(&buf);
-        assert_eq!(r.u64().expect("u64"), 42);
-        assert_eq!(r.i64().expect("i64"), -7);
-        assert_eq!(r.f32().expect("f32"), 1.5);
-        assert_eq!(r.f64().expect("f64"), -2.25);
-        assert_eq!(r.u8().expect("u8"), 9);
-        assert_eq!(r.str().expect("str"), "kernel");
-        assert_eq!(r.bytes().expect("bytes"), vec![1, 2, 3]);
-        assert!(r.is_done());
     }
 }

@@ -7,7 +7,7 @@
 //! translation happens in `cronus-mos`; the machine exposes the *physical*
 //! access path `stage-2 → TZASC → DRAM` and the DMA path `SMMU → TZASC → DRAM`.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::addr::{PhysAddr, PAGE_SIZE};
@@ -103,14 +103,21 @@ impl Default for MachineConfig {
     }
 }
 
+/// What the machine keeps per partition: its stage-2 table and the failed
+/// mark (`r_f` in the paper).
+#[derive(Default)]
+struct Partition {
+    stage2: Stage2Table,
+    failed: bool,
+}
+
 /// The simulated machine.
 pub struct Machine {
     mem: PhysMem,
     tzasc: Tzasc,
     tzpc: Tzpc,
     smmu: Smmu,
-    stage2: HashMap<AsId, Stage2Table>,
-    failed: HashSet<AsId>,
+    partitions: BTreeMap<AsId, Partition>,
     devtree: Option<DeviceTree>,
     cost: CostModel,
     monotonic: SimNs,
@@ -120,8 +127,7 @@ pub struct Machine {
 impl fmt::Debug for Machine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Machine")
-            .field("partitions", &self.stage2.len())
-            .field("failed", &self.failed.len())
+            .field("partitions", &self.partitions.len())
             .finish_non_exhaustive()
     }
 }
@@ -141,8 +147,7 @@ impl Machine {
             tzasc,
             tzpc: Tzpc::new(),
             smmu: Smmu::new(),
-            stage2: HashMap::new(),
-            failed: HashSet::new(),
+            partitions: BTreeMap::new(),
             devtree: None,
             cost: config.cost,
             monotonic: SimNs::ZERO,
@@ -254,26 +259,36 @@ impl Machine {
 
     /// Registers a partition, creating its (empty) stage-2 table.
     pub fn register_partition(&mut self, asid: AsId) {
-        self.stage2.entry(asid).or_default();
-        self.failed.remove(&asid);
+        self.partitions.entry(asid).or_default().failed = false;
+    }
+
+    fn stage2_mut(&mut self, asid: AsId) -> Option<&mut Stage2Table> {
+        self.partitions.get_mut(&asid).map(|p| &mut p.stage2)
+    }
+
+    fn stage2(&self, asid: AsId) -> Option<&Stage2Table> {
+        self.partitions.get(&asid).map(|p| &p.stage2)
     }
 
     /// Marks a partition failed (`r_f = 1` in the paper): all consecutive new
-    /// memory-sharing requests and accesses are blocked.
+    /// memory-sharing requests and accesses are blocked. Marking an id never
+    /// registered registers it, so it is blocked too.
     pub fn mark_failed(&mut self, asid: AsId) {
-        self.failed.insert(asid);
+        self.partitions.entry(asid).or_default().failed = true;
         self.record(EventKind::PartitionFailed { partition: asid });
     }
 
     /// Clears the failed mark after recovery (`r_f = 0`).
     pub fn mark_recovered(&mut self, asid: AsId) {
-        self.failed.remove(&asid);
+        if let Some(p) = self.partitions.get_mut(&asid) {
+            p.failed = false;
+        }
         self.record(EventKind::PartitionRecovered { partition: asid });
     }
 
     /// Returns true while the partition is marked failed.
     pub fn is_failed(&self, asid: AsId) -> bool {
-        self.failed.contains(&asid)
+        self.partitions.get(&asid).is_some_and(|p| p.failed)
     }
 
     /// Grants `asid` stage-2 access to physical page `ppn`.
@@ -283,65 +298,58 @@ impl Machine {
     /// Fails with [`Fault::PartitionFailed`] while the partition is marked
     /// failed (blocking new grants during failover is step 1 of §IV-D).
     pub fn stage2_grant(&mut self, asid: AsId, ppn: u64, perms: PagePerms) -> Result<(), Fault> {
-        if self.failed.contains(&asid) {
-            return Err(Fault::PartitionFailed { asid });
-        }
-        self.stage2
+        let p = self
+            .partitions
             .get_mut(&asid)
             .ok_or(Fault::Stage2Unmapped {
                 asid,
                 pa: PhysAddr::from_page_number(ppn),
-            })?
-            .grant(ppn, perms);
+            })?;
+        if p.failed {
+            return Err(Fault::PartitionFailed { asid });
+        }
+        p.stage2.grant(ppn, perms);
         Ok(())
     }
 
     /// Invalidates `asid`'s stage-2 entry for `ppn` (accesses now trap).
     pub fn stage2_invalidate(&mut self, asid: AsId, ppn: u64) -> bool {
-        self.stage2
-            .get_mut(&asid)
-            .is_some_and(|t| t.invalidate(ppn))
+        self.stage2_mut(asid).is_some_and(|t| t.invalidate(ppn))
     }
 
     /// Re-validates an invalidated entry (page reclaim by its owner).
     pub fn stage2_revalidate(&mut self, asid: AsId, ppn: u64) -> bool {
-        self.stage2
-            .get_mut(&asid)
-            .is_some_and(|t| t.revalidate(ppn))
+        self.stage2_mut(asid).is_some_and(|t| t.revalidate(ppn))
     }
 
     /// Revokes a stage-2 entry entirely.
     pub fn stage2_revoke(&mut self, asid: AsId, ppn: u64) -> bool {
-        self.stage2.get_mut(&asid).is_some_and(|t| t.revoke(ppn))
+        self.stage2_mut(asid).is_some_and(|t| t.revoke(ppn))
     }
 
     /// Returns true if `asid` holds a *valid* stage-2 grant for `ppn`.
     pub fn stage2_is_valid(&self, asid: AsId, ppn: u64) -> bool {
-        self.stage2.get(&asid).is_some_and(|t| t.is_valid(ppn))
+        self.stage2(asid).is_some_and(|t| t.is_valid(ppn))
     }
 
     /// Pages granted (valid or invalidated) to a partition.
     pub fn stage2_pages(&self, asid: AsId) -> Vec<u64> {
-        self.stage2
-            .get(&asid)
+        self.stage2(asid)
             .map(|t| t.granted_pages().collect())
             .unwrap_or_default()
     }
 
-    /// Every registered partition, sorted by id (the normal world has no
+    /// Every registered partition, in id order (the normal world has no
     /// stage-2 table and never appears here).
     pub fn partitions(&self) -> Vec<AsId> {
-        let mut ids: Vec<AsId> = self.stage2.keys().copied().collect();
-        ids.sort();
-        ids
+        self.partitions.keys().copied().collect()
     }
 
     /// A partition's complete stage-2 state as `(ppn, perms, valid)`
     /// triples, sorted by page number — used by the isolation auditor.
     pub fn stage2_entries(&self, asid: AsId) -> Vec<(u64, PagePerms, bool)> {
         let mut entries: Vec<(u64, PagePerms, bool)> = self
-            .stage2
-            .get(&asid)
+            .stage2(asid)
             .map(|t| t.entries().collect())
             .unwrap_or_default();
         entries.sort_by_key(|(ppn, _, _)| *ppn);
@@ -366,14 +374,14 @@ impl Machine {
             // TZASC alone filters it.
             return Ok(());
         }
-        if self.failed.contains(&asid) {
-            return Err(Fault::PartitionFailed { asid });
-        }
-        let table = self
-            .stage2
+        let p = self
+            .partitions
             .get(&asid)
             .ok_or(Fault::Stage2Unmapped { asid, pa })?;
-        table.check(asid, pa, access)
+        if p.failed {
+            return Err(Fault::PartitionFailed { asid });
+        }
+        p.stage2.check(asid, pa, access)
     }
 
     fn check_span(

@@ -5,7 +5,7 @@
 //! stage-2 entries during failover so that in-flight device DMA to a failed
 //! partition's shared memory also traps (§IV-D, step 1).
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::addr::PhysAddr;
@@ -41,7 +41,7 @@ impl fmt::Debug for StreamId {
 /// (grant / invalidate / check) are identical to a partition's stage-2 table.
 #[derive(Debug, Default)]
 pub struct Smmu {
-    streams: HashMap<StreamId, Stage2Table>,
+    streams: BTreeMap<StreamId, Stage2Table>,
 }
 
 impl Smmu {
@@ -107,13 +107,10 @@ impl Smmu {
             .unwrap_or_default()
     }
 
-    /// Every configured stream and its grant table, sorted by stream id —
+    /// Every configured stream and its grant table, in stream-id order —
     /// the full SMMU state, used by the isolation auditor.
     pub fn streams(&self) -> Vec<(StreamId, &Stage2Table)> {
-        let mut streams: Vec<(StreamId, &Stage2Table)> =
-            self.streams.iter().map(|(id, t)| (*id, t)).collect();
-        streams.sort_by_key(|(id, _)| *id);
-        streams
+        self.streams.iter().map(|(id, t)| (*id, t)).collect()
     }
 }
 

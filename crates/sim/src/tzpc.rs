@@ -4,7 +4,7 @@
 //! CRONUS "locks down all devices configured to the secure world to resist
 //! malicious reconfiguration" (§V-A); we model the lockdown bit explicitly.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::fault::Fault;
@@ -41,7 +41,7 @@ impl fmt::Display for DeviceId {
 /// Per-device world assignment plus a boot-time lockdown latch.
 #[derive(Clone, Debug, Default)]
 pub struct Tzpc {
-    assignment: HashMap<DeviceId, World>,
+    assignment: BTreeMap<DeviceId, World>,
     locked: bool,
 }
 
@@ -99,19 +99,16 @@ impl Tzpc {
         }
     }
 
-    /// Iterates over all explicit device assignments.
+    /// Iterates over all explicit device assignments, in device-id order.
     pub fn assignments(&self) -> impl Iterator<Item = (DeviceId, World)> + '_ {
         self.assignment.iter().map(|(d, w)| (*d, *w))
     }
 
-    /// Canonical encoding of the assignment plus the lockdown latch —
-    /// sorted by device id so the digest the security-event ledger records
-    /// at lockdown is independent of hash-map iteration order.
+    /// Canonical encoding of the assignment (in device-id order) plus the
+    /// lockdown latch: what the security-event ledger digests at lockdown.
     pub fn canonical_bytes(&self) -> Vec<u8> {
-        let mut entries: Vec<(DeviceId, World)> = self.assignments().collect();
-        entries.sort_by_key(|(d, _)| *d);
         let mut out = String::new();
-        for (d, w) in entries {
+        for (d, w) in self.assignments() {
             out.push_str(&format!("{d}={w};"));
         }
         out.push_str(if self.locked { "locked" } else { "open" });

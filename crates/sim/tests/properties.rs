@@ -1,10 +1,8 @@
 //! Property-based tests for the simulated machine.
 //!
-//! The full generated suite lives in the gated `full` module (enable with the
-//! non-default `proptest` feature, e.g. `cargo test --all-features`); the
-//! `smoke` module keeps a deterministic subset always on.
+//! Cases come from the in-repo `proptest` shim (`crates/ptest`): seeded by the
+//! test's name, so every run generates the same ones.
 
-#[cfg(feature = "proptest")]
 mod full {
     use proptest::prelude::*;
 
@@ -103,57 +101,5 @@ mod full {
                 prop_assert!(err.is_stage2());
             }
         }
-    }
-}
-
-mod smoke {
-    use cronus_sim::addr::{PhysAddr, PhysRange, PAGE_SIZE};
-    use cronus_sim::machine::AsId;
-    use cronus_sim::pagetable::PagePerms;
-    use cronus_sim::{Machine, MachineConfig, World};
-
-    #[test]
-    fn range_overlap_symmetric_fixed() {
-        let a = PhysRange::from_base_len(PhysAddr::new(0x1000), 0x800);
-        let b = PhysRange::from_base_len(PhysAddr::new(0x1400), 0x100);
-        assert!(a.overlaps(b) && b.overlaps(a));
-        let far = PhysRange::from_base_len(PhysAddr::new(0x9000), 0x100);
-        assert!(!a.overlaps(far) && !far.overlaps(a));
-    }
-
-    #[test]
-    fn machine_memory_roundtrip_fixed() {
-        let mut m = Machine::new(MachineConfig::default());
-        let asid = AsId::new(1);
-        m.register_partition(asid);
-        let frame = m.alloc_frame(World::Secure).expect("frame");
-        m.stage2_grant(asid, frame.page(), PagePerms::RW)
-            .expect("grant");
-        let data: Vec<u8> = (0..251u32).map(|i| (i * 7 % 256) as u8).collect();
-        let pa = frame.base().add(17);
-        m.mem_write(asid, World::Secure, pa, &data).expect("write");
-        assert_eq!(
-            m.mem_read_vec(asid, World::Secure, pa, data.len())
-                .expect("read"),
-            data
-        );
-
-        let err = m
-            .mem_read_vec(AsId::NORMAL_WORLD, World::Normal, frame.base(), 1)
-            .expect_err("tzasc filters normal world");
-        assert!(err.is_world_filter());
-    }
-
-    #[test]
-    fn allocator_conserves_pages_fixed() {
-        let mut m = Machine::new(MachineConfig::default());
-        let before = m.free_pages(World::Secure);
-        let frames = m.alloc_frames(World::Secure, 8).expect("frames");
-        assert_eq!(m.free_pages(World::Secure), before - 8);
-        for f in frames {
-            m.free_frame(f);
-        }
-        assert_eq!(m.free_pages(World::Secure), before);
-        let _ = PAGE_SIZE;
     }
 }

@@ -7,7 +7,7 @@
 //! mEnclaves created later, "so a client does not need to attest an mEnclave
 //! each time it is created".
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 
 use cronus_crypto::hmac::{hmac_sha256, verify_hmac};
@@ -132,7 +132,7 @@ pub struct Expectations {
 #[derive(Clone, Debug)]
 pub struct ClientVerifier {
     attestation_service: PublicKey,
-    vendors: HashMap<String, PublicKey>,
+    vendors: BTreeMap<String, PublicKey>,
 }
 
 impl ClientVerifier {
@@ -141,7 +141,7 @@ impl ClientVerifier {
     pub fn new(attestation_service: PublicKey) -> Self {
         ClientVerifier {
             attestation_service,
-            vendors: HashMap::new(),
+            vendors: BTreeMap::new(),
         }
     }
 

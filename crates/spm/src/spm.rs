@@ -16,7 +16,7 @@
 //!    data to a substituted peer (A1) or deadlocks on a dead lock holder (A2),
 //!    and no crashed data survives into the recovered partition (A3).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 
 use cronus_crypto::measure;
@@ -118,8 +118,9 @@ impl Default for BootConfig {
     }
 }
 
-/// Identifier of a shared-memory region.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+/// Identifier of a shared-memory region. Handles are minted 1, 2, 3 …: a
+/// share's handle is its position in the SPM's share list, plus one.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct ShareHandle(u64);
 
 impl ShareHandle {
@@ -127,6 +128,14 @@ impl ShareHandle {
     /// isolation auditor to report share provenance).
     pub const fn as_u64(self) -> u64 {
         self.0
+    }
+
+    fn at(index: usize) -> Self {
+        ShareHandle(index as u64 + 1)
+    }
+
+    fn index(self) -> Option<usize> {
+        usize::try_from(self.0).ok()?.checked_sub(1)
     }
 }
 
@@ -147,7 +156,6 @@ pub enum ShareState {
 
 #[derive(Debug)]
 struct ShareRecord {
-    handle: ShareHandle,
     owner: (AsId, Eid),
     peer: (AsId, Eid),
     pages: Vec<u64>,
@@ -263,20 +271,27 @@ pub struct TrapOutcome {
     pub reclaimed: bool,
 }
 
+/// What the SPM keeps per partition: its mOS and the one device it manages
+/// (§IV-A), with the vendor's endorsement of that device.
+struct Partition {
+    mos: MicroOs,
+    device: DeviceId,
+    vendor: String,
+    endorsement: cronus_crypto::Signature,
+    /// When the failed partition's recovery work item was enqueued (virtual
+    /// time), consumed by `recover_partition` for the `spm.recovery` queue.
+    recovery_enqueued: Option<SimNs>,
+}
+
 /// The Secure Partition Manager.
 pub struct Spm {
     machine: Machine,
     bus: PcieBus,
     monitor: SecureMonitor,
-    partitions: HashMap<AsId, MicroOs>,
-    device_of: HashMap<AsId, DeviceId>,
-    vendors: HashMap<DeviceId, (String, cronus_crypto::Signature)>,
+    partitions: BTreeMap<AsId, Partition>,
+    /// Every share ever granted, in handle order (see [`ShareHandle`]).
     shares: Vec<ShareRecord>,
-    next_share: u64,
     recorder: Option<FlightRecorder>,
-    /// When each failed partition's recovery work item was enqueued (virtual
-    /// time), consumed by `recover_partition` for the `spm.recovery` queue.
-    recovery_enqueued: HashMap<AsId, SimNs>,
     ledger: Ledger,
 }
 
@@ -307,9 +322,7 @@ impl Spm {
         let mut machine = Machine::new(config.machine);
         let monitor = SecureMonitor::new(&config.platform_seed);
         let mut bus = PcieBus::new();
-        let mut partitions = HashMap::new();
-        let mut device_of = HashMap::new();
-        let mut vendors = HashMap::new();
+        let mut partitions = BTreeMap::new();
 
         // Build and validate the device tree (§IV-A: only valid DTs boot).
         let mut nodes = Vec::new();
@@ -389,7 +402,6 @@ impl Spm {
             let vendor = vendor_keypair(vendor_name);
             let endorsement = endorse_device(&vendor, hal.device().rot_public());
             let rot_digest = hal.device().rot_digest();
-            vendors.insert(device, (vendor_name.to_string(), endorsement));
             ledger.append(
                 asid.as_u32(),
                 SimNs::ZERO,
@@ -402,8 +414,16 @@ impl Spm {
 
             machine.register_partition(asid);
             let mos = MicroOs::new(spec.mos_id, asid, &spec.image, &spec.version, hal);
-            device_of.insert(asid, device);
-            partitions.insert(asid, mos);
+            partitions.insert(
+                asid,
+                Partition {
+                    mos,
+                    device,
+                    vendor: vendor_name.to_string(),
+                    endorsement,
+                    recovery_enqueued: None,
+                },
+            );
         }
 
         // Lock down after boot so the untrusted OS cannot reassign devices.
@@ -421,12 +441,8 @@ impl Spm {
             bus,
             monitor,
             partitions,
-            device_of,
-            vendors,
             shares: Vec::new(),
-            next_share: 1,
             recorder: None,
-            recovery_enqueued: HashMap::new(),
             ledger,
         }
     }
@@ -453,8 +469,8 @@ impl Spm {
     pub fn set_recorder(&mut self, rec: FlightRecorder) {
         self.machine.set_event_sink(rec.sink());
         self.bus.set_recorder(rec.clone());
-        for mos in self.partitions.values_mut() {
-            match mos.hal_mut() {
+        for p in self.partitions.values_mut() {
+            match p.mos.hal_mut() {
                 DeviceHal::Gpu(g) => g.set_recorder(rec.clone()),
                 DeviceHal::Npu(n) => n.set_recorder(rec.clone()),
                 DeviceHal::Cpu(_) => {}
@@ -489,30 +505,28 @@ impl Spm {
         &self.monitor
     }
 
-    /// Iterates over partition ids.
+    /// Every partition id, in id order.
     pub fn partition_ids(&self) -> Vec<AsId> {
-        let mut ids: Vec<AsId> = self.partitions.keys().copied().collect();
-        ids.sort();
-        ids
+        self.partitions.keys().copied().collect()
     }
 
     /// Finds the partition managing a device kind (first match in id order).
     pub fn partition_of_kind(&self, kind: DeviceKind) -> Option<AsId> {
-        self.partition_ids()
-            .into_iter()
-            .find(|asid| self.partitions[asid].device_kind() == kind)
+        let mut partitions = self.partitions.iter();
+        let found = partitions.find(|(_, p)| p.mos.device_kind() == kind);
+        found.map(|(asid, _)| *asid)
     }
 
     /// The device a partition owns, if any.
     pub fn device_of(&self, asid: AsId) -> Option<DeviceId> {
-        self.device_of.get(&asid).copied()
+        self.partitions.get(&asid).map(|p| p.device)
     }
 
     /// Read-only views of every shared-memory grant, in creation order —
     /// the share provenance the isolation auditor checks mappings against.
     pub fn shares(&self) -> impl Iterator<Item = ShareView<'_>> {
-        self.shares.iter().map(|r| ShareView {
-            handle: r.handle,
+        self.shares.iter().enumerate().map(|(i, r)| ShareView {
+            handle: ShareHandle::at(i),
             owner: r.owner,
             peer: r.peer,
             pages: &r.pages,
@@ -526,9 +540,8 @@ impl Spm {
     ///
     /// [`SpmError::UnknownPartition`].
     pub fn mos(&self, asid: AsId) -> Result<&MicroOs, SpmError> {
-        self.partitions
-            .get(&asid)
-            .ok_or(SpmError::UnknownPartition(asid))
+        let p = self.partitions.get(&asid);
+        Ok(&p.ok_or(SpmError::UnknownPartition(asid))?.mos)
     }
 
     /// Mutable access to a partition's mOS.
@@ -537,9 +550,8 @@ impl Spm {
     ///
     /// [`SpmError::UnknownPartition`].
     pub fn mos_mut(&mut self, asid: AsId) -> Result<&mut MicroOs, SpmError> {
-        self.partitions
-            .get_mut(&asid)
-            .ok_or(SpmError::UnknownPartition(asid))
+        let p = self.partitions.get_mut(&asid);
+        Ok(&mut p.ok_or(SpmError::UnknownPartition(asid))?.mos)
     }
 
     /// Mutable access to a partition's mOS *and* the machine together
@@ -552,10 +564,8 @@ impl Spm {
         &mut self,
         asid: AsId,
     ) -> Result<(&mut MicroOs, &mut Machine), SpmError> {
-        let mos = self
-            .partitions
-            .get_mut(&asid)
-            .ok_or(SpmError::UnknownPartition(asid))?;
+        let p = self.partitions.get_mut(&asid);
+        let mos = &mut p.ok_or(SpmError::UnknownPartition(asid))?.mos;
         Ok((mos, &mut self.machine))
     }
 
@@ -569,10 +579,8 @@ impl Spm {
         &mut self,
         asid: AsId,
     ) -> Result<(&mut MicroOs, &mut Machine, &PcieBus), SpmError> {
-        let mos = self
-            .partitions
-            .get_mut(&asid)
-            .ok_or(SpmError::UnknownPartition(asid))?;
+        let p = self.partitions.get_mut(&asid);
+        let mos = &mut p.ok_or(SpmError::UnknownPartition(asid))?.mos;
         Ok((mos, &mut self.machine, &self.bus))
     }
 
@@ -592,10 +600,7 @@ impl Spm {
         if self.machine.is_failed(asid) {
             return Err(SpmError::PartitionFailed(asid));
         }
-        let mos = self
-            .partitions
-            .get_mut(&asid)
-            .ok_or(SpmError::UnknownPartition(asid))?;
+        let mos = self.mos_mut(asid)?;
         Ok(mos.create_enclave(manifest, images, owner, owner_dh_public)?)
     }
 
@@ -652,18 +657,13 @@ impl Spm {
         }
 
         let owner_va = self
-            .partitions
-            .get_mut(&owner_asid)
-            .expect("validated")
+            .mos_mut(owner_asid)?
             .map_pages(owner_eid, &ppns, PagePerms::RW)?;
         let peer_va = self
-            .partitions
-            .get_mut(&peer_asid)
-            .expect("validated")
+            .mos_mut(peer_asid)?
             .map_pages(peer_eid, &ppns, PagePerms::RW)?;
 
-        let handle = ShareHandle(self.next_share);
-        self.next_share += 1;
+        let handle = ShareHandle::at(self.shares.len());
         self.machine.record(EventKind::MemoryShared {
             from: owner_asid,
             to: peer_asid,
@@ -677,7 +677,6 @@ impl Spm {
             );
         }
         self.shares.push(ShareRecord {
-            handle,
             owner,
             peer,
             pages: ppns,
@@ -715,11 +714,8 @@ impl Spm {
     ///
     /// [`SpmError::UnknownShare`].
     pub fn share_pages(&self, handle: ShareHandle) -> Result<&[u64], SpmError> {
-        self.shares
-            .iter()
-            .find(|s| s.handle == handle)
-            .map(|s| s.pages.as_slice())
-            .ok_or(SpmError::UnknownShare(handle))
+        let share = handle.index().and_then(|i| self.shares.get(i));
+        Ok(&share.ok_or(SpmError::UnknownShare(handle))?.pages)
     }
 
     // ---- failure detection ------------------------------------------------
@@ -728,12 +724,11 @@ impl Spm {
     /// if a P_a hangs by checking the status of P_a's mOS"). Returns the
     /// partitions newly detected as failed.
     pub fn detect_failures(&mut self) -> Vec<AsId> {
-        let ids = self.partition_ids();
         let mut newly = Vec::new();
-        for asid in ids {
-            let failed = self.partitions[&asid].status() == MosStatus::Failed;
-            if failed && !self.machine.is_failed(asid) {
-                newly.push(asid);
+        for (asid, p) in &self.partitions {
+            let failed = p.mos.status() == MosStatus::Failed;
+            if failed && !self.machine.is_failed(*asid) {
+                newly.push(*asid);
             }
         }
         if let Some(rec) = &self.recorder {
@@ -761,18 +756,13 @@ impl Spm {
     ///
     /// [`SpmError::UnknownPartition`].
     pub fn fail_partition(&mut self, asid: AsId) -> Result<(usize, SimNs), SpmError> {
-        let mos = self
-            .partitions
-            .get_mut(&asid)
-            .ok_or(SpmError::UnknownPartition(asid))?;
-        mos.fail();
+        self.mos_mut(asid)?.fail();
         let mut invalidated = 0usize;
         let mut poisoned: Vec<(ShareHandle, AsId)> = Vec::new();
-        for share in self
-            .shares
-            .iter_mut()
-            .filter(|s| s.state == ShareState::Active)
-        {
+        for (i, share) in self.shares.iter_mut().enumerate() {
+            if share.state != ShareState::Active {
+                continue;
+            }
             let survivor = if share.owner.0 == asid {
                 Some(share.peer.0)
             } else if share.peer.0 == asid {
@@ -786,13 +776,13 @@ impl Spm {
                     invalidated += 1;
                 }
                 // Invalidate the survivor's device DMA path too.
-                if let Some(device) = self.device_of.get(&survivor) {
-                    let stream = StreamId::new(device.as_u32());
+                if let Some(p) = self.partitions.get(&survivor) {
+                    let stream = StreamId::new(p.device.as_u32());
                     self.machine.smmu_mut().invalidate(stream, *ppn);
                 }
             }
             share.state = ShareState::Poisoned { survivor };
-            poisoned.push((share.handle, survivor));
+            poisoned.push((ShareHandle::at(i), survivor));
         }
         self.machine.mark_failed(asid);
         let t = self.machine.cost().page_unmap * (invalidated.max(1) as u64);
@@ -813,7 +803,9 @@ impl Spm {
             rec.charge_detail(TimeCategory::Recovery, "invalidate", t);
             // The clear+reload work item now waits for recover_partition.
             rec.queue_enqueue("spm.recovery", start);
-            self.recovery_enqueued.insert(asid, start);
+            if let Some(p) = self.partitions.get_mut(&asid) {
+                p.recovery_enqueued = Some(start);
+            }
         }
         let at = self.now();
         self.ledger.append(
@@ -853,7 +845,7 @@ impl Spm {
         if !self.machine.is_failed(asid) {
             return Err(SpmError::NotFailed(asid));
         }
-        let mos = self
+        let partition = self
             .partitions
             .get_mut(&asid)
             .ok_or(SpmError::UnknownPartition(asid))?;
@@ -888,7 +880,8 @@ impl Spm {
                 }
             }
         }
-        mos.restart(&mut self.machine, image, version);
+        partition.mos.restart(&mut self.machine, image, version);
+        let recovery_enq = partition.recovery_enqueued.take();
         self.machine
             .record(EventKind::PartitionCleared { partition: asid });
         self.machine.mark_recovered(asid);
@@ -900,7 +893,6 @@ impl Spm {
             clear_time: cost.partition_clear,
             restart_time: cost.mos_restart,
         };
-        let recovery_enq = self.recovery_enqueued.remove(&asid);
         if let Some(rec) = &self.recorder {
             let track = rec.track("recovery");
             let t0 = rec.total_elapsed();
@@ -969,31 +961,25 @@ impl Spm {
     /// [`SpmError::NoPoisonedShare`] if the faulting page is not part of any
     /// poisoned share the survivor participates in.
     pub fn handle_trap(&mut self, survivor: AsId, ppn: u64) -> Result<TrapOutcome, SpmError> {
-        let idx = self
+        let share = self
             .shares
-            .iter()
-            .position(|s| {
+            .iter_mut()
+            .find(|s| {
                 matches!(s.state, ShareState::Poisoned { survivor: sv } if sv == survivor)
                     && s.pages.contains(&ppn)
             })
             .ok_or(SpmError::NoPoisonedShare { ppn })?;
-
-        let (signalled, failed_asid, pages) = {
-            let share = &self.shares[idx];
-            let (eid, failed_asid) = if share.owner.0 == survivor {
-                (share.owner.1, share.peer.0)
-            } else {
-                (share.peer.1, share.owner.0)
-            };
-            (eid, failed_asid, share.pages.clone())
+        let (signalled, failed_asid) = if share.owner.0 == survivor {
+            (share.owner.1, share.peer.0)
+        } else {
+            (share.peer.1, share.owner.0)
         };
+        let pages = &share.pages;
 
         // Unmap the enclave's stage-1 entries mapping the share.
-        let unmapped = self
-            .partitions
-            .get_mut(&survivor)
-            .ok_or(SpmError::UnknownPartition(survivor))?
-            .unmap_phys_pages(signalled, &pages);
+        let p = self.partitions.get_mut(&survivor);
+        let p = p.ok_or(SpmError::UnknownPartition(survivor))?;
+        let unmapped = p.mos.unmap_phys_pages(signalled, pages);
 
         // Reclaim: zero (defensive; step 2 already cleared if it ran) and
         // revalidate the survivor's stage-2 entries. The failed endpoint's
@@ -1001,7 +987,7 @@ impl Spm {
         // recovery's sweep (which only visits poisoned shares) will never
         // touch them, and they would otherwise survive as stale writable
         // mappings of pages the survivor reuses (isolation invariant I1).
-        for p in &pages {
+        for p in pages {
             self.machine.zero_page(*p);
             self.machine.stage2_revalidate(survivor, *p);
             self.machine.stage2_revoke(failed_asid, *p);
@@ -1009,7 +995,7 @@ impl Spm {
         self.machine.record(EventKind::FailureSignal {
             partition: survivor,
         });
-        self.shares[idx].state = ShareState::Reclaimed;
+        share.state = ShareState::Reclaimed;
         if let Some(rec) = &self.recorder {
             let t = self.machine.cost().page_unmap * (unmapped.max(1) as u64);
             let track = rec.track("recovery");
@@ -1057,14 +1043,11 @@ impl Spm {
     ///
     /// [`SpmError::UnknownShare`].
     pub fn reclaim_share(&mut self, handle: ShareHandle) -> Result<(), SpmError> {
-        let share = self
-            .shares
-            .iter_mut()
-            .find(|s| s.handle == handle)
-            .ok_or(SpmError::UnknownShare(handle))?;
+        let share = handle.index().and_then(|i| self.shares.get_mut(i));
+        let share = share.ok_or(SpmError::UnknownShare(handle))?;
         for (asid, eid) in [share.owner, share.peer] {
-            if let Some(mos) = self.partitions.get_mut(&asid) {
-                mos.unmap_phys_pages(eid, &share.pages);
+            if let Some(p) = self.partitions.get_mut(&asid) {
+                p.mos.unmap_phys_pages(eid, &share.pages);
             }
             for ppn in &share.pages {
                 self.machine.stage2_revoke(asid, *ppn);
@@ -1092,9 +1075,9 @@ impl Spm {
     ///
     /// [`SpmError::UnknownPartition`].
     pub fn make_report(&self, asid: AsId) -> Result<SignedReport, SpmError> {
-        let mos = self.mos(asid)?;
-        let device_id = self.device_of[&asid];
-        let (vendor, endorsement) = self.vendors[&device_id].clone();
+        let p = self.partitions.get(&asid);
+        let p = p.ok_or(SpmError::UnknownPartition(asid))?;
+        let mos = &p.mos;
         let dt_digest = self
             .machine
             .devtree()
@@ -1107,8 +1090,8 @@ impl Spm {
             enclaves: mos.manager().enclave_measurements(),
             devtree_digest: dt_digest,
             device: mos.hal().attest_device(),
-            vendor,
-            device_endorsement: endorsement,
+            vendor: p.vendor.clone(),
+            device_endorsement: p.endorsement,
         };
         let signature = self.monitor.sign_report(&report.digest());
         // Ledger the measurement the monitor just signed (interior

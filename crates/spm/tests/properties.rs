@@ -1,10 +1,8 @@
 //! Property-based tests for the SPM's sharing and failover invariants.
 //!
-//! The full generated suite lives in the gated `full` module (enable with the
-//! non-default `proptest` feature, e.g. `cargo test --all-features`); the
-//! `smoke` module keeps a deterministic subset always on.
+//! Cases come from the in-repo `proptest` shim (`crates/ptest`): seeded by the
+//! test's name, so every run generates the same ones.
 
-#[cfg(feature = "proptest")]
 mod full {
     use std::collections::BTreeMap;
 
@@ -146,62 +144,5 @@ mod full {
                 .is_err();
             prop_assert!(tampered);
         }
-    }
-}
-
-mod smoke {
-    use std::collections::BTreeMap;
-
-    use cronus_devices::DeviceKind;
-    use cronus_mos::manager::Owner;
-    use cronus_mos::manifest::{Manifest, MosId};
-    use cronus_sim::World;
-    use cronus_spm::spm::{asid_of, BootConfig, DeviceSpec, PartitionSpec, Spm};
-
-    #[test]
-    fn failover_conserves_memory_fixed() {
-        let mut spm = Spm::boot(BootConfig {
-            partitions: vec![
-                PartitionSpec::new(1, b"cpu-mos", "v1", DeviceSpec::Cpu),
-                PartitionSpec::new(
-                    2,
-                    b"cuda-mos",
-                    "v3",
-                    DeviceSpec::Gpu {
-                        memory: 1 << 26,
-                        sms: 46,
-                    },
-                ),
-            ],
-            ..Default::default()
-        });
-        let cpu = asid_of(MosId(1));
-        let gpu = asid_of(MosId(2));
-        let a = spm
-            .create_enclave(
-                cpu,
-                Manifest::new(DeviceKind::Cpu),
-                &BTreeMap::new(),
-                Owner::App(1),
-                7,
-            )
-            .expect("cpu enclave");
-        let b = spm
-            .create_enclave(
-                gpu,
-                Manifest::new(DeviceKind::Gpu).with_memory(1 << 20),
-                &BTreeMap::new(),
-                Owner::Enclave(a),
-                7,
-            )
-            .expect("gpu enclave");
-        let free_before = spm.machine().free_pages(World::Secure);
-        let (handle, _, _) = spm.share_memory((cpu, a), (gpu, b), 3).expect("share");
-        spm.fail_partition(gpu).expect("fail");
-        spm.recover_partition(gpu, b"cuda-mos", "v3")
-            .expect("recover");
-        spm.reclaim_share(handle).expect("reclaim");
-        assert_eq!(spm.machine().free_pages(World::Secure), free_before);
-        assert!(!spm.machine().is_failed(gpu));
     }
 }

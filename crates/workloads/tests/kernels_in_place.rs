@@ -7,8 +7,8 @@
 //! not fit its buffers (short buffers, absurd sizes, another context's
 //! handle) fails with a typed error instead of panicking.
 //!
-//! The generated suite lives in the gated `full` module (the non-default
-//! `proptest` feature); `smoke` runs the same checks on fixed seeds always.
+//! `full` runs the checks on generated seeds (the in-repo `proptest` shim);
+//! `smoke` on seeds 0..24, plus the bad-graph and every-kernel-covered checks.
 
 use cronus_devices::gpu::{
     GpuBuffer, GpuContextId, GpuDevice, GpuError, GpuKernelDesc, KernelArg, KernelFn,
@@ -1121,7 +1121,6 @@ fn check_seed(seed: u64) {
     }
 }
 
-#[cfg(feature = "proptest")]
 mod full {
     use proptest::prelude::*;
 

@@ -13,8 +13,8 @@ use cronus::sim::machine::AsId;
 use cronus::sim::{EventKind, EventSink, PhysAddr, SimNs, World};
 use cronus::spm::spm::{asid_of, BootConfig, DeviceSpec, PartitionSpec, Spm};
 
-fn boot() -> Spm {
-    Spm::boot(BootConfig {
+fn platform() -> BootConfig {
+    BootConfig {
         partitions: vec![
             PartitionSpec::new(1, b"cpu-mos", "v1", DeviceSpec::Cpu),
             PartitionSpec::new(
@@ -29,7 +29,11 @@ fn boot() -> Spm {
             PartitionSpec::new(3, b"npu-mos", "v1", DeviceSpec::Npu { memory: 1 << 24 }),
         ],
         ..Default::default()
-    })
+    }
+}
+
+fn boot() -> Spm {
+    Spm::boot(platform())
 }
 
 fn enclave_pair(
@@ -236,4 +240,53 @@ fn untouched_poisoned_share_is_reclaimable() {
     // The survivor never touched the share; terminating reclaims it.
     spm.reclaim_share(handle).expect("reclaim");
     assert_eq!(spm.machine().free_pages(World::Secure), free_before);
+}
+
+/// Destroying an enclave reclaims the shares of every stream it terminates,
+/// and each reclaim appends a hash-chained ledger record, so the order is
+/// output: it must be the same on every run. The stream table is ordered and
+/// the reclaims run in stream-id order.
+#[test]
+fn destroying_a_multi_stream_enclave_ledgers_identically_every_run() {
+    use cronus::core::{Actor, CronusSystem};
+    use cronus::forensics::{verify_export, SecurityEvent};
+
+    let run = || {
+        let mut sys = CronusSystem::boot(platform());
+        let app = sys.create_app();
+        let cpu = sys
+            .create_enclave(
+                Actor::App(app),
+                Manifest::new(DeviceKind::Cpu),
+                &BTreeMap::new(),
+            )
+            .expect("cpu enclave");
+        for _ in 0..4 {
+            let gpu = sys
+                .create_enclave(
+                    Actor::Enclave(cpu),
+                    Manifest::new(DeviceKind::Gpu).with_memory(1 << 20),
+                    &BTreeMap::new(),
+                )
+                .expect("gpu enclave");
+            sys.stream(cpu, gpu).open().expect("stream");
+        }
+        sys.destroy_enclave(cpu).expect("destroy");
+        sys.spm().ledger().export()
+    };
+
+    let first = run();
+    verify_export(&first).expect("ledger verifies");
+    let reclaimed: Vec<u64> = first
+        .records_by_seq()
+        .into_iter()
+        .filter_map(|r| match r.event {
+            SecurityEvent::ShareReclaimed { share } => Some(share),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(reclaimed, [1, 2, 3, 4], "reclaims run in stream order");
+    for i in 1..8 {
+        assert_eq!(run(), first, "run {i} ledgered differently");
+    }
 }

@@ -11,7 +11,7 @@
 //!   plant a stale SMMU grant after recovery) and assert the auditor
 //!   reports *exactly* the targeted invariant with a PPN-level
 //!   counterexample naming every party;
-//! * **hook wiring** — the `audit-hooks` reconfiguration-point hooks stay
+//! * **hook wiring** — the reconfiguration-point audit hooks stay
 //!   silent across a healthy lifecycle and do count violations once the
 //!   state is broken.
 

@@ -1,10 +1,8 @@
 //! Property-based tests over core data structures and protocol invariants.
 //!
-//! The full generated suite lives in the gated `full` module (enable with the
-//! non-default `proptest` feature, e.g. `cargo test --all-features`); the
-//! `smoke` module keeps a deterministic subset always on.
+//! Cases come from the in-repo `proptest` shim (`crates/ptest`): seeded by the
+//! test's name, so every run generates the same ones.
 
-#[cfg(feature = "proptest")]
 mod full {
     use proptest::prelude::*;
 
@@ -167,76 +165,134 @@ mod full {
     }
 }
 
-mod smoke {
-    use cronus::core::ring::{
-        decode_request, decode_result, encode_request, encode_result, Request, ResultStatus,
-        RingLayout,
-    };
-    use cronus::crypto::{sha256, Digest, StreamCipher};
-    use cronus::mos::manifest::{Eid, MosId};
-    use cronus::sim::machine::AsId;
-    use cronus::sim::pagetable::{Access, PagePerms, PageTable, Stage2Table};
-    use cronus::sim::{PhysAddr, SimNs, VirtAddr};
+/// Two fresh systems driven through the same lifecycle are the same system:
+/// nothing a run leaves behind depends on anything but the operations.
+mod lifecycle {
+    use std::collections::BTreeMap;
 
-    #[test]
-    fn codecs_roundtrip_fixed() {
-        let req = Request {
-            name: "cuLaunchKernel".to_string(),
-            payload: vec![5u8; 96],
-        };
-        let decoded = decode_request(&encode_request(&req).expect("fits")).expect("valid");
-        assert_eq!(
-            (decoded.name.as_str(), decoded.payload.len()),
-            ("cuLaunchKernel", 96)
-        );
-        let decoded =
-            decode_result(&encode_result(ResultStatus::Ok, &[7, 8]).expect("fits")).expect("valid");
-        assert_eq!(decoded, (ResultStatus::Ok, vec![7, 8]));
+    use proptest::prelude::*;
 
-        let layout = RingLayout::new(4);
-        assert!(!layout.is_full(3, 3));
-        assert!(layout.is_full(layout.slots, 0));
+    use cronus::audit::IsolationModel;
+    use cronus::core::{Actor, CronusSystem, EnclaveRef, StreamId};
+    use cronus::devices::DeviceKind;
+    use cronus::forensics::LedgerExport;
+    use cronus::mos::manifest::{Manifest, McallDecl, MosId};
+    use cronus::sim::SimNs;
+    use cronus::spm::spm::{asid_of, BootConfig, DeviceSpec, PartitionSpec};
 
-        let cipher = StreamCipher::new([9u8; 32]);
-        let sealed = cipher.seal(1, b"payload");
-        assert_eq!(cipher.open(&sealed).expect("authentic"), b"payload");
+    fn pick<T: Copy>(from: &[T], i: usize) -> Option<T> {
+        (!from.is_empty()).then(|| from[i % from.len()])
     }
 
-    #[test]
-    fn translation_and_ids_fixed() {
-        let asid = AsId::new(7);
-        let mut table = PageTable::new();
-        table.map(5, 9, PagePerms::RW);
-        let va = VirtAddr::from_page_number(5).add(123);
-        assert_eq!(
-            table.translate(asid, va, Access::Write).expect("mapped"),
-            PhysAddr::from_page_number(9).add(123)
-        );
-        table.unmap(5);
-        assert!(table.translate(asid, va, Access::Read).is_err());
+    /// Applies `ops` — an operation and a number to choose its operands by —
+    /// to a fresh system, then destroys the CPU enclave every stream starts
+    /// at. Returns the ledger and the rendered isolation model. What each
+    /// operation returns is ignored: one that fails has to fail the same way
+    /// on both systems, and the ledger shows it if it does not.
+    fn drive(ops: &[(u8, u8)]) -> (LedgerExport, String) {
+        let gpu_spec = DeviceSpec::Gpu {
+            memory: 1 << 26,
+            sms: 46,
+        };
+        let mut sys = CronusSystem::boot(BootConfig {
+            partitions: vec![
+                PartitionSpec::new(1, b"cpu-mos", "v1", DeviceSpec::Cpu),
+                PartitionSpec::new(2, b"cuda-mos", "v3", gpu_spec),
+            ],
+            ..Default::default()
+        });
+        let gpu_asid = asid_of(MosId(2));
+        let app = sys.create_app();
+        let cpu_manifest = Manifest::new(DeviceKind::Cpu);
+        let cpu = sys
+            .create_enclave(Actor::App(app), cpu_manifest, &BTreeMap::new())
+            .expect("cpu enclave");
+        let mut gpus: Vec<EnclaveRef> = Vec::new();
+        let mut streams: Vec<StreamId> = Vec::new();
+        let mut failed = false;
+        for &(op, n) in ops {
+            let n = n as usize;
+            match op {
+                0..=1 => {
+                    let manifest = Manifest::new(DeviceKind::Gpu)
+                        .with_mecall(McallDecl::asynchronous("work"))
+                        .with_memory(1 << 16);
+                    if let Ok(gpu) =
+                        sys.create_enclave(Actor::Enclave(cpu), manifest, &BTreeMap::new())
+                    {
+                        sys.register_handler(
+                            gpu,
+                            "work",
+                            Box::new(|_, p| Ok((p.to_vec(), SimNs::from_micros(5)))),
+                        );
+                        gpus.push(gpu);
+                    }
+                }
+                2..=4 => {
+                    if let Some(gpu) = pick(&gpus, n) {
+                        let builder = sys.stream(cpu, gpu).rings(1 + n % 4);
+                        let builder = if n % 2 == 1 {
+                            builder.zero_copy(256)
+                        } else {
+                            builder
+                        };
+                        streams.extend(builder.open());
+                    }
+                }
+                5..=7 => {
+                    if let Some(stream) = pick(&streams, n) {
+                        let payload = vec![n as u8; n * 4];
+                        let _ = sys.call(stream, "work").payload(&payload).start();
+                        if n.is_multiple_of(3) {
+                            let _ = sys.sync(stream);
+                        }
+                    }
+                }
+                8 => {
+                    if let Some(stream) = pick(&streams, n) {
+                        let _ = sys.close_stream(stream);
+                    }
+                }
+                9 => {
+                    if !gpus.is_empty() {
+                        let _ = sys.destroy_enclave(gpus.remove(n % gpus.len()));
+                    }
+                }
+                10 => {
+                    if failed {
+                        let _ = sys.recover_partition(gpu_asid);
+                        gpus.clear();
+                    } else {
+                        let _ = sys.inject_partition_failure(gpu_asid);
+                    }
+                    failed = !failed;
+                }
+                _ => {
+                    if let (Some(old), Some(gpu)) = (pick(&streams, n), pick(&gpus, n / 16)) {
+                        streams.extend(sys.stream(cpu, gpu).reopen(old));
+                    }
+                }
+            }
+        }
+        let _ = sys.destroy_enclave(cpu);
+        let model = IsolationModel::extract(&sys).render();
+        (sys.spm().ledger().export(), model)
+    }
 
-        let mut s2 = Stage2Table::new();
-        s2.grant(17, PagePerms::RW);
-        assert!(s2.invalidate(17));
-        assert!(s2
-            .check(asid, PhysAddr::from_page_number(17), Access::Read)
-            .is_err());
-        assert!(s2.revalidate(17));
-        assert!(s2
-            .check(asid, PhysAddr::from_page_number(17), Access::Read)
-            .is_ok());
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
 
-        let eid = Eid::new(MosId(3), 99);
-        assert_eq!((eid.mos(), eid.local()), (MosId(3), 99));
-
-        let x = SimNs::from_micros(3);
-        assert_eq!(x.scale(1.0), x);
-        assert_eq!(
-            (x + SimNs::from_nanos(5)).saturating_sub(SimNs::from_nanos(5)),
-            x
-        );
-
-        assert_ne!(cronus::crypto::measure("mos-image", b"data"), Digest::ZERO);
-        assert_ne!(sha256(b"a"), sha256(b"b"));
+        /// Create, open (some zero-copy), call, close, destroy, fail,
+        /// recover, reopen in any order: the second system's ledger and
+        /// mapping state equal the first's.
+        #[test]
+        fn same_operations_leave_the_same_ledger_and_mappings(
+            ops in proptest::collection::vec((0u8..12, any::<u8>()), 1..48),
+        ) {
+            let (ledger, model) = drive(&ops);
+            let (again, model_again) = drive(&ops);
+            prop_assert!(ledger == again, "ledgers differ after {ops:?}");
+            prop_assert_eq!(model, model_again);
+        }
     }
 }

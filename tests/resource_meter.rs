@@ -2,14 +2,12 @@
 //! every metered resource against the profiler's authoritative totals, and
 //! byte-identical determinism of the interference observatory.
 //!
-//! The generated random-mix suite lives in the gated `full` module (enable
-//! with the non-default `proptest` feature, e.g. `cargo test
-//! --all-features`); the `smoke` module keeps a deterministic subset
-//! always on.
+//! `full` is the generated random-mix suite (the in-repo `proptest` shim,
+//! seeded by the test's name); `smoke` holds the fixed-seed checks:
+//! determinism, divergence across seeds and the conviction at figure scale.
 
 use cronus::bench::experiments::{interference, saturation};
 
-#[cfg(feature = "proptest")]
 mod full {
     use proptest::prelude::*;
 

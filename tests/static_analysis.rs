@@ -269,6 +269,27 @@ fn reachable_panic_in_dispatch_trips_panic_reachability_only() {
     );
 }
 
+#[test]
+fn hashed_state_table_in_a_trusted_crate_trips_hash_order_only() {
+    let r = report_for(vec![(
+        "crates/spm/src/spm.rs".into(),
+        "use std::collections::HashMap;\n\
+         pub struct Spm { partitions: HashMap<u32, u64> }\n\
+         impl Spm {\n\
+             pub fn ids(&self) -> Vec<u32> { self.partitions.keys().copied().collect() }\n\
+         }\n"
+        .into(),
+    )]);
+    let hits: Vec<(&str, u32)> = r.findings.iter().map(|f| (f.rule, f.line)).collect();
+    assert_eq!(
+        hits,
+        [("hash-order", 1), ("hash-order", 2)],
+        "the import and the field, nothing else:\n{}",
+        r.render()
+    );
+    assert!(r.findings[1].message.contains("BTreeMap"), "{}", r.render());
+}
+
 // ---- good fixtures: sanctioned patterns stay clean -------------------------
 
 #[test]
@@ -289,6 +310,35 @@ fn digest_then_record_and_public_declassifier_are_clean() {
     assert!(
         r.passed(),
         "FORENSICS.md redaction contract (digest/public only) is clean:\n{}",
+        r.render()
+    );
+}
+
+#[test]
+fn ordered_tables_test_code_and_exempt_files_pass_hash_order() {
+    let hashed = "use std::collections::HashMap;\n\
+                  pub struct Table { entries: HashMap<u64, u64> }\n";
+    let r = report_for(vec![
+        (
+            "crates/spm/src/spm.rs".into(),
+            "use std::collections::BTreeMap;\n\
+             pub struct Spm { partitions: BTreeMap<u32, u64> }\n\
+             #[cfg(test)]\n\
+             mod tests {\n\
+                 use std::collections::HashSet;\n\
+                 #[test]\n\
+                 fn t() { assert!(HashSet::<u32>::new().is_empty()); }\n\
+             }\n"
+            .into(),
+        ),
+        // Page-granular tables: the one file the exemption table names.
+        ("crates/sim/src/pagetable.rs".into(), hashed.into()),
+        // Outside the four trusted crates the rule does not apply.
+        ("crates/workloads/src/cache.rs".into(), hashed.into()),
+    ]);
+    assert!(
+        r.passed(),
+        "ordered, test-only, exempt and out-of-scope tables are clean:\n{}",
         r.render()
     );
 }
