@@ -16,8 +16,8 @@ use cronus_runtime::{CudaContext, CudaOptions, LaunchArg};
 use cronus_sim::CostModel;
 use cronus_workloads::kernels;
 
-/// Deterministic xorshift64* generator: the queue-sample stream and the
-/// ranked report are pure functions of `(seed, calls)`.
+/// Deterministic xorshift64* generator: the ranked queue report is a pure
+/// function of `(seed, calls)`.
 #[derive(Clone, Debug)]
 pub struct SatRng(u64);
 
@@ -180,19 +180,16 @@ mod tests {
 
     #[test]
     fn same_seed_is_byte_identical_across_runs() {
-        let a = run_recorded(7, 150);
-        let b = run_recorded(7, 150);
-        assert_eq!(a.queue_samples_text(), b.queue_samples_text());
-        assert_eq!(
-            a.queue_report(DEFAULT_LITTLE_TOLERANCE).render_text(),
-            b.queue_report(DEFAULT_LITTLE_TOLERANCE).render_text()
-        );
+        let a = run_recorded(7, 150).queue_report(DEFAULT_LITTLE_TOLERANCE);
+        let b = run_recorded(7, 150).queue_report(DEFAULT_LITTLE_TOLERANCE);
+        assert_eq!(a.render_text(), b.render_text());
+        assert_eq!(a.to_json().render(), b.to_json().render());
     }
 
     #[test]
     fn different_seeds_diverge() {
-        let a = run_recorded(1, 150);
-        let b = run_recorded(2, 150);
-        assert_ne!(a.queue_samples_text(), b.queue_samples_text());
+        let a = run_recorded(1, 150).queue_report(DEFAULT_LITTLE_TOLERANCE);
+        let b = run_recorded(2, 150).queue_report(DEFAULT_LITTLE_TOLERANCE);
+        assert_ne!(a.to_json().render(), b.to_json().render());
     }
 }

@@ -7,7 +7,7 @@
 //! sync) then reports through one method here, run as **one** locked
 //! recorder step by the protocol driver in [`crate::transport`]. The methods
 //! record exactly what the driver used to record call by call, in the same
-//! order, so spans, histograms, queue samples and meter ledgers come out
+//! order, so spans, histograms, queue stations and meter ledgers come out
 //! byte-identical; only the host time spent recording changes.
 //!
 //! Names that depend on the mECall (`enqueue:<name>`, `complete:<name>`, the

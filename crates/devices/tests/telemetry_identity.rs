@@ -13,6 +13,7 @@ use cronus_devices::bus::{PcieBus, PcieSlot};
 use cronus_devices::gpu::{GpuDevice, GpuKernelDesc};
 use cronus_devices::npu::{NpuDevice, VtaInsn, VtaProgram};
 use cronus_devices::{BusError, SimDevice};
+use cronus_obs::queue::DEFAULT_LITTLE_TOLERANCE;
 use cronus_obs::{FlightRecorder, ReqId};
 use cronus_sim::addr::{PhysAddr, PhysRange};
 use cronus_sim::pagetable::PagePerms;
@@ -292,9 +293,14 @@ fn assert_same_exports(real: &FlightRecorder, model: &FlightRecorder, what: &str
         "{what}: chrome trace"
     );
     assert_eq!(
-        real.queue_samples_text(),
-        model.queue_samples_text(),
-        "{what}: queue samples"
+        real.queue_report(DEFAULT_LITTLE_TOLERANCE)
+            .to_json()
+            .render(),
+        model
+            .queue_report(DEFAULT_LITTLE_TOLERANCE)
+            .to_json()
+            .render(),
+        "{what}: queue report"
     );
     assert_eq!(
         real.folded_stacks(),

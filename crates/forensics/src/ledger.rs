@@ -264,7 +264,7 @@ impl LedgerInner {
             mac: Digest::ZERO,
         };
         let digest = rec.digest();
-        rec.mac = rec.expected_mac(&chain.key);
+        rec.mac = LedgerRecord::mac_for(&chain.key, &digest);
         chain.head = digest;
         chain.next_index += 1;
         chain.records.push(rec);
@@ -323,7 +323,7 @@ mod tests {
         assert_eq!(c.records[1].prev, c.records[0].digest());
         assert_eq!(c.head, c.records[1].digest());
         let key = chain_key("seed", 1);
-        assert_eq!(c.records[1].mac, c.records[1].expected_mac(&key));
+        assert_eq!(c.records[1].mac, LedgerRecord::mac_for(&key, &c.head));
     }
 
     #[test]

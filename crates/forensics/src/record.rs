@@ -379,9 +379,12 @@ impl LedgerRecord {
         measure_chained("ledger-record", &self.prev, self.canonical().as_bytes())
     }
 
-    /// Recomputes the MAC this record should carry under `key`.
-    pub fn expected_mac(&self, key: &[u8; 32]) -> Digest {
-        hmac_sha256(key, self.digest().as_bytes())
+    /// The MAC a record whose [`LedgerRecord::digest`] is `digest` carries
+    /// under `key`. Takes the digest rather than the record so a caller
+    /// that also needs the digest (to chain the next record) hashes the
+    /// canonical form once.
+    pub fn mac_for(key: &[u8; 32], digest: &Digest) -> Digest {
+        hmac_sha256(key, digest.as_bytes())
     }
 
     /// One human-readable report line.

@@ -21,7 +21,7 @@ use std::fmt;
 use cronus_crypto::Digest;
 
 use crate::ledger::{chain_key, ChainExport, LedgerExport};
-use crate::record::{chain_name, SecurityEvent};
+use crate::record::{chain_name, LedgerRecord, SecurityEvent};
 
 /// A verification failure, carrying the chain and exact record index at
 /// which the check failed.
@@ -235,14 +235,15 @@ pub fn verify_chain(
                 index: rec.index,
             });
         }
-        if rec.mac != rec.expected_mac(&key) {
+        let digest = rec.digest();
+        if rec.mac != LedgerRecord::mac_for(&key, &digest) {
             // Distinguish forgery (valid MAC under another chain's key)
             // from plain corruption.
             for other in all_chains {
                 if *other == export.chain {
                     continue;
                 }
-                if rec.mac == rec.expected_mac(&chain_key(seed, *other)) {
+                if rec.mac == LedgerRecord::mac_for(&chain_key(seed, *other), &digest) {
                     return Err(VerifyError::MacForged {
                         chain: export.chain,
                         index: rec.index,
@@ -255,7 +256,7 @@ pub fn verify_chain(
                 index: rec.index,
             });
         }
-        prev = rec.digest();
+        prev = digest;
         expected_index += 1;
     }
     if expected_index != export.next_index || prev != export.head {

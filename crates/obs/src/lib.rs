@@ -85,8 +85,8 @@ pub use metrics::{
 };
 pub use profile::{FrameId, TimeCategory, TimeProfiler};
 pub use queue::{
-    LittleCheck, QueueKind, QueueObservatory, QueueReport, QueueSample, QueueStation, QueueUse,
-    StationId, WaitExemplar, MAX_EXEMPLARS,
+    LittleCheck, QueueKind, QueueObservatory, QueueReport, QueueStation, QueueUse, StationId,
+    WaitExemplar, MAX_EXEMPLARS,
 };
 pub use recorder::{charge_opt, FlightRecorder, RecorderInner, RecorderSink};
 pub use slo::{SloEval, SloObjective, SloPolicy, SloReport};

@@ -6,9 +6,8 @@
 //! entirely on the virtual clock (deterministic per seed):
 //!
 //! - instantaneous and maximum **depth**, plus a depth-time integral so the
-//!   time-averaged queue length `L` is exact, not sampled;
-//! - a decimating **sample stream** (depth at fixed virtual-time ticks) whose
-//!   byte-identical rendering is the determinism regression surface;
+//!   time-averaged queue length `L` is exact, not sampled — and costs one
+//!   multiply per edge however much idle virtual time lies between edges;
 //! - **wait vs service** split per request (log-bucketed histograms), busy
 //!   time for utilization, and error/flush counters.
 //!
@@ -39,14 +38,6 @@ pub const MAX_EXEMPLARS: usize = 8;
 
 /// Minimum completed requests before the Little's-law check is meaningful.
 pub const MIN_LITTLE_DEQUEUES: u64 = 8;
-
-/// Initial virtual-time distance between depth samples.
-pub const SAMPLE_PERIOD: SimNs = SimNs::from_micros(64);
-
-/// Cap on retained samples per station; reaching it halves the resolution
-/// (every other sample dropped, period doubled) so memory stays bounded and
-/// the stream stays deterministic regardless of run length.
-pub const MAX_SAMPLES: usize = 512;
 
 /// What kind of queue a station instruments (the USE "resource" class).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -86,19 +77,6 @@ pub struct WaitExemplar {
     pub req: ReqId,
 }
 
-/// One depth sample on the virtual clock.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct QueueSample {
-    /// Virtual instant the sample was taken.
-    pub at: SimNs,
-    /// Queue depth at that instant.
-    pub depth: u64,
-    /// Cumulative enqueues up to that instant.
-    pub enqueues: u64,
-    /// Cumulative dequeues up to that instant.
-    pub dequeues: u64,
-}
-
 /// Continuous telemetry for one instrumented queue.
 #[derive(Clone, Debug)]
 pub struct QueueStation {
@@ -121,9 +99,6 @@ pub struct QueueStation {
     unmatched: u64,
     first_at: Option<SimNs>,
     watermark: SimNs,
-    samples: Vec<QueueSample>,
-    sample_period: SimNs,
-    next_sample_at: SimNs,
     /// Worst-N waits with their request ids, descending by wait; equal
     /// waits keep first-captured order so the ring is deterministic.
     exemplars: Vec<WaitExemplar>,
@@ -155,9 +130,6 @@ impl QueueStation {
             unmatched: 0,
             first_at: None,
             watermark: SimNs::ZERO,
-            samples: Vec::new(),
-            sample_period: SAMPLE_PERIOD,
-            next_sample_at: SimNs::ZERO,
             exemplars: Vec::new(),
             exemplars_dropped: 0,
         }
@@ -165,44 +137,17 @@ impl QueueStation {
 
     /// Advances the station's monotonic watermark to `at` (clamped — actor
     /// clocks may individually lag), accumulating the depth-time integral
-    /// and emitting periodic depth samples for the stretch covered.
+    /// for the stretch covered.
     fn advance(&mut self, at: SimNs) {
         let at = at.max(self.watermark);
         if self.first_at.is_none() {
             self.first_at = Some(at);
             self.watermark = at;
-            self.next_sample_at = at + self.sample_period;
-            self.push_sample(at);
             return;
         }
         let dt = (at - self.watermark).as_nanos();
         self.depth_integral += self.depth as u128 * dt as u128;
-        while self.next_sample_at <= at {
-            let tick = self.next_sample_at;
-            self.push_sample(tick);
-            self.next_sample_at = tick + self.sample_period;
-        }
         self.watermark = at;
-    }
-
-    fn push_sample(&mut self, at: SimNs) {
-        self.samples.push(QueueSample {
-            at,
-            depth: self.depth,
-            enqueues: self.enqueues,
-            dequeues: self.dequeues,
-        });
-        if self.samples.len() >= MAX_SAMPLES {
-            // Decimate deterministically: keep every other sample and halve
-            // the resolution so long runs stay bounded.
-            let mut keep = 0usize;
-            for i in (0..self.samples.len()).step_by(2) {
-                self.samples[keep] = self.samples[i];
-                keep += 1;
-            }
-            self.samples.truncate(keep);
-            self.sample_period = self.sample_period * 2;
-        }
     }
 
     /// One item entered the queue at virtual instant `at`.
@@ -335,11 +280,6 @@ impl QueueStation {
     /// Per-request wait-time histogram.
     pub fn wait_histogram(&self) -> &Histogram {
         &self.wait
-    }
-
-    /// The retained depth-sample stream.
-    pub fn samples(&self) -> &[QueueSample] {
-        &self.samples
     }
 
     /// Worst-N identified waits, descending by wait.
@@ -678,26 +618,6 @@ impl QueueObservatory {
             .unwrap_or(0)
     }
 
-    /// Renders every station's sample stream, one line per sample, in a
-    /// stable text form — the byte-identity surface for determinism tests.
-    pub fn samples_text(&self) -> String {
-        let mut out = String::new();
-        for s in self.stations() {
-            for q in &s.samples {
-                let _ = writeln!(
-                    out,
-                    "{} at={} depth={} enq={} deq={}",
-                    s.name,
-                    q.at.as_nanos(),
-                    q.depth,
-                    q.enqueues,
-                    q.dequeues
-                );
-            }
-        }
-        out
-    }
-
     /// Builds the analysis report at the given Little's-law tolerance.
     pub fn report(&self, tolerance: f64) -> QueueReport {
         let mut queues: Vec<QueueUse> = self
@@ -1023,22 +943,6 @@ mod tests {
     }
 
     #[test]
-    fn sampler_decimates_deterministically() {
-        let mut st = QueueStation::new("q", QueueKind::Ring, 8);
-        let period = SAMPLE_PERIOD.as_nanos();
-        for i in 0..(MAX_SAMPLES as u64 * 3) {
-            st.enqueue(ns(i * period));
-            st.dequeue(ns(i * period + 10), ns(0), ns(10));
-        }
-        assert!(st.samples().len() < MAX_SAMPLES);
-        assert!(st.sample_period > SAMPLE_PERIOD, "period doubled at cap");
-        // Samples stay strictly ordered after decimation.
-        for w in st.samples().windows(2) {
-            assert!(w[0].at < w[1].at);
-        }
-    }
-
-    #[test]
     fn report_ranks_by_total_wait() {
         let mut obs = QueueObservatory::new();
         obs.declare("a.ring", QueueKind::Ring, 64);
@@ -1056,20 +960,6 @@ mod tests {
         let text = report.render_text();
         assert!(text.contains("bounding queue: b.dma"), "{text}");
         assert!(crate::json::is_well_formed(&report.to_json().render()));
-    }
-
-    #[test]
-    fn samples_text_is_stable_across_identical_runs() {
-        let run = || {
-            let mut obs = QueueObservatory::new();
-            obs.declare("q", QueueKind::Ring, 8);
-            for i in 0..100u64 {
-                obs.enqueue("q", ns(i * 70_000));
-                obs.dequeue("q", ns(i * 70_000 + 500), ns(100), ns(400));
-            }
-            (obs.samples_text(), obs.report(0.15).render_text())
-        };
-        assert_eq!(run(), run());
     }
 
     #[test]

@@ -265,11 +265,6 @@ impl FlightRecorder {
         self.with(|r| r.queues.report(tolerance))
     }
 
-    /// Renders every station's depth-sample stream (determinism surface).
-    pub fn queue_samples_text(&self) -> String {
-        self.with(|r| r.queues.samples_text())
-    }
-
     /// Evaluates an SLO policy against the queue observatory.
     pub fn slo_report(&self, policy: &crate::slo::SloPolicy) -> crate::slo::SloReport {
         self.with(|r| crate::slo::evaluate(policy, &r.queues))

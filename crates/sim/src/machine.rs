@@ -14,7 +14,7 @@ use crate::addr::{PhysAddr, PAGE_SIZE};
 use crate::clock::{CostModel, SimNs};
 use crate::devtree::DeviceTree;
 use crate::fault::Fault;
-use crate::mem::{PhysMem, World};
+use crate::mem::{last_byte, PhysMem, World};
 use crate::pagetable::{Access, PagePerms, Stage2Table};
 use crate::smmu::{Smmu, StreamId};
 use crate::trace::{EventKind, EventSink};
@@ -94,8 +94,11 @@ impl Default for MachineConfig {
     fn default() -> Self {
         MachineConfig {
             dram_base: 0x8000_0000,
-            // 8 GiB normal / 4 GiB secure in the paper; scaled down 1024x so
-            // tests stay cheap while preserving the 2:1 ratio.
+            // 8 GiB normal / 4 GiB secure in the paper, scaled down 1024x
+            // with the 2:1 ratio kept. DRAM is materialised on write, so the
+            // size costs about one pointer per page; the scale stays because
+            // every page number handed out, and so every committed baseline,
+            // depends on it.
             normal_pages: 2048,
             secure_pages: 1024,
             cost: CostModel::default(),
@@ -395,9 +398,8 @@ impl Machine {
         if len == 0 {
             return Ok(());
         }
-        let first_page = pa.page_number();
-        let last_page = pa.add(len - 1).page_number();
-        for page in first_page..=last_page {
+        let last_page = last_byte(pa, len)?.page_number();
+        for page in pa.page_number()..=last_page {
             let page_pa = PhysAddr::from_page_number(page);
             self.stage2_check(asid, page_pa, access)?;
             self.tzasc.check(world, page_pa)?;
@@ -543,9 +545,8 @@ impl Machine {
         if len == 0 {
             return Ok(());
         }
-        let first = pa.page_number();
-        let last = pa.add(len - 1).page_number();
-        for page in first..=last {
+        let last_page = last_byte(pa, len)?.page_number();
+        for page in pa.page_number()..=last_page {
             let page_pa = PhysAddr::from_page_number(page);
             self.smmu.check(stream, page_pa, access)?;
             self.tzasc.check(world, page_pa)?;
@@ -725,6 +726,42 @@ mod tests {
         assert_eq!(cleared, PAGE_SIZE);
         let data = m.mem_read_vec(P1, World::Secure, frame.base(), 32).unwrap();
         assert_eq!(data, vec![0u8; 32]);
+    }
+
+    /// Four bytes at `u64::MAX - 1` wrap the address space: every access
+    /// path reports a bus abort instead of overflowing.
+    const WRAPS: PhysAddr = PhysAddr::new(u64::MAX - 1);
+
+    #[test]
+    fn wrapping_phys_access_is_bus_abort() {
+        let mut m = machine();
+        let abort = Fault::BusAbort { pa: WRAPS };
+        assert_eq!(m.phys_read_vec(World::Secure, WRAPS, 4), Err(abort));
+        assert_eq!(m.phys_write(World::Secure, WRAPS, &[1; 4]), Err(abort));
+    }
+
+    #[test]
+    fn wrapping_checked_access_is_bus_abort() {
+        let mut m = machine();
+        m.register_partition(P1);
+        let abort = Fault::BusAbort { pa: WRAPS };
+        for asid in [AsId::NORMAL_WORLD, P1] {
+            assert_eq!(m.mem_read_vec(asid, World::Secure, WRAPS, 4), Err(abort));
+            assert_eq!(m.mem_write(asid, World::Secure, WRAPS, &[1; 4]), Err(abort));
+        }
+    }
+
+    #[test]
+    fn wrapping_dma_is_bus_abort() {
+        let mut m = machine();
+        let stream = StreamId::new(9);
+        let abort = Fault::BusAbort { pa: WRAPS };
+        let mut buf = [0u8; 4];
+        assert_eq!(
+            m.dma_read(stream, World::Secure, WRAPS, &mut buf),
+            Err(abort)
+        );
+        assert_eq!(m.dma_write(stream, World::Secure, WRAPS, &buf), Err(abort));
     }
 
     #[test]

@@ -7,10 +7,16 @@
 
 use std::collections::BTreeSet;
 use std::fmt;
+use std::ops::Range;
 
 use crate::addr::{PhysAddr, PhysRange, PAGE_SIZE};
 use crate::fault::Fault;
 use crate::tzasc::Tzasc;
+
+const PAGE: usize = PAGE_SIZE as usize;
+
+/// One materialised DRAM page.
+type Page = Box<[u8; PAGE]>;
 
 /// The two TrustZone worlds.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -43,22 +49,94 @@ impl fmt::Display for World {
     }
 }
 
+/// The address of the last byte of the `len`-byte access at `pa` (`len` must
+/// be non-zero), or a bus abort when the access would wrap the address space.
+pub(crate) fn last_byte(pa: PhysAddr, len: u64) -> Result<PhysAddr, Fault> {
+    len.checked_sub(1)
+        .and_then(|rest| pa.as_u64().checked_add(rest))
+        .map(PhysAddr::new)
+        .ok_or(Fault::BusAbort { pa })
+}
+
+/// One world's free pages, handed out lowest first. The pages from `next` to
+/// `end` have never been allocated; `returned` holds the freed ones, which
+/// all lie below `next`, so its first element (else `next`) is the lowest.
+#[derive(Debug)]
+struct FreePool {
+    start: u64,
+    next: u64,
+    end: u64,
+    returned: BTreeSet<u64>,
+}
+
+impl FreePool {
+    fn new(start: u64, end: u64) -> Self {
+        FreePool {
+            start,
+            next: start,
+            end,
+            returned: BTreeSet::new(),
+        }
+    }
+
+    fn contains(&self, page: u64) -> bool {
+        self.start <= page && page < self.end
+    }
+
+    fn len(&self) -> usize {
+        (self.end - self.next) as usize + self.returned.len()
+    }
+
+    fn take(&mut self) -> Option<u64> {
+        if let Some(page) = self.returned.pop_first() {
+            return Some(page);
+        }
+        let page = self.next;
+        (page < self.end).then(|| {
+            self.next += 1;
+            page
+        })
+    }
+
+    /// Takes an allocated page back; `None` if it is already free.
+    fn give_back(&mut self, page: u64) -> Option<()> {
+        (page < self.next && self.returned.insert(page)).then_some(())
+    }
+}
+
+/// Splits `len` bytes at byte offset `at` from the DRAM base into per-page
+/// pieces, `(page slot, byte range within that page)`, in address order.
+fn pieces(mut at: usize, len: usize) -> impl Iterator<Item = (usize, Range<usize>)> {
+    let end = at + len;
+    std::iter::from_fn(move || {
+        (at < end).then(|| {
+            let (slot, off) = (at / PAGE, at % PAGE);
+            let n = (PAGE - off).min(end - at);
+            at += n;
+            (slot, off..off + n)
+        })
+    })
+}
+
 /// The simulated DRAM: a contiguous page arena starting at `base`.
+///
+/// A page is materialised on its first write. Until then, and again once
+/// [`PhysMem::zero_page`] or [`PhysMem::free_page`] drops it, its slot is
+/// empty and it reads as zeros: building DRAM costs one pointer per page
+/// whatever its simulated size, and a freed page cannot leak what it held.
 ///
 /// `PhysMem` itself performs no world checks; callers route accesses through
 /// [`PhysMem::read`]/[`PhysMem::write`] with a [`Tzasc`] which filters them,
 /// mirroring how the TZC-400 sits between the interconnect and DRAM.
 #[derive(Debug)]
 pub struct PhysMem {
-    base: PhysAddr,
-    /// All of DRAM as one zeroed slab; page `n` is the `n`-th `PAGE_SIZE`
-    /// slice. One allocation the OS hands over already zeroed, instead of
-    /// one boxed page per frame filled at boot.
-    dram: Vec<u8>,
-    free_normal: BTreeSet<u64>,
-    free_secure: BTreeSet<u64>,
+    dram: PhysRange,
     normal: PhysRange,
     secure: PhysRange,
+    /// One slot per page, in address order; `None` reads as zeros.
+    pages: Vec<Option<Page>>,
+    free_normal: FreePool,
+    free_secure: FreePool,
 }
 
 impl PhysMem {
@@ -76,16 +154,15 @@ impl PhysMem {
         );
         let total = normal_pages + secure_pages;
         let first_page = base.page_number();
-        let dram = vec![0u8; (total * PAGE_SIZE) as usize];
         let normal = PhysRange::from_base_len(base, normal_pages * PAGE_SIZE);
         let secure = PhysRange::from_base_len(normal.end(), secure_pages * PAGE_SIZE);
         PhysMem {
-            base,
-            dram,
-            free_normal: (first_page..first_page + normal_pages).collect(),
-            free_secure: (first_page + normal_pages..first_page + total).collect(),
+            dram: PhysRange::new(base, secure.end()),
             normal,
             secure,
+            pages: vec![None; total as usize],
+            free_normal: FreePool::new(first_page, first_page + normal_pages),
+            free_secure: FreePool::new(first_page + normal_pages, first_page + total),
         }
     }
 
@@ -101,7 +178,7 @@ impl PhysMem {
 
     /// The full DRAM range.
     pub fn dram_range(&self) -> PhysRange {
-        PhysRange::new(self.normal.start(), self.secure.end())
+        self.dram
     }
 
     /// Number of free pages remaining in the pool of `world`.
@@ -113,15 +190,13 @@ impl PhysMem {
     }
 
     /// Allocates one page from the pool of `world`, returning its page
-    /// number, or `None` if the pool is exhausted.
+    /// number, or `None` if the pool is exhausted. The lowest free page
+    /// always comes first.
     pub fn alloc_page(&mut self, world: World) -> Option<u64> {
-        let pool = match world {
-            World::Normal => &mut self.free_normal,
-            World::Secure => &mut self.free_secure,
-        };
-        let page = *pool.iter().next()?;
-        pool.remove(&page);
-        Some(page)
+        match world {
+            World::Normal => self.free_normal.take(),
+            World::Secure => self.free_secure.take(),
+        }
     }
 
     /// Returns a previously allocated page to its pool and zeroes it.
@@ -134,40 +209,27 @@ impl PhysMem {
     /// Panics if the page is outside DRAM or already free (double free is a
     /// simulator-user bug, not a modeled hardware event).
     pub fn free_page(&mut self, page: u64) {
-        let pa = PhysAddr::from_page_number(page);
-        let pool = if self.normal.contains(pa) {
-            &mut self.free_normal
-        } else if self.secure.contains(pa) {
-            &mut self.free_secure
-        } else {
-            panic!("free of non-dram page {page:#x}");
-        };
-        let inserted = pool.insert(page);
-        assert!(inserted, "double free of page {page:#x}");
-        self.page_mut(page).fill(0);
+        [&mut self.free_normal, &mut self.free_secure]
+            .into_iter()
+            .find(|pool| pool.contains(page))
+            .and_then(|pool| pool.give_back(page))
+            .expect("double free, or free of a page outside DRAM");
+        self.zero_page(page);
     }
 
-    /// Zeroes a page without freeing it (used by partition clearing).
+    /// Zeroes a page without freeing it (used by partition clearing). A page
+    /// outside DRAM holds nothing to zero.
     pub fn zero_page(&mut self, page: u64) {
-        self.page_mut(page).fill(0);
-    }
-
-    /// Byte offset of `pa` within the slab.
-    fn offset_of(&self, pa: PhysAddr) -> Result<usize, Fault> {
-        if !self.dram_range().contains(pa) {
-            return Err(Fault::BusAbort { pa });
+        if let Some(slot) = page
+            .checked_sub(self.dram.start().page_number())
+            .and_then(|slot| self.pages.get_mut(usize::try_from(slot).ok()?))
+        {
+            *slot = None;
         }
-        Ok((pa.as_u64() - self.base.as_u64()) as usize)
-    }
-
-    fn page_mut(&mut self, page: u64) -> &mut [u8] {
-        let start = ((page - self.base.page_number()) * PAGE_SIZE) as usize;
-        &mut self.dram[start..start + PAGE_SIZE as usize]
     }
 
     /// Reads `buf.len()` bytes at `pa` on behalf of `world`, filtered by
-    /// the `tzasc`. The access must not cross a page boundary in a way that
-    /// leaves DRAM, but may span pages.
+    /// the `tzasc`. The access may span pages but must lie inside DRAM.
     ///
     /// # Errors
     ///
@@ -180,17 +242,24 @@ impl PhysMem {
         pa: PhysAddr,
         buf: &mut [u8],
     ) -> Result<(), Fault> {
-        self.check(tzasc, world, pa, buf.len() as u64)?;
-        if !buf.is_empty() {
-            // `check` placed the whole range inside DRAM, which is
-            // contiguous: pages need no stitching.
-            let at = self.offset_of(pa)?;
-            buf.copy_from_slice(&self.dram[at..at + buf.len()]);
+        let at = self.check(tzasc, world, pa, buf.len() as u64)?;
+        // `check` placed the access inside DRAM, so neither lookup below
+        // can miss.
+        let abort = Fault::BusAbort { pa };
+        let mut rest = buf;
+        for (slot, within) in pieces(at, rest.len()) {
+            let (dst, tail) = std::mem::take(&mut rest).split_at_mut(within.len());
+            rest = tail;
+            match self.pages.get(slot).ok_or(abort)? {
+                Some(page) => dst.copy_from_slice(page.get(within).ok_or(abort)?),
+                None => dst.fill(0),
+            }
         }
         Ok(())
     }
 
-    /// Writes `data` at `pa` on behalf of `world`, filtered by the `tzasc`.
+    /// Writes `data` at `pa` on behalf of `world`, filtered by the `tzasc`,
+    /// materialising every page it touches.
     ///
     /// # Errors
     ///
@@ -202,25 +271,36 @@ impl PhysMem {
         pa: PhysAddr,
         data: &[u8],
     ) -> Result<(), Fault> {
-        self.check(tzasc, world, pa, data.len() as u64)?;
-        if !data.is_empty() {
-            let at = self.offset_of(pa)?;
-            self.dram[at..at + data.len()].copy_from_slice(data);
+        let at = self.check(tzasc, world, pa, data.len() as u64)?;
+        let abort = Fault::BusAbort { pa };
+        let mut rest = data;
+        for (slot, within) in pieces(at, data.len()) {
+            let (src, tail) = rest.split_at(within.len());
+            rest = tail;
+            let page = self
+                .pages
+                .get_mut(slot)
+                .ok_or(abort)?
+                .get_or_insert_with(|| Box::new([0; PAGE]));
+            page.get_mut(within).ok_or(abort)?.copy_from_slice(src);
         }
         Ok(())
     }
 
-    fn check(&self, tzasc: &Tzasc, world: World, pa: PhysAddr, len: u64) -> Result<(), Fault> {
+    /// Checks the `len`-byte access at `pa` from `world` and returns its
+    /// byte offset from the DRAM base (0 for an empty access, which touches
+    /// nothing and always passes).
+    fn check(&self, tzasc: &Tzasc, world: World, pa: PhysAddr, len: u64) -> Result<usize, Fault> {
         if len == 0 {
-            return Ok(());
+            return Ok(0);
         }
-        let last = pa.add(len - 1);
-        if !self.dram_range().contains(pa) || !self.dram_range().contains(last) {
+        let last = last_byte(pa, len)?;
+        if !self.dram.contains(pa) || !self.dram.contains(last) {
             return Err(Fault::BusAbort { pa });
         }
         tzasc.check(world, pa)?;
         tzasc.check(world, last)?;
-        Ok(())
+        Ok((pa.as_u64() - self.dram.start().as_u64()) as usize)
     }
 }
 
@@ -232,6 +312,15 @@ mod tests {
         let mem = PhysMem::new(PhysAddr::new(0x8000_0000), 16, 16);
         let tzasc = Tzasc::new(mem.secure_range());
         (mem, tzasc)
+    }
+
+    fn materialised(mem: &PhysMem) -> Vec<u64> {
+        let first = mem.dram_range().start().page_number();
+        (first..)
+            .zip(&mem.pages)
+            .filter(|(_, slot)| slot.is_some())
+            .map(|(page, _)| page)
+            .collect()
     }
 
     #[test]
@@ -260,6 +349,42 @@ mod tests {
         let mut buf = [0u8; 4];
         mem.read(&tzasc, World::Normal, pa, &mut buf).unwrap();
         assert_eq!(buf, [1, 2, 3, 4]);
+    }
+
+    #[test]
+    fn pages_materialise_on_write_and_drop_on_zero_or_free() {
+        let (mut mem, tzasc) = arena();
+        assert!(materialised(&mem).is_empty(), "new materialises nothing");
+        let first = mem.alloc_page(World::Normal).unwrap();
+        let second = mem.alloc_page(World::Normal).unwrap();
+        let third = mem.alloc_page(World::Normal).unwrap();
+        assert!(materialised(&mem).is_empty(), "allocation is not a write");
+
+        // Reads and empty writes touch nothing.
+        let mut buf = [0xffu8; 8];
+        let base = PhysAddr::from_page_number(first);
+        mem.read(&tzasc, World::Normal, base, &mut buf).unwrap();
+        assert_eq!(buf, [0; 8]);
+        mem.write(&tzasc, World::Normal, base, &[]).unwrap();
+        assert!(materialised(&mem).is_empty());
+
+        // A write spanning the end of `first` and all of `second` into
+        // `third` materialises exactly those three.
+        let pa = base.add(PAGE_SIZE - 1);
+        let data = vec![7u8; 2 + PAGE_SIZE as usize];
+        mem.write(&tzasc, World::Normal, pa, &data).unwrap();
+        assert_eq!(materialised(&mem), vec![first, second, third]);
+        let mut back = vec![0u8; data.len()];
+        mem.read(&tzasc, World::Normal, pa, &mut back).unwrap();
+        assert_eq!(back, data);
+
+        mem.zero_page(second);
+        assert_eq!(materialised(&mem), vec![first, third]);
+        mem.free_page(first);
+        assert_eq!(materialised(&mem), vec![third]);
+        mem.read(&tzasc, World::Normal, pa, &mut back).unwrap();
+        assert!(back[..back.len() - 1].iter().all(|&b| b == 0));
+        assert_eq!(back[back.len() - 1], 7);
     }
 
     #[test]
@@ -336,13 +461,9 @@ mod tests {
         let pa = PhysAddr::from_page_number(page);
         mem.write(&tzasc, World::Secure, pa, &[0xAB; 64]).unwrap();
         mem.free_page(page);
-        let page2 = mem.alloc_page(World::Secure).unwrap();
-        // BTreeSet gives back the smallest page first, so we may not get the
-        // same page; check directly instead.
         let mut buf = [0u8; 64];
         mem.read(&tzasc, World::Secure, pa, &mut buf).unwrap();
         assert_eq!(buf, [0u8; 64]);
-        let _ = page2;
     }
 
     #[test]
@@ -352,5 +473,13 @@ mod tests {
         let page = mem.alloc_page(World::Normal).unwrap();
         mem.free_page(page);
         mem.free_page(page);
+    }
+
+    #[test]
+    #[should_panic(expected = "double free")]
+    fn freeing_a_never_allocated_page_panics() {
+        let (mut mem, _) = arena();
+        let page = mem.alloc_page(World::Normal).unwrap();
+        mem.free_page(page + 1);
     }
 }

@@ -4,6 +4,9 @@
 # first failure. One line per row (each names the doc that explains it):
 #   fmt, clippy, build, test, workspace   formatting, lints, tier-1 and workspace tests
 #   benchmark   build + self-tests of benchmark/, its own workspace (benchmark/README.md)
+#   bench-run   the release cronus-benchmark once per workload at frozen scale (--seconds 0 --trace 1):
+#               its exit status carries `correct`, the last cycle's audit and ledger verification and
+#               the traced span coverage; the self-tests above run only 1/100-scale reps (benchmark/README.md)
 #   lint        cronus-lint v2, ratcheted by LINT_BASELINE.json; accept with scripts/relint.sh (AUDIT.md)
 #   audit       mapping-state audit I1-I5 of every example workload (AUDIT.md)
 #   chaos       smoke fault-injection campaign, A1-A5; the full sweep is the figure table's chaos row (FAULTS.md)
@@ -28,6 +31,15 @@ fresh_figures_match() {
   done
 }
 
+bench_runs_pass() {
+  cargo build --offline --release -q --manifest-path benchmark/Cargo.toml
+  for workload in srpc_stream tenants_mixed accel_apps lifecycle_failover; do
+    echo "--- $workload"
+    out=$(benchmark/target/release/cronus-benchmark --workload "$workload" --seconds 0 --trace 1) \
+      || { echo "$out"; return 1; }
+  done
+}
+
 # name | when | banner | commands
 GATES=(
   "fmt|core|cargo fmt --check|cargo fmt --all -- --check"
@@ -36,6 +48,7 @@ GATES=(
   "test|core|tier-1: cargo test -q|cargo test --offline -q"
   "workspace|core|workspace tests|cargo test --offline -q --workspace"
   "benchmark|core|benchmark package: build + self-tests (own workspace)|cargo test --offline -q --manifest-path benchmark/Cargo.toml"
+  "bench-run|all|benchmark correctness gates, one frozen-scale traced run per workload|bench_runs_pass"
   "lint|all|cronus-lint v2 (taint + panic-reachability, ratcheted)|run --bin lint"
   "audit|all|mapping-state audit of the example workloads|run --bin audit"
   "chaos|all|smoke fault-injection campaign|run --bin chaos -- --smoke"
