@@ -200,7 +200,7 @@ pub fn in_scope(path: &str, scopes: &[&str]) -> bool {
 // ---------------------------------------------------------------------
 
 /// Functions whose return value is secret.
-pub const SOURCE_PATHS: [&str; 10] = [
+pub const SOURCE_PATHS: [&str; 11] = [
     // Crypto key material.
     "DhKeyPair::from_seed",
     "DhKeyPair::agree",
@@ -212,6 +212,7 @@ pub const SOURCE_PATHS: [&str; 10] = [
     // sRPC payload bytes and grant-arena pages.
     "ring::decode_request",
     "ring::decode_slot_request",
+    "ring::view_slot",
     "ring::decode_result",
     "CronusSystem::shared_read",
 ];

@@ -255,7 +255,7 @@ mod tests {
             .spans
             .spans()
             .iter()
-            .map(|s| inner.spans.name(s.name))
+            .map(|s| inner.spans.name(s.name()))
             .collect();
         for phase in ["invalidate", "clear", "reload", "trap"] {
             assert!(

@@ -23,13 +23,14 @@ use crate::srpc::{SrpcError, StreamId};
 use crate::system::CronusSystem;
 
 /// A pending mECall, built up fluently and committed with [`Call::sync`]
-/// or [`Call::start`].
+/// or [`Call::start`]. It borrows the name and payload it was given: a
+/// call copies its bytes once, into the ring slot.
 #[must_use = "a Call does nothing until .sync() or .start() is invoked"]
 pub struct Call<'a> {
     pub(crate) sys: &'a mut CronusSystem,
     pub(crate) stream: StreamId,
-    pub(crate) name: String,
-    pub(crate) payload: Vec<u8>,
+    pub(crate) name: &'a str,
+    pub(crate) payload: &'a [u8],
     pub(crate) req: Option<ReqId>,
     pub(crate) deadline: Option<SimNs>,
     pub(crate) retry: Option<RetryPolicy>,
@@ -37,8 +38,8 @@ pub struct Call<'a> {
 
 impl<'a> Call<'a> {
     /// Sets the request payload carried in the ring slot.
-    pub fn payload(mut self, payload: &[u8]) -> Self {
-        self.payload = payload.to_vec();
+    pub fn payload(mut self, payload: &'a [u8]) -> Self {
+        self.payload = payload;
         self
     }
 
@@ -74,7 +75,7 @@ impl<'a> Call<'a> {
             deadline,
             retry,
         } = self;
-        sys.call_commit_sync(stream, &name, &payload, req, deadline, retry)
+        sys.call_commit_sync(stream, name, payload, req, deadline, retry)
     }
 
     /// Commits the call asynchronously: append to the ring and return
@@ -94,8 +95,10 @@ impl<'a> Call<'a> {
         if retry.is_some() {
             // Replaying an async call is meaningless: there is no result
             // to judge failure by until the next sync point.
-            return Err(SrpcError::NotIdempotent { mecall: name });
+            return Err(SrpcError::NotIdempotent {
+                mecall: name.to_string(),
+            });
         }
-        sys.call_commit_start(stream, &name, &payload, req)
+        sys.call_commit_start(stream, name, payload, req)
     }
 }

@@ -262,32 +262,45 @@ fn encode_slot(name: &str, payload_word: u32, body: &[u8]) -> Result<[u8; SLOT_S
         return Err(CodecError::TooLarge { size: total });
     }
     let mut out = [0u8; SLOT_SIZE];
-    out[0..4].copy_from_slice(&(name.len() as u32).to_le_bytes());
-    out[4..8].copy_from_slice(&payload_word.to_le_bytes());
-    out[8..8 + name.len()].copy_from_slice(name.as_bytes());
-    out[8 + name.len()..8 + total].copy_from_slice(body);
+    let name_len = (name.len() as u32).to_le_bytes();
+    lay_out(
+        &mut out,
+        &[
+            &name_len,
+            &payload_word.to_le_bytes(),
+            name.as_bytes(),
+            body,
+        ],
+    )?;
     Ok(out)
+}
+
+/// Copies `parts` back to back into the front of `out` through checked
+/// splits: a part that would run past the end is [`CodecError::TooLarge`],
+/// not a panic.
+fn lay_out(out: &mut [u8], parts: &[&[u8]]) -> Result<(), CodecError> {
+    let mut rest = out;
+    for part in parts {
+        let (head, tail) = std::mem::take(&mut rest)
+            .split_at_mut_checked(part.len())
+            .ok_or(CodecError::TooLarge { size: part.len() })?;
+        head.copy_from_slice(part);
+        rest = tail;
+    }
+    Ok(())
 }
 
 /// Decodes a request slot.
 ///
 /// # Errors
 ///
-/// [`CodecError::Corrupt`] on impossible lengths or non-UTF-8 names.
+/// [`CodecError::Corrupt`] on impossible lengths or non-UTF-8 names, and on
+/// grant slots (see [`decode_slot_request`]).
 pub fn decode_request(slot: &[u8]) -> Result<Request, CodecError> {
-    let name_len = read_header_word(slot, 0)? as usize;
-    let payload_len = read_header_word(slot, 4)? as usize;
-    if name_len + payload_len > SLOT_PAYLOAD || 8 + name_len + payload_len > slot.len() {
-        return Err(CodecError::Corrupt);
+    match decode_slot_request(slot)? {
+        SlotRequest::Inline(request) => Ok(request),
+        SlotRequest::Grant { .. } => Err(CodecError::Corrupt),
     }
-    let name = std::str::from_utf8(slot.get(8..8 + name_len).ok_or(CodecError::Corrupt)?)
-        .map_err(|_| CodecError::Corrupt)?
-        .to_string();
-    let payload = slot
-        .get(8 + name_len..8 + name_len + payload_len)
-        .ok_or(CodecError::Corrupt)?
-        .to_vec();
-    Ok(Request { name, payload })
 }
 
 /// Flag bit set in a slot's `payload_len` word when the payload travels by
@@ -317,6 +330,27 @@ pub enum SlotRequest {
     Grant {
         /// mECall name.
         name: String,
+        /// Arena descriptor.
+        grant: GrantRef,
+    },
+}
+
+/// A request slot decoded in place: [`SlotRequest`] with the name and an
+/// inline payload borrowed from the slot bytes, so the executor's drain
+/// allocates nothing to read a request.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SlotView<'a> {
+    /// Payload travelled through the slot.
+    Inline {
+        /// mECall name.
+        name: &'a str,
+        /// Serialized arguments.
+        payload: &'a [u8],
+    },
+    /// Payload travelled by page grant; resolve `grant` against the arena.
+    Grant {
+        /// mECall name.
+        name: &'a str,
         /// Arena descriptor.
         grant: GrantRef,
     },
@@ -354,28 +388,51 @@ pub fn encode_grant_slot(name: &str, grant: GrantRef) -> Result<[u8; SLOT_SIZE],
 /// [`CodecError::Corrupt`] on impossible lengths, a malformed descriptor,
 /// or a non-UTF-8 name.
 pub fn decode_slot_request(slot: &[u8]) -> Result<SlotRequest, CodecError> {
-    let payload_word = read_header_word(slot, 4)?;
-    if payload_word & GRANT_FLAG == 0 {
-        return Ok(SlotRequest::Inline(decode_request(slot)?));
-    }
-    let name_len = read_header_word(slot, 0)? as usize;
-    if payload_word & !GRANT_FLAG != 16 || name_len + 16 > SLOT_PAYLOAD {
+    Ok(match view_slot(slot)? {
+        SlotView::Inline { name, payload } => SlotRequest::Inline(Request {
+            name: name.to_string(),
+            payload: payload.to_vec(),
+        }),
+        SlotView::Grant { name, grant } => SlotRequest::Grant {
+            name: name.to_string(),
+            grant,
+        },
+    })
+}
+
+/// [`decode_slot_request`] in place: the one request decoder, which the
+/// owned forms wrap. The slot bytes come straight from shared ring memory
+/// the peer may have mangled, so every length is checked before it is
+/// sliced by.
+///
+/// # Errors
+///
+/// [`CodecError::Corrupt`], as [`decode_slot_request`].
+pub fn view_slot(slot: &[u8]) -> Result<SlotView<'_>, CodecError> {
+    let name_len = u32::from_le_bytes(read_word(slot, 0)?) as usize;
+    let payload_word = u32::from_le_bytes(read_word(slot, 4)?);
+    let grant = payload_word & GRANT_FLAG != 0;
+    let body_len = if grant { 16 } else { payload_word as usize };
+    if (grant && payload_word & !GRANT_FLAG != 16) || name_len + body_len > SLOT_PAYLOAD {
         return Err(CodecError::Corrupt);
     }
-    let name = std::str::from_utf8(slot.get(8..8 + name_len).ok_or(CodecError::Corrupt)?)
-        .map_err(|_| CodecError::Corrupt)?
-        .to_string();
-    let word = |at: usize| -> Result<u64, CodecError> {
-        slot.get(at..at + 8)
-            .and_then(|b| <[u8; 8]>::try_from(b).ok())
-            .map(u64::from_le_bytes)
-            .ok_or(CodecError::Corrupt)
-    };
+    let (name, rest) = slot
+        .get(8..)
+        .and_then(|rest| rest.split_at_checked(name_len))
+        .ok_or(CodecError::Corrupt)?;
+    let body = rest.get(..body_len).ok_or(CodecError::Corrupt)?;
+    let name = std::str::from_utf8(name).map_err(|_| CodecError::Corrupt)?;
+    if !grant {
+        return Ok(SlotView::Inline {
+            name,
+            payload: body,
+        });
+    }
     let grant = GrantRef {
-        offset: word(8 + name_len)?,
-        len: word(8 + name_len + 8)?,
+        offset: u64::from_le_bytes(read_word(body, 0)?),
+        len: u64::from_le_bytes(read_word(body, 8)?),
     };
-    Ok(SlotRequest::Grant { name, grant })
+    Ok(SlotView::Grant { name, grant })
 }
 
 /// Execution status stored in a result slot.
@@ -393,21 +450,31 @@ pub enum ResultStatus {
 ///
 /// [`CodecError::TooLarge`].
 pub fn encode_result(status: ResultStatus, payload: &[u8]) -> Result<Vec<u8>, CodecError> {
+    encode_result_slot(status, payload).map(|slot| slot.to_vec())
+}
+
+/// [`encode_result`] into a slot-sized array: what the drain writes, so a
+/// result costs no heap buffer.
+///
+/// # Errors
+///
+/// [`CodecError::TooLarge`], as [`encode_result`].
+pub fn encode_result_slot(
+    status: ResultStatus,
+    payload: &[u8],
+) -> Result<[u8; RESULT_SLOT_SIZE], CodecError> {
     if payload.len() > SLOT_PAYLOAD {
         return Err(CodecError::TooLarge {
             size: payload.len(),
         });
     }
-    let mut out = vec![0u8; RESULT_SLOT_SIZE];
-    out[0..4].copy_from_slice(
-        &match status {
-            ResultStatus::Ok => 1u32,
-            ResultStatus::Err => 2u32,
-        }
-        .to_le_bytes(),
-    );
-    out[4..8].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    out[8..8 + payload.len()].copy_from_slice(payload);
+    let status = match status {
+        ResultStatus::Ok => 1u32,
+        ResultStatus::Err => 2u32,
+    };
+    let mut out = [0u8; RESULT_SLOT_SIZE];
+    let len = (payload.len() as u32).to_le_bytes();
+    lay_out(&mut out, &[&status.to_le_bytes(), &len, payload])?;
     Ok(out)
 }
 
@@ -417,12 +484,12 @@ pub fn encode_result(status: ResultStatus, payload: &[u8]) -> Result<Vec<u8>, Co
 ///
 /// [`CodecError::Corrupt`].
 pub fn decode_result(slot: &[u8]) -> Result<(ResultStatus, Vec<u8>), CodecError> {
-    let status = match read_header_word(slot, 0)? {
+    let status = match u32::from_le_bytes(read_word(slot, 0)?) {
         1 => ResultStatus::Ok,
         2 => ResultStatus::Err,
         _ => return Err(CodecError::Corrupt),
     };
-    let len = read_header_word(slot, 4)? as usize;
+    let len = u32::from_le_bytes(read_word(slot, 4)?) as usize;
     if len > SLOT_PAYLOAD || 8 + len > slot.len() {
         return Err(CodecError::Corrupt);
     }
@@ -432,15 +499,12 @@ pub fn decode_result(slot: &[u8]) -> Result<(ResultStatus, Vec<u8>), CodecError>
     ))
 }
 
-/// Reads the little-endian `u32` header word at `offset`, treating a
-/// truncated slot as corruption rather than panicking on it: the slot
-/// bytes come straight from shared ring memory the peer may have mangled.
-fn read_header_word(slot: &[u8], offset: usize) -> Result<u32, CodecError> {
-    let bytes = slot
-        .get(offset..offset + 4)
-        .and_then(|b| <[u8; 4]>::try_from(b).ok())
-        .ok_or(CodecError::Corrupt)?;
-    Ok(u32::from_le_bytes(bytes))
+/// Reads the `N` bytes at `offset`, treating a truncated slot as corruption
+/// rather than panicking on it.
+fn read_word<const N: usize>(slot: &[u8], offset: usize) -> Result<[u8; N], CodecError> {
+    slot.get(offset..offset + N)
+        .and_then(|b| <[u8; N]>::try_from(b).ok())
+        .ok_or(CodecError::Corrupt)
 }
 
 #[cfg(test)]

@@ -379,6 +379,21 @@ impl StreamState {
         self.next_seq - self.executed
     }
 
+    /// Lane `lane`'s cached indices. Lanes are named by the stream's own
+    /// bookkeeping, so a miss means the stream is not the one it names.
+    pub(crate) fn lane(&self, lane: usize) -> Result<&LaneState, SrpcError> {
+        self.lanes
+            .get(lane)
+            .ok_or(SrpcError::UnknownStream(self.id))
+    }
+
+    /// [`StreamState::lane`], mutably.
+    pub(crate) fn lane_mut(&mut self, lane: usize) -> Result<&mut LaneState, SrpcError> {
+        self.lanes
+            .get_mut(lane)
+            .ok_or(SrpcError::UnknownStream(self.id))
+    }
+
     /// The lane with the smallest ring backlog (ties go to the lowest
     /// index); enqueue targets this lane so load spreads evenly.
     pub fn least_loaded_lane(&self) -> usize {

@@ -1446,9 +1446,12 @@ mod tests {
         let mut sys = CronusSystem::boot(config());
         let (_, stream, seen) = zero_copy_stream(&mut sys);
         let size = DEFAULT_ARENA_PAGES * 4096 + 1;
-        let call = sys.call(stream, "launch").payload(&vec![1u8; size]);
+        let payload = vec![1u8; size];
         assert_eq!(
-            call.start().unwrap_err(),
+            sys.call(stream, "launch")
+                .payload(&payload)
+                .start()
+                .unwrap_err(),
             SrpcError::Codec(CodecError::TooLarge { size })
         );
         let s = sys.streams.get(&stream).unwrap();

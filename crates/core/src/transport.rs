@@ -31,9 +31,9 @@ use crate::executor::{executor_of, Executor};
 use crate::inject::SrpcPhase;
 use crate::reliability::{retryable, RetryPolicy};
 use crate::ring::{
-    decode_result, decode_slot_request, encode_grant_slot, encode_request_slot, encode_result,
-    CodecError, GrantRef, Request, ResultStatus, SlotRequest, CLOSED_OFFSET, DCHECK_OFFSET,
-    RESULT_SLOT_SIZE, SLOT_SIZE,
+    decode_result, encode_grant_slot, encode_request_slot, encode_result_slot, view_slot,
+    CodecError, GrantRef, ResultStatus, SlotView, CLOSED_OFFSET, DCHECK_OFFSET, RESULT_SLOT_SIZE,
+    SLOT_SIZE,
 };
 use crate::srpc::{
     GrantArena, LaneState, PendingRequest, SrpcError, StreamId, StreamState, StreamStats,
@@ -530,7 +530,7 @@ impl CronusSystem {
         };
         let (caller, caller_va, lane_rid, slot_off, rid_off) = {
             let s = self.stream_ref(id)?;
-            let rid = s.lanes[lane_idx].rid;
+            let rid = s.lane(lane_idx)?.rid;
             (
                 s.caller,
                 s.caller_va,
@@ -585,7 +585,7 @@ impl CronusSystem {
             .streams
             .get_mut(&id)
             .ok_or(SrpcError::UnknownStream(id))?;
-        s.lanes[lane_idx].rid += 1;
+        s.lane_mut(lane_idx)?.rid += 1;
         let seq = s.next_seq;
         s.next_seq += 1;
         s.pending.push_back(PendingRequest {
@@ -653,13 +653,15 @@ impl CronusSystem {
         };
         self.injection_point(id, SrpcPhase::Dispatch, lane_idx, slot_idx);
 
-        // Fetch + decode the request on the callee side.
+        // Fetch + decode the request on the callee side, in place: the
+        // name and an inline payload are read out of the slot copy.
         let mut slot = [0u8; SLOT_SIZE];
         self.ring_read(callee, callee_va.add(slot_off), &mut slot)
             .map_err(|e| self.stream_fault(id, callee.0, e))?;
-        let request = match decode_slot_request(&slot)? {
-            SlotRequest::Inline(r) => r,
-            SlotRequest::Grant { name, grant } => {
+        let mut granted;
+        let (name, payload) = match view_slot(&slot)? {
+            SlotView::Inline { name, payload } => (name, payload),
+            SlotView::Grant { name, grant } => {
                 // Resolve the grant from the arena on the callee side: the
                 // pages are already in the callee's stage-1, so this is the
                 // zero-copy read the descriptor promised. The descriptor
@@ -676,10 +678,10 @@ impl CronusSystem {
                     .filter(within)
                     .map(|a| a.callee_va)
                     .ok_or(CodecError::Corrupt)?;
-                let mut payload = vec![0u8; grant.len as usize];
-                self.ring_read(callee, arena_va.add(grant.offset), &mut payload)
+                granted = vec![0u8; grant.len as usize];
+                self.ring_read(callee, arena_va.add(grant.offset), &mut granted)
                     .map_err(|e| self.stream_fault(id, callee.0, e))?;
-                Request { name, payload }
+                (name, granted.as_slice())
             }
         };
         self.spm
@@ -694,7 +696,7 @@ impl CronusSystem {
             asid: callee.0,
             eid: callee.1,
         };
-        let outcome = self.run_handler(target, &request.name, &request.payload);
+        let outcome = self.run_handler(target, name, payload);
         self.injection_point(id, SrpcPhase::Kernel, lane_idx, slot_idx);
         let (status, result_bytes, exec_time) = match outcome {
             Ok((bytes, t)) => (ResultStatus::Ok, bytes, t),
@@ -710,13 +712,13 @@ impl CronusSystem {
         };
 
         // Write the result and bump the lane's Sid.
-        let encoded = encode_result(status, &result_bytes)?;
+        let encoded = encode_result_slot(status, &result_bytes)?;
         let (result_off, sid_off, lane_sid) = {
             let s = self.stream_ref(id)?;
             (
                 s.layout.result_slot(lane_idx, slot_idx),
                 s.layout.sid_offset(lane_idx),
-                s.lanes[lane_idx].sid,
+                s.lane(lane_idx)?.sid,
             )
         };
         self.ring_write(callee, callee_va.add(result_off), &encoded)
@@ -766,7 +768,7 @@ impl CronusSystem {
         if let Some(arena) = &mut s.arena {
             arena.tail = pending.arena_mark;
         }
-        s.lanes[lane_idx].sid += 1;
+        s.lane_mut(lane_idx)?.sid += 1;
         s.executed += 1;
         if s.pending.is_empty() {
             // The batch is fully drained; the next enqueue rings again.
@@ -783,9 +785,7 @@ impl CronusSystem {
             worker,
             occupancy: s.backlog() as i64,
         };
-        Self::observe_stream(&self.spm, s, |r, obs| {
-            obs.drained(r, &request.name, drained)
-        });
+        Self::observe_stream(&self.spm, s, |r, obs| obs.drained(r, name, drained));
         Ok(Some(Drained {
             lane: lane_idx,
             finished,
@@ -800,12 +800,12 @@ impl CronusSystem {
     /// let out = sys.call(stream, "gemm").payload(&desc).sync()?;
     /// sys.call(stream, "launch").payload(&desc).start()?;
     /// ```
-    pub fn call(&mut self, id: StreamId, name: &str) -> Call<'_> {
+    pub fn call<'a>(&'a mut self, id: StreamId, name: &'a str) -> Call<'a> {
         Call {
             sys: self,
             stream: id,
-            name: name.to_string(),
-            payload: Vec::new(),
+            name,
+            payload: &[],
             req: None,
             deadline: None,
             retry: None,

@@ -157,11 +157,11 @@ pub fn reconstruct(
             .spans
             .spans()
             .iter()
-            .filter(|s| s.cat == "recovery")
+            .filter(|s| r.spans.cat(s) == "recovery")
             .map(|s| RecoverySpan {
-                name: r.spans.name(s.name).to_string(),
-                start: s.start,
-                end: s.end.unwrap_or(s.start).max(s.start),
+                name: r.spans.name(s.name()).to_string(),
+                start: s.start(),
+                end: s.end().unwrap_or(s.start()),
             })
             .collect();
         let markers: Vec<MarkerEntry> = r

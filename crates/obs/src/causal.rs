@@ -90,11 +90,11 @@ fn ranked(map: BTreeMap<String, u64>) -> Vec<(String, u64)> {
 
 /// Attributes every nanosecond of the request's interval to one phase via an
 /// interval sweep; `spans` are (creation index, span) pairs, all closed.
-fn sweep(spans: &[(usize, &Span)]) -> Vec<(String, u64)> {
+fn sweep(tracer: &SpanTracer, spans: &[(usize, &Span)]) -> Vec<(String, u64)> {
     let mut bounds: Vec<u64> = Vec::with_capacity(spans.len() * 2);
     for (_, s) in spans {
-        bounds.push(s.start.as_nanos());
-        bounds.push(s.end.expect("closed").as_nanos());
+        bounds.push(s.start().as_nanos());
+        bounds.push(s.end().expect("closed").as_nanos());
     }
     bounds.sort_unstable();
     bounds.dedup();
@@ -105,10 +105,12 @@ fn sweep(spans: &[(usize, &Span)]) -> Vec<(String, u64)> {
         // breaks ties (a child is always created after its parent).
         let winner = spans
             .iter()
-            .filter(|(_, s)| s.start.as_nanos() <= lo && s.end.expect("closed").as_nanos() >= hi)
-            .max_by_key(|(idx, s)| (s.start.as_nanos(), *idx));
+            .filter(|(_, s)| {
+                s.start().as_nanos() <= lo && s.end().expect("closed").as_nanos() >= hi
+            })
+            .max_by_key(|(idx, s)| (s.start().as_nanos(), *idx));
         let phase = match winner {
-            Some((_, s)) => canonical_phase(s.cat).to_string(),
+            Some((_, s)) => canonical_phase(tracer.cat(s)).to_string(),
             None => "queue".to_string(),
         };
         *acc.entry(phase).or_insert(0) += hi - lo;
@@ -121,10 +123,10 @@ impl CausalReport {
     pub fn from_tracer(tracer: &SpanTracer) -> Self {
         let mut by_req: BTreeMap<ReqId, Vec<(usize, &Span)>> = BTreeMap::new();
         for (idx, span) in tracer.spans().iter().enumerate() {
-            if span.end.is_none() {
+            if span.end().is_none() {
                 continue;
             }
-            if let Some(req) = span.req {
+            if let Some(req) = span.req() {
                 by_req.entry(req).or_default().push((idx, span));
             }
         }
@@ -132,25 +134,29 @@ impl CausalReport {
         let mut overall: BTreeMap<String, u64> = BTreeMap::new();
         let mut streams: BTreeMap<u64, BTreeMap<String, u64>> = BTreeMap::new();
         for (req, spans) in by_req {
-            let start = spans.iter().map(|(_, s)| s.start).min().expect("nonempty");
+            let start = spans
+                .iter()
+                .map(|(_, s)| s.start())
+                .min()
+                .expect("nonempty");
             let end = spans
                 .iter()
-                .map(|(_, s)| s.end.expect("closed"))
+                .map(|(_, s)| s.end().expect("closed"))
                 .max()
                 .expect("nonempty");
             let name = spans
                 .iter()
-                .find(|(_, s)| s.cat == "srpc")
+                .find(|(_, s)| tracer.cat(s) == "srpc")
                 .or_else(|| spans.first())
-                .map(|(_, s)| tracer.name(s.name).to_string())
+                .map(|(_, s)| tracer.name(s.name()).to_string())
                 .unwrap_or_default();
             let stream = spans.iter().find_map(|(_, s)| {
                 tracer
-                    .track_name(s.track)
+                    .track_name(s.track())
                     .strip_prefix("stream:")
                     .and_then(|n| n.parse().ok())
             });
-            let phases = sweep(&spans);
+            let phases = sweep(tracer, &spans);
             for (phase, ns) in &phases {
                 *overall.entry(phase.clone()).or_insert(0) += ns;
                 if let Some(sid) = stream {

@@ -190,25 +190,28 @@ impl InterferenceMatrix {
     pub fn build(meter: &ResourceMeter) -> InterferenceMatrix {
         let mut m = InterferenceMatrix::default();
         for w in meter.waits() {
-            let wait_ns = w.started.as_nanos() - w.enqueued.as_nanos();
-            *m.waited.entry(w.principal).or_insert(0) += wait_ns;
-            for slice in meter.occupancy_of(w.worker) {
-                let lo = w.enqueued.as_nanos().max(slice.start.as_nanos());
-                let hi = w.started.as_nanos().min(slice.end.as_nanos());
+            let (enqueued, started) = (w.enqueued().as_nanos(), w.started().as_nanos());
+            *m.waited.entry(w.principal()).or_insert(0) += started - enqueued;
+            for slice in meter.occupancy_of(w.worker()) {
+                let lo = enqueued.max(slice.start().as_nanos());
+                let hi = started.min(slice.end().as_nanos());
                 if hi <= lo {
                     continue;
                 }
                 // The victim's own execution slice for this very request is
                 // not interference (it starts when the wait ends, so it
                 // never overlaps; this guards zero-width edge cases).
-                if slice.req.is_some() && slice.req == w.req {
+                if slice.req().is_some() && slice.req() == w.req() {
                     continue;
                 }
                 let overlap = hi - lo;
-                let cell = m.cells.entry((w.principal, slice.principal)).or_default();
+                let cell = m
+                    .cells
+                    .entry((w.principal(), slice.principal()))
+                    .or_default();
                 cell.ns += overlap;
                 cell.overlaps += 1;
-                if let (Some(victim_req), Some(interferer_req)) = (w.req, slice.req) {
+                if let (Some(victim_req), Some(interferer_req)) = (w.req(), slice.req()) {
                     let better = cell.exemplar.is_none_or(|e| overlap > e.overlap_ns);
                     if better {
                         cell.exemplar = Some(InterferenceExemplar {

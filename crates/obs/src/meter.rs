@@ -220,36 +220,96 @@ impl fmt::Display for WorkerId {
     }
 }
 
-/// One interval during which a worker executed one request.
+/// One interval during which a worker executed one request. A run keeps
+/// one per executed request, so the record is dense (40 bytes): an absent
+/// stream or request is `0`, which neither ever is.
 #[derive(Clone, Copy, Debug)]
 pub struct OccupancySlice {
-    /// Principal whose request occupied the worker.
-    pub principal: Principal,
-    /// Stream the request belongs to.
-    pub stream: Option<u64>,
-    /// Request id, for exemplars.
-    pub req: Option<ReqId>,
-    /// Occupation start (virtual time).
-    pub start: SimNs,
-    /// Occupation end.
-    pub end: SimNs,
+    principal: Principal,
+    stream: u64,
+    req: u64,
+    start: SimNs,
+    end: SimNs,
 }
 
-/// One request's executor-backlog wait window on a worker.
+impl OccupancySlice {
+    /// Principal whose request occupied the worker.
+    pub fn principal(&self) -> Principal {
+        self.principal
+    }
+
+    /// Stream the request belongs to.
+    pub fn stream(&self) -> Option<u64> {
+        (self.stream != 0).then_some(self.stream)
+    }
+
+    /// Request id, for exemplars.
+    pub fn req(&self) -> Option<ReqId> {
+        (self.req != 0).then_some(ReqId(self.req))
+    }
+
+    /// Occupation start (virtual time).
+    pub fn start(&self) -> SimNs {
+        self.start
+    }
+
+    /// Occupation end.
+    pub fn end(&self) -> SimNs {
+        self.end
+    }
+}
+
+/// Bit of [`WaitRecord`]'s packed worker index set for a pool worker.
+const POOL_WORKER: u32 = 1 << 31;
+
+/// One request's executor-backlog wait window on a worker. Dense (48
+/// bytes) like [`OccupancySlice`]; the worker's `shared` flag rides in the
+/// top bit of its index.
 #[derive(Clone, Copy, Debug)]
 pub struct WaitRecord {
+    principal: Principal,
+    worker_index: u32,
+    worker_domain: u64,
+    stream: u64,
+    req: u64,
+    enqueued: SimNs,
+    started: SimNs,
+}
+
+impl WaitRecord {
     /// Principal who waited (the request's owner).
-    pub principal: Principal,
+    pub fn principal(&self) -> Principal {
+        self.principal
+    }
+
     /// Stream the waiting request belongs to.
-    pub stream: Option<u64>,
+    pub fn stream(&self) -> Option<u64> {
+        (self.stream != 0).then_some(self.stream)
+    }
+
     /// Waiting request id, for exemplars.
-    pub req: Option<ReqId>,
+    pub fn req(&self) -> Option<ReqId> {
+        (self.req != 0).then_some(ReqId(self.req))
+    }
+
     /// Worker the request eventually ran on.
-    pub worker: WorkerId,
+    pub fn worker(&self) -> WorkerId {
+        WorkerId {
+            shared: self.worker_index & POOL_WORKER != 0,
+            domain: self.worker_domain,
+            index: self.worker_index & !POOL_WORKER,
+        }
+    }
+
     /// Enqueue instant (wait starts).
-    pub enqueued: SimNs,
+    pub fn enqueued(&self) -> SimNs {
+        self.enqueued
+    }
+
     /// Execution start (wait ends).
-    pub started: SimNs,
+    pub fn started(&self) -> SimNs {
+        self.started
+    }
 }
 
 /// A metering bug: per-principal charges disagree with the independent
@@ -382,8 +442,8 @@ impl ResourceMeter {
         let s = self.scope;
         let slice = OccupancySlice {
             principal: s.principal,
-            stream: s.stream,
-            req,
+            stream: s.stream.unwrap_or(0),
+            req: req.map_or(0, |r| r.0),
             start,
             end,
         };
@@ -409,12 +469,14 @@ impl ResourceMeter {
         if started <= enqueued {
             return;
         }
+        debug_assert!(worker.index < POOL_WORKER, "worker index {}", worker.index);
         let s = self.scope;
         self.waits.push(WaitRecord {
             principal: s.principal,
-            stream: s.stream,
-            req,
-            worker,
+            worker_index: worker.index | if worker.shared { POOL_WORKER } else { 0 },
+            worker_domain: worker.domain,
+            stream: s.stream.unwrap_or(0),
+            req: req.map_or(0, |r| r.0),
             enqueued,
             started,
         });
@@ -712,8 +774,18 @@ mod tests {
 
         assert_eq!(m.occupancy_of(w).len(), 1);
         assert_eq!(m.waits().len(), 1);
-        assert_eq!(m.waits()[0].principal, Principal(1));
-        assert_eq!(m.occupancy_of(w)[0].principal, Principal(2));
+        let wait = m.waits()[0];
+        assert_eq!(wait.principal(), Principal(1));
+        assert_eq!(
+            (wait.worker(), wait.stream(), wait.req()),
+            (w, Some(2), Some(ReqId(10)))
+        );
+        let lane = WorkerId::lane(4, 2);
+        m.record_wait(lane, None, ns(300), ns(310));
+        assert_eq!((m.waits()[1].worker(), m.waits()[1].req()), (lane, None));
+        let slice = m.occupancy_of(w)[0];
+        assert_eq!(slice.principal(), Principal(2));
+        assert_eq!((slice.stream(), slice.req()), (Some(1), Some(ReqId(9))));
         assert_eq!(format!("{w}"), "pool:3.0");
         assert_eq!(format!("{}", WorkerId::lane(4, 2)), "lane:4.2");
     }

@@ -9,15 +9,21 @@
 //! Span and track names are interned ([`crate::intern`]): a span stores a
 //! [`NameId`], and `begin`/`complete` take either an id resolved earlier
 //! with [`SpanTracer::intern`] or plain text, which is interned on the spot.
+//!
+//! A run keeps every span it records, so a [`Span`] is a dense 40-byte
+//! record: its id is its position (not stored), parent, track and name are
+//! 32-bit indices, the category is an index into the tracer's short table
+//! of `&'static str` categories (found by a linear scan, no hashing), and
+//! an open end and a missing request are sentinel values of 8-byte words.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use cronus_sim::SimNs;
 
 use crate::intern::{Interner, IntoName, NameId};
 use crate::json::Json;
 
-/// Identifies a span within one tracer.
+/// Identifies a span within one tracer: its creation index.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct SpanId(pub u64);
 
@@ -41,25 +47,62 @@ impl std::fmt::Display for ReqId {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct TrackId(pub usize);
 
-/// One span: a named interval on a track, with an optional parent.
-#[derive(Clone, Debug)]
+/// `Span::end` of a span that is still open.
+const OPEN: u64 = u64::MAX;
+/// `Span::parent` of a span with no enclosing span.
+const NO_PARENT: u32 = u32::MAX;
+
+/// One span: a named interval on a track, with an optional parent. Its
+/// [`SpanId`] is its index in [`SpanTracer::spans`].
+#[derive(Clone, Copy, Debug)]
 pub struct Span {
-    /// Unique id within the tracer.
-    pub id: SpanId,
-    /// Enclosing span on the same track, if any.
-    pub parent: Option<SpanId>,
-    /// Track the span lives on.
-    pub track: TrackId,
-    /// Display name (e.g. the mcall name); [`SpanTracer::name`] has its text.
-    pub name: NameId,
-    /// Category (e.g. `"srpc"`, `"kernel"`, `"recovery"`).
-    pub cat: &'static str,
+    start: SimNs,
+    /// End instant in nanoseconds, [`OPEN`] while the span is open.
+    end: u64,
+    /// Attributed request, `0` (never allocated) for none.
+    req: u64,
+    /// Index of the enclosing span on the same track, or [`NO_PARENT`].
+    parent: u32,
+    track: u32,
+    name: NameId,
+    /// Index into the tracer's category table.
+    cat: u16,
+}
+
+impl Span {
     /// Start instant.
-    pub start: SimNs,
+    pub fn start(&self) -> SimNs {
+        self.start
+    }
+
     /// End instant; `None` while the span is still open.
-    pub end: Option<SimNs>,
+    pub fn end(&self) -> Option<SimNs> {
+        (self.end != OPEN).then(|| SimNs::from_nanos(self.end))
+    }
+
     /// Request this span is causally attributed to, if any.
-    pub req: Option<ReqId>,
+    pub fn req(&self) -> Option<ReqId> {
+        (self.req != 0).then_some(ReqId(self.req))
+    }
+
+    /// Enclosing span on the same track, if any.
+    pub fn parent(&self) -> Option<SpanId> {
+        (self.parent != NO_PARENT).then_some(SpanId(u64::from(self.parent)))
+    }
+
+    /// Track the span lives on.
+    pub fn track(&self) -> TrackId {
+        TrackId(self.track as usize)
+    }
+
+    /// Display name (e.g. the mcall name); [`SpanTracer::name`] has its text.
+    pub fn name(&self) -> NameId {
+        self.name
+    }
+
+    fn close(&mut self, at: SimNs) {
+        self.end = at.max(self.start).as_nanos();
+    }
 }
 
 /// An instant marker (Chrome trace phase `"I"`), e.g. an experiment phase.
@@ -78,11 +121,12 @@ pub struct SpanTracer {
     tracks: Interner,
     /// Span names.
     names: Interner,
+    /// Span categories; a span stores the index. A run uses about a dozen.
+    cats: Vec<&'static str>,
     spans: Vec<Span>,
     instants: Vec<Instant>,
     /// Per-track stack of open span indices into `spans`, by track index.
-    open: Vec<Vec<usize>>,
-    next_id: u64,
+    open: Vec<Vec<u32>>,
     /// Ambient request: stamped into every span opened while set, so deep
     /// instrumentation sites (device HALs, recovery) need no plumbing.
     current_req: Option<ReqId>,
@@ -110,12 +154,52 @@ impl SpanTracer {
         self.names.resolve(id)
     }
 
+    /// The category of `span`.
+    pub fn cat(&self, span: &Span) -> &'static str {
+        self.cats[usize::from(span.cat)]
+    }
+
     /// The open-span stack of `track`.
-    fn open_mut(&mut self, track: TrackId) -> &mut Vec<usize> {
+    fn open_mut(&mut self, track: TrackId) -> &mut Vec<u32> {
         if track.0 >= self.open.len() {
             self.open.resize_with(track.0 + 1, Vec::new);
         }
         &mut self.open[track.0]
+    }
+
+    /// Appends a span under `parent` (the track's open top, if any),
+    /// stamped with the ambient request; returns its id.
+    fn push(
+        &mut self,
+        track: TrackId,
+        name: NameId,
+        cat: &'static str,
+        start: SimNs,
+        end: u64,
+        parent: Option<u32>,
+    ) -> SpanId {
+        let id = self.spans.len();
+        let cat = match self
+            .cats
+            .iter()
+            .position(|&c| std::ptr::eq(c, cat) || c == cat)
+        {
+            Some(i) => i,
+            None => {
+                self.cats.push(cat);
+                self.cats.len() - 1
+            }
+        };
+        self.spans.push(Span {
+            start,
+            end,
+            req: self.current_req.map_or(0, |r| r.0),
+            parent: parent.unwrap_or(NO_PARENT),
+            track: u32::try_from(track.0).expect("fewer than 2^32 tracks"),
+            name,
+            cat: u16::try_from(cat).expect("fewer than 2^16 span categories"),
+        });
+        SpanId(id as u64)
     }
 
     /// Sets (or clears) the ambient request stamped into new spans.
@@ -137,24 +221,11 @@ impl SpanTracer {
         at: SimNs,
     ) -> SpanId {
         let name = name.into_name(&mut self.names);
-        let index = self.spans.len();
+        let index = u32::try_from(self.spans.len()).expect("fewer than 2^32 spans");
         let stack = self.open_mut(track);
-        let top = stack.last().copied();
+        let parent = stack.last().copied();
         stack.push(index);
-        let parent = top.map(|i| self.spans[i].id);
-        let id = SpanId(self.next_id);
-        self.next_id += 1;
-        self.spans.push(Span {
-            id,
-            parent,
-            track,
-            name,
-            cat,
-            start: at,
-            end: None,
-            req: self.current_req,
-        });
-        id
+        self.push(track, name, cat, at, OPEN, parent)
     }
 
     /// Closes span `id` at `at`. Any children still open above it on the
@@ -165,9 +236,8 @@ impl SpanTracer {
             return;
         };
         while let Some(idx) = stack.pop() {
-            let span = &mut self.spans[idx];
-            span.end = Some(at.max(span.start));
-            if span.id == id {
+            self.spans[idx as usize].close(at);
+            if u64::from(idx) == id.0 {
                 return;
             }
         }
@@ -184,24 +254,9 @@ impl SpanTracer {
         end: SimNs,
     ) -> SpanId {
         let name = name.into_name(&mut self.names);
-        let parent = self
-            .open
-            .get(track.0)
-            .and_then(|s| s.last())
-            .map(|&i| self.spans[i].id);
-        let id = SpanId(self.next_id);
-        self.next_id += 1;
-        self.spans.push(Span {
-            id,
-            parent,
-            track,
-            name,
-            cat,
-            start,
-            end: Some(end.max(start)),
-            req: self.current_req,
-        });
-        id
+        let parent = self.open.get(track.0).and_then(|s| s.last()).copied();
+        let end = end.max(start).as_nanos();
+        self.push(track, name, cat, start, end, parent)
     }
 
     /// Records an instant marker.
@@ -216,8 +271,7 @@ impl SpanTracer {
     pub fn finish_all(&mut self, at: SimNs) {
         for stack in &mut self.open {
             while let Some(idx) = stack.pop() {
-                let span = &mut self.spans[idx];
-                span.end = Some(at.max(span.start));
+                self.spans[idx as usize].close(at);
             }
         }
     }
@@ -251,17 +305,17 @@ impl SpanTracer {
     /// parent's interval, and a child's parent precedes it in creation
     /// order on the same track.
     pub fn validate(&self) -> Result<(), String> {
-        let by_id: HashMap<SpanId, &Span> = self.spans.iter().map(|s| (s.id, s)).collect();
         for span in &self.spans {
             let name = self.name(span.name);
-            if let Some(end) = span.end {
+            if let Some(end) = span.end() {
                 if end < span.start {
                     return Err(format!("span {name:?} ends before it starts"));
                 }
             }
-            if let Some(pid) = span.parent {
-                let parent = by_id
-                    .get(&pid)
+            if let Some(pid) = span.parent() {
+                let parent = usize::try_from(pid.0)
+                    .ok()
+                    .and_then(|i| self.spans.get(i))
                     .ok_or_else(|| format!("span {name:?} has unknown parent"))?;
                 let parent_name = self.name(parent.name);
                 if parent.track != span.track {
@@ -272,7 +326,7 @@ impl SpanTracer {
                         "child {name:?} starts before parent {parent_name:?}"
                     ));
                 }
-                if let (Some(ce), Some(pe)) = (span.end, parent.end) {
+                if let (Some(ce), Some(pe)) = (span.end(), parent.end()) {
                     if ce > pe {
                         return Err(format!("child {name:?} outlives parent {parent_name:?}"));
                     }
@@ -298,22 +352,25 @@ impl SpanTracer {
                 ("args", Json::obj([("name", Json::from(name))])),
             ]));
         }
-        for span in &self.spans {
-            let Some(end) = span.end else { continue };
+        for (id, span) in self.spans.iter().enumerate() {
+            let Some(end) = span.end() else { continue };
             events.push(Json::obj([
                 ("name", Json::from(self.name(span.name))),
-                ("cat", Json::from(span.cat)),
+                ("cat", Json::from(self.cat(span))),
                 ("ph", Json::from("X")),
                 ("ts", Json::F64(span.start.as_nanos() as f64 / 1e3)),
                 ("dur", Json::F64((end - span.start).as_nanos() as f64 / 1e3)),
                 ("pid", Json::U64(1)),
-                ("tid", Json::U64(span.track.0 as u64 + 1)),
+                ("tid", Json::U64(u64::from(span.track) + 1)),
                 (
                     "args",
                     Json::obj([
-                        ("span_id", Json::U64(span.id.0)),
-                        ("parent", span.parent.map_or(Json::Null, |p| Json::U64(p.0))),
-                        ("req", span.req.map_or(Json::Null, |r| Json::U64(r.0))),
+                        ("span_id", Json::U64(id as u64)),
+                        (
+                            "parent",
+                            span.parent().map_or(Json::Null, |p| Json::U64(p.0)),
+                        ),
+                        ("req", span.req().map_or(Json::Null, |r| Json::U64(r.0))),
                     ]),
                 ),
             ]));
@@ -345,25 +402,23 @@ impl SpanTracer {
     /// a single span get no flow events (nothing to connect), which keeps the
     /// start/finish pairing exact.
     fn flow_events(&self) -> Vec<Json> {
-        let mut by_req: HashMap<ReqId, Vec<&Span>> = HashMap::new();
-        for span in &self.spans {
-            if span.end.is_none() {
+        let mut by_req: BTreeMap<ReqId, Vec<(usize, &Span)>> = BTreeMap::new();
+        for (id, span) in self.spans.iter().enumerate() {
+            if span.end == OPEN {
                 continue;
             }
-            if let Some(req) = span.req {
-                by_req.entry(req).or_default().push(span);
+            if let Some(req) = span.req() {
+                by_req.entry(req).or_default().push((id, span));
             }
         }
-        let mut reqs: Vec<_> = by_req.into_iter().collect();
-        reqs.sort_by_key(|(req, _)| *req);
         let mut events = Vec::new();
-        for (req, mut spans) in reqs {
+        for (req, mut spans) in by_req {
             if spans.len() < 2 {
                 continue;
             }
-            spans.sort_by_key(|s| (s.start, s.id.0));
+            spans.sort_by_key(|&(id, s)| (s.start, id));
             let last = spans.len() - 1;
-            for (i, span) in spans.iter().enumerate() {
+            for (i, &(_, span)) in spans.iter().enumerate() {
                 let ph = if i == 0 {
                     "s"
                 } else if i == last {
@@ -372,7 +427,7 @@ impl SpanTracer {
                     "t"
                 };
                 let ts = if i == last {
-                    span.end.unwrap_or(span.start)
+                    span.end().unwrap_or(span.start)
                 } else {
                     span.start
                 };
@@ -383,7 +438,7 @@ impl SpanTracer {
                     ("id".to_string(), Json::U64(req.0)),
                     ("ts".to_string(), Json::F64(ts.as_nanos() as f64 / 1e3)),
                     ("pid".to_string(), Json::U64(1)),
-                    ("tid".to_string(), Json::U64(span.track.0 as u64 + 1)),
+                    ("tid".to_string(), Json::U64(u64::from(span.track) + 1)),
                 ];
                 if i == last {
                     // Bind the finish to the enclosing slice rather than the
@@ -417,8 +472,8 @@ mod tests {
         t.end(track, outer, ns(40));
         assert_eq!(t.open_depth(track), 0);
         let spans = t.spans();
-        assert_eq!(spans[1].parent, Some(outer));
-        assert_eq!(spans[0].parent, None);
+        assert_eq!(spans[1].parent(), Some(outer));
+        assert_eq!(spans[0].parent(), None);
         t.validate().unwrap();
     }
 
@@ -430,7 +485,7 @@ mod tests {
         let _inner = t.begin(track, "kernel", "kernel", ns(20));
         t.end(track, outer, ns(50));
         assert_eq!(t.open_depth(track), 0);
-        assert!(t.spans().iter().all(|s| s.end == Some(ns(50))));
+        assert!(t.spans().iter().all(|s| s.end() == Some(ns(50))));
         t.validate().unwrap();
     }
 
@@ -459,8 +514,9 @@ mod tests {
         let child = t.complete(track, "invalidate", "recovery", ns(1), ns(4));
         t.end(track, outer, ns(10));
         let spans = t.spans();
-        let c = spans.iter().find(|s| s.id == child).unwrap();
-        assert_eq!(c.parent, Some(outer));
+        assert_eq!(child, SpanId(1), "an id is the creation index");
+        assert_eq!(spans[1].parent(), Some(outer));
+        assert_eq!(t.cat(&spans[1]), "recovery");
         t.validate().unwrap();
     }
 
@@ -490,8 +546,8 @@ mod tests {
         t.end(stream, call, ns(50));
         t.set_current_req(None);
         t.complete(caller, "unrelated", "mgmt", ns(60), ns(70));
-        assert!(t.spans()[0].req == Some(ReqId(7)) && t.spans()[1].req == Some(ReqId(7)));
-        assert_eq!(t.spans()[2].req, None);
+        assert!(t.spans()[0].req() == Some(ReqId(7)) && t.spans()[1].req() == Some(ReqId(7)));
+        assert_eq!(t.spans()[2].req(), None);
         let json = t.chrome_trace_json();
         assert!(is_well_formed(&json));
         assert_eq!(json.matches("\"ph\":\"s\"").count(), 1, "{json}");
@@ -509,6 +565,19 @@ mod tests {
         let json = t.chrome_trace_json();
         assert!(!json.contains("\"ph\":\"s\""));
         assert!(!json.contains("\"ph\":\"f\""));
+    }
+
+    #[test]
+    fn categories_match_by_text_not_by_address() {
+        let mut t = SpanTracer::new();
+        let track = t.track("x");
+        let leaked: &'static str = Box::leak(String::from("ring").into_boxed_str());
+        t.complete(track, "a", "ring", ns(0), ns(1));
+        t.complete(track, "b", leaked, ns(1), ns(2));
+        t.complete(track, "c", "kernel", ns(2), ns(3));
+        let cats: Vec<&str> = t.spans().iter().map(|s| t.cat(s)).collect();
+        assert_eq!(cats, ["ring", "ring", "kernel"]);
+        assert_eq!(t.cats.len(), 2);
     }
 
     #[test]

@@ -6,7 +6,9 @@
 #   benchmark   build + self-tests of benchmark/, its own workspace (benchmark/README.md)
 #   bench-run   the release cronus-benchmark once per workload at frozen scale (--seconds 0 --trace 1):
 #               its exit status carries `correct`, the last cycle's audit and ledger verification and
-#               the traced span coverage; the self-tests above run only 1/100-scale reps (benchmark/README.md)
+#               the traced span coverage; the self-tests above run only 1/100-scale reps (benchmark/README.md).
+#               Also the recorder's retention budget: srpc_stream's host.rss_bytes_per_op must stay at or
+#               under SRPC_RSS_BUDGET (OBSERVABILITY.md, "What observing costs")
 #   lint        cronus-lint v2, ratcheted by LINT_BASELINE.json; accept with scripts/relint.sh (AUDIT.md)
 #   audit       mapping-state audit I1-I5 of every example workload (AUDIT.md)
 #   chaos       smoke fault-injection campaign, A1-A5; the full sweep is the figure table's chaos row (FAULTS.md)
@@ -31,12 +33,23 @@ fresh_figures_match() {
   done
 }
 
+# Bytes an async call leaves in the recorder: three 40-byte spans and one
+# 40-byte meter slice, measured at 166 B/op on x86-64 (352 when a span was
+# 96 bytes). A new per-span or per-slice field shows up here first.
+SRPC_RSS_BUDGET=200
+
 bench_runs_pass() {
   cargo build --offline --release -q --manifest-path benchmark/Cargo.toml
   for workload in srpc_stream tenants_mixed accel_apps lifecycle_failover; do
     echo "--- $workload"
     out=$(benchmark/target/release/cronus-benchmark --workload "$workload" --seconds 0 --trace 1) \
       || { echo "$out"; return 1; }
+    if [[ "$workload" == srpc_stream ]]; then
+      rss=$(tail -n 1 <<< "$out" | grep -o '"host.rss_bytes_per_op":{"value":[^,}]*' | cut -d: -f3)
+      echo "host.rss_bytes_per_op ${rss:-missing} B (budget $SRPC_RSS_BUDGET B)"
+      awk -v rss="$rss" -v budget="$SRPC_RSS_BUDGET" 'BEGIN { exit !(rss != "" && rss + 0 <= budget) }' \
+        || { echo "srpc_stream retains more per call than the budget"; return 1; }
+    fi
   done
 }
 

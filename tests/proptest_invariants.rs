@@ -165,6 +165,161 @@ mod full {
     }
 }
 
+/// The ring codec's in-place forms against the owned ones and against the
+/// owned implementations they replaced, kept here as the reference: over
+/// slot bytes a peer may have written, every decoder yields the same name,
+/// payload and grant, or the same error.
+mod codec {
+    use proptest::prelude::*;
+
+    use cronus::core::ring::{
+        decode_request, decode_slot_request, encode_result, encode_result_slot, view_slot,
+        CodecError, GrantRef, Request, ResultStatus, SlotRequest, SlotView, GRANT_FLAG,
+        RESULT_SLOT_SIZE, SLOT_PAYLOAD, SLOT_SIZE,
+    };
+
+    fn word(slot: &[u8], at: usize) -> Result<u32, CodecError> {
+        let bytes = slot.get(at..at + 4).ok_or(CodecError::Corrupt)?;
+        Ok(u32::from_le_bytes(bytes.try_into().expect("four bytes")))
+    }
+
+    fn reference_decode_request(slot: &[u8]) -> Result<Request, CodecError> {
+        let name_len = word(slot, 0)? as usize;
+        let payload_len = word(slot, 4)? as usize;
+        if name_len + payload_len > SLOT_PAYLOAD || 8 + name_len + payload_len > slot.len() {
+            return Err(CodecError::Corrupt);
+        }
+        let name = std::str::from_utf8(&slot[8..8 + name_len])
+            .map_err(|_| CodecError::Corrupt)?
+            .to_string();
+        let payload = slot[8 + name_len..8 + name_len + payload_len].to_vec();
+        Ok(Request { name, payload })
+    }
+
+    fn reference_decode_slot_request(slot: &[u8]) -> Result<SlotRequest, CodecError> {
+        let payload_word = word(slot, 4)?;
+        if payload_word & GRANT_FLAG == 0 {
+            return Ok(SlotRequest::Inline(reference_decode_request(slot)?));
+        }
+        let name_len = word(slot, 0)? as usize;
+        if payload_word & !GRANT_FLAG != 16 || name_len + 16 > SLOT_PAYLOAD {
+            return Err(CodecError::Corrupt);
+        }
+        let name = std::str::from_utf8(slot.get(8..8 + name_len).ok_or(CodecError::Corrupt)?)
+            .map_err(|_| CodecError::Corrupt)?
+            .to_string();
+        let u64_at = |at: usize| -> Result<u64, CodecError> {
+            let bytes = slot.get(at..at + 8).ok_or(CodecError::Corrupt)?;
+            Ok(u64::from_le_bytes(bytes.try_into().expect("eight bytes")))
+        };
+        let grant = GrantRef {
+            offset: u64_at(8 + name_len)?,
+            len: u64_at(8 + name_len + 8)?,
+        };
+        Ok(SlotRequest::Grant { name, grant })
+    }
+
+    fn reference_encode_result(
+        status: ResultStatus,
+        payload: &[u8],
+    ) -> Result<Vec<u8>, CodecError> {
+        if payload.len() > SLOT_PAYLOAD {
+            return Err(CodecError::TooLarge {
+                size: payload.len(),
+            });
+        }
+        let mut out = vec![0u8; RESULT_SLOT_SIZE];
+        let status: u32 = if status == ResultStatus::Ok { 1 } else { 2 };
+        out[0..4].copy_from_slice(&status.to_le_bytes());
+        out[4..8].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+        out[8..8 + payload.len()].copy_from_slice(payload);
+        Ok(out)
+    }
+
+    /// A request slot as a mangling peer might leave it: `name` and `body`
+    /// laid out after the two header words, each word either honest or
+    /// replaced (`shape` picks which), then cut to `keep` bytes.
+    fn mangled_slot(shape: u8, name: &[u8], body: &[u8], noise: u32, keep: usize) -> Vec<u8> {
+        let name_word = match shape % 4 {
+            0 | 1 => name.len() as u32,
+            2 => noise,
+            _ => name.len() as u32 + noise % 64,
+        };
+        let payload_word = match (shape / 4) % 5 {
+            0 => body.len() as u32,
+            1 => 16 | GRANT_FLAG,
+            2 => (noise % 64) | GRANT_FLAG,
+            3 => noise,
+            _ => body.len() as u32 + noise % 64,
+        };
+        let mut slot = vec![0u8; SLOT_SIZE];
+        slot[0..4].copy_from_slice(&name_word.to_le_bytes());
+        slot[4..8].copy_from_slice(&payload_word.to_le_bytes());
+        let tail = name.iter().chain(body).take(SLOT_SIZE - 8);
+        for (at, &b) in (8..).zip(tail) {
+            slot[at] = b;
+        }
+        slot.truncate(keep);
+        slot
+    }
+
+    fn owned(view: SlotView<'_>) -> SlotRequest {
+        match view {
+            SlotView::Inline { name, payload } => SlotRequest::Inline(Request {
+                name: name.to_string(),
+                payload: payload.to_vec(),
+            }),
+            SlotView::Grant { name, grant } => SlotRequest::Grant {
+                name: name.to_string(),
+                grant,
+            },
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// `view_slot`, `decode_slot_request` and `decode_request` agree
+        /// with the owned decoders they replaced on honest, truncated and
+        /// mangled slots: oversized length words, non-UTF-8 names, grant
+        /// descriptors of the wrong length.
+        #[test]
+        fn in_place_decoder_agrees_with_the_owned_ones(
+            shape in any::<u8>(),
+            name in proptest::collection::vec(any::<u8>(), 0..48),
+            ascii in any::<bool>(),
+            body in proptest::collection::vec(any::<u8>(), 0..96),
+            noise in any::<u32>(),
+            keep in 0usize..=SLOT_SIZE + 8,
+        ) {
+            let name: Vec<u8> = if ascii {
+                name.iter().map(|b| b'a' + b % 26).collect()
+            } else {
+                name
+            };
+            let slot = mangled_slot(shape, &name, &body, noise, keep);
+            let expected = reference_decode_slot_request(&slot);
+            prop_assert_eq!(view_slot(&slot).map(owned), expected.clone());
+            prop_assert_eq!(decode_slot_request(&slot), expected);
+            prop_assert_eq!(decode_request(&slot), reference_decode_request(&slot));
+        }
+
+        /// The array result encoder writes exactly `encode_result`'s bytes,
+        /// and the reference's, for both statuses and for payloads that do
+        /// not fit.
+        #[test]
+        fn result_slot_encoder_agrees_with_encode_result(
+            ok in any::<bool>(),
+            payload in proptest::collection::vec(any::<u8>(), 0..SLOT_PAYLOAD + 16),
+        ) {
+            let status = if ok { ResultStatus::Ok } else { ResultStatus::Err };
+            let array = encode_result_slot(status, &payload).map(|slot| slot.to_vec());
+            prop_assert_eq!(array.clone(), encode_result(status, &payload));
+            prop_assert_eq!(array, reference_encode_result(status, &payload));
+        }
+    }
+}
+
 /// Two fresh systems driven through the same lifecycle are the same system:
 /// nothing a run leaves behind depends on anything but the operations.
 mod lifecycle {
