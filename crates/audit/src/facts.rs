@@ -418,11 +418,15 @@ fn path_back(tokens: &[Token], start: usize, at: usize, item: &FnItem) -> Vec<St
     segs
 }
 
+/// True when `t` can end an expression a following `[` indexes. A keyword
+/// cannot (`for p in [2, 3]`, `&mut [u8]`, `return [a, b]` open an array
+/// or a slice type), except `.await`, whose result can be indexed.
 fn is_indexable(t: &Tok) -> bool {
-    matches!(
-        t,
-        Tok::Ident(_) | Tok::Close(')') | Tok::Close(']') | Tok::Num(_)
-    )
+    match t {
+        Tok::Ident(id) => id == "await" || !KEYWORDS.contains(&id.as_str()),
+        Tok::Close(')') | Tok::Close(']') | Tok::Num(_) => true,
+        _ => false,
+    }
 }
 
 fn skip_group_at(tokens: &[Token], open: usize, end: usize) -> usize {
@@ -514,13 +518,18 @@ mod tests {
 
     #[test]
     fn array_literals_and_attributes_are_not_indexing() {
-        let f = facts_of("let a = [1, 2, 3];\n#[allow(x)]\nlet b = vec![4];\nlet c = a[0];\n");
-        let idx: Vec<_> = f
+        let f = facts_of(
+            "let a = [1, 2, 3];\n#[allow(x)]\nlet b = vec![4];\nlet c = a[0];\n\
+             for p in [2, 3] {}\nlet b: &mut [u8] = x;\nreturn [a, b];\n",
+        );
+        let idx: Vec<u32> = f
             .panics
             .iter()
             .filter(|p| p.kind == PanicKind::Index)
+            .map(|p| p.line)
             .collect();
-        assert_eq!(idx.len(), 1);
+        // Only `a[0]`: a keyword before `[` opens an array or a slice type.
+        assert_eq!(idx, [5]);
     }
 
     #[test]

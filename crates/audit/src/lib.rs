@@ -20,9 +20,8 @@
 //!   lexer ([`lex`]), brace-tree item parser ([`syntax`]), per-function
 //!   fact extraction ([`facts`]), a repo-wide call graph ([`graph`]),
 //!   the interprocedural secret-taint analysis ([`taint`]) and the rule
-//!   catalog ([`rules`]) — orchestrated by [`engine::run`], ratcheted
-//!   against `LINT_BASELINE.json` by [`baseline`], and exposed as
-//!   `cargo run --bin lint`.
+//!   catalog ([`rules`]) — orchestrated by [`engine::run`] and exposed as
+//!   `cargo run --bin lint`, a gate that passes only at zero findings.
 //!
 //! The chaos campaign runs the full audit after every scenario as its
 //! fourth invariant (A4); `cargo run --bin audit` drives it over every
@@ -30,7 +29,6 @@
 //! static analyses (`lint`). See `AUDIT.md` for
 //! the model schema, the invariant catalogue and the lint rule catalog.
 
-pub mod baseline;
 pub mod engine;
 pub mod facts;
 pub mod graph;
@@ -41,7 +39,6 @@ pub mod rules;
 pub mod syntax;
 pub mod taint;
 
-pub use baseline::Baseline;
 pub use engine::{Report, SourceSet};
 pub use invariants::{audit_system, check_model, AuditReport, Invariant, Violation};
 pub use model::{IsolationModel, ShareModel};

@@ -85,7 +85,7 @@ impl CronusSystem {
                 }
             },
         );
-        let fallback = ends.map_or(Eid::new(cronus_mos::manifest::MosId(0), 0), |e| e.0 .1);
+        let fallback = ends.map_or(Eid::NONE, |e| e.0 .1);
         let accessor_died = matches!(
             err,
             MosError::NotRunning | MosError::Fault(Fault::PartitionFailed { .. })
@@ -423,11 +423,11 @@ impl CronusSystem {
                 return;
             };
             let chunk = (PAGE_SIZE - in_page).min((data.len() - idx) as u64) as usize;
+            let Some(bytes) = data.get(idx..idx + chunk) else {
+                return;
+            };
             let pa = PhysAddr::from_page_number(*ppn).add(in_page);
-            let _ = self
-                .spm
-                .machine_mut()
-                .phys_write(World::Secure, pa, &data[idx..idx + chunk]);
+            let _ = self.spm.machine_mut().phys_write(World::Secure, pa, bytes);
             pos += chunk as u64;
             idx += chunk;
         }

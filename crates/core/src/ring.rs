@@ -50,6 +50,13 @@ pub const DCHECK_OFFSET: u64 = 0x10;
 /// Offset of the close flag.
 pub const CLOSED_OFFSET: u64 = 0x30;
 
+/// Bytes in `lanes` regions of `pages` pages each, unless that overflows.
+fn region_bytes(lanes: usize, pages: usize) -> Option<u64> {
+    (lanes as u64)
+        .checked_mul(pages as u64)?
+        .checked_mul(PAGE_SIZE)
+}
+
 /// Computed geometry of a ring over `pages` shared pages.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RingLayout {
@@ -64,33 +71,25 @@ pub struct RingLayout {
 }
 
 impl RingLayout {
-    /// Computes the layout for a region of `pages` pages.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the region is too small for at least one slot pair.
-    pub fn new(pages: usize) -> Self {
+    /// Computes the layout for a region of `pages` pages, or `None` when
+    /// the region cannot hold one slot pair or its byte size overflows.
+    pub fn new(pages: usize) -> Option<Self> {
         RingLayout::with_slot_cap(pages, u64::MAX)
     }
 
     /// [`RingLayout::new`] with the slot count additionally capped at
     /// `cap` — a shallow ring deliberately bounds in-flight requests (and
-    /// with them queue wait) below what the region could hold.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the region is too small for at least one slot pair or
-    /// `cap` is zero.
-    pub fn with_slot_cap(pages: usize, cap: u64) -> Self {
-        let total = pages as u64 * PAGE_SIZE - HEADER_SIZE;
+    /// with them queue wait) below what the region could hold. `None` as
+    /// for [`RingLayout::new`], and when `cap` is zero.
+    pub fn with_slot_cap(pages: usize, cap: u64) -> Option<Self> {
+        let total = region_bytes(1, pages)?.checked_sub(HEADER_SIZE)?;
         let slots = (total / (SLOT_SIZE as u64 + RESULT_SLOT_SIZE as u64)).min(cap);
-        assert!(slots >= 1, "shared region too small for an sRPC ring");
-        RingLayout {
+        (slots >= 1).then_some(RingLayout {
             pages,
             slots,
             requests_offset: HEADER_SIZE,
             results_offset: HEADER_SIZE + slots * SLOT_SIZE as u64,
-        }
+        })
     }
 
     /// Byte offset of request slot `index` (wrapped).
@@ -130,25 +129,26 @@ pub struct MultiRingLayout {
 
 impl MultiRingLayout {
     /// Computes the layout for `lanes` rings of `lane_pages` pages each,
-    /// with per-lane depth capped at `depth` slots when given.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a lane region cannot hold one slot pair, `lanes` is
-    /// zero, or `depth` is `Some(0)`.
-    pub fn new(lanes: usize, lane_pages: usize, depth: Option<u64>) -> Self {
-        assert!(lanes >= 1, "a stream needs at least one lane");
-        MultiRingLayout {
+    /// with per-lane depth capped at `depth` slots when given. `None` when
+    /// `lanes` is zero, a lane region cannot hold one slot pair (or
+    /// `depth` is `Some(0)`), or the whole region's byte size overflows.
+    pub fn new(lanes: usize, lane_pages: usize, depth: Option<u64>) -> Option<Self> {
+        if lanes == 0 {
+            return None;
+        }
+        region_bytes(lanes, lane_pages)?;
+        Some(MultiRingLayout {
             lanes,
             lane_pages,
-            lane: RingLayout::with_slot_cap(lane_pages, depth.unwrap_or(u64::MAX)),
-        }
+            lane: RingLayout::with_slot_cap(lane_pages, depth.unwrap_or(u64::MAX))?,
+        })
     }
 
     /// Splits a `pages`-page budget into at most `max_lanes` equal lanes
     /// (fewer when the region is too small), preserving the region's total
-    /// size and roughly its total slot capacity.
-    pub fn split(pages: usize, max_lanes: usize) -> Self {
+    /// size and roughly its total slot capacity. `None` as for
+    /// [`MultiRingLayout::new`].
+    pub fn split(pages: usize, max_lanes: usize) -> Option<Self> {
         let lanes = max_lanes.clamp(1, pages.max(1));
         MultiRingLayout::new(lanes, pages / lanes, None)
     }
@@ -513,7 +513,7 @@ mod tests {
 
     #[test]
     fn layout_fits_slots() {
-        let l = RingLayout::new(4);
+        let l = RingLayout::new(4).unwrap();
         assert!(l.slots >= 2);
         assert_eq!(l.requests_offset, HEADER_SIZE);
         assert!(l.results_offset > l.requests_offset);
@@ -525,7 +525,7 @@ mod tests {
 
     #[test]
     fn slot_offsets_wrap() {
-        let l = RingLayout::new(4);
+        let l = RingLayout::new(4).unwrap();
         assert_eq!(l.request_slot(0), l.request_slot(l.slots));
         assert_eq!(l.result_slot(1), l.result_slot(l.slots + 1));
         assert_ne!(l.request_slot(0), l.request_slot(1));
@@ -533,7 +533,7 @@ mod tests {
 
     #[test]
     fn fullness() {
-        let l = RingLayout::new(4);
+        let l = RingLayout::new(4).unwrap();
         assert!(!l.is_full(0, 0));
         assert!(!l.is_full(l.slots - 1, 0));
         assert!(l.is_full(l.slots, 0));
@@ -542,7 +542,7 @@ mod tests {
 
     #[test]
     fn multi_ring_lanes_do_not_overlap() {
-        let m = MultiRingLayout::new(4, 1, None);
+        let m = MultiRingLayout::new(4, 1, None).unwrap();
         assert_eq!(m.pages(), 4);
         assert_eq!(m.total_slots(), 4 * m.slots_per_lane());
         for lane in 0..4 {
@@ -557,8 +557,8 @@ mod tests {
 
     #[test]
     fn single_lane_matches_legacy_layout() {
-        let m = MultiRingLayout::new(1, 4, None);
-        let l = RingLayout::new(4);
+        let m = MultiRingLayout::new(1, 4, None).unwrap();
+        let l = RingLayout::new(4).unwrap();
         assert_eq!(m.lane, l);
         assert_eq!(m.request_slot(0, 3), l.request_slot(3));
         assert_eq!(m.result_slot(0, 3), l.result_slot(3));
@@ -566,7 +566,7 @@ mod tests {
 
     #[test]
     fn depth_cap_shrinks_lanes() {
-        let m = MultiRingLayout::new(8, 1, Some(1));
+        let m = MultiRingLayout::new(8, 1, Some(1)).unwrap();
         assert_eq!(m.slots_per_lane(), 1);
         assert_eq!(m.total_slots(), 8);
         assert!(m.lane_full(1, 0));
@@ -577,13 +577,13 @@ mod tests {
 
     #[test]
     fn split_preserves_region_and_caps_lanes() {
-        let m = MultiRingLayout::split(64, 16);
+        let m = MultiRingLayout::split(64, 16).unwrap();
         assert_eq!((m.lanes, m.lane_pages), (16, 4));
         assert_eq!(m.pages(), 64);
         // A small region gets fewer lanes rather than sub-page lanes.
-        let small = MultiRingLayout::split(4, 16);
+        let small = MultiRingLayout::split(4, 16).unwrap();
         assert_eq!((small.lanes, small.lane_pages), (4, 1));
-        assert_eq!(MultiRingLayout::split(1, 16).lanes, 1);
+        assert_eq!(MultiRingLayout::split(1, 16).unwrap().lanes, 1);
     }
 
     #[test]

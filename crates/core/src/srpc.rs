@@ -33,7 +33,7 @@ use cronus_spm::spm::{ShareHandle, SpmError};
 use crate::error::CronusError;
 use crate::executor::Executor;
 use crate::ring::{CodecError, MultiRingLayout};
-use crate::stream_obs::StreamObs;
+use crate::stream_obs::{CallObs, StreamObs};
 
 /// Handle to an open sRPC stream.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -254,6 +254,9 @@ pub struct PendingRequest {
     /// enqueued: once the request has executed, every grant made up to
     /// here (its own included) is dead and the arena may reuse the bytes.
     pub arena_mark: u64,
+    /// The telemetry names the enqueue resolved from the caller's mECall
+    /// name; the drain reports under them. `None` without a recorder.
+    pub(crate) call: Option<CallObs>,
 }
 
 /// Zero-copy payload arena: a second shared region through which payloads

@@ -14,6 +14,7 @@
 //! ```
 
 use cronus_sim::{SimNs, PAGE_SIZE};
+use cronus_spm::spm::SpmError;
 
 use crate::ring::{MultiRingLayout, RESULT_SLOT_SIZE, SLOT_SIZE};
 use crate::srpc::{SrpcError, StreamId};
@@ -98,37 +99,40 @@ impl<'a> StreamBuilder<'a> {
         self
     }
 
-    /// Resolves the ring geometry from the collected knobs.
-    fn layout(&self) -> MultiRingLayout {
+    /// Resolves the ring geometry from the collected knobs: `None` when the
+    /// region they ask for has more bytes than a `u64` counts.
+    fn layout(&self) -> Option<MultiRingLayout> {
         match (self.pages, self.depth) {
             // An explicit page budget wins: split it across the lanes
             // (shrinking the lane count if pages run short), then apply the
             // depth cap.
             (Some(pages), depth) => {
-                let split = MultiRingLayout::split(pages, self.lanes);
+                let split = MultiRingLayout::split(pages, self.lanes)?;
                 match depth {
                     Some(d) => MultiRingLayout::new(split.lanes, split.lane_pages, Some(d)),
-                    None => split,
+                    None => Some(split),
                 }
             }
             // Depth without a budget: size each lane to exactly fit the
             // requested slots.
             (None, Some(d)) => {
                 let pair = (SLOT_SIZE + RESULT_SLOT_SIZE) as u64;
-                let lane_pages = (d * pair).div_ceil(PAGE_SIZE).max(1) as usize;
-                MultiRingLayout::new(self.lanes, lane_pages, Some(d))
+                let lane_pages = d.checked_mul(pair)?.div_ceil(PAGE_SIZE);
+                MultiRingLayout::new(self.lanes, usize::try_from(lane_pages).ok()?, Some(d))
             }
             (None, None) => MultiRingLayout::split(DEFAULT_RING_PAGES, self.lanes),
         }
     }
 
-    fn config(&self) -> StreamConfig {
-        StreamConfig {
-            layout: self.layout(),
+    /// The resolved parameters. A ring too large to address is one no
+    /// memory can back: [`SpmError::OutOfMemory`], as sharing it would be.
+    fn config(&self) -> Result<StreamConfig, SrpcError> {
+        Ok(StreamConfig {
+            layout: self.layout().ok_or(SrpcError::Spm(SpmError::OutOfMemory))?,
             zero_copy: self.zero_copy,
             deadline: self.deadline,
             shared: self.shared,
-        }
+        })
     }
 
     /// Opens the stream: local attestation, trusted shared memory
@@ -139,7 +143,7 @@ impl<'a> StreamBuilder<'a> {
     ///
     /// [`SrpcError::NotOwner`], attestation/dCheck failures, SPM errors.
     pub fn open(self) -> Result<StreamId, SrpcError> {
-        let cfg = self.config();
+        let cfg = self.config()?;
         self.sys.open_stream_config(self.caller, self.callee, cfg)
     }
 
@@ -154,7 +158,7 @@ impl<'a> StreamBuilder<'a> {
     /// [`SrpcError::UnknownStream`] for unknown `old`, plus anything
     /// [`StreamBuilder::open`] can raise.
     pub fn reopen(self, old: StreamId) -> Result<StreamId, SrpcError> {
-        let cfg = self.config();
+        let cfg = self.config()?;
         self.sys.reopen_stream_config(old, self.callee, cfg)
     }
 }

@@ -12,8 +12,10 @@
 //!
 //! Names that depend on the mECall (`enqueue:<name>`, `complete:<name>`, the
 //! call span and the kernel detail frame) are resolved the first time the
-//! stream sees that mECall and kept; an executor that decodes an undeclared
-//! name from a damaged slot is reported under that name, as before.
+//! stream sees that mECall and kept. The enqueue resolves them from the
+//! caller's own name and the pending request carries them to the drain, so
+//! the executor reports under that resolution, never under the name it
+//! decodes from the ring slot.
 //!
 //! Nothing here reads payload bytes: every argument is a name the manifest
 //! declared, an instant, a duration, a depth or a worker id. The taint lint
@@ -31,7 +33,7 @@ use crate::srpc::StreamId;
 
 /// The interned names of one mECall on one stream.
 #[derive(Clone, Copy, Debug)]
-struct CallObs {
+pub(crate) struct CallObs {
     /// `enqueue:<mecall>` span on the caller's track.
     enqueue: NameId,
     /// `complete:<mecall>` span on the caller's track.
@@ -170,8 +172,9 @@ impl StreamObs {
 
     /// The enqueue phase: ring time (and the doorbell, when one was rung),
     /// the lane station's arrival, the occupancy gauge and the
-    /// `enqueue:<mecall>` span on the caller's track.
-    pub(crate) fn enqueued(&mut self, r: &mut RecorderInner, mecall: &str, e: Enqueued) {
+    /// `enqueue:<mecall>` span on the caller's track. Returns `mecall`'s
+    /// names for the drain to report with.
+    pub(crate) fn enqueued(&mut self, r: &mut RecorderInner, mecall: &str, e: Enqueued) -> CallObs {
         r.charge_frame(self.enqueue, e.enqueue_cost);
         if e.doorbell_cost > SimNs::ZERO {
             r.charge_frame(self.doorbell, e.doorbell_cost);
@@ -181,14 +184,15 @@ impl StreamObs {
         }
         r.metrics.gauge_store(self.occupancy, e.occupancy);
         let track = self.caller_track(r);
-        let name = self.call(r, mecall).enqueue;
+        let call = self.call(r, mecall);
         r.complete_span(
             track,
-            name,
+            call.enqueue,
             "ring",
             e.now - (e.enqueue_cost + e.doorbell_cost),
             e.now,
         );
+        call
     }
 
     /// The producer found every lane full and waited until `lane` freed a
@@ -202,9 +206,9 @@ impl StreamObs {
     /// The drain phase of one request: dispatch latency, occupancy, dequeue
     /// and kernel time, the backlog/call/exec spans on the stream's track,
     /// request latency, the lane station's departure and the meter's slot,
-    /// wait and occupancy records.
-    pub(crate) fn drained(&mut self, r: &mut RecorderInner, mecall: &str, d: Drained) {
-        let call = self.call(r, mecall);
+    /// wait and occupancy records, under the names `call` its enqueue
+    /// resolved.
+    pub(crate) fn drained(&self, r: &mut RecorderInner, call: CallObs, d: Drained) {
         let track = self.stream_track;
         let wait = d.started - d.enqueued_at;
         r.metrics.histogram_record(self.enqueue_to_dispatch, wait);

@@ -209,11 +209,11 @@ impl CronusSystem {
         let mut dispatcher = Dispatcher::new();
         for spec in &partitions {
             let asid = cronus_spm::spm::asid_of(spec.mos_id);
-            let kind = spm.mos(asid).expect("partition booted").device_kind();
+            let Ok(mos) = spm.mos(asid) else { continue };
             dispatcher.register(PartitionInfo {
                 asid,
                 mos_id: spec.mos_id,
-                kind,
+                kind: mos.device_kind(),
                 image: spec.image.clone(),
                 version: spec.version.clone(),
                 dispatched: 0,

@@ -433,14 +433,13 @@ impl CronusSystem {
 
     /// [`CronusSystem::observe`] for a stream already in hand (or already
     /// out of the table).
-    fn observe_stream(
+    fn observe_stream<R>(
         spm: &Spm,
         s: &mut StreamState,
-        f: impl FnOnce(&mut RecorderInner, &mut StreamObs),
-    ) {
-        if let (Some(rec), Some(obs)) = (spm.recorder(), s.obs.as_mut()) {
-            rec.with(|r| f(r, obs));
-        }
+        f: impl FnOnce(&mut RecorderInner, &mut StreamObs) -> R,
+    ) -> Option<R> {
+        let (rec, obs) = (spm.recorder()?, s.obs.as_mut()?);
+        Some(rec.with(|r| f(r, obs)))
     }
 
     /// Bounded-buffer backpressure: the producer waits (not a full
@@ -588,14 +587,6 @@ impl CronusSystem {
         s.lane_mut(lane_idx)?.rid += 1;
         let seq = s.next_seq;
         s.next_seq += 1;
-        s.pending.push_back(PendingRequest {
-            lane: lane_idx,
-            slot: lane_rid,
-            seq,
-            enqueued_at: now,
-            req,
-            arena_mark: s.arena.as_ref().map_or(0, |a| a.head),
-        });
         if s.doorbell_pending {
             s.stats.doorbells_coalesced += 1;
         } else {
@@ -611,7 +602,16 @@ impl CronusSystem {
             doorbell_cost,
             occupancy: s.backlog() as i64,
         };
-        Self::observe_stream(&self.spm, s, |r, obs| obs.enqueued(r, name, enqueued));
+        let call = Self::observe_stream(&self.spm, s, |r, obs| obs.enqueued(r, name, enqueued));
+        s.pending.push_back(PendingRequest {
+            lane: lane_idx,
+            slot: lane_rid,
+            seq,
+            enqueued_at: now,
+            req,
+            arena_mark: s.arena.as_ref().map_or(0, |a| a.head),
+            call,
+        });
         Ok((lane_idx, lane_rid))
     }
 
@@ -698,16 +698,17 @@ impl CronusSystem {
         };
         let outcome = self.run_handler(target, name, payload);
         self.injection_point(id, SrpcPhase::Kernel, lane_idx, slot_idx);
-        let (status, result_bytes, exec_time) = match outcome {
-            Ok((bytes, t)) => (ResultStatus::Ok, bytes, t),
+        let exec_time = handler_time(&outcome);
+        let (status, result_bytes) = match outcome {
+            Ok((bytes, _)) => (ResultStatus::Ok, bytes),
             Err(SrpcError::NoHandler(n)) => {
                 // NoHandler crosses the ring under its own kind tag so
                 // the caller can reconstruct `SrpcError::NoHandler`.
                 let mut wire = vec![FaultKind::NoHandler.as_tag()];
                 wire.extend_from_slice(n.as_bytes());
-                (ResultStatus::Err, wire, SimNs::ZERO)
+                (ResultStatus::Err, wire)
             }
-            Err(SrpcError::Handler(e)) => (ResultStatus::Err, e.encode_wire(), SimNs::ZERO),
+            Err(SrpcError::Handler(e)) => (ResultStatus::Err, e.encode_wire()),
             Err(other) => return Err(other),
         };
 
@@ -785,7 +786,9 @@ impl CronusSystem {
             worker,
             occupancy: s.backlog() as i64,
         };
-        Self::observe_stream(&self.spm, s, |r, obs| obs.drained(r, name, drained));
+        if let Some(call) = pending.call {
+            Self::observe_stream(&self.spm, s, |r, obs| obs.drained(r, call, drained));
+        }
         Ok(Some(Drained {
             lane: lane_idx,
             finished,
@@ -1150,4 +1153,14 @@ fn decode_wire_error(payload: &[u8]) -> SrpcError {
         }
     }
     SrpcError::Handler(CronusError::decode_wire(payload))
+}
+
+/// The modeled execution time of a handler outcome (zero for a failed
+/// one): the time half of what the callee computed from the payload, as
+/// `public()` is the public half of a key pair. It is observable by design —
+/// the caller's clock, and the normal world's with it, moves to the call's
+/// completion — and timing channels are outside the threat model (§III-B),
+/// so the lint declassifies it here and the result bytes stay secret.
+fn handler_time(outcome: &Result<(Vec<u8>, SimNs), SrpcError>) -> SimNs {
+    outcome.as_ref().map_or(SimNs::ZERO, |(_, t)| *t)
 }

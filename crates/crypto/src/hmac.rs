@@ -1,7 +1,7 @@
 //! HMAC-SHA-256 (RFC 2104), used to authenticate messages under
 //! `secret_dhke` during mEnclave creation and channel establishment.
 
-use crate::sha256::{Digest, Sha256};
+use crate::sha256::{sha256, Digest, Sha256};
 
 const BLOCK: usize = 64;
 
@@ -16,23 +16,20 @@ const BLOCK: usize = 64;
 /// );
 /// ```
 pub fn hmac_sha256(key: &[u8], message: &[u8]) -> Digest {
-    let mut key_block = [0u8; BLOCK];
-    if key.len() > BLOCK {
-        let d = {
-            let mut h = Sha256::new();
-            h.update(key);
-            h.finalize()
-        };
-        key_block[..32].copy_from_slice(d.as_bytes());
+    // A key longer than a block is replaced by its digest; either way it
+    // is XORed into the front of both pads, zero-extended to a block.
+    let hashed;
+    let key = if key.len() > BLOCK {
+        hashed = sha256(key);
+        hashed.as_bytes().as_slice()
     } else {
-        key_block[..key.len()].copy_from_slice(key);
-    }
-
+        key
+    };
     let mut ipad = [0x36u8; BLOCK];
     let mut opad = [0x5cu8; BLOCK];
-    for i in 0..BLOCK {
-        ipad[i] ^= key_block[i];
-        opad[i] ^= key_block[i];
+    for ((i, o), k) in ipad.iter_mut().zip(&mut opad).zip(key) {
+        *i ^= k;
+        *o ^= k;
     }
 
     let inner = {

@@ -171,10 +171,7 @@ impl EnclaveManager {
     ) -> Result<Eid, ManagerError> {
         manifest.validate()?;
         manifest.check_images(images)?;
-        if self.next_local >= (1 << 24) {
-            return Err(ManagerError::EidSpaceExhausted);
-        }
-        let eid = Eid::new(self.mos, self.next_local);
+        let eid = Eid::new(self.mos, self.next_local).ok_or(ManagerError::EidSpaceExhausted)?;
         self.next_local += 1;
 
         let measurement = Self::measure(&manifest, images);
@@ -320,7 +317,7 @@ mod tests {
         assert!(mgr.authorize(eid, Owner::App(1)).is_ok());
         let err = mgr.authorize(eid, Owner::App(2)).unwrap_err();
         assert!(matches!(err, ManagerError::NotOwner { .. }));
-        let other = Eid::new(MosId(9), 1);
+        let other = Eid::new(MosId(9), 1).unwrap();
         assert_eq!(
             mgr.authorize(other, Owner::App(1)).unwrap_err(),
             ManagerError::UnknownEnclave(other)
@@ -396,7 +393,7 @@ mod tests {
     #[test]
     fn enclave_owned_enclaves() {
         let mut mgr = manager();
-        let parent = Eid::new(MosId(1), 1);
+        let parent = Eid::new(MosId(1), 1).unwrap();
         let child = create_one(&mut mgr, Owner::Enclave(parent));
         assert!(mgr.authorize(child, Owner::Enclave(parent)).is_ok());
         assert!(mgr.authorize(child, Owner::App(1)).is_err());

@@ -29,14 +29,14 @@ impl fmt::Display for MosId {
 pub struct Eid(u32);
 
 impl Eid {
-    /// Composes an eid from its parts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `local` does not fit in 24 bits.
-    pub fn new(mos: MosId, local: u32) -> Self {
-        assert!(local < (1 << 24), "local enclave id must fit in 24 bits");
-        Eid((mos.0 as u32) << 24 | local)
+    /// Local id 0 of mOS 0. No mOS mints it (each numbers its enclaves
+    /// from 1), so it names no enclave.
+    pub const NONE: Eid = Eid(0);
+
+    /// Composes an eid from its parts, or `None` when `local` does not fit
+    /// in 24 bits.
+    pub fn new(mos: MosId, local: u32) -> Option<Self> {
+        (local < (1 << 24)).then_some(Eid((mos.0 as u32) << 24 | local))
     }
 
     /// The owning mOS.
@@ -286,7 +286,7 @@ mod tests {
 
     #[test]
     fn eid_packs_and_unpacks() {
-        let eid = Eid::new(MosId(3), 0x00ab_cdef);
+        let eid = Eid::new(MosId(3), 0x00ab_cdef).unwrap();
         assert_eq!(eid.mos(), MosId(3));
         assert_eq!(eid.local(), 0x00ab_cdef);
         assert_eq!(eid.as_u32(), 0x03ab_cdef);
@@ -294,9 +294,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "24 bits")]
-    fn eid_overflow_panics() {
-        let _ = Eid::new(MosId(0), 1 << 24);
+    fn eid_overflow_is_refused() {
+        assert_eq!(Eid::new(MosId(0), 1 << 24), None);
+        assert_eq!(Eid::new(MosId(0), 0), Some(Eid::NONE));
     }
 
     #[test]

@@ -335,7 +335,10 @@ impl MicroOs {
             let cur = va.add(done as u64);
             let pa = self.translate(eid, cur, Access::Read)?;
             let n = (buf.len() - done).min((PAGE_SIZE - cur.page_offset()) as usize);
-            machine.mem_read(self.asid, World::Secure, pa, &mut buf[done..done + n])?;
+            let Some(chunk) = buf.get_mut(done..done + n) else {
+                break;
+            };
+            machine.mem_read(self.asid, World::Secure, pa, chunk)?;
             done += n;
         }
         Ok(())
@@ -359,7 +362,10 @@ impl MicroOs {
             let cur = va.add(done as u64);
             let pa = self.translate(eid, cur, Access::Write)?;
             let n = (data.len() - done).min((PAGE_SIZE - cur.page_offset()) as usize);
-            machine.mem_write(self.asid, World::Secure, pa, &data[done..done + n])?;
+            let Some(chunk) = data.get(done..done + n) else {
+                break;
+            };
+            machine.mem_write(self.asid, World::Secure, pa, chunk)?;
             done += n;
         }
         Ok(())

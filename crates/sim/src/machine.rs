@@ -241,11 +241,7 @@ impl Machine {
         if self.mem.free_pages(world) < n {
             return None;
         }
-        Some(
-            (0..n)
-                .map(|_| self.alloc_frame(world).expect("checked"))
-                .collect(),
-        )
+        (0..n).map(|_| self.alloc_frame(world)).collect()
     }
 
     /// Frees a frame, zeroing it.

@@ -131,19 +131,15 @@ impl PageTable {
     /// P_i to invalidate the mEnclave's page table entries that map memory to
     /// P_a's" (§IV-D, step 3).
     pub fn unmap_where<F: FnMut(u64) -> bool>(&mut self, mut pred: F) -> Vec<(u64, u64)> {
-        let doomed: Vec<u64> = self
-            .entries
-            .iter()
-            .filter(|(_, e)| pred(e.ppn))
-            .map(|(vpn, _)| *vpn)
-            .collect();
-        doomed
-            .into_iter()
-            .map(|vpn| {
-                let e = self.entries.remove(&vpn).expect("entry vanished");
-                (vpn, e.ppn)
-            })
-            .collect()
+        let mut removed = Vec::new();
+        self.entries.retain(|&vpn, e| {
+            let doomed = pred(e.ppn);
+            if doomed {
+                removed.push((vpn, e.ppn));
+            }
+            !doomed
+        });
+        removed
     }
 }
 

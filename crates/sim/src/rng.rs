@@ -51,8 +51,9 @@ impl SimRng {
     /// Fills a buffer with random bytes.
     pub fn fill_bytes(&mut self, buf: &mut [u8]) {
         for chunk in buf.chunks_mut(8) {
-            let v = self.next_u64().to_le_bytes();
-            chunk.copy_from_slice(&v[..chunk.len()]);
+            for (byte, v) in chunk.iter_mut().zip(self.next_u64().to_le_bytes()) {
+                *byte = v;
+            }
         }
     }
 

@@ -317,7 +317,7 @@ mod tests {
             mos_id: MosId(2),
             mos_digest: measure("mos-image", b"cuda-mos"),
             mos_version: "v3".into(),
-            enclaves: vec![(Eid::new(MosId(2), 1), measure("manifest", b"m"))],
+            enclaves: vec![(Eid::new(MosId(2), 1).unwrap(), measure("manifest", b"m"))],
             devtree_digest: measure("devtree", b"dt"),
             device: hal.attest_device(),
             vendor: "nvidia".into(),
@@ -369,7 +369,7 @@ mod tests {
         ));
 
         let bad_enclave = Expectations {
-            enclaves: vec![(Eid::new(MosId(2), 99), measure("manifest", b"m"))],
+            enclaves: vec![(Eid::new(MosId(2), 99).unwrap(), measure("manifest", b"m"))],
             ..Default::default()
         };
         assert!(matches!(
@@ -450,8 +450,8 @@ mod tests {
         let sm = SecureMonitor::new("platform");
         let secret = [9u8; 32];
         let la = LocalAttestation {
-            challenger: Eid::new(MosId(1), 1),
-            attested: Eid::new(MosId(2), 1),
+            challenger: Eid::new(MosId(1), 1).unwrap(),
+            attested: Eid::new(MosId(2), 1).unwrap(),
             nonce: 777,
         };
         let measurement = measure("manifest", b"gpu-enclave");
@@ -464,8 +464,8 @@ mod tests {
     fn local_attestation_rejects_forged_request() {
         let sm = SecureMonitor::new("platform");
         let la = LocalAttestation {
-            challenger: Eid::new(MosId(1), 1),
-            attested: Eid::new(MosId(2), 1),
+            challenger: Eid::new(MosId(1), 1).unwrap(),
+            attested: Eid::new(MosId(2), 1).unwrap(),
             nonce: 1,
         };
         let wrong_secret = [1u8; 32];
@@ -481,8 +481,8 @@ mod tests {
         let sm = SecureMonitor::new("platform");
         let secret = [9u8; 32];
         let la = LocalAttestation {
-            challenger: Eid::new(MosId(1), 1),
-            attested: Eid::new(MosId(2), 1),
+            challenger: Eid::new(MosId(1), 1).unwrap(),
+            attested: Eid::new(MosId(2), 1).unwrap(),
             nonce: 3,
         };
         let honest = measure("manifest", b"honest");
@@ -500,8 +500,8 @@ mod tests {
         let remote = SecureMonitor::new("remote-machine");
         let secret = [9u8; 32];
         let la = LocalAttestation {
-            challenger: Eid::new(MosId(1), 1),
-            attested: Eid::new(MosId(2), 1),
+            challenger: Eid::new(MosId(1), 1).unwrap(),
+            attested: Eid::new(MosId(2), 1).unwrap(),
             nonce: 4,
         };
         let m = measure("manifest", b"x");

@@ -339,6 +339,8 @@ impl Spm {
                 world: World::Secure,
             });
         }
+        // Each partition's bus slot takes the MMIO window its node declares.
+        let bars: Vec<PhysRange> = nodes.iter().map(|node| node.mmio).collect();
         let dt = DeviceTree::validate(nodes).expect("boot device tree must be valid");
         // Secure boot's first ledger entries: the measurements everything
         // else chains from.
@@ -359,7 +361,7 @@ impl Spm {
             },
         );
 
-        for spec in &config.partitions {
+        for (spec, bar) in config.partitions.iter().zip(bars) {
             let device = DeviceId::new(spec.mos_id.0 as u32);
             let stream = StreamId::new(spec.mos_id.0 as u32);
             let asid = asid_of(spec.mos_id);
@@ -374,15 +376,9 @@ impl Spm {
                 .assign(device, World::Secure)
                 .expect("tzpc not locked during boot");
             machine.smmu_mut().add_stream(stream);
-            let node = machine
-                .devtree()
-                .expect("installed above")
-                .node(device)
-                .expect("node added above")
-                .clone();
             bus.register(PcieSlot {
                 device,
-                bar: node.mmio,
+                bar,
                 stream,
                 world: World::Secure,
             })
@@ -648,12 +644,11 @@ impl Spm {
             .ok_or(SpmError::OutOfMemory)?;
         let ppns: Vec<u64> = frames.iter().map(|f| f.page()).collect();
         for ppn in &ppns {
-            self.machine
-                .stage2_grant(owner_asid, *ppn, PagePerms::RW)
-                .expect("partition healthy, checked above");
-            self.machine
-                .stage2_grant(peer_asid, *ppn, PagePerms::RW)
-                .expect("partition healthy, checked above");
+            for asid in [owner_asid, peer_asid] {
+                self.machine
+                    .stage2_grant(asid, *ppn, PagePerms::RW)
+                    .map_err(MosError::Fault)?;
+            }
         }
 
         let owner_va = self

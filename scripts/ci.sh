@@ -9,7 +9,7 @@
 #               the traced span coverage; the self-tests above run only 1/100-scale reps (benchmark/README.md).
 #               Also the recorder's retention budget: srpc_stream's host.rss_bytes_per_op must stay at or
 #               under SRPC_RSS_BUDGET (OBSERVABILITY.md, "What observing costs")
-#   lint        cronus-lint v2, ratcheted by LINT_BASELINE.json; accept with scripts/relint.sh (AUDIT.md)
+#   lint        cronus-lint v2 at zero findings: no accepted list, a finding is fixed where it sits (AUDIT.md)
 #   audit       mapping-state audit I1-I5 of every example workload (AUDIT.md)
 #   chaos       smoke fault-injection campaign, A1-A5; the full sweep is the figure table's chaos row (FAULTS.md)
 #   forensics   failover timeline reconstruction + ledger verification of the smoke campaign (FORENSICS.md)
@@ -62,7 +62,7 @@ GATES=(
   "workspace|core|workspace tests|cargo test --offline -q --workspace"
   "benchmark|core|benchmark package: build + self-tests (own workspace)|cargo test --offline -q --manifest-path benchmark/Cargo.toml"
   "bench-run|all|benchmark correctness gates, one frozen-scale traced run per workload|bench_runs_pass"
-  "lint|all|cronus-lint v2 (taint + panic-reachability, ratcheted)|run --bin lint"
+  "lint|all|cronus-lint v2 (taint + panic-reachability), zero findings|run --bin lint"
   "audit|all|mapping-state audit of the example workloads|run --bin audit"
   "chaos|all|smoke fault-injection campaign|run --bin chaos -- --smoke"
   "forensics|all|failover timeline + ledger verification over the smoke campaign|run --bin forensics > /dev/null && run --bin forensics -- --verify --smoke"

@@ -97,7 +97,7 @@ mod full {
         /// consistent with capacity.
         #[test]
         fn ring_layout_invariants(pages in 1usize..128, rid in 0u64..10_000, backlog in 0u64..10_000) {
-            let layout = RingLayout::new(pages);
+            let layout = RingLayout::new(pages).expect("a page holds a slot pair");
             let region = pages as u64 * 4096;
             prop_assert!(layout.request_slot(rid) + cronus::core::ring::SLOT_SIZE as u64 <= region);
             prop_assert!(layout.result_slot(rid) + cronus::core::ring::RESULT_SLOT_SIZE as u64 <= region);
@@ -138,7 +138,7 @@ mod full {
         /// Eids pack and unpack losslessly.
         #[test]
         fn eid_roundtrip(mos in 0u8..=255, local in 0u32..(1 << 24)) {
-            let eid = Eid::new(MosId(mos), local);
+            let eid = Eid::new(MosId(mos), local).expect("24-bit local id");
             prop_assert_eq!(eid.mos(), MosId(mos));
             prop_assert_eq!(eid.local(), local);
         }
@@ -162,6 +162,155 @@ mod full {
             prop_assert_ne!(a, b);
             prop_assert_ne!(a, Digest::ZERO);
         }
+    }
+}
+
+/// The index-free SHA-256 and HMAC against the indexed SHA-256 they
+/// replaced, kept here as the reference: every length and every split of
+/// the input hashes to the same digest.
+mod hashes {
+    use proptest::prelude::*;
+
+    use cronus::crypto::{hmac_sha256, sha256, Sha256};
+
+    const K: [u32; 64] = [
+        0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4,
+        0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3, 0x72be5d74, 0x80deb1fe,
+        0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786, 0x0fc19dc6, 0x240ca1cc, 0x2de92c6f,
+        0x4a7484aa, 0x5cb0a9dc, 0x76f988da, 0x983e5152, 0xa831c66d, 0xb00327c8, 0xbf597fc7,
+        0xc6e00bf3, 0xd5a79147, 0x06ca6351, 0x14292967, 0x27b70a85, 0x2e1b2138, 0x4d2c6dfc,
+        0x53380d13, 0x650a7354, 0x766a0abb, 0x81c2c92e, 0x92722c85, 0xa2bfe8a1, 0xa81a664b,
+        0xc24b8b70, 0xc76c51a3, 0xd192e819, 0xd6990624, 0xf40e3585, 0x106aa070, 0x19a4c116,
+        0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a, 0x5b9cca4f, 0x682e6ff3,
+        0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7,
+        0xc67178f2,
+    ];
+
+    /// One-shot SHA-256 as the crate computed it before: byte-at-a-time
+    /// padding and an indexed message schedule.
+    fn reference_sha256(data: &[u8]) -> [u8; 32] {
+        let mut state: [u32; 8] = [
+            0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab,
+            0x5be0cd19,
+        ];
+        let mut msg = data.to_vec();
+        msg.push(0x80);
+        while msg.len() % 64 != 56 {
+            msg.push(0);
+        }
+        msg.extend_from_slice(&(data.len() as u64 * 8).to_be_bytes());
+        for block in msg.chunks(64) {
+            let mut w = [0u32; 64];
+            for i in 0..16 {
+                w[i] = u32::from_be_bytes(block[i * 4..i * 4 + 4].try_into().unwrap());
+            }
+            for i in 16..64 {
+                let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
+                let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
+                w[i] = w[i - 16]
+                    .wrapping_add(s0)
+                    .wrapping_add(w[i - 7])
+                    .wrapping_add(s1);
+            }
+            let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = state;
+            for i in 0..64 {
+                let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
+                let ch = (e & f) ^ (!e & g);
+                let t1 = h
+                    .wrapping_add(s1)
+                    .wrapping_add(ch)
+                    .wrapping_add(K[i])
+                    .wrapping_add(w[i]);
+                let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
+                let maj = (a & b) ^ (a & c) ^ (b & c);
+                let t2 = s0.wrapping_add(maj);
+                h = g;
+                g = f;
+                f = e;
+                e = d.wrapping_add(t1);
+                d = c;
+                c = b;
+                b = a;
+                a = t1.wrapping_add(t2);
+            }
+            for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+                *s = s.wrapping_add(v);
+            }
+        }
+        let mut out = [0u8; 32];
+        for i in 0..8 {
+            out[i * 4..i * 4 + 4].copy_from_slice(&state[i].to_be_bytes());
+        }
+        out
+    }
+
+    /// RFC 2104 over the reference hash.
+    fn reference_hmac(key: &[u8], message: &[u8]) -> [u8; 32] {
+        let mut key_block = [0u8; 64];
+        if key.len() > 64 {
+            key_block[..32].copy_from_slice(&reference_sha256(key));
+        } else {
+            key_block[..key.len()].copy_from_slice(key);
+        }
+        let inner: Vec<u8> = key_block
+            .iter()
+            .map(|k| k ^ 0x36)
+            .chain(message.iter().copied())
+            .collect();
+        let outer: Vec<u8> = key_block
+            .iter()
+            .map(|k| k ^ 0x5c)
+            .chain(reference_sha256(&inner))
+            .collect();
+        reference_sha256(&outer)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Lengths 0–700 cover every padding case (a tail that leaves room
+        /// for the length word, one that does not, an exact block) over
+        /// one to eleven blocks; two split points cover topping up a
+        /// partial block, whole blocks in between, and an empty update.
+        #[test]
+        fn sha256_matches_the_indexed_reference(
+            data in proptest::collection::vec(any::<u8>(), 0..=700),
+            a in 0usize..=700,
+            b in 0usize..=700,
+        ) {
+            let expected = reference_sha256(&data);
+            prop_assert_eq!(sha256(&data).0, expected);
+            let (a, b) = (a.min(data.len()), b.min(data.len()));
+            let (lo, hi) = (a.min(b), a.max(b));
+            let mut h = Sha256::new();
+            h.update(&data[..lo]);
+            h.update(&data[lo..hi]);
+            h.update(&data[hi..]);
+            prop_assert_eq!(h.finalize().0, expected);
+        }
+
+        /// HMAC over the rewritten hash equals RFC 2104 over the reference,
+        /// keys longer than a block (hashed first) included.
+        #[test]
+        fn hmac_matches_the_reference(
+            key in proptest::collection::vec(any::<u8>(), 0..=150),
+            msg in proptest::collection::vec(any::<u8>(), 0..=300),
+        ) {
+            prop_assert_eq!(hmac_sha256(&key, &msg).0, reference_hmac(&key, &msg));
+        }
+    }
+
+    #[test]
+    fn reference_passes_the_known_answers() {
+        let hex = |d: [u8; 32]| d.iter().map(|b| format!("{b:02x}")).collect::<String>();
+        assert_eq!(
+            hex(reference_sha256(b"abc")),
+            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
+        );
+        assert_eq!(
+            hex(reference_hmac(b"Jefe", b"what do ya want for nothing?")),
+            "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843"
+        );
     }
 }
 

@@ -8,7 +8,7 @@ use cronus::devices::DeviceKind;
 use cronus::mos::manifest::{Manifest, McallDecl};
 use cronus::sim::machine::AsId;
 use cronus::sim::{PhysAddr, SimNs, World};
-use cronus::spm::spm::{BootConfig, DeviceSpec, PartitionSpec};
+use cronus::spm::spm::{BootConfig, DeviceSpec, PartitionSpec, SpmError};
 
 fn platform() -> BootConfig {
     BootConfig {
@@ -241,4 +241,23 @@ fn crashed_data_is_cleared_before_recovery() {
         !found_after,
         "recovery cleared the crashed partition's shared memory"
     );
+}
+
+/// A caller sizing a ring past what memory can back gets the SPM's typed
+/// refusal, in debug and release builds alike, and the system stays usable:
+/// `depth(u64::MAX)` alone overflows a lane's byte count, `pages(usize::MAX)`
+/// a lane region's, and a huge lane count the stream region's.
+#[test]
+fn a_ring_no_memory_can_back_is_refused_with_a_typed_error() {
+    let (mut sys, cpu, gpu) = setup();
+    let refused = [
+        sys.stream(cpu, gpu).depth(u64::MAX).open(),
+        sys.stream(cpu, gpu).pages(usize::MAX).open(),
+        sys.stream(cpu, gpu).rings(usize::MAX).depth(1).open(),
+    ];
+    for outcome in refused {
+        assert_eq!(outcome, Err(SrpcError::Spm(SpmError::OutOfMemory)));
+    }
+    let stream = sys.stream(cpu, gpu).depth(4).open().expect("a sane ring");
+    sys.call(stream, "work").payload(&[7]).sync().expect("call");
 }

@@ -5,10 +5,9 @@
 //! resolve — and must trip **exactly one** rule with the expected
 //! counterexample chain. Good fixtures encode the sanctioned patterns
 //! (digest-then-record, `public()` declassification, unreachable panics)
-//! and must be clean. The final test pins full-repo determinism:
-//! byte-identical reports across runs.
+//! and must be clean. The final test pins the full repo: byte-identical
+//! reports across runs, and zero findings.
 
-use cronus::audit::baseline::{self, Baseline};
 use cronus::audit::engine::{run, Report, SourceSet};
 
 /// Shared fixture scaffolding: just enough of the real crate surface for
@@ -243,6 +242,71 @@ fn decoded_payload_into_resolved_label_trips_secret_taint_only() {
 }
 
 #[test]
+fn drain_reporting_under_the_decoded_name_trips_and_under_the_enqueue_handle_does_not() {
+    // The sRPC drain in miniature. Reporting under the name decoded from
+    // the ring slot puts slot bytes into the telemetry; reporting under the
+    // handle the enqueue resolved from the caller's own name does not.
+    let surface = || {
+        vec![
+            (
+                "crates/core/src/ring.rs".to_string(),
+                "pub fn view_slot(slot: &[u8]) -> String { format!(\"{}\", slot.len()) }\n"
+                    .to_string(),
+            ),
+            (
+                "crates/core/src/stream_obs.rs".to_string(),
+                "pub struct StreamObs;\n\
+                 impl StreamObs {\n\
+                     pub fn enqueued(&mut self, mecall: &str) -> u32 { mecall.len() as u32 }\n\
+                     pub fn drained(&mut self, call: u32) { let _ = call; }\n\
+                 }\n"
+                .to_string(),
+            ),
+        ]
+    };
+    let mut by_name = surface();
+    by_name.push((
+        "crates/core/src/transport.rs".into(),
+        "use crate::stream_obs::StreamObs;\n\
+         pub fn drain(obs: &mut StreamObs, slot: &[u8]) {\n\
+             let name = view_slot(slot);\n\
+             let call = obs.enqueued(&name);\n\
+             obs.drained(call);\n\
+         }\n"
+        .into(),
+    ));
+    let r = report_for(by_name);
+    let hits: Vec<(&str, u32)> = r.findings.iter().map(|f| (f.rule, f.line)).collect();
+    assert_eq!(
+        hits,
+        [("secret-taint", 4), ("secret-taint", 5)],
+        "{}",
+        r.render()
+    );
+    let notes = chain_notes(&r, 0);
+    assert!(
+        notes[0].contains("secret source `cronus_core::ring::view_slot`"),
+        "{notes:?}"
+    );
+    assert!(notes.iter().any(|n| n.contains("`name`")), "{notes:?}");
+
+    let mut by_handle = surface();
+    by_handle.push((
+        "crates/core/src/transport.rs".into(),
+        "use crate::stream_obs::StreamObs;\n\
+         pub fn enqueue(obs: &mut StreamObs, mecall: &str) -> u32 { obs.enqueued(mecall) }\n\
+         pub fn drain(obs: &mut StreamObs, call: u32, slot: &[u8]) -> usize {\n\
+             let name = view_slot(slot);\n\
+             obs.drained(call);\n\
+             name.len()\n\
+         }\n"
+        .into(),
+    ));
+    let r = report_for(by_handle);
+    assert!(r.passed(), "{}", r.render());
+}
+
+#[test]
 fn reachable_panic_in_dispatch_trips_panic_reachability_only() {
     let r = report_for(vec![(
         "crates/core/src/system.rs".into(),
@@ -266,6 +330,34 @@ fn reachable_panic_in_dispatch_trips_panic_reachability_only() {
     assert!(
         notes.last().unwrap().contains("slice/array index here"),
         "{notes:?}"
+    );
+}
+
+#[test]
+fn keyword_before_array_literal_is_not_indexing_but_a_real_index_still_trips() {
+    // `in [1, 2]` opens an array literal; only `table[idx]` indexes.
+    let r = report_for(vec![(
+        "crates/core/src/system.rs".into(),
+        "pub struct CronusSystem { table: [u64; 2] }\n\
+         impl CronusSystem {\n\
+             pub fn call(&mut self, idx: usize) -> u64 {\n\
+                 let mut sum = 0;\n\
+                 for x in [1, 2] { sum += x; }\n\
+                 sum + self.table[idx]\n\
+             }\n\
+         }\n"
+        .into(),
+    )]);
+    assert_eq!(r.findings.len(), 1, "exactly one finding:\n{}", r.render());
+    let f = &r.findings[0];
+    assert_eq!((f.rule, f.line), ("panic-reachability", 6));
+    assert!(
+        chain_notes(&r, 0)
+            .last()
+            .unwrap()
+            .contains("slice/array index here"),
+        "{}",
+        r.render()
     );
 }
 
@@ -366,55 +458,6 @@ fn unreachable_panic_and_test_code_are_not_reported() {
     );
 }
 
-// ---- baseline ratchet end-to-end -------------------------------------------
-
-#[test]
-fn baseline_ratchet_suppresses_then_flags_regressions_and_staleness() {
-    let bad = vec![(
-        "crates/spm/src/monitor.rs".to_string(),
-        "use cronus_crypto::schnorr::KeyPair;\n\
-         use cronus_obs::recorder::FlightRecorder;\n\
-         pub fn boot_monitor(rec: &FlightRecorder) {\n\
-             let platform = KeyPair::from_seed(\"fused-rom\");\n\
-             rec.begin_span(format!(\"boot key={platform}\"));\n\
-         }\n"
-        .to_string(),
-    )];
-    let r = report_for(bad.clone());
-    let base = Baseline::from_findings(&r.findings);
-
-    // Accepted: the baseline swallows the committed count.
-    let (visible, suppressed) = baseline::apply(r.findings.clone(), &base);
-    assert!(visible.is_empty(), "{visible:?}");
-    assert_eq!(suppressed, 1);
-
-    // Regression: a second leak in the same file goes over budget and the
-    // whole group becomes visible again.
-    let mut worse = bad.clone();
-    worse[0].1.push_str(
-        "pub fn boot_monitor_again(rec: &FlightRecorder) {\n\
-             let atk = KeyPair::from_seed(\"atk\");\n\
-             rec.complete_span(format!(\"atk={atk}\"));\n\
-         }\n",
-    );
-    let r2 = report_for(worse);
-    let (visible2, _) = baseline::apply(r2.findings.clone(), &base);
-    assert_eq!(visible2.len(), 2, "{visible2:?}");
-    assert!(
-        visible2[0].message.contains("baseline accepts 1"),
-        "{}",
-        visible2[0].message
-    );
-
-    // Ratchet: fixing the leak makes the baseline entry stale, which is
-    // itself a finding until `scripts/relint.sh` shrinks the file.
-    let r3 = report_for(Vec::new());
-    let (stale, _) = baseline::apply(r3.findings, &base);
-    assert_eq!(stale.len(), 1, "{stale:?}");
-    assert_eq!(stale[0].rule, "baseline-ratchet");
-    assert!(stale[0].message.contains("relint"), "{}", stale[0].message);
-}
-
 // ---- full-repo determinism -------------------------------------------------
 
 #[test]
@@ -425,4 +468,10 @@ fn full_repo_report_is_byte_identical_across_runs() {
     assert!(a.files_scanned > 100, "whole repo scanned");
     assert_eq!(a.render(), b.render());
     assert_eq!(a.render_json(), b.render_json());
+    // The gate is zero: no accepted list, so any finding fails tier-1.
+    assert!(
+        a.findings.is_empty(),
+        "the repo must lint clean:\n{}",
+        a.render()
+    );
 }
