@@ -159,8 +159,9 @@ pub const HASH_ORDER_SCOPES: [&str; 4] = [
 pub const HASH_ORDER_EXEMPT: [(&str, &str); 1] = [(
     "crates/sim/src/pagetable.rs",
     "page-granular tables, keyed by page number: large, probed on every \
-     checked access, never walked to produce ordered output (the exports that \
-     reach the auditor and the ledger sort by page)",
+     checked access, hashed by a fixed page-number hasher (deterministic, \
+     but still unordered), never walked to produce ordered output (the \
+     exports that reach the auditor and the ledger sort by page)",
 )];
 
 /// Directories whose public APIs must not use `String` errors.
@@ -283,13 +284,15 @@ pub const SINK_PATHS: [&str; 55] = [
 ];
 
 /// Functions that launder taint: one-way measurement / redaction.
-pub const SANITIZER_PATHS: [&str; 9] = [
+pub const SANITIZER_PATHS: [&str; 10] = [
     "cronus_crypto::measure",
     "cronus_crypto::measure_chained",
     "sha256::sha256",
     "Sha256::update",
     "Sha256::finalize",
     "hmac::hmac_sha256",
+    // A MAC under an absorbed key; the `HmacKey` itself stays secret.
+    "HmacKey::mac",
     // Declassifiers: extracting the public half of a key pair yields a
     // value that is observable by design (the ledger deliberately
     // records `dh_public` in `KeyExchange` events).

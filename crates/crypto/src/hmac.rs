@@ -1,9 +1,58 @@
 //! HMAC-SHA-256 (RFC 2104), used to authenticate messages under
 //! `secret_dhke` during mEnclave creation and channel establishment.
 
+use std::fmt;
+
 use crate::sha256::{sha256, Digest, Sha256};
 
 const BLOCK: usize = 64;
+
+/// An HMAC-SHA-256 key with both pad blocks absorbed once, so each
+/// [`HmacKey::mac`] costs the message's compressions plus the outer hash's
+/// last one. `Debug` is redacted: the absorbed states are as good as the key.
+#[derive(Clone)]
+pub struct HmacKey {
+    inner: Sha256,
+    outer: Sha256,
+}
+
+impl HmacKey {
+    /// Absorbs `key`'s inner and outer pad blocks.
+    pub fn new(key: &[u8]) -> Self {
+        // A key longer than a block is replaced by its digest; either way it
+        // is XORed into the front of both pads, zero-extended to a block.
+        let hashed;
+        let key = if key.len() > BLOCK {
+            hashed = sha256(key);
+            hashed.as_bytes().as_slice()
+        } else {
+            key
+        };
+        let [inner, outer] = [0x36u8, 0x5c].map(|fill| {
+            let mut block = [fill; BLOCK];
+            block.iter_mut().zip(key).for_each(|(b, k)| *b ^= k);
+            let mut h = Sha256::new();
+            h.update(&block);
+            h
+        });
+        HmacKey { inner, outer }
+    }
+
+    /// Computes `HMAC-SHA256(key, message)`.
+    pub fn mac(&self, message: &[u8]) -> Digest {
+        let mut inner = self.inner.clone();
+        inner.update(message);
+        let mut outer = self.outer.clone();
+        outer.update(inner.finalize().as_bytes());
+        outer.finalize()
+    }
+}
+
+impl fmt::Debug for HmacKey {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("HmacKey { .. }")
+    }
+}
 
 /// Computes `HMAC-SHA256(key, message)`.
 ///
@@ -16,32 +65,7 @@ const BLOCK: usize = 64;
 /// );
 /// ```
 pub fn hmac_sha256(key: &[u8], message: &[u8]) -> Digest {
-    // A key longer than a block is replaced by its digest; either way it
-    // is XORed into the front of both pads, zero-extended to a block.
-    let hashed;
-    let key = if key.len() > BLOCK {
-        hashed = sha256(key);
-        hashed.as_bytes().as_slice()
-    } else {
-        key
-    };
-    let mut ipad = [0x36u8; BLOCK];
-    let mut opad = [0x5cu8; BLOCK];
-    for ((i, o), k) in ipad.iter_mut().zip(&mut opad).zip(key) {
-        *i ^= k;
-        *o ^= k;
-    }
-
-    let inner = {
-        let mut h = Sha256::new();
-        h.update(&ipad);
-        h.update(message);
-        h.finalize()
-    };
-    let mut h = Sha256::new();
-    h.update(&opad);
-    h.update(inner.as_bytes());
-    h.finalize()
+    HmacKey::new(key).mac(message)
 }
 
 /// Constant-time-ish tag comparison (the simulation does not model timing

@@ -31,7 +31,7 @@ pub mod stream;
 
 pub use dh::{DhKeyPair, SharedSecret};
 pub use group::Group;
-pub use hmac::hmac_sha256;
+pub use hmac::{hmac_sha256, HmacKey};
 pub use schnorr::{KeyPair, PublicKey, Signature, VerifyError};
 pub use sha256::{sha256, Digest, Sha256};
 pub use stream::StreamCipher;

@@ -18,29 +18,26 @@ impl Digest {
         &self.0
     }
 
-    /// Renders the digest as lowercase hex.
+    /// Renders the digest as lowercase hex (its `Display`).
     pub fn to_hex(&self) -> String {
-        let mut s = String::with_capacity(64);
-        for b in self.0 {
-            s.push_str(&format!("{b:02x}"));
-        }
-        s
+        self.to_string()
     }
 
-    /// Parses a 64-character hex string.
+    /// Parses a 64-character hex string (either case).
     ///
     /// # Errors
     ///
     /// Returns `None` on wrong length or non-hex characters.
     pub fn from_hex(s: &str) -> Option<Digest> {
-        if s.len() != 64 {
+        let (pairs, rest) = s.as_bytes().as_chunks::<2>();
+        if pairs.len() != 32 || !rest.is_empty() {
             return None;
         }
         let mut out = [0u8; 32];
-        for (i, chunk) in s.as_bytes().chunks(2).enumerate() {
-            let hi = (chunk[0] as char).to_digit(16)?;
-            let lo = (chunk[1] as char).to_digit(16)?;
-            out[i] = ((hi << 4) | lo) as u8;
+        for (byte, [hi, lo]) in out.iter_mut().zip(pairs) {
+            let hi = char::from(*hi).to_digit(16)?;
+            let lo = char::from(*lo).to_digit(16)?;
+            *byte = ((hi << 4) | lo) as u8;
         }
         Some(Digest(out))
     }
@@ -58,9 +55,15 @@ impl fmt::Debug for Digest {
     }
 }
 
+/// 64 lowercase hex digits, from a stack buffer rather than a `String`.
 impl fmt::Display for Digest {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.to_hex())
+        let digit = |n: u8| if n < 10 { b'0' + n } else { b'a' - 10 + n };
+        let mut hex = [0u8; 64];
+        for (pair, byte) in hex.as_chunks_mut::<2>().0.iter_mut().zip(self.0) {
+            *pair = [digit(byte >> 4), digit(byte & 0x0f)];
+        }
+        f.write_str(std::str::from_utf8(&hex).map_err(|_| fmt::Error)?)
     }
 }
 
@@ -234,6 +237,14 @@ impl Sha256 {
     }
 }
 
+/// `write!(hasher, ...)` hashes a rendering without building a `String`.
+impl fmt::Write for Sha256 {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.update(s.as_bytes());
+        Ok(())
+    }
+}
+
 /// One-shot SHA-256.
 pub fn sha256(data: &[u8]) -> Digest {
     let mut h = Sha256::new();
@@ -298,9 +309,14 @@ mod tests {
     #[test]
     fn hex_round_trip() {
         let d = sha256(b"round-trip");
-        assert_eq!(Digest::from_hex(&d.to_hex()), Some(d));
+        let hex = d.to_hex();
+        assert_eq!(Digest::from_hex(&hex), Some(d));
+        assert_eq!(Digest::from_hex(&hex.to_uppercase()), Some(d));
         assert_eq!(Digest::from_hex("xyz"), None);
         assert_eq!(Digest::from_hex(&"g".repeat(64)), None);
+        assert_eq!(Digest::from_hex(&hex[..63]), None);
+        assert_eq!(Digest::from_hex(&format!("{hex}0")), None);
+        assert_eq!(Digest::from_hex(&format!("{}é", &hex[..62])), None); // 64 bytes
     }
 
     #[test]

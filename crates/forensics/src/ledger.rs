@@ -4,9 +4,10 @@
 //! `Arc<Mutex<..>>` whose clones share state) holding one hash chain per
 //! partition plus a monitor chain. Every append links the new record to the
 //! chain head via [`cronus_crypto::measure_chained`] and MACs the digest
-//! with the chain's key, derived from the platform seed — so a compromised
-//! partition cannot rewrite its own history without the monitor's verifier
-//! noticing (see [`crate::verify`]).
+//! with the chain's key, derived from the platform seed and absorbed into an
+//! [`HmacKey`] once per chain — so a compromised partition cannot rewrite
+//! its own history without the monitor's verifier noticing (see
+//! [`crate::verify`]).
 //!
 //! Eviction here must not break verification: when a chain reaches its capacity the oldest half is
 //! dropped and a [`SecurityEvent::Checkpoint`] record is appended carrying
@@ -16,7 +17,7 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use cronus_crypto::{measure, Digest};
+use cronus_crypto::{measure, Digest, HmacKey};
 use cronus_sim::SimNs;
 
 use crate::blackbox::{BlackBox, StreamSnap};
@@ -39,7 +40,9 @@ pub fn chain_key(seed: &str, chain: u32) -> [u8; 32] {
 /// One chain's live state.
 #[derive(Debug)]
 struct ChainInner {
-    key: [u8; 32],
+    /// The chain key, pads absorbed once when the chain starts (its `Debug`
+    /// is redacted, so a `{:?}` of the ledger shows no key material).
+    key: HmacKey,
     records: Vec<LedgerRecord>,
     /// Digest of the last appended record ([`Digest::ZERO`] at genesis).
     head: Digest,
@@ -248,7 +251,7 @@ impl LedgerInner {
         self.next_seq += 1;
         let seed = &self.seed;
         let chain = self.chains.entry(chain_id).or_insert_with(|| ChainInner {
-            key: chain_key(seed, chain_id),
+            key: HmacKey::new(&chain_key(seed, chain_id)),
             records: Vec::new(),
             head: Digest::ZERO,
             next_index: 0,
@@ -322,7 +325,7 @@ mod tests {
         assert_eq!(c.records[0].prev, Digest::ZERO);
         assert_eq!(c.records[1].prev, c.records[0].digest());
         assert_eq!(c.head, c.records[1].digest());
-        let key = chain_key("seed", 1);
+        let key = HmacKey::new(&chain_key("seed", 1));
         assert_eq!(c.records[1].mac, LedgerRecord::mac_for(&key, &c.head));
     }
 
@@ -398,5 +401,16 @@ mod tests {
         let tail = ledger.tail(3, 4);
         assert_eq!(tail.len(), 4);
         assert!(tail[3].contains("stream-closed stream=11"));
+    }
+
+    #[test]
+    fn debug_shows_no_key_material() {
+        let ledger = Ledger::new("seed");
+        ledger.append(1, SimNs::ZERO, ev(1));
+        let text = format!("{ledger:?}");
+        let key = chain_key("seed", 1);
+        assert!(text.contains("HmacKey { .. }"), "{text}");
+        assert!(!text.contains(&Digest(key).to_hex()), "{text}");
+        assert!(!text.contains(&format!("{key:?}")), "{text}");
     }
 }

@@ -1,13 +1,15 @@
 //! Typed security-event records and their canonical byte encoding.
 //!
-//! Every record carries a canonical rendering ([`SecurityEvent::canonical`])
+//! Every record carries a canonical rendering (`SecurityEvent`'s `Display`)
 //! that is stable across runs and versions of the pretty-printer: the hash
 //! chain and the per-partition HMAC are computed over these bytes, so any
 //! change to a stored record — a flipped bit, a swapped field, a reordered
 //! entry — changes the digest and is caught by the verifier
 //! (see [`crate::verify`]).
 
-use cronus_crypto::{hmac_sha256, measure_chained, Digest};
+use std::fmt;
+
+use cronus_crypto::{Digest, HmacKey, Sha256};
 use cronus_sim::SimNs;
 
 /// Chain id of the monitor/SPM itself (events that belong to no single
@@ -241,93 +243,114 @@ impl SecurityEvent {
     }
 
     /// Canonical field rendering: `kind key=value ...` with keys in a fixed
-    /// order. This is what gets hashed, so it must stay stable.
+    /// order (the event's `Display`). This is what gets hashed, so it must
+    /// stay stable.
     pub fn canonical(&self) -> String {
+        self.to_string()
+    }
+}
+
+/// The canonical rendering. [`LedgerRecord::digest`] writes it straight
+/// into the chain hasher, so this is the only place an event is rendered.
+impl fmt::Display for SecurityEvent {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SecurityEvent::DevtreeAttested { digest } => {
-                format!("devtree-attested digest={}", digest.to_hex())
+                write!(f, "devtree-attested digest={digest}")
             }
             SecurityEvent::TzascConfigured { digest } => {
-                format!("tzasc-configured digest={}", digest.to_hex())
+                write!(f, "tzasc-configured digest={digest}")
             }
             SecurityEvent::TzpcLockdown { digest } => {
-                format!("tzpc-lockdown digest={}", digest.to_hex())
+                write!(f, "tzpc-lockdown digest={digest}")
             }
             SecurityEvent::DeviceEndorsed {
                 device,
                 vendor,
                 rot_digest,
-            } => format!(
-                "device-endorsed device={device} vendor={vendor} rot={}",
-                rot_digest.to_hex()
+            } => write!(
+                f,
+                "device-endorsed device={device} vendor={vendor} rot={rot_digest}"
             ),
             SecurityEvent::AttestMeasurement { subject, digest } => {
-                format!(
-                    "attest-measurement subject={subject} digest={}",
-                    digest.to_hex()
-                )
+                write!(f, "attest-measurement subject={subject} digest={digest}")
             }
             SecurityEvent::KeyExchange { eid, dh_public } => {
-                format!("key-exchange eid={eid} dh_public={dh_public}")
+                write!(f, "key-exchange eid={eid} dh_public={dh_public}")
             }
-            SecurityEvent::EnclaveCreated { eid } => format!("enclave-created eid={eid}"),
-            SecurityEvent::EnclaveDestroyed { eid } => format!("enclave-destroyed eid={eid}"),
+            SecurityEvent::EnclaveCreated { eid } => write!(f, "enclave-created eid={eid}"),
+            SecurityEvent::EnclaveDestroyed { eid } => write!(f, "enclave-destroyed eid={eid}"),
             SecurityEvent::ShareGranted {
                 share,
                 owner,
                 peer,
                 pages,
-            } => format!("share-granted share={share} owner={owner} peer={peer} pages={pages}"),
+            } => write!(
+                f,
+                "share-granted share={share} owner={owner} peer={peer} pages={pages}"
+            ),
             SecurityEvent::ShareAccepted { share, owner, peer } => {
-                format!("share-accepted share={share} owner={owner} peer={peer}")
+                write!(f, "share-accepted share={share} owner={owner} peer={peer}")
             }
             SecurityEvent::SharePoisoned { share, survivor } => {
-                format!("share-poisoned share={share} survivor={survivor}")
+                write!(f, "share-poisoned share={share} survivor={survivor}")
             }
-            SecurityEvent::ShareReclaimed { share } => format!("share-reclaimed share={share}"),
+            SecurityEvent::ShareReclaimed { share } => write!(f, "share-reclaimed share={share}"),
             SecurityEvent::StreamOpened {
                 stream,
                 caller,
                 callee,
-            } => format!("stream-opened stream={stream} caller={caller} callee={callee}"),
+            } => write!(
+                f,
+                "stream-opened stream={stream} caller={caller} callee={callee}"
+            ),
             SecurityEvent::StreamAccepted {
                 stream,
                 caller,
                 callee,
-            } => format!("stream-accepted stream={stream} caller={caller} callee={callee}"),
-            SecurityEvent::StreamClosed { stream } => format!("stream-closed stream={stream}"),
+            } => write!(
+                f,
+                "stream-accepted stream={stream} caller={caller} callee={callee}"
+            ),
+            SecurityEvent::StreamClosed { stream } => write!(f, "stream-closed stream={stream}"),
             SecurityEvent::StreamQuarantined { stream, channel } => {
-                format!("stream-quarantined stream={stream} channel={channel}")
+                write!(f, "stream-quarantined stream={stream} channel={channel}")
             }
             SecurityEvent::StreamReopened { old, new } => {
-                format!("stream-reopened old={old} new={new}")
+                write!(f, "stream-reopened old={old} new={new}")
             }
             SecurityEvent::FaultInjected {
                 phase,
                 action,
                 stream,
-            } => format!("fault-injected phase={phase} action={action} stream={stream}"),
-            SecurityEvent::FailureDetected { asid } => format!("failure-detected asid={asid}"),
+            } => write!(
+                f,
+                "fault-injected phase={phase} action={action} stream={stream}"
+            ),
+            SecurityEvent::FailureDetected { asid } => write!(f, "failure-detected asid={asid}"),
             SecurityEvent::PartitionFailed { asid, invalidated } => {
-                format!("partition-failed asid={asid} invalidated={invalidated}")
+                write!(f, "partition-failed asid={asid} invalidated={invalidated}")
             }
             SecurityEvent::TrapHandled {
                 survivor,
                 ppn,
                 signalled,
-            } => format!("trap-handled survivor={survivor} ppn={ppn} signalled={signalled}"),
+            } => write!(
+                f,
+                "trap-handled survivor={survivor} ppn={ppn} signalled={signalled}"
+            ),
             SecurityEvent::RecoveryStep { asid, step } => {
-                format!("recovery-step asid={asid} step={step}")
+                write!(f, "recovery-step asid={asid} step={step}")
             }
             SecurityEvent::StallDetected { stream, backlog } => {
-                format!("stall-detected stream={stream} backlog={backlog}")
+                write!(f, "stall-detected stream={stream} backlog={backlog}")
             }
             SecurityEvent::Checkpoint {
                 evicted_total,
                 prefix_digest,
-            } => format!(
-                "checkpoint evicted_total={evicted_total} prefix={}",
-                prefix_digest.to_hex()
+            } => write!(
+                f,
+                "checkpoint evicted_total={evicted_total} prefix={prefix_digest}"
             ),
         }
     }
@@ -363,28 +386,46 @@ pub struct LedgerRecord {
 impl LedgerRecord {
     /// Canonical bytes covered by the chain digest (everything but `mac`).
     pub fn canonical(&self) -> String {
-        format!(
+        let mut out = String::new();
+        // Writing into a `String` cannot fail.
+        let _ = self.write_canonical(&mut out);
+        out
+    }
+
+    /// `index|seq|chain|at|event`: the one rendering [`Self::canonical`]
+    /// returns and [`Self::digest`] hashes.
+    fn write_canonical(&self, w: &mut impl fmt::Write) -> fmt::Result {
+        write!(
+            w,
             "{}|{}|{}|{}|{}",
             self.index,
             self.seq,
             self.chain,
             self.at.as_nanos(),
-            self.event.canonical()
+            self.event
         )
     }
 
-    /// The record's chain digest: `prev` is mixed in via the chained
-    /// measurement, so the digest commits to the whole prefix.
+    /// The record's chain digest,
+    /// `measure_chained("ledger-record", prev, canonical)`: `prev` is mixed
+    /// in, so the digest commits to the whole prefix. The canonical form is
+    /// written straight into the hasher rather than built as a `String`.
     pub fn digest(&self) -> Digest {
-        measure_chained("ledger-record", &self.prev, self.canonical().as_bytes())
+        let mut h = Sha256::new();
+        h.update(b"ledger-record\0");
+        h.update(self.prev.as_bytes());
+        // Writing into a hasher cannot fail.
+        let _ = self.write_canonical(&mut h);
+        h.finalize()
     }
 
     /// The MAC a record whose [`LedgerRecord::digest`] is `digest` carries
-    /// under `key`. Takes the digest rather than the record so a caller
-    /// that also needs the digest (to chain the next record) hashes the
-    /// canonical form once.
-    pub fn mac_for(key: &[u8; 32], digest: &Digest) -> Digest {
-        hmac_sha256(key, digest.as_bytes())
+    /// under its chain's `key`. Takes the digest rather than the record so a
+    /// caller that also needs the digest (to chain the next record) hashes
+    /// the canonical form once; takes the absorbed key so a chain pays for
+    /// its key's pad blocks once, not once per record.
+    pub fn mac_for(key: &HmacKey, digest: &Digest) -> Digest {
+        key.mac(digest.as_bytes())
     }
 
     /// One human-readable report line.
@@ -395,7 +436,7 @@ impl LedgerRecord {
             self.index,
             self.seq,
             self.at.as_nanos(),
-            self.event.canonical()
+            self.event
         )
     }
 }

@@ -18,7 +18,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use cronus_crypto::Digest;
+use cronus_crypto::{Digest, HmacKey};
 
 use crate::ledger::{chain_key, ChainExport, LedgerExport};
 use crate::record::{chain_name, LedgerRecord, SecurityEvent};
@@ -208,7 +208,7 @@ pub fn verify_chain(
     export: &ChainExport,
     all_chains: &[u32],
 ) -> Result<(), VerifyError> {
-    let key = chain_key(seed, export.chain);
+    let key = HmacKey::new(&chain_key(seed, export.chain));
     let mut expected_index = export.evicted;
     let mut prev = if export.evicted == 0 {
         Digest::ZERO
@@ -238,12 +238,14 @@ pub fn verify_chain(
         let digest = rec.digest();
         if rec.mac != LedgerRecord::mac_for(&key, &digest) {
             // Distinguish forgery (valid MAC under another chain's key)
-            // from plain corruption.
+            // from plain corruption. Only a failing record gets here, so
+            // the other chains' keys are absorbed on demand.
             for other in all_chains {
                 if *other == export.chain {
                     continue;
                 }
-                if rec.mac == LedgerRecord::mac_for(&chain_key(seed, *other), &digest) {
+                let other_key = HmacKey::new(&chain_key(seed, *other));
+                if rec.mac == LedgerRecord::mac_for(&other_key, &digest) {
                     return Err(VerifyError::MacForged {
                         chain: export.chain,
                         index: rec.index,

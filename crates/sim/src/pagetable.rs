@@ -10,9 +10,11 @@
 //!
 //! We model stage-2 translation as identity (IPA == PA) with a validity +
 //! permission bit per physical page, which is precisely the part of the
-//! mechanism CRONUS's isolation argument depends on.
+//! mechanism CRONUS's isolation argument depends on. Both tables hash page
+//! numbers with a fixed hasher, not SipHash; it is unordered, so exports sort.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::addr::{PhysAddr, VirtAddr};
 use crate::fault::Fault;
@@ -57,6 +59,24 @@ pub enum Access {
     Write,
 }
 
+/// rustc-hash's construction: a multiply per `u64`, rotated so high bits index.
+#[derive(Clone, Copy, Default)]
+struct PageHasher(u64);
+
+impl Hasher for PageHasher {
+    fn write_u64(&mut self, n: u64) {
+        self.0 = self.0.wrapping_add(n).wrapping_mul(0xf135_7aea_2e62_a9c5);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.write_u64(u64::from(b)));
+    }
+
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(26)
+    }
+}
+
 #[derive(Clone, Copy, Debug)]
 struct Stage1Entry {
     ppn: u64,
@@ -66,7 +86,7 @@ struct Stage1Entry {
 /// A stage-1 page table for one address space.
 #[derive(Clone, Debug, Default)]
 pub struct PageTable {
-    entries: HashMap<u64, Stage1Entry>,
+    entries: HashMap<u64, Stage1Entry, BuildHasherDefault<PageHasher>>,
 }
 
 impl PageTable {
@@ -152,7 +172,7 @@ struct Stage2Entry {
 /// A stage-2 table: the set of physical pages one partition may access.
 #[derive(Clone, Debug, Default)]
 pub struct Stage2Table {
-    entries: HashMap<u64, Stage2Entry>,
+    entries: HashMap<u64, Stage2Entry, BuildHasherDefault<PageHasher>>,
 }
 
 impl Stage2Table {

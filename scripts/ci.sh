@@ -38,14 +38,35 @@ fresh_figures_match() {
 # 96 bytes). A new per-span or per-slice field shows up here first.
 SRPC_RSS_BUDGET=200
 
+# Exact counts per workload at the default seed, zero tolerance: a change
+# that adds span or ledger traffic fails here instead of drifting host time.
+#   workload            obs.spans  forensics.ledger_records
+EXACT_COUNTS="
+    srpc_stream          600003     14
+    tenants_mixed        571343     26
+    accel_apps           491320     26
+    lifecycle_failover    36474  18000"
+
+# The value of metric $1 in the benchmark's JSON result line $2.
+metric() { grep -o "\"$1\":{\"value\":[^,}]*" <<< "$2" | cut -d: -f3; }
+
 bench_runs_pass() {
   cargo build --offline --release -q --manifest-path benchmark/Cargo.toml
   for workload in srpc_stream tenants_mixed accel_apps lifecycle_failover; do
     echo "--- $workload"
     out=$(benchmark/target/release/cronus-benchmark --workload "$workload" --seconds 0 --trace 1) \
       || { echo "$out"; return 1; }
+    result=$(tail -n 1 <<< "$out")
+    read -r _ spans records <<< "$(grep -w "$workload" <<< "$EXACT_COUNTS")"
+    for expected in "obs.spans $spans" "forensics.ledger_records $records"; do
+      read -r name want <<< "$expected"
+      got=$(metric "$name" "$result")
+      echo "$name ${got:-missing} (exactly $want)"
+      awk -v got="$got" -v want="$want" 'BEGIN { exit !(got != "" && got + 0 == want) }' \
+        || { echo "$workload: $name moved"; return 1; }
+    done
     if [[ "$workload" == srpc_stream ]]; then
-      rss=$(tail -n 1 <<< "$out" | grep -o '"host.rss_bytes_per_op":{"value":[^,}]*' | cut -d: -f3)
+      rss=$(metric host.rss_bytes_per_op "$result")
       echo "host.rss_bytes_per_op ${rss:-missing} B (budget $SRPC_RSS_BUDGET B)"
       awk -v rss="$rss" -v budget="$SRPC_RSS_BUDGET" 'BEGIN { exit !(rss != "" && rss + 0 <= budget) }' \
         || { echo "srpc_stream retains more per call than the budget"; return 1; }

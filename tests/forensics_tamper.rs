@@ -165,3 +165,113 @@ fn tamper_errors_render_with_exact_indices() {
     };
     assert!(e.to_string().contains("truncated"), "{e}");
 }
+
+/// One scripted lifecycle — boot, create, open, four calls, fail, trap,
+/// recover, respawn, reopen, echo — must ledger the same bytes in every
+/// version of the hashing code: each chain's head digest and last MAC are
+/// pinned as hex. A change that alters the record rendering, the chain
+/// digest's framing or the MAC construction moves at least one of them.
+#[test]
+fn ledger_bytes_are_pinned() {
+    use std::collections::BTreeMap;
+
+    use cronus::core::{Actor, CronusSystem, SrpcError};
+    use cronus::devices::DeviceKind;
+    use cronus::forensics::MONITOR_CHAIN;
+    use cronus::mos::manifest::{Manifest, McallDecl};
+    use cronus::spm::spm::{BootConfig, DeviceSpec, PartitionSpec};
+
+    let gpu_partition = |id| {
+        PartitionSpec::new(
+            id,
+            b"cuda-mos-v3",
+            "v3",
+            DeviceSpec::Gpu {
+                memory: 1 << 26,
+                sms: 46,
+            },
+        )
+    };
+    let mut sys = CronusSystem::boot(BootConfig {
+        partitions: vec![
+            PartitionSpec::new(1, b"cpu-mos-v1", "v1", DeviceSpec::Cpu),
+            gpu_partition(2),
+        ],
+        ..Default::default()
+    });
+    let app = sys.create_app();
+    let cpu = sys
+        .create_enclave(
+            Actor::App(app),
+            Manifest::new(DeviceKind::Cpu).with_memory(1 << 20),
+            &BTreeMap::new(),
+        )
+        .expect("cpu enclave");
+    let spawn = |sys: &mut CronusSystem| {
+        let gpu = sys
+            .create_enclave(
+                Actor::Enclave(cpu),
+                Manifest::new(DeviceKind::Gpu)
+                    .with_mecall(McallDecl::asynchronous("echo"))
+                    .with_mecall(McallDecl::synchronous("echo_sync"))
+                    .with_memory(1 << 20),
+                &BTreeMap::new(),
+            )
+            .expect("gpu enclave");
+        for name in ["echo", "echo_sync"] {
+            sys.register_handler(gpu, name, Box::new(|_, p| Ok((p.to_vec(), ns(100)))));
+        }
+        gpu
+    };
+    let gpu = spawn(&mut sys);
+    let stream = sys.stream(cpu, gpu).open().expect("stream");
+    for i in 0..4u8 {
+        sys.call(stream, "echo")
+            .payload(&[i; 32])
+            .start()
+            .expect("call");
+    }
+    sys.sync(stream).expect("sync");
+    sys.inject_partition_failure(gpu.asid).expect("fail");
+    let trapped = sys.call(stream, "echo_sync").payload(b"ping").sync();
+    assert!(matches!(trapped, Err(SrpcError::PeerFailed { .. })));
+    sys.recover_partition(gpu.asid).expect("recover");
+    let gpu = spawn(&mut sys);
+    let stream = sys.stream(cpu, gpu).reopen(stream).expect("reopen");
+    let echoed = sys.call(stream, "echo_sync").payload(b"pong").sync();
+    assert_eq!(echoed.expect("echo"), b"pong");
+
+    let export = sys.spm().ledger().export();
+    verify_export(&export).expect("the scripted ledger verifies");
+    let pinned: Vec<(u32, u64, String, String)> = export
+        .chains
+        .values()
+        .map(|c| {
+            let last = c.records.last().expect("a chain holds records");
+            (c.chain, c.next_index, c.head.to_hex(), last.mac.to_hex())
+        })
+        .collect();
+    // (chain, records, head digest, last record's MAC).
+    let expected = [
+        (
+            1,
+            11,
+            "65e7dfdfc9effdd2fc8b5e051789d7a3848ab33021be6bc6d676d900b6eafdf6",
+            "628db34bd25c5b68ff5e583f80a82805d7288742ee9bc92b21632b64f7c004f9",
+        ),
+        (
+            2,
+            15,
+            "7b0d0f5a4f92951e8ce3912318eb59e9ceb196e004bd669e96ce3e44a7a949e7",
+            "46b91631ef7c1b9c451cf8ca87cff5ff205f751a483de58dbca7f73c1191c721",
+        ),
+        (
+            MONITOR_CHAIN,
+            3,
+            "35dbf9b2f4690308a6bf462c940e8632b25d02545233dbba394cf7bba03c2470",
+            "2b7eaf60d086c530217ab94ada1be09a1042dd98128efbd5841639f653bf4577",
+        ),
+    ]
+    .map(|(chain, n, head, mac)| (chain, n, head.to_string(), mac.to_string()));
+    assert_eq!(pinned, expected);
+}

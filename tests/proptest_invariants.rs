@@ -314,6 +314,305 @@ mod hashes {
     }
 }
 
+/// The absorbed-key HMAC, the streamed ledger digest and the stack hex
+/// encoder against the code they replaced, kept here as the reference:
+/// the bytes the ledger stores must not move by one bit.
+mod ledger_hashing {
+    use proptest::prelude::*;
+
+    use cronus::crypto::{measure_chained, sha256, Digest, HmacKey, Sha256};
+    use cronus::forensics::{LedgerRecord, SecurityEvent};
+    use cronus::sim::SimNs;
+
+    /// HMAC as the crate computed it before: two fresh hashers per MAC,
+    /// each absorbing its pad block.
+    fn reference_hmac(key: &[u8], message: &[u8]) -> Digest {
+        let hashed;
+        let key = if key.len() > 64 {
+            hashed = sha256(key);
+            hashed.as_bytes().as_slice()
+        } else {
+            key
+        };
+        let mut ipad = [0x36u8; 64];
+        let mut opad = [0x5cu8; 64];
+        for ((i, o), k) in ipad.iter_mut().zip(&mut opad).zip(key) {
+            *i ^= k;
+            *o ^= k;
+        }
+        let mut inner = Sha256::new();
+        inner.update(&ipad);
+        inner.update(message);
+        let mut outer = Sha256::new();
+        outer.update(&opad);
+        outer.update(inner.finalize().as_bytes());
+        outer.finalize()
+    }
+
+    /// Hex as the crate rendered it before: one `format!` per byte.
+    fn reference_hex(d: &Digest) -> String {
+        d.0.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// An event's canonical rendering as the crate built it before: a
+    /// `format!` per variant, digests through the per-byte hex.
+    fn reference_event(e: &SecurityEvent) -> String {
+        use SecurityEvent::*;
+        let hex = reference_hex;
+        match e {
+            DevtreeAttested { digest } => format!("devtree-attested digest={}", hex(digest)),
+            TzascConfigured { digest } => format!("tzasc-configured digest={}", hex(digest)),
+            TzpcLockdown { digest } => format!("tzpc-lockdown digest={}", hex(digest)),
+            DeviceEndorsed {
+                device,
+                vendor,
+                rot_digest,
+            } => format!(
+                "device-endorsed device={device} vendor={vendor} rot={}",
+                hex(rot_digest)
+            ),
+            AttestMeasurement { subject, digest } => format!(
+                "attest-measurement subject={subject} digest={}",
+                hex(digest)
+            ),
+            KeyExchange { eid, dh_public } => {
+                format!("key-exchange eid={eid} dh_public={dh_public}")
+            }
+            EnclaveCreated { eid } => format!("enclave-created eid={eid}"),
+            EnclaveDestroyed { eid } => format!("enclave-destroyed eid={eid}"),
+            ShareGranted {
+                share,
+                owner,
+                peer,
+                pages,
+            } => format!("share-granted share={share} owner={owner} peer={peer} pages={pages}"),
+            ShareAccepted { share, owner, peer } => {
+                format!("share-accepted share={share} owner={owner} peer={peer}")
+            }
+            SharePoisoned { share, survivor } => {
+                format!("share-poisoned share={share} survivor={survivor}")
+            }
+            ShareReclaimed { share } => format!("share-reclaimed share={share}"),
+            StreamOpened {
+                stream,
+                caller,
+                callee,
+            } => format!("stream-opened stream={stream} caller={caller} callee={callee}"),
+            StreamAccepted {
+                stream,
+                caller,
+                callee,
+            } => format!("stream-accepted stream={stream} caller={caller} callee={callee}"),
+            StreamClosed { stream } => format!("stream-closed stream={stream}"),
+            StreamQuarantined { stream, channel } => {
+                format!("stream-quarantined stream={stream} channel={channel}")
+            }
+            StreamReopened { old, new } => format!("stream-reopened old={old} new={new}"),
+            FaultInjected {
+                phase,
+                action,
+                stream,
+            } => format!("fault-injected phase={phase} action={action} stream={stream}"),
+            FailureDetected { asid } => format!("failure-detected asid={asid}"),
+            PartitionFailed { asid, invalidated } => {
+                format!("partition-failed asid={asid} invalidated={invalidated}")
+            }
+            TrapHandled {
+                survivor,
+                ppn,
+                signalled,
+            } => format!("trap-handled survivor={survivor} ppn={ppn} signalled={signalled}"),
+            RecoveryStep { asid, step } => format!("recovery-step asid={asid} step={step}"),
+            StallDetected { stream, backlog } => {
+                format!("stall-detected stream={stream} backlog={backlog}")
+            }
+            Checkpoint {
+                evicted_total,
+                prefix_digest,
+            } => format!(
+                "checkpoint evicted_total={evicted_total} prefix={}",
+                hex(prefix_digest)
+            ),
+        }
+    }
+
+    /// The record digest as the crate computed it before: the canonical
+    /// form built as a `String`, then measured in one slice.
+    fn reference_digest(r: &LedgerRecord) -> Digest {
+        let canonical = format!(
+            "{}|{}|{}|{}|{}",
+            r.index,
+            r.seq,
+            r.chain,
+            r.at.as_nanos(),
+            reference_event(&r.event)
+        );
+        measure_chained("ledger-record", &r.prev, canonical.as_bytes())
+    }
+
+    /// Text with separators, multi-byte and four-byte characters, so a
+    /// rendering that splits or re-encodes a `str` shows.
+    fn text() -> impl Strategy<Value = String> {
+        const CHARS: [char; 12] = [
+            'a', 'Z', '0', ' ', '|', '=', 'é', 'ß', '中', '🦀', '\n', '\0',
+        ];
+        proptest::collection::vec(0usize..CHARS.len(), 0..=24)
+            .prop_map(|ix| ix.into_iter().filter_map(|i| CHARS.get(i)).collect())
+    }
+
+    /// Every variant, its fields drawn from the case's values.
+    fn every_variant(
+        (a, b): (u32, u32),
+        (x, y, z): (u64, u64, u64),
+        d: Digest,
+        (s, name): (String, &'static str),
+    ) -> Vec<SecurityEvent> {
+        use SecurityEvent::*;
+        vec![
+            DevtreeAttested { digest: d },
+            TzascConfigured { digest: d },
+            TzpcLockdown { digest: d },
+            DeviceEndorsed {
+                device: a,
+                vendor: s.clone(),
+                rot_digest: d,
+            },
+            AttestMeasurement {
+                subject: s,
+                digest: d,
+            },
+            KeyExchange {
+                eid: a,
+                dh_public: x,
+            },
+            EnclaveCreated { eid: a },
+            EnclaveDestroyed { eid: b },
+            ShareGranted {
+                share: x,
+                owner: a,
+                peer: b,
+                pages: y,
+            },
+            ShareAccepted {
+                share: x,
+                owner: a,
+                peer: b,
+            },
+            SharePoisoned {
+                share: x,
+                survivor: b,
+            },
+            ShareReclaimed { share: y },
+            StreamOpened {
+                stream: x,
+                caller: a,
+                callee: b,
+            },
+            StreamAccepted {
+                stream: x,
+                caller: a,
+                callee: b,
+            },
+            StreamClosed { stream: z },
+            StreamQuarantined {
+                stream: x,
+                channel: name,
+            },
+            StreamReopened { old: x, new: y },
+            FaultInjected {
+                phase: name,
+                action: name,
+                stream: z,
+            },
+            FailureDetected { asid: a },
+            PartitionFailed {
+                asid: a,
+                invalidated: y,
+            },
+            TrapHandled {
+                survivor: a,
+                ppn: x,
+                signalled: b,
+            },
+            RecoveryStep {
+                asid: b,
+                step: name,
+            },
+            StallDetected {
+                stream: x,
+                backlog: z,
+            },
+            Checkpoint {
+                evicted_total: y,
+                prefix_digest: d,
+            },
+        ]
+    }
+
+    const NAMES: [&str; 4] = ["", "clear", "doorbell|drop", "épée"];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Keys of 0–200 bytes straddle the 64-byte block (longer keys are
+        /// hashed first); one absorbed key MACs two messages in turn, so
+        /// state left over from the first would show in the second.
+        #[test]
+        fn absorbed_key_macs_like_two_fresh_hashers(
+            key in proptest::collection::vec(any::<u8>(), 0..=200),
+            m1 in proptest::collection::vec(any::<u8>(), 0..=300),
+            m2 in proptest::collection::vec(any::<u8>(), 0..=300),
+        ) {
+            let absorbed = HmacKey::new(&key);
+            prop_assert_eq!(absorbed.mac(&m1), reference_hmac(&key, &m1));
+            prop_assert_eq!(absorbed.mac(&m2), reference_hmac(&key, &m2));
+        }
+
+        /// Every variant, random fields and text included: the streamed
+        /// digest equals the `String`-based one, and both renderings equal
+        /// the old `format!` bodies.
+        #[test]
+        fn streamed_record_digest_matches_the_string_reference(
+            ids in (any::<u32>(), any::<u32>()),
+            nums in (any::<u64>(), any::<u64>(), any::<u64>()),
+            d in any::<[u8; 32]>(),
+            s in text(),
+            name in 0usize..NAMES.len(),
+            (index, seq, chain, at) in (any::<u64>(), any::<u64>(), any::<u32>(), any::<u64>()),
+            prev in any::<[u8; 32]>(),
+        ) {
+            let name = NAMES.get(name).copied().unwrap_or_default();
+            let events = every_variant(ids, nums, Digest(d), (s, name));
+            prop_assert_eq!(events.len(), 24);
+            for event in events {
+                let r = LedgerRecord {
+                    index,
+                    seq,
+                    chain,
+                    at: SimNs::from_nanos(at),
+                    event,
+                    prev: Digest(prev),
+                    mac: Digest::ZERO,
+                };
+                prop_assert_eq!(r.event.canonical(), reference_event(&r.event));
+                prop_assert_eq!(r.digest(), reference_digest(&r), "{}", r.canonical());
+            }
+        }
+
+        /// `Display`, `to_hex` and the per-byte reference agree, and
+        /// `from_hex` inverts them in either case.
+        #[test]
+        fn digest_hex_round_trips(d in any::<[u8; 32]>()) {
+            let d = Digest(d);
+            let hex = reference_hex(&d);
+            prop_assert_eq!(d.to_string(), hex.clone());
+            prop_assert_eq!(d.to_hex(), hex.clone());
+            prop_assert_eq!(Digest::from_hex(&hex), Some(d));
+            prop_assert_eq!(Digest::from_hex(&hex.to_uppercase()), Some(d));
+        }
+    }
+}
+
 /// The ring codec's in-place forms against the owned ones and against the
 /// owned implementations they replaced, kept here as the reference: over
 /// slot bytes a peer may have written, every decoder yields the same name,

@@ -43,7 +43,8 @@ fn scaffold() -> Vec<(String, String)> {
             "pub struct Ledger;\n\
              impl Ledger {\n\
                  pub fn append(&self, chain: u32, line: String) { let _ = (chain, line); }\n\
-             }\n"
+             }\n\
+             pub fn chain_key(seed: &str, chain: u32) -> [u8; 32] { [seed.len() as u8 ^ chain as u8; 32] }\n"
             .into(),
         ),
         // The resolve-once surface: names and labels enter the stores here
@@ -149,6 +150,50 @@ fn decoded_payload_into_ledger_trips_secret_taint_only() {
         "{notes:?}"
     );
     assert!(notes.iter().any(|n| n.contains("`req`")), "{notes:?}");
+}
+
+/// An absorbed MAC key, as `crates/crypto/src/hmac.rs` defines it: `new`
+/// passes its key's taint on, `mac` is the sanitizer.
+fn hmac_key_file() -> (String, String) {
+    (
+        "crates/crypto/src/hmac.rs".into(),
+        "pub struct HmacKey { pads: [u8; 32] }\n\
+         impl HmacKey {\n\
+             pub fn new(key: &[u8]) -> HmacKey { HmacKey { pads: [key.len() as u8; 32] } }\n\
+             pub fn mac(&self, msg: &[u8]) -> u64 { (self.pads.len() + msg.len()) as u64 }\n\
+         }\n"
+        .into(),
+    )
+}
+
+#[test]
+fn absorbed_chain_key_into_span_label_trips_secret_taint_only() {
+    let r = report_for(vec![
+        hmac_key_file(),
+        (
+            "crates/spm/src/monitor.rs".into(),
+            "use cronus_crypto::hmac::HmacKey;\n\
+             use cronus_forensics::ledger::chain_key;\n\
+             use cronus_obs::recorder::FlightRecorder;\n\
+             pub fn boot_monitor(rec: &FlightRecorder) {\n\
+                 let key = HmacKey::new(&chain_key(\"seed\", 1));\n\
+                 rec.begin_span(format!(\"ledger key={key:?}\"));\n\
+             }\n"
+            .into(),
+        ),
+    ]);
+    assert_eq!(r.findings.len(), 1, "exactly one finding:\n{}", r.render());
+    let f = &r.findings[0];
+    assert_eq!(f.rule, "secret-taint");
+    assert_eq!(f.path, "crates/spm/src/monitor.rs");
+    assert_eq!(f.line, 6);
+    assert!(f.message.contains("begin_span"), "{}", f.message);
+    let notes = chain_notes(&r, 0);
+    assert!(
+        notes[0].contains("secret source `cronus_forensics::ledger::chain_key`"),
+        "{notes:?}"
+    );
+    assert!(notes.iter().any(|n| n.contains("`key`")), "{notes:?}");
 }
 
 #[test]
@@ -402,6 +447,29 @@ fn digest_then_record_and_public_declassifier_are_clean() {
     assert!(
         r.passed(),
         "FORENSICS.md redaction contract (digest/public only) is clean:\n{}",
+        r.render()
+    );
+}
+
+#[test]
+fn mac_under_an_absorbed_chain_key_into_the_ledger_is_clean() {
+    let r = report_for(vec![
+        hmac_key_file(),
+        (
+            "crates/spm/src/monitor.rs".into(),
+            "use cronus_crypto::hmac::HmacKey;\n\
+             use cronus_forensics::ledger::{chain_key, Ledger};\n\
+             pub fn seal(l: &Ledger, digest: &[u8]) {\n\
+                 let key = HmacKey::new(&chain_key(\"seed\", 1));\n\
+                 let tag = key.mac(digest);\n\
+                 l.append(1, format!(\"mac={tag}\"));\n\
+             }\n"
+            .into(),
+        ),
+    ]);
+    assert!(
+        r.passed(),
+        "a MAC is public even when its key is not:\n{}",
         r.render()
     );
 }
