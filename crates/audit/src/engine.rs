@@ -351,14 +351,15 @@ pub fn run(set: &SourceSet) -> Report {
         }
     }
 
-    // ---- 4, 5 & 6. wall clock, string errors, hash order ------------
+    // ---- 4, 5, 6 & 7. wall clock, string errors, hash order, cost seam
     for file in &parsed_owned {
         rules::wall_clock_findings(file, &mut findings);
         rules::string_error_findings(file, &mut findings);
         rules::hash_order_findings(file, &mut findings);
+        rules::cost_seam_findings(file, &mut findings);
     }
 
-    // ---- 7. allowlist hygiene ---------------------------------------
+    // ---- 8. allowlist hygiene ---------------------------------------
     for e in &allow {
         if !e.used {
             findings.push(Finding {

@@ -397,7 +397,10 @@ pub(crate) fn inline_captures(s: &str, out: &mut Vec<String>) {
 
 /// Walks backwards from a call name at `at` to collect its `::` path
 /// segments: `a::b::f(` → `[a, b, f]`. A leading `Self` segment is
-/// resolved to the function's impl type.
+/// resolved to the function's impl type; leading `crate`, `self` and
+/// `super` segments are dropped, since qualified paths name the crate, not
+/// the keyword, and suffix resolution then prefers the caller's own file
+/// and crate.
 fn path_back(tokens: &[Token], start: usize, at: usize, item: &FnItem) -> Vec<String> {
     let mut segs = vec![tokens[at].ident().unwrap_or("").to_string()];
     let mut j = at;
@@ -415,7 +418,11 @@ fn path_back(tokens: &[Token], start: usize, at: usize, item: &FnItem) -> Vec<St
             segs[0] = ty.clone();
         }
     }
-    segs
+    let relative = segs
+        .iter()
+        .take_while(|s| matches!(s.as_str(), "crate" | "self" | "super"))
+        .count();
+    segs.split_off(relative.min(segs.len() - 1))
 }
 
 /// True when `t` can end an expression a following `[` indexes. A keyword

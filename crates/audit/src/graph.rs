@@ -249,6 +249,32 @@ mod tests {
     }
 
     #[test]
+    fn crate_self_and_super_paths_resolve() {
+        let g = build(&[
+            (
+                "crates/a/src/lib.rs",
+                "a",
+                "pub fn entry() { crate::fairness::compute(); self::near(); }\nfn near() {}",
+            ),
+            (
+                "crates/a/src/fairness.rs",
+                "a::fairness",
+                "pub fn compute() { super::top(); }",
+            ),
+            ("crates/a/src/top.rs", "a", "pub fn top() {}"),
+        ]);
+        let callees = |f: &str| -> Vec<&str> {
+            let id = g.find(f)[0];
+            g.edges[id]
+                .iter()
+                .map(|&id| g.fns[id].item.qual.as_str())
+                .collect()
+        };
+        assert_eq!(callees("a::entry"), vec!["a::fairness::compute", "a::near"]);
+        assert_eq!(callees("a::fairness::compute"), vec!["a::top"]);
+    }
+
+    #[test]
     fn same_crate_preferred_on_ambiguity() {
         let g = build(&[
             (

@@ -41,7 +41,7 @@ pub struct Rule {
 }
 
 /// Every rule the engine can emit, in report order.
-pub const RULES: [Rule; 6] = [
+pub const RULES: [Rule; 7] = [
     Rule {
         name: "secret-taint",
         summary: "secret values must not reach observable sinks unredacted",
@@ -101,6 +101,17 @@ hash order, and 19 of 20 identical runs exported a different ledger). Entity \
 tables are BTreeMaps or id-indexed Vecs, ordered by construction, so no caller \
 has to remember to sort. Files that keep a hashed table are listed, each with \
 its reason, in HASH_ORDER_EXEMPT.",
+    },
+    Rule {
+        name: "cost-seam",
+        summary: "system crates read CostModel fields only through the cost table",
+        explain: "Reading a CostModel field (`.cost().<field>` or `cm.<field>`) in \
+non-test code of crates/{core,spm,mos,runtime}/src is a finding: simulated time \
+there is priced by the rows of cronus_sim::Cost (CostModel::price) and spent \
+through cronus_obs::spend, which advances the acting clock and charges the \
+row's frame and count in one step, so no site computes `cm.x * n` for itself \
+and a clock and the profiler cannot disagree. Method calls (`cm.price(..)`, \
+the bandwidth and roofline helpers, `.cost().clone()`) are not field reads.",
     },
     Rule {
         name: "no-string-errors",
@@ -183,6 +194,14 @@ pub const PANIC_SCOPES: [&str; 6] = [
     "crates/forensics/src",
 ];
 
+/// The crates whose simulated time is priced through the cost table.
+pub const COST_SEAM_SCOPES: [&str; 4] = [
+    "crates/core/src",
+    "crates/spm/src",
+    "crates/mos/src",
+    "crates/runtime/src",
+];
+
 /// True when `path` sits under one of `scopes`.
 pub fn in_scope(path: &str, scopes: &[&str]) -> bool {
     scopes.iter().any(|s| path.starts_with(s))
@@ -214,7 +233,7 @@ pub const SOURCE_PATHS: [&str; 11] = [
 ];
 
 /// Functions whose arguments become normal-world observable.
-pub const SINK_PATHS: [&str; 55] = [
+pub const SINK_PATHS: [&str; 56] = [
     // Recorder / metrics labels and values.
     "FlightRecorder::counter_add",
     "MetricsRegistry::counter_add",
@@ -244,13 +263,15 @@ pub const SINK_PATHS: [&str; 55] = [
     "TimeProfiler::frame",
     "TimeProfiler::charge_frame",
     "RecorderInner::charge_frame",
+    // The priced-time seam: a count reaches the profiler beside its frame.
+    "recorder::spend",
+    "TimeProfiler::spend",
     // The sRPC path's one-step-per-phase reporters.
     "StreamObs::open",
     "StreamObs::enqueued",
     "StreamObs::ring_full",
     "StreamObs::drained",
     "StreamObs::call_completed",
-    "StreamObs::synced",
     "StreamObs::granted",
     "StreamObs::backed_off",
     "StreamObs::retried",
@@ -414,6 +435,41 @@ pub fn hash_order_findings(file: &ParsedFile, out: &mut Vec<Finding>) {
             ),
             chain: Vec::new(),
         });
+    }
+}
+
+/// `cost-seam`: a `CostModel` field read — `.cost().<field>` or
+/// `cm.<field>`, not followed by a call — in a priced crate's non-test code.
+pub fn cost_seam_findings(file: &ParsedFile, out: &mut Vec<Finding>) {
+    if !in_scope(&file.path, &COST_SEAM_SCOPES) {
+        return;
+    }
+    let toks = &file.tokens;
+    for (i, t) in toks.iter().enumerate() {
+        let Some(field) = t.ident() else { continue };
+        let after_dot = i >= 1 && toks[i - 1].is_punct(".");
+        let is_call = toks.get(i + 1).is_some_and(|n| n.tok == Tok::Open('('));
+        if !after_dot || is_call || file.is_test_token(i) {
+            continue;
+        }
+        // `cm.<field>`, or `cost().<field>`: `cost ( ) . <field>`.
+        let on_cm = i >= 2 && toks[i - 2].is_ident("cm");
+        let on_cost = i >= 4
+            && toks[i - 2].tok == Tok::Close(')')
+            && toks[i - 3].tok == Tok::Open('(')
+            && toks[i - 4].is_ident("cost");
+        if on_cm || on_cost {
+            out.push(Finding {
+                rule: "cost-seam",
+                path: file.path.clone(),
+                line: t.line,
+                message: format!(
+                    "`{field}` read off the cost model: price it through a \
+                     `cronus_sim::Cost` row and spend it with `cronus_obs::spend`"
+                ),
+                chain: Vec::new(),
+            });
+        }
     }
 }
 

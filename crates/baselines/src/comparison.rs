@@ -1,8 +1,8 @@
 //! Table I: the qualitative comparison grid.
 //!
 //! The paper's Table I classifies related systems by which of the three
-//! requirements they meet. This module encodes the grid so the `table1`
-//! harness can print it, and tests can assert that CRONUS is the only row
+//! requirements they meet. This module encodes the grid so `fig all`
+//! can print it, and tests can assert that CRONUS is the only row
 //! satisfying R1, R2, R3.1 and R3.2 simultaneously.
 
 /// Whether a system provides a property.

@@ -25,8 +25,7 @@
 //! | `chaos`            | —              | the full fault-injection sweep |
 //! | `all`              | everything     | the lot, plus Tables I–III |
 //!
-//! `table1`, `table2` and `table3` stay binaries of their own: they print
-//! the paper's Tables I–III and have no baseline.
+//! `fig all` also prints the paper's Tables I–III, which have no baseline.
 
 pub mod artifacts;
 pub mod baseline;

@@ -49,18 +49,25 @@ impl Executor {
         }
     }
 
-    /// Runs a request that became ready at `ready_at` and takes `cost` on
-    /// the earliest-free worker (the lowest index on ties). Returns the
-    /// worker and the instants it started and finished the request.
-    pub(crate) fn dispatch(&mut self, ready_at: SimNs, cost: SimNs) -> (WorkerId, SimNs, SimNs) {
+    /// Runs a request that became ready at `ready_at` on the earliest-free
+    /// worker (the lowest index on ties): `serve` advances the worker's clock
+    /// by what the request takes. Returns the worker and the instants it
+    /// started and finished the request.
+    pub(crate) fn dispatch(
+        &mut self,
+        ready_at: SimNs,
+        serve: impl FnOnce(&mut SimClock),
+    ) -> (WorkerId, SimNs, SimNs) {
         let free = self.workers.iter_mut().enumerate();
         let Some((index, worker)) = free.min_by_key(|(_, w)| w.now()) else {
             // Nobody to wait for: the request runs as soon as it is ready.
-            return (self.namespace, ready_at, ready_at + cost);
+            let mut clock = SimClock::at(ready_at);
+            serve(&mut clock);
+            return (self.namespace, ready_at, clock.now());
         };
         worker.advance_to(ready_at);
         let started = worker.now();
-        worker.advance(cost);
+        serve(worker);
         let id = WorkerId {
             index: index as u32,
             ..self.namespace
@@ -97,26 +104,31 @@ mod tests {
         SimNs::from_nanos(n)
     }
 
+    /// A request that takes `n` nanoseconds.
+    fn takes(n: u64) -> impl FnOnce(&mut SimClock) {
+        move |w| w.advance(ns(n))
+    }
+
     #[test]
     fn earliest_free_worker_wins_and_ties_go_to_the_lowest_index() {
         let pool = |i| WorkerId::pool(2, i);
         let mut e = Executor::new(pool(0), 3, ns(100));
         // All idle: worker 0; then 1 and 2 tie: worker 1; then 2.
         for (worker, cost) in [(0, 50), (1, 10), (2, 30)] {
-            assert_eq!(e.dispatch(ns(100), ns(cost)).0, pool(worker));
+            assert_eq!(e.dispatch(ns(100), takes(cost)).0, pool(worker));
         }
         // Worker 1 frees first (110), then worker 2 (130).
-        assert_eq!(e.dispatch(ns(100), ns(100)), (pool(1), ns(110), ns(210)));
-        assert_eq!(e.dispatch(ns(100), ns(1)).0, pool(2));
+        assert_eq!(e.dispatch(ns(100), takes(100)), (pool(1), ns(110), ns(210)));
+        assert_eq!(e.dispatch(ns(100), takes(1)).0, pool(2));
     }
 
     #[test]
     fn a_worker_never_starts_before_the_request_is_ready() {
         let mut e = Executor::new(WorkerId::pool(2, 0), 2, ns(100));
-        assert_eq!(e.dispatch(ns(500), ns(20)).1, ns(500));
+        assert_eq!(e.dispatch(ns(500), takes(20)).1, ns(500));
         // Worker 1 has been idle since 100, the request is ready at 300.
         assert_eq!(
-            e.dispatch(ns(300), ns(20)),
+            e.dispatch(ns(300), takes(20)),
             (WorkerId::pool(2, 1), ns(300), ns(320))
         );
     }
@@ -125,13 +137,13 @@ mod tests {
     fn an_executor_of_one_is_serial_and_a_stall_delays_its_next_start() {
         let lane = WorkerId::lane(7, 0);
         let mut e = Executor::new(lane, 1, ns(0));
-        assert_eq!(e.dispatch(ns(0), ns(25)), (lane, ns(0), ns(25)));
-        assert_eq!(e.dispatch(ns(0), ns(25)), (lane, ns(25), ns(50)));
+        assert_eq!(e.dispatch(ns(0), takes(25)), (lane, ns(0), ns(25)));
+        assert_eq!(e.dispatch(ns(0), takes(25)), (lane, ns(25), ns(50)));
         e.stall(ns(1000));
-        assert_eq!(e.dispatch(ns(0), ns(25)), (lane, ns(1050), ns(1075)));
+        assert_eq!(e.dispatch(ns(0), takes(25)), (lane, ns(1050), ns(1075)));
         // Widening adds a worker idle since then; it never shrinks.
         e.widen(2, ns(60));
         e.widen(1, ns(0));
-        assert_eq!(e.dispatch(ns(0), ns(5)).1, ns(60));
+        assert_eq!(e.dispatch(ns(0), takes(5)).1, ns(60));
     }
 }

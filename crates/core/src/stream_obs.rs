@@ -3,12 +3,14 @@
 //!
 //! A stream reports to the same tracks, queue stations, metric series and
 //! profiler frames on every call. [`StreamObs`] resolves them once, when the
-//! stream is opened, and each sRPC phase (enqueue, drain, call completion,
-//! sync) then reports through one method here, run as **one** locked
-//! recorder step by the protocol driver in [`crate::transport`]. The methods
-//! record exactly what the driver used to record call by call, in the same
-//! order, so spans, histograms, queue stations and meter ledgers come out
-//! byte-identical; only the host time spent recording changes.
+//! stream is opened, and each sRPC phase (enqueue, drain, call completion)
+//! then reports through one method here, run as **one** locked recorder
+//! step by the protocol driver in [`crate::transport`] — the same step in
+//! which the phase spent its ring time (`cronus_obs::spend`, whose rows
+//! resolve their own profiler frames). The methods record exactly what the
+//! driver used to record call by call, so spans, histograms, queue stations
+//! and meter ledgers come out byte-identical; only the host time spent
+//! recording changes.
 //!
 //! Names that depend on the mECall (`enqueue:<name>`, `complete:<name>`, the
 //! call span and the kernel detail frame) are resolved the first time the
@@ -48,11 +50,9 @@ pub(crate) struct CallObs {
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Enqueued {
     pub lane: usize,
-    /// Caller clock after the enqueue.
+    /// Caller clock before and after the enqueue (and its doorbell).
+    pub from: SimNs,
     pub now: SimNs,
-    pub enqueue_cost: SimNs,
-    /// Zero when the enqueue coalesced onto a pending doorbell.
-    pub doorbell_cost: SimNs,
     /// Stream backlog after the enqueue.
     pub occupancy: i64,
 }
@@ -86,10 +86,6 @@ pub(crate) struct StreamObs {
     occupancy: GaugeId,
     enqueue_to_dispatch: HistogramId,
     request_latency: HistogramId,
-    enqueue: FrameId,
-    doorbell: FrameId,
-    dequeue: FrameId,
-    sync_wakeup: FrameId,
     await_executor: NameId,
     exec: NameId,
     /// Per mECall seen on this stream (a handful; scanned linearly).
@@ -139,10 +135,6 @@ impl StreamObs {
             occupancy: r.metrics.gauge_id("srpc.ring_occupancy", &labels),
             enqueue_to_dispatch: r.metrics.histogram_id("srpc.enqueue_to_dispatch", &labels),
             request_latency: r.metrics.histogram_id("srpc.request_latency", &labels),
-            enqueue: r.profiler.frame(TimeCategory::Ring, Some("enqueue")),
-            doorbell: r.profiler.frame(TimeCategory::Ring, Some("doorbell")),
-            dequeue: r.profiler.frame(TimeCategory::Ring, Some("dequeue")),
-            sync_wakeup: r.profiler.frame(TimeCategory::Ring, Some("sync_wakeup")),
             await_executor: r.spans.intern("await-executor"),
             exec: r.spans.intern("exec"),
             calls: Vec::new(),
@@ -170,28 +162,18 @@ impl StreamObs {
             .get_or_insert_with(|| r.spans.track(&self.caller_track_name))
     }
 
-    /// The enqueue phase: ring time (and the doorbell, when one was rung),
-    /// the lane station's arrival, the occupancy gauge and the
-    /// `enqueue:<mecall>` span on the caller's track. Returns `mecall`'s
-    /// names for the drain to report with.
+    /// The enqueue phase, after its ring time was spent: the lane station's
+    /// arrival, the occupancy gauge and the `enqueue:<mecall>` span on the
+    /// caller's track. Returns `mecall`'s names for the drain to report
+    /// with.
     pub(crate) fn enqueued(&mut self, r: &mut RecorderInner, mecall: &str, e: Enqueued) -> CallObs {
-        r.charge_frame(self.enqueue, e.enqueue_cost);
-        if e.doorbell_cost > SimNs::ZERO {
-            r.charge_frame(self.doorbell, e.doorbell_cost);
-        }
         if let Some(&station) = self.stations.get(e.lane) {
             r.queues.at(station).enqueue(e.now);
         }
         r.metrics.gauge_store(self.occupancy, e.occupancy);
         let track = self.caller_track(r);
         let call = self.call(r, mecall);
-        r.complete_span(
-            track,
-            call.enqueue,
-            "ring",
-            e.now - (e.enqueue_cost + e.doorbell_cost),
-            e.now,
-        );
+        r.complete_span(track, call.enqueue, "ring", e.from, e.now);
         call
     }
 
@@ -203,8 +185,8 @@ impl StreamObs {
         }
     }
 
-    /// The drain phase of one request: dispatch latency, occupancy, dequeue
-    /// and kernel time, the backlog/call/exec spans on the stream's track,
+    /// The drain phase of one request, after its dequeue was spent:
+    /// dispatch latency, occupancy, kernel time, the backlog/call/exec spans on the stream's track,
     /// request latency, the lane station's departure and the meter's slot,
     /// wait and occupancy records, under the names `call` its enqueue
     /// resolved.
@@ -213,7 +195,6 @@ impl StreamObs {
         let wait = d.started - d.enqueued_at;
         r.metrics.histogram_record(self.enqueue_to_dispatch, wait);
         r.metrics.gauge_store(self.occupancy, d.occupancy);
-        r.charge_frame(self.dequeue, d.dequeue_cost);
         r.charge_frame(call.kernel, d.exec_time);
         // Time between enqueue and the worker picking the request up is
         // executor *backlog* (the device was busy with earlier work), not a
@@ -254,7 +235,7 @@ impl StreamObs {
         r.meter_occupy(d.worker, d.started, d.finished);
     }
 
-    /// A synchronous call's completion: the wakeup latency and the
+    /// A synchronous call's completion, after its wakeup was spent: the
     /// `complete:<mecall>` span on the caller's track.
     pub(crate) fn call_completed(
         &mut self,
@@ -263,15 +244,9 @@ impl StreamObs {
         wakeup: SimNs,
         woke: SimNs,
     ) {
-        r.charge_frame(self.sync_wakeup, wakeup);
         let track = self.caller_track(r);
         let name = self.call(r, mecall).complete;
         r.complete_span(track, name, "ring", woke - wakeup, woke);
-    }
-
-    /// An explicit synchronization point's wakeup latency.
-    pub(crate) fn synced(&self, r: &mut RecorderInner, wakeup: SimNs) {
-        r.charge_frame(self.sync_wakeup, wakeup);
     }
 
     /// A payload travelled as a zero-copy grant: arena occupancy is metered

@@ -20,11 +20,11 @@ use cronus_devices::DeviceKind;
 use cronus_mos::manager::Owner;
 use cronus_mos::manifest::{Eid, Manifest};
 use cronus_obs::{
-    ExecClass, FlightRecorder, MeterScope, Principal, QueueKind, ReqId, TimeCategory,
+    spend, ExecClass, FlightRecorder, MeterScope, Principal, QueueKind, ReqId, TimeCategory,
 };
 use cronus_sim::machine::AsId;
 use cronus_sim::trace::EventKind;
-use cronus_sim::{SimClock, SimNs};
+use cronus_sim::{Cost, CostModel, SimClock, SimNs};
 use cronus_spm::attest::SignedReport;
 use cronus_spm::spm::{BootConfig, Spm, SpmError};
 
@@ -441,6 +441,36 @@ impl CronusSystem {
         &mut self.enclaves.entry(eid).or_default().clock
     }
 
+    /// What spending on `e`'s clock needs, borrowed at once: the cost
+    /// model, `e`'s clock and the flight recorder — for a layer that spends
+    /// (see [`cronus_obs::spend`]) inside a recorder step of its own.
+    pub fn spending(
+        &mut self,
+        e: EnclaveRef,
+    ) -> (&CostModel, &mut SimClock, Option<&FlightRecorder>) {
+        let clock = &mut self.enclaves.entry(e.eid).or_default().clock;
+        (self.spm.machine().cost(), clock, self.spm.recorder())
+    }
+
+    /// Spends `n` operations of `cost` on `payer`'s clock, as one recorder
+    /// step (see [`cronus_obs::spend`]). A world switch is a machine event
+    /// too, so the `world_switches` counter and the meter count what the
+    /// profiler charges. Returns the price.
+    pub(crate) fn spend(&mut self, payer: Actor, cost: Cost, n: u64) -> SimNs {
+        if cost == Cost::WorldSwitch {
+            for _ in 0..n {
+                self.spm.machine_mut().record(EventKind::WorldSwitch);
+            }
+        }
+        let clock = match payer {
+            Actor::App(app) => self.app_clocks.entry(app).or_default(),
+            Actor::Enclave(e) => &mut self.enclaves.entry(e.eid).or_default().clock,
+        };
+        let cm = self.spm.machine().cost();
+        let mut r = self.spm.recorder().map(FlightRecorder::lock);
+        spend(cm, Some(clock), r.as_deref_mut(), cost, n)
+    }
+
     // ---- enclave lifecycle --------------------------------------------------
 
     /// Creates an mEnclave on behalf of `actor`. The manifest's device type
@@ -492,31 +522,16 @@ impl CronusSystem {
             .dh_public;
         let secret = dh.agree(enclave_dh_public);
 
-        // Charge creation costs to the creating actor.
-        let cost = {
-            let cm = self.spm.machine().cost();
-            cm.enclave_create + cm.dh_exchange + cm.world_switch * 2
-        };
-        if let Some(rec) = self.spm.recorder() {
-            let cm = self.spm.machine().cost();
-            rec.charge_detail(TimeCategory::Mgmt, "enclave_create", cm.enclave_create);
-            rec.charge_detail(TimeCategory::Crypto, "dh_exchange", cm.dh_exchange);
-            rec.charge(TimeCategory::WorldSwitch, cm.world_switch * 2);
-            rec.counter_add("enclaves.created", &[("partition", &asid.to_string())], 1);
-        }
+        // The creating actor pays: into the secure world and back out.
+        let cost = self.spend(actor, Cost::EnclaveCreate, 1)
+            + self.spend(actor, Cost::DhExchange, 1)
+            + self.spend(actor, Cost::WorldSwitch, 2);
         let start = match actor {
-            Actor::App(app) => {
-                let c = self.app_clocks.entry(app).or_default();
-                c.advance(cost);
-                c.now()
-            }
-            Actor::Enclave(parent) => {
-                let c = self.clock_mut(parent.eid);
-                c.advance(cost);
-                c.now()
-            }
+            Actor::App(app) => self.app_time(app),
+            Actor::Enclave(parent) => self.clock_of(parent.eid),
         };
         if let Some(rec) = self.spm.recorder() {
+            rec.counter_add("enclaves.created", &[("partition", &asid.to_string())], 1);
             let track = rec.track("spm");
             rec.complete_span(
                 track,
@@ -669,21 +684,17 @@ impl CronusSystem {
                 SrpcError::Handler(e) => SystemError::Handler(e),
                 other => SystemError::Handler(CronusError::app(other.to_string())),
             })?;
-        let switches = self.spm.machine().cost().world_switch * 2;
-        self.spm.machine_mut().record(EventKind::WorldSwitch);
-        self.spm.machine_mut().record(EventKind::WorldSwitch);
-        // The enclave runs the call, then the app resumes after it.
+        // The enclave runs the call, then the app resumes after it, paying
+        // the switch in and the switch back out.
         let app_now = self.app_clocks.entry(app).or_default().now();
         let c = self.clock_mut(target.eid);
         c.advance_to(app_now);
         c.advance(exec);
         let done = c.now();
-        let ac = self.app_clocks.entry(app).or_default();
-        ac.advance_to(done);
-        ac.advance(switches);
-        let resumed = ac.now();
+        self.app_clocks.entry(app).or_default().advance_to(done);
+        self.spend(Actor::App(app), Cost::WorldSwitch, 2);
+        let resumed = self.app_time(app);
         if let Some(rec) = self.spm.recorder() {
-            rec.charge(TimeCategory::WorldSwitch, switches);
             rec.charge_detail(TimeCategory::Kernel, name, exec);
             rec.counter_add("app.ecalls", &[("mcall", name)], 1);
             let track = rec.track(&format!("app:{}", app.0));

@@ -18,10 +18,12 @@ use std::collections::VecDeque;
 use cronus_crypto::hmac::hmac_sha256;
 use cronus_mos::manager::Owner;
 use cronus_mos::manifest::{Eid, McallDecl};
-use cronus_obs::{ExecClass, MeterScope, Principal, RecorderInner, ReqId, TimeCategory, WorkerId};
+use cronus_obs::{
+    spend, ExecClass, FlightRecorder, MeterScope, Principal, RecorderInner, ReqId, WorkerId,
+};
 use cronus_sim::machine::AsId;
 use cronus_sim::trace::EventKind;
-use cronus_sim::{SimNs, VirtAddr, PAGE_SIZE};
+use cronus_sim::{Cost, SimClock, SimNs, VirtAddr, PAGE_SIZE};
 use cronus_spm::attest::LocalAttestation;
 use cronus_spm::spm::Spm;
 
@@ -40,7 +42,35 @@ use crate::srpc::{
 };
 use crate::stream::{StreamBuilder, StreamConfig};
 use crate::stream_obs::{self, StreamObs};
-use crate::system::{Ambient, CronusSystem, EnclaveRef, DEFAULT_ARENA_PAGES, DEFAULT_STREAM_LANES};
+use crate::system::{
+    Actor, Ambient, CronusSystem, EnclaveRef, DEFAULT_ARENA_PAGES, DEFAULT_STREAM_LANES,
+};
+
+/// One sRPC phase that spends: `costs` are spent on `clock` (see
+/// [`cronus_obs::spend`]), then `report` runs over the stream's telemetry
+/// handles with the time spent and the clock after it, all as one locked
+/// recorder step; a stream that reports to no recorder only moves the
+/// clock. Returns the clock after the spends and what `report` returned.
+fn spend_phase<R>(
+    spm: &Spm,
+    s: &mut StreamState,
+    clock: &mut SimClock,
+    costs: &[(Cost, u64)],
+    report: impl FnOnce(&mut RecorderInner, &mut StreamObs, SimNs, SimNs) -> R,
+) -> (SimNs, Option<R>) {
+    let cm = spm.machine().cost();
+    let mut r = s.obs.as_ref().and(spm.recorder()).map(FlightRecorder::lock);
+    let spent = costs
+        .iter()
+        .map(|&(cost, n)| spend(cm, Some(clock), r.as_deref_mut(), cost, n))
+        .sum();
+    let now = clock.now();
+    let reported = match (r.as_deref_mut(), s.obs.as_mut()) {
+        (Some(r), Some(obs)) => Some(report(r, obs, spent, now)),
+        _ => None,
+    };
+    (now, reported)
+}
 
 impl CronusSystem {
     /// Meter scope for caller-side work on a stream (enqueue, sync,
@@ -135,10 +165,14 @@ impl CronusSystem {
             return Err(SrpcError::AttestationFailed);
         }
 
-        // Trusted shared memory (Figure 6).
-        let (share, caller_va, callee_va) =
-            self.spm
-                .share_memory((caller.asid, caller.eid), (callee.asid, callee.eid), pages)?;
+        // Trusted shared memory (Figure 6), mapped at the caller's expense.
+        let before = self.clock_of(caller.eid);
+        let (share, caller_va, callee_va) = self.spm.share_memory_paid(
+            (caller.asid, caller.eid),
+            (callee.asid, callee.eid),
+            pages,
+            Some(&mut self.enclaves.entry(caller.eid).or_default().clock),
+        )?;
         let id = StreamId(self.next_stream);
         self.next_stream += 1;
 
@@ -175,10 +209,11 @@ impl CronusSystem {
         // cover granted payload pages exactly like ring pages.
         let arena = match cfg.zero_copy {
             Some(threshold) => {
-                let (a_share, a_caller_va, a_callee_va) = self.spm.share_memory(
+                let (a_share, a_caller_va, a_callee_va) = self.spm.share_memory_paid(
                     (caller.asid, caller.eid),
                     (callee.asid, callee.eid),
                     DEFAULT_ARENA_PAGES,
+                    Some(&mut self.enclaves.entry(caller.eid).or_default().clock),
                 )?;
                 Some(GrantArena {
                     threshold,
@@ -193,23 +228,14 @@ impl CronusSystem {
             None => None,
         };
 
-        // Costs: local attestation + mapping + stream setup on the caller;
-        // the executor workers start at the caller's time.
-        let arena_pages = arena.as_ref().map_or(0, |a| a.bytes / PAGE_SIZE);
-        let setup = {
-            let cm = self.spm.machine().cost();
-            cm.local_attest
-                + cm.page_map * (2 * (pages as u64 + arena_pages))
-                + cm.srpc_stream_setup
-        };
-        let c = self.clock_mut(caller.eid);
-        c.advance(setup);
-        let opened = c.now();
+        // The caller pays local attestation and stream setup on top of the
+        // mapping; the executor workers start at the caller's time.
+        let payer = Actor::Enclave(caller);
+        self.spend(payer, Cost::LocalAttest, 1);
+        self.spend(payer, Cost::StreamSetup, 1);
+        let opened = self.clock_of(caller.eid);
+        let setup = opened - before;
         let obs = self.spm.recorder().map(|rec| {
-            let cm = self.spm.machine().cost();
-            // The page_map share is charged by the SPM's share_memory.
-            rec.charge_detail(TimeCategory::Crypto, "local_attest", cm.local_attest);
-            rec.charge_detail(TimeCategory::Ring, "stream_setup", cm.srpc_stream_setup);
             rec.counter_add("srpc.streams_opened", &[], 1);
             rec.with(|r| StreamObs::open(r, id, caller.eid, &layout, setup, opened))
         });
@@ -442,6 +468,26 @@ impl CronusSystem {
         Some(rec.with(|r| f(r, obs)))
     }
 
+    /// The caller of stream `id` observes the executor's progress: it pays
+    /// the polling wakeup, reported by `report` in the same recorder step.
+    /// Returns the caller's time after it.
+    fn sync_wakeup(
+        &mut self,
+        id: StreamId,
+        report: impl FnOnce(&mut RecorderInner, &mut StreamObs, SimNs, SimNs),
+    ) -> Result<SimNs, SrpcError> {
+        let CronusSystem {
+            ref spm,
+            ref mut streams,
+            ref mut enclaves,
+            ..
+        } = *self;
+        let s = streams.get_mut(&id).ok_or(SrpcError::UnknownStream(id))?;
+        let caller_clock = &mut enclaves.entry(s.caller.1).or_default().clock;
+        let costs = [(Cost::SyncWakeup, 1)];
+        Ok(spend_phase(spm, s, caller_clock, &costs, report).0)
+    }
+
     /// Bounded-buffer backpressure: the producer waits (not a full
     /// synchronization) until the executor has run the stream head, which
     /// frees that request's ring slot and retires its arena grant. Returns
@@ -542,14 +588,12 @@ impl CronusSystem {
         // The arena pages are already granted (mapped at open through the
         // share ledger), so a grant costs page bookkeeping, not a per-byte
         // copy.
-        let mut grant_cost = SimNs::ZERO;
+        let mut grant_pages = 0;
         let slot = if let Some(len) = grant_len {
             let (va, grant) = self.grant(id, len)?;
             self.ring_write(caller, va, payload)
                 .map_err(|e| self.stream_fault(id, caller.0, e))?;
-            let pages_spanned =
-                (grant.offset + grant.len).div_ceil(PAGE_SIZE) - grant.offset / PAGE_SIZE;
-            grant_cost = self.spm.machine().cost().page_map * pages_spanned;
+            grant_pages = (grant.offset + grant.len).div_ceil(PAGE_SIZE) - grant.offset / PAGE_SIZE;
             self.observe(id, |r, obs| obs.granted(r, grant.len));
             encode_grant_slot(name, grant)?
         } else {
@@ -561,32 +605,23 @@ impl CronusSystem {
         let bumped = (lane_rid + 1).to_le_bytes();
         self.ring_write(caller, caller_va.add(rid_off), &bumped)
             .map_err(|e| self.stream_fault(id, caller.0, e))?;
-        // The doorbell: one wakeup per enqueue *batch*. While the executor
-        // still has undrained work the doorbell is already pending, so
-        // back-to-back enqueues coalesce for free.
-        let (base_enqueue, doorbell) = {
-            let cm = self.spm.machine().cost();
-            (cm.srpc_enqueue, cm.srpc_doorbell)
-        };
-        let enqueue_cost = base_enqueue + grant_cost;
-        let doorbell_cost = if self.stream_ref(id)?.doorbell_pending {
-            SimNs::ZERO
-        } else {
-            doorbell
-        };
-        let c = self.clock_mut(caller.1);
-        c.advance(enqueue_cost + doorbell_cost);
-        let now = c.now();
         self.spm
             .machine_mut()
             .record(EventKind::RpcEnqueue { stream: id.0 });
-        let s = self
-            .streams
-            .get_mut(&id)
-            .ok_or(SrpcError::UnknownStream(id))?;
+        let CronusSystem {
+            ref spm,
+            ref mut streams,
+            ref mut enclaves,
+            ..
+        } = *self;
+        let s = streams.get_mut(&id).ok_or(SrpcError::UnknownStream(id))?;
         s.lane_mut(lane_idx)?.rid += 1;
         let seq = s.next_seq;
         s.next_seq += 1;
+        // The doorbell: one wakeup per enqueue *batch*. While the executor
+        // still has undrained work the doorbell is already pending, so
+        // back-to-back enqueues coalesce for free.
+        let doorbells = u64::from(!s.doorbell_pending);
         if s.doorbell_pending {
             s.stats.doorbells_coalesced += 1;
         } else {
@@ -595,14 +630,22 @@ impl CronusSystem {
         }
         s.stats.calls += 1;
         s.stats.request_bytes += payload.len() as u64;
-        let enqueued = stream_obs::Enqueued {
-            lane: lane_idx,
-            now,
-            enqueue_cost,
-            doorbell_cost,
-            occupancy: s.backlog() as i64,
-        };
-        let call = Self::observe_stream(&self.spm, s, |r, obs| obs.enqueued(r, name, enqueued));
+        let occupancy = s.backlog() as i64;
+        let caller_clock = &mut enclaves.entry(caller.1).or_default().clock;
+        let costs = [
+            (Cost::SrpcEnqueue, 1),
+            (Cost::GrantMap, grant_pages),
+            (Cost::SrpcDoorbell, doorbells),
+        ];
+        let (now, call) = spend_phase(spm, s, caller_clock, &costs, |r, obs, spent, now| {
+            let enqueued = stream_obs::Enqueued {
+                lane: lane_idx,
+                from: now - spent,
+                now,
+                occupancy,
+            };
+            obs.enqueued(r, name, enqueued)
+        });
         s.pending.push_back(PendingRequest {
             lane: lane_idx,
             slot: lane_rid,
@@ -742,8 +785,8 @@ impl CronusSystem {
                 .record(EventKind::DeviceIrq { count: serviced });
         }
 
-        let dequeue_cost = self.spm.machine().cost().srpc_dequeue;
         let CronusSystem {
+            ref spm,
             ref mut streams,
             ref mut partition_executors,
             ..
@@ -753,13 +796,22 @@ impl CronusSystem {
             return Ok(None);
         };
         let enq_t = pending.enqueued_at;
+        // The drain is one recorder step, from the worker's dequeue to the
+        // report, when the enqueue reported the request.
+        let cm = spm.machine().cost();
+        let reported = pending.call.and(s.obs.as_ref()).and(spm.recorder());
+        let mut r = reported.map(FlightRecorder::lock);
+        let mut dequeue_cost = SimNs::ZERO;
         // The earliest-free worker of the stream's executor takes the stream
         // head, whichever lane's ring holds it — one slow lane never
         // serializes the stream — and starts it once both are ready; the
         // gap from enqueue is the dispatch latency.
         let (worker, started, finished) = executor_of(s, partition_executors)
             .ok_or(SrpcError::UnknownStream(id))?
-            .dispatch(enq_t, dequeue_cost + exec_time);
+            .dispatch(enq_t, |w| {
+                dequeue_cost = spend(cm, Some(w), r.as_deref_mut(), Cost::SrpcDequeue, 1);
+                w.advance(exec_time);
+            });
         // A lane worker running another lane's request stole it; a
         // partition executor's workers have no lane of their own.
         if !worker.shared && worker.index as usize != lane_idx {
@@ -786,8 +838,8 @@ impl CronusSystem {
             worker,
             occupancy: s.backlog() as i64,
         };
-        if let Some(call) = pending.call {
-            Self::observe_stream(&self.spm, s, |r, obs| obs.drained(r, call, drained));
+        if let (Some(r), Some(call), Some(obs)) = (r.as_deref_mut(), pending.call, &s.obs) {
+            obs.drained(r, call, drained);
         }
         Ok(Some(Drained {
             lane: lane_idx,
@@ -937,7 +989,6 @@ impl CronusSystem {
 
         // Synchronization point: the caller waits for the executor, plus
         // the shared-memory polling wakeup latency.
-        let wakeup = self.spm.machine().cost().srpc_sync_wakeup;
         let (caller, caller_va, result_off) = {
             let s = self.stream_ref(id)?;
             (
@@ -946,18 +997,15 @@ impl CronusSystem {
                 s.layout.result_slot(result_lane, result_slot),
             )
         };
-        let woke = {
-            let c = self.clock_mut(caller.1);
-            if let Some(f) = last_finished {
-                c.advance_to(f);
-            }
-            c.advance(wakeup);
-            c.now()
-        };
+        if let Some(f) = last_finished {
+            self.clock_mut(caller.1).advance_to(f);
+        }
         self.spm
             .machine_mut()
             .record(EventKind::RpcSync { stream: id.0 });
-        self.observe(id, |r, obs| obs.call_completed(r, name, wakeup, woke));
+        let woke = self.sync_wakeup(id, |r, obs, wakeup, woke| {
+            obs.call_completed(r, name, wakeup, woke);
+        })?;
 
         // Deadline enforcement on the virtual clock: the per-call override
         // wins over the stream default.
@@ -1007,7 +1055,6 @@ impl CronusSystem {
         while self.drain_one(id)?.is_some() {}
         let sync_slot = self.stream_ref(id)?.lanes.first().map_or(0, |l| l.sid);
         self.injection_point(id, SrpcPhase::SyncWakeup, 0, sync_slot);
-        let wakeup = self.spm.machine().cost().srpc_sync_wakeup;
         let executor_now = self.executor_time(id)?;
         let (caller, caller_va, lane_count) = {
             let s = self.stream_ref(id)?;
@@ -1041,15 +1088,12 @@ impl CronusSystem {
             }
         }
 
-        {
-            let c = self.clock_mut(caller.1);
-            c.advance_to(executor_now);
-            c.advance(wakeup);
-        }
+        self.clock_mut(caller.1).advance_to(executor_now);
         self.spm
             .machine_mut()
             .record(EventKind::RpcSync { stream: id.0 });
-        self.observe(id, |r, obs| obs.synced(r, wakeup));
+        // An explicit synchronization point reports nothing but its wakeup.
+        self.sync_wakeup(id, |_, _, _, _| {})?;
         self.stream_mut(id)?.stats.sync_points += 1;
         Ok(())
     }

@@ -5,13 +5,23 @@
 //! cipher provides the confidentiality layer for that baseline, plus an
 //! authenticated `seal`/`open` pair built with HMAC (encrypt-then-MAC).
 
+use std::fmt;
+
 use crate::hmac::{hmac_sha256, verify_hmac};
 use crate::sha256::{Digest, Sha256};
 
 /// A keyed keystream generator.
-#[derive(Clone, Debug)]
+#[derive(Clone)]
 pub struct StreamCipher {
     key: [u8; 32],
+}
+
+/// Redacted: a `{:?}` of the cipher, or of anything holding one, must not
+/// print the key.
+impl fmt::Debug for StreamCipher {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("StreamCipher { .. }")
+    }
 }
 
 impl StreamCipher {
@@ -109,6 +119,13 @@ mod tests {
 
     fn cipher() -> StreamCipher {
         StreamCipher::new([7u8; 32])
+    }
+
+    #[test]
+    fn debug_does_not_print_the_key() {
+        let shown = format!("{:?}", StreamCipher::new([0xab; 32]));
+        assert!(!shown.contains("171"), "a key byte leaked: {shown}");
+        assert_eq!(shown, "StreamCipher { .. }");
     }
 
     #[test]

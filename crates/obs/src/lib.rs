@@ -88,6 +88,6 @@ pub use queue::{
     LittleCheck, QueueKind, QueueObservatory, QueueReport, QueueStation, QueueUse, StationId,
     WaitExemplar, MAX_EXEMPLARS,
 };
-pub use recorder::{charge_opt, FlightRecorder, RecorderInner, RecorderSink};
+pub use recorder::{spend, FlightRecorder, RecorderInner, RecorderSink};
 pub use slo::{SloEval, SloObjective, SloPolicy, SloReport};
 pub use span::{ReqId, Span, SpanId, SpanTracer, TrackId};

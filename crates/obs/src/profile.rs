@@ -1,70 +1,23 @@
 //! Simulated-time attribution: charge every nanosecond to a category.
 //!
-//! Instrumented sites call [`TimeProfiler::charge`] with the same `CostModel`
-//! durations they feed into their `SimClock`s, so the profiler's busy total
-//! is an exact decomposition of the simulated work. Whatever part of the
-//! run's elapsed span was *not* charged shows up as [`TimeCategory::Idle`],
-//! making the attribution sum exactly equal to total elapsed time — the
-//! invariant the figure harnesses assert.
+//! Priced time arrives through [`crate::spend`]: the one step that prices
+//! `n` operations of a [`Cost`] row, advances the acting clock by the price
+//! and charges the row's `(category, detail)` frame here, counting the
+//! operations beside it ([`TimeProfiler::spent`]). Measured time — handler
+//! execution, retry backoff — is charged to a frame directly
+//! ([`TimeProfiler::charge_frame`]). Whatever part of the run's elapsed span
+//! was *not* charged shows up as [`TimeCategory::Idle`], making the
+//! attribution sum exactly equal to total elapsed time — the invariant the
+//! figure harnesses assert.
 //!
 //! Output is folded-stack lines (`cronus;ring;enqueue 1234`) consumable by
 //! standard flamegraph tooling.
 
 use std::collections::BTreeMap;
 
-use cronus_sim::SimNs;
+use cronus_sim::{Cost, SimNs};
 
-/// Where a nanosecond of simulated time went.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum TimeCategory {
-    /// Normal ↔ secure world switches.
-    WorldSwitch,
-    /// S-EL2 partition context switches.
-    ContextSwitch,
-    /// Crypto: attestation, key exchange, signing, encrypted RPC.
-    Crypto,
-    /// CPU/PCIe data movement.
-    Memcpy,
-    /// sRPC ring operations (enqueue, dequeue, sync wakeups, stream setup).
-    Ring,
-    /// Device/compute kernel execution.
-    Kernel,
-    /// Failover: invalidate, clear, reload, trap handling.
-    Recovery,
-    /// Partition/enclave management (boot, create, page mapping).
-    Mgmt,
-    /// Elapsed time not charged to any busy category.
-    Idle,
-}
-
-impl TimeCategory {
-    /// The folded-stack frame name.
-    pub fn name(self) -> &'static str {
-        match self {
-            TimeCategory::WorldSwitch => "world-switch",
-            TimeCategory::ContextSwitch => "context-switch",
-            TimeCategory::Crypto => "crypto",
-            TimeCategory::Memcpy => "memcpy",
-            TimeCategory::Ring => "ring",
-            TimeCategory::Kernel => "kernel",
-            TimeCategory::Recovery => "recovery",
-            TimeCategory::Mgmt => "mgmt",
-            TimeCategory::Idle => "idle",
-        }
-    }
-
-    /// All busy categories (everything except [`TimeCategory::Idle`]).
-    pub const BUSY: [TimeCategory; 8] = [
-        TimeCategory::WorldSwitch,
-        TimeCategory::ContextSwitch,
-        TimeCategory::Crypto,
-        TimeCategory::Memcpy,
-        TimeCategory::Ring,
-        TimeCategory::Kernel,
-        TimeCategory::Recovery,
-        TimeCategory::Mgmt,
-    ];
-}
+pub use cronus_sim::TimeCategory;
 
 /// Handle to one `(category, detail)` frame of a [`TimeProfiler`]: resolve
 /// it once with [`TimeProfiler::frame`], then charge it without a lookup.
@@ -85,6 +38,16 @@ struct CategoryFrames {
     detailed: BTreeMap<Box<str>, FrameId>,
 }
 
+/// What one [`Cost`] row was charged.
+#[derive(Clone, Copy, Debug, Default)]
+struct Spent {
+    /// The row's frame, resolved by its first spend.
+    frame: Option<FrameId>,
+    /// Operations (bytes, for a per-byte row).
+    n: u64,
+    ns: u64,
+}
+
 /// Accumulates charged time per `(category, detail)` pair.
 #[derive(Clone, Debug, Default)]
 pub struct TimeProfiler {
@@ -92,6 +55,8 @@ pub struct TimeProfiler {
     /// Frame lookup, in folded-stack order: category, bare frame first,
     /// then details by name.
     index: BTreeMap<TimeCategory, CategoryFrames>,
+    /// Per [`Cost`] row, by [`Cost::index`].
+    spent: [Spent; Cost::ALL.len()],
     /// High-water mark of observed simulated instants.
     watermark: SimNs,
 }
@@ -134,6 +99,33 @@ impl TimeProfiler {
         let f = &mut self.frames[frame.0 as usize];
         f.ns += d.as_nanos();
         f.cat
+    }
+
+    /// Charges `n` operations of `cost`, priced at `d`, to the row's frame
+    /// and counts them beside it, returning the frame's category. The frame
+    /// is resolved by the row's first spend, so later ones look nothing up.
+    #[inline]
+    pub fn spend(&mut self, cost: Cost, n: u64, d: SimNs) -> TimeCategory {
+        let frame = match self.spent[cost.index()].frame {
+            Some(frame) => frame,
+            None => {
+                let row = cost.row();
+                let frame = self.frame(row.category, row.detail);
+                self.spent[cost.index()].frame = Some(frame);
+                frame
+            }
+        };
+        let spent = &mut self.spent[cost.index()];
+        spent.n += n;
+        spent.ns += d.as_nanos();
+        self.charge_frame(frame, d)
+    }
+
+    /// The operations (bytes, for a per-byte row) and time charged to
+    /// `cost` so far.
+    pub fn spent(&self, cost: Cost) -> (u64, SimNs) {
+        let spent = &self.spent[cost.index()];
+        (spent.n, SimNs::from_nanos(spent.ns))
     }
 
     /// Charges `d` to `cat` with no detail frame.
@@ -285,6 +277,20 @@ mod tests {
             assert!(stack.starts_with("cronus;"));
             assert!(count.parse::<u64>().is_ok());
         }
+    }
+
+    #[test]
+    fn spends_count_beside_their_frame() {
+        let mut p = TimeProfiler::new();
+        p.spend(Cost::SrpcEnqueue, 1, ns(120));
+        p.spend(Cost::GrantMap, 2, ns(1_800));
+        p.spend(Cost::SrpcEnqueue, 1, ns(120));
+        assert_eq!(p.spent(Cost::SrpcEnqueue), (2, ns(240)));
+        assert_eq!(p.spent(Cost::GrantMap), (2, ns(1_800)));
+        assert_eq!(p.spent(Cost::Trap), (0, SimNs::ZERO));
+        // Two rows, one frame.
+        assert_eq!(p.folded_stacks(), "cronus;ring;enqueue 2040\n");
+        assert_eq!(p.busy_in(TimeCategory::Ring), ns(2_040));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use cronus_sim::{EventKind, EventSink, SimNs};
+use cronus_sim::{Cost, CostModel, EventKind, EventSink, SimClock, SimNs};
 
 use crate::causal::CausalReport;
 use crate::intern::IntoName;
@@ -513,12 +513,32 @@ impl EventSink for RecorderSink {
     }
 }
 
-/// Charges the recorder (if present) — a shorthand for the `Option<&FlightRecorder>`
-/// plumbing in instrumented crates.
-pub fn charge_opt(rec: Option<&FlightRecorder>, cat: TimeCategory, d: SimNs) {
-    if let Some(rec) = rec {
-        rec.charge(cat, d);
+/// Spends `n` operations of `cost`: prices them with `cm`, advances the
+/// acting `clock` (when an actor pays) by the price, and charges the row's
+/// frame, with the count beside it, to `r` and its ambient meter scope. Every
+/// priced nanosecond takes this one step (the table is
+/// [`cronus_sim::Cost::row`]); a phase that records more in the same locked step
+/// passes its own `r`. Spending nothing records nothing. Returns the price.
+#[inline]
+pub fn spend(
+    cm: &CostModel,
+    clock: Option<&mut SimClock>,
+    r: Option<&mut RecorderInner>,
+    cost: Cost,
+    n: u64,
+) -> SimNs {
+    if n == 0 {
+        return SimNs::ZERO;
     }
+    let d = cm.price(cost, n);
+    if let Some(clock) = clock {
+        clock.advance(d);
+    }
+    if let Some(r) = r {
+        let cat = r.profiler.spend(cost, n, d);
+        r.meter.charge_time(cat, d);
+    }
+    d
 }
 
 #[cfg(test)]
@@ -568,6 +588,45 @@ mod tests {
         rec.charge(TimeCategory::Ring, ns(10));
         assert!(is_well_formed(&rec.metrics_snapshot_json("unit")));
         assert!(is_well_formed(&rec.chrome_trace_json()));
+    }
+
+    #[test]
+    fn spend_advances_the_payer_and_charges_the_row() {
+        let rec = FlightRecorder::new();
+        let cm = CostModel::default();
+        let mut clock = SimClock::new();
+        let d = spend(
+            &cm,
+            Some(&mut clock),
+            Some(&mut rec.lock()),
+            Cost::WorldSwitch,
+            2,
+        );
+        assert_eq!(d, cm.world_switch * 2);
+        assert_eq!(clock.now(), d);
+        // No payer: only the recorder sees it; nothing spent: nobody does.
+        spend(&cm, None, Some(&mut rec.lock()), Cost::WorldSwitch, 1);
+        spend(
+            &cm,
+            Some(&mut clock),
+            Some(&mut rec.lock()),
+            Cost::SrpcDoorbell,
+            0,
+        );
+        assert_eq!(clock.now(), d);
+        let inner = rec.lock();
+        assert_eq!(
+            inner.profiler.spent(Cost::WorldSwitch),
+            (3, cm.world_switch * 3)
+        );
+        assert_eq!(
+            inner.profiler.folded_stacks(),
+            "cronus;world-switch 12000\n"
+        );
+        let rows = inner
+            .meter
+            .check_conservation(&inner.profiler, &inner.metrics);
+        assert!(rows.is_ok(), "meter and profiler agree");
     }
 
     #[test]

@@ -12,12 +12,11 @@ use cronus_core::{CronusError, CronusSystem, EnclaveRef, ServerCtx, SrpcError, S
 use cronus_devices::Dma;
 use cronus_mos::hal::DeviceCtx;
 use cronus_obs::{
-    CountResource, CounterId, FrameId, GaugeId, MeterScope, NameId, Principal, RecorderInner,
-    TimeCategory, TrackId,
+    spend, CountResource, CounterId, GaugeId, MeterScope, NameId, Principal, RecorderInner, TrackId,
 };
 use cronus_sim::addr::{VirtAddr, PAGE_SIZE};
 use cronus_sim::pagetable::{Access, PagePerms};
-use cronus_sim::SimNs;
+use cronus_sim::{Cost, CostModel, SimClock, SimNs};
 
 use crate::session::SessionNames;
 use crate::wire::{Reader, Writer};
@@ -31,9 +30,8 @@ struct StagingObs {
     ledger_evicted: GaugeId,
     /// `enclave:<caller>`.
     track: TrackId,
-    /// By [`Dma`]: the `memcpy;staging_{write,read}` frame, the byte counter
-    /// and the interned span name.
-    dirs: [(FrameId, CounterId, NameId); 2],
+    /// By [`Dma`]: the byte counter and the interned span name.
+    dirs: [(CounterId, NameId); 2],
 }
 
 /// The caller's side of a staging buffer.
@@ -184,23 +182,21 @@ impl Staging {
     }
 
     /// The caller moved one chunk of `n` bytes between its memory and
-    /// staging: advances its clock by the memcpy and reports it, as one
+    /// staging: spends the memcpy on its clock and reports it, as one
     /// locked recorder step.
     fn copied(&mut self, sys: &mut CronusSystem, dir: Dma, n: u64) {
-        let cost = sys.spm().machine().cost().memcpy(n);
-        sys.advance_enclave(self.cpu, cost);
-        let now = sys.enclave_time(self.cpu);
-        let spm = sys.spm();
-        let Some(rec) = spm.recorder() else {
+        let ledger = sys.spm().ledger();
+        let ledger = (ledger.records_total(), ledger.evicted_total());
+        let (cm, clock, rec) = sys.spending(self.cpu);
+        let Some(rec) = rec else {
+            spend(cm, Some(clock), None, staging_cost(dir), n);
             return;
         };
-        let ledger = (spm.ledger().records_total(), spm.ledger().evicted_total());
-        rec.with(|r| {
-            let obs = self
-                .obs
-                .get_or_insert_with(|| StagingObs::resolve(r, self.cpu, self.stream, self.names));
-            obs.chunk(r, dir, n, cost, now, ledger);
-        });
+        let r = &mut *rec.lock();
+        let obs = self
+            .obs
+            .get_or_insert_with(|| StagingObs::resolve(r, self.cpu, self.stream, self.names));
+        obs.chunk(r, cm, clock, dir, n, ledger);
     }
 }
 
@@ -213,7 +209,6 @@ impl StagingObs {
     ) -> StagingObs {
         let dir = |r: &mut RecorderInner, label: &str, what: &str| {
             (
-                r.profiler.frame(TimeCategory::Memcpy, Some(what)),
                 r.metrics.counter_id(names.bytes_metric, &[("dir", label)]),
                 r.spans.intern(what),
             )
@@ -230,30 +225,39 @@ impl StagingObs {
         }
     }
 
-    /// One staged chunk of `n` bytes whose memcpy of `cost` ended at `now`:
-    /// the ledger gauges every recorder hand-out refreshes, the memcpy time
-    /// and DMA bytes on the caller's account, the runtime's byte counter and
-    /// the span on the caller's track.
+    /// One staged chunk of `n` bytes: the ledger gauges every recorder
+    /// hand-out refreshes, the memcpy spent on the caller's `clock` and the
+    /// DMA bytes, both on the caller's account, the runtime's byte counter
+    /// and the span on the caller's track.
     fn chunk(
         &self,
         r: &mut RecorderInner,
+        cm: &CostModel,
+        clock: &mut SimClock,
         dir: Dma,
         n: u64,
-        cost: SimNs,
-        now: SimNs,
         (ledger_records, ledger_evicted): (u64, u64),
     ) {
-        let (frame, bytes, span) = self.dirs[dir as usize];
+        let (bytes, span) = self.dirs[dir as usize];
         r.metrics
             .gauge_store(self.ledger_records, ledger_records as i64);
         r.metrics
             .gauge_store(self.ledger_evicted, ledger_evicted as i64);
         let prev = r.meter.set_scope(self.scope);
-        r.charge_frame(frame, cost);
+        let d = spend(cm, Some(clock), Some(r), staging_cost(dir), n);
         r.meter.add_count(CountResource::DmaBytes, n);
         r.meter.set_scope(prev);
         r.metrics.counter_bump(bytes, n);
-        r.complete_span(self.track, span, "memcpy", now - cost, now);
+        let now = clock.now();
+        r.complete_span(self.track, span, "memcpy", now - d, now);
+    }
+}
+
+/// The caller's copy into (`H2d`) or out of (`D2h`) staging.
+fn staging_cost(dir: Dma) -> Cost {
+    match dir {
+        Dma::H2d => Cost::StagingWrite,
+        Dma::D2h => Cost::StagingRead,
     }
 }
 

@@ -35,6 +35,7 @@
 
 pub mod addr;
 pub mod clock;
+pub mod cost;
 pub mod devtree;
 pub mod fault;
 pub mod machine;
@@ -48,6 +49,7 @@ pub mod tzpc;
 
 pub use addr::{PhysAddr, VirtAddr, PAGE_SIZE};
 pub use clock::{CostModel, SimClock, SimNs};
+pub use cost::{Cost, CostRow, TimeCategory, Unit};
 pub use devtree::{DeviceTree, DtNode, DtValidationError};
 pub use fault::Fault;
 pub use machine::{AsId, Frame, Machine, MachineConfig};

@@ -30,14 +30,14 @@ use cronus_mos::hal::DeviceHal;
 use cronus_mos::manager::Owner;
 use cronus_mos::manifest::{Eid, Manifest, MosId};
 use cronus_mos::mos::{MicroOs, MosError, MosStatus};
-use cronus_obs::{FlightRecorder, QueueKind, TimeCategory};
+use cronus_obs::{spend, FlightRecorder, QueueKind};
 use cronus_sim::addr::{PhysAddr, PhysRange, VirtAddr};
 use cronus_sim::devtree::{DeviceTree, DtNode};
 use cronus_sim::machine::AsId;
 use cronus_sim::pagetable::PagePerms;
 use cronus_sim::trace::EventKind;
 use cronus_sim::tzpc::DeviceId;
-use cronus_sim::{Machine, MachineConfig, SimNs, StreamId, World};
+use cronus_sim::{Cost, Machine, MachineConfig, SimClock, SimNs, StreamId, World};
 
 use crate::attest::{AttestationReport, SignedReport};
 use crate::monitor::SecureMonitor;
@@ -481,6 +481,14 @@ impl Spm {
         self.recorder.as_ref()
     }
 
+    /// Spends `n` operations of `cost` as one recorder step (see
+    /// [`cronus_obs::spend`]), on `payer`'s clock when an actor pays for
+    /// them. Returns the price.
+    fn spend(&self, payer: Option<&mut SimClock>, cost: Cost, n: u64) -> SimNs {
+        let mut r = self.recorder.as_ref().map(FlightRecorder::lock);
+        spend(self.machine.cost(), payer, r.as_deref_mut(), cost, n)
+    }
+
     /// The machine (read side).
     pub fn machine(&self) -> &Machine {
         &self.machine
@@ -617,7 +625,8 @@ impl Spm {
     /// both enclaves' address spaces. A page is shared by exactly one pair
     /// ("a memory page can be shared only once", §IV-D).
     ///
-    /// Returns the handle plus both base virtual addresses.
+    /// Returns the handle plus both base virtual addresses. No actor's clock
+    /// pays for the mapping; see [`Spm::share_memory_paid`].
     ///
     /// # Errors
     ///
@@ -627,6 +636,22 @@ impl Spm {
         owner: (AsId, Eid),
         peer: (AsId, Eid),
         pages: usize,
+    ) -> Result<(ShareHandle, VirtAddr, VirtAddr), SpmError> {
+        self.share_memory_paid(owner, peer, pages, None)
+    }
+
+    /// [`Spm::share_memory`], with the mapping paid on `payer`'s clock when
+    /// an actor pays for it.
+    ///
+    /// # Errors
+    ///
+    /// As [`Spm::share_memory`].
+    pub fn share_memory_paid(
+        &mut self,
+        owner: (AsId, Eid),
+        peer: (AsId, Eid),
+        pages: usize,
+        payer: Option<&mut SimClock>,
     ) -> Result<(ShareHandle, VirtAddr, VirtAddr), SpmError> {
         let (owner_asid, owner_eid) = owner;
         let (peer_asid, peer_eid) = peer;
@@ -664,13 +689,8 @@ impl Spm {
             to: peer_asid,
             pages,
         });
-        if let Some(rec) = &self.recorder {
-            // Both partitions map the pages (Figure 6 steps 2–3).
-            rec.charge(
-                TimeCategory::Mgmt,
-                self.machine.cost().page_map * (2 * pages as u64),
-            );
-        }
+        // Both partitions map the pages (Figure 6 steps 2–3).
+        self.spend(payer, Cost::ShareMap, 2 * pages as u64);
         self.shares.push(ShareRecord {
             owner,
             peer,
@@ -780,14 +800,14 @@ impl Spm {
             poisoned.push((ShareHandle::at(i), survivor));
         }
         self.machine.mark_failed(asid);
-        let t = self.machine.cost().page_unmap * (invalidated.max(1) as u64);
         // Phase marker after the PartitionFailed event: tests assert the
         // failed → invalidated → cleared → recovered ordering.
         self.machine
             .record(EventKind::Marker("failover:invalidated"));
+        let start = self.now();
+        let t = self.spend(None, Cost::Invalidate, invalidated.max(1) as u64);
         if let Some(rec) = &self.recorder {
             let track = rec.track("recovery");
-            let start = rec.total_elapsed();
             rec.complete_span(
                 track,
                 format!("invalidate {asid}"),
@@ -795,7 +815,6 @@ impl Spm {
                 start,
                 start + t,
             );
-            rec.charge_detail(TimeCategory::Recovery, "invalidate", t);
             // The clear+reload work item now waits for recover_partition.
             rec.queue_enqueue("spm.recovery", start);
             if let Some(p) = self.partitions.get_mut(&asid) {
@@ -881,16 +900,16 @@ impl Spm {
             .record(EventKind::PartitionCleared { partition: asid });
         self.machine.mark_recovered(asid);
 
-        let cost = self.machine.cost();
+        let t0 = self.now();
+        let proceed = cleared_pages.max(1) as u64;
         let stats = RecoveryStats {
             invalidated_pages: cleared_pages,
-            proceed_time: cost.page_unmap * (cleared_pages.max(1) as u64),
-            clear_time: cost.partition_clear,
-            restart_time: cost.mos_restart,
+            proceed_time: self.machine.cost().price(Cost::Invalidate, proceed),
+            clear_time: self.spend(None, Cost::PartitionClear, 1),
+            restart_time: self.spend(None, Cost::MosRestart, 1),
         };
         if let Some(rec) = &self.recorder {
             let track = rec.track("recovery");
-            let t0 = rec.total_elapsed();
             let t1 = t0 + stats.clear_time;
             rec.complete_span(track, format!("clear {asid}"), "recovery", t0, t1);
             rec.complete_span(
@@ -900,8 +919,6 @@ impl Spm {
                 t1,
                 t1 + stats.restart_time,
             );
-            rec.charge_detail(TimeCategory::Recovery, "clear", stats.clear_time);
-            rec.charge_detail(TimeCategory::Recovery, "reload", stats.restart_time);
             if let Some(enq_at) = recovery_enq {
                 let service = stats.clear_time + stats.restart_time;
                 rec.queue_dequeue(
@@ -992,9 +1009,9 @@ impl Spm {
         });
         share.state = ShareState::Reclaimed;
         if let Some(rec) = &self.recorder {
-            let t = self.machine.cost().page_unmap * (unmapped.max(1) as u64);
             let track = rec.track("recovery");
             let start = rec.total_elapsed();
+            let t = self.spend(None, Cost::Trap, unmapped.max(1) as u64);
             rec.complete_span(
                 track,
                 format!("trap {survivor}"),
@@ -1002,7 +1019,6 @@ impl Spm {
                 start,
                 start + t,
             );
-            rec.charge_detail(TimeCategory::Recovery, "trap", t);
             // Trap handling is serviced synchronously inside the fault path:
             // zero wait, unmap-time service.
             rec.queue_enqueue("spm.recovery", start);

@@ -427,7 +427,64 @@ fn hashed_state_table_in_a_trusted_crate_trips_hash_order_only() {
     assert!(r.findings[1].message.contains("BTreeMap"), "{}", r.render());
 }
 
+#[test]
+fn a_cost_model_field_read_in_a_priced_crate_trips_cost_seam_only() {
+    let r = report_for(vec![(
+        "crates/spm/src/spm.rs".into(),
+        "pub struct Spm { machine: Machine }\n\
+         impl Spm {\n\
+             fn trap_time(&self, pages: u64) -> SimNs {\n\
+                 self.machine.cost().page_unmap * pages\n\
+             }\n\
+             fn switches(&self, cm: &CostModel) -> SimNs { cm.world_switch * 2 }\n\
+         }\n"
+        .into(),
+    )]);
+    let hits: Vec<(&str, u32)> = r.findings.iter().map(|f| (f.rule, f.line)).collect();
+    assert_eq!(
+        hits,
+        [("cost-seam", 4), ("cost-seam", 6)],
+        "both reads, nothing else:\n{}",
+        r.render()
+    );
+    assert!(
+        r.findings[0].message.contains("page_unmap"),
+        "{}",
+        r.render()
+    );
+}
+
 // ---- good fixtures: sanctioned patterns stay clean -------------------------
+
+#[test]
+fn pricing_through_the_table_test_code_and_other_crates_pass_cost_seam() {
+    let read = "pub fn bound(cm: &CostModel) -> SimNs { cm.mos_restart * 3 }\n";
+    let r = report_for(vec![
+        (
+            "crates/core/src/system.rs".into(),
+            "pub struct CronusSystem { spm: Spm }\n\
+             impl CronusSystem {\n\
+                 fn price(&self, cm: &CostModel) -> SimNs {\n\
+                     let owned = self.spm.machine().cost().clone();\n\
+                     cm.price(Cost::Trap, 2) + owned.memcpy(64)\n\
+                 }\n\
+             }\n\
+             #[cfg(test)]\n\
+             mod tests {\n\
+                 #[test]\n\
+                 fn t() { let cm = CostModel::default(); assert!(cm.page_map > cm.srpc_enqueue); }\n\
+             }\n"
+                .into(),
+        ),
+        // Outside the priced crates the rule does not apply.
+        ("crates/chaos/src/invariants.rs".into(), read.into()),
+    ]);
+    assert!(
+        r.passed(),
+        "table prices, method calls, test code and other crates are clean:\n{}",
+        r.render()
+    );
+}
 
 #[test]
 fn digest_then_record_and_public_declassifier_are_clean() {
